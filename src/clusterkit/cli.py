@@ -1,14 +1,16 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 cross-check failure, 2 usage or input error.
-Domain errors print a JSON envelope {code, message, context} on stderr so
-CI scripts can parse failures; human-readable output goes to stdout.
+Exit codes: 0 success, 1 cross-check failure, 2 usage or input error, 141
+when stdout is closed early (as after SIGPIPE).  Domain errors print a JSON
+envelope {code, message, context} on stderr so CI scripts can parse
+failures; human-readable output goes to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -45,6 +47,26 @@ def _parse_subquiver(text: str) -> list[int]:
         return [int(x) for x in text.split(",")]
     except ValueError as exc:
         raise InvalidInput(f"bad vertex list {text!r}") from exc
+
+
+def _pick(items: list, index: int, option: str):
+    try:
+        return items[index]
+    except IndexError:
+        raise InvalidInput(f"{option} {index} is out of range: "
+                           f"there are {len(items)}") from None
+
+
+def _parse_plane(text: str, dim: int) -> tuple[int, int]:
+    try:
+        plane = tuple(int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise InvalidInput(f"bad --plane {text!r}") from exc
+    if len(plane) != 2:
+        raise InvalidInput("--plane needs two coordinates i,j")
+    if not all(1 <= c <= dim for c in plane):
+        raise InvalidInput(f"--plane coordinates must lie in [1,{dim}]")
+    return plane
 
 
 def _emit_value(value, fmt: str):
@@ -107,10 +129,10 @@ def cmd_snake(args) -> int:
     comp = complete_extension(q, support)
     d = snake.build_snake(comp.celq)
     matchings = snake.enumerate_matchings(d)
+    gamma = _pick(matchings, args.matching, "--matching") if args.svg and matchings else None
     print(f"tiles: {list(d.tiles)}")
     print(f"matchings: {len(matchings)}")
     if args.svg:
-        gamma = matchings[args.matching] if matchings else None
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(snake.snake_svg(d, gamma))
     return 0
@@ -121,6 +143,9 @@ def cmd_broken_lines(args) -> int:
     support = _parse_subquiver(args.subquiver)
     principal = True if args.principal else None
     lines = scattering.broken_lines(q, support, principal=principal)
+    if args.svg:
+        chosen = _pick(lines, args.line, "--line")
+        plane = _parse_plane(args.plane, len(chosen.endpoint))
     for line in lines:
         print(json.dumps({
             "s": list(line.s),
@@ -131,11 +156,8 @@ def cmd_broken_lines(args) -> int:
     theta = scattering.theta_from_broken_lines(q, support)
     print("theta " + rational_string(theta))
     if args.svg:
-        plane = tuple(int(x) for x in args.plane.split(","))
-        if len(plane) != 2:
-            raise InvalidInput("--plane needs two coordinates i,j")
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(scattering.broken_line_svg(lines[args.line], plane))
+            fh.write(scattering.broken_line_svg(chosen, plane))
     return 0
 
 
@@ -249,12 +271,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ClusterKitError as exc:
         envelope = {"code": type(exc).__name__, "message": str(exc),
                     "context": {"command": args.command}}
         print(json.dumps(envelope), file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away: send what is still buffered to /dev/null so
+        # the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

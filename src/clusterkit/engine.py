@@ -20,7 +20,7 @@ from .errors import (
     NotLinearSubquiver,
 )
 from .laurent import LaurentPoly, mono_degree, mono_mul, poly_product
-from .quiver import Quiver, exchange_matrix, mutate, path_order
+from .quiver import Quiver, mutate, path_order
 
 
 def _term_order_key(m, support):
@@ -261,7 +261,3 @@ def g_vector_by_formula(qtilde: Quiver, linear_vertices) -> tuple[int, ...]:
         else:
             g.append(0)
     return tuple(g)
-
-
-def b_matrix(q: Quiver) -> list[list[int]]:
-    return exchange_matrix(q)

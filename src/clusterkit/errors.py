@@ -29,10 +29,6 @@ class NotLinearSubquiver(ClusterKitError):
     pass
 
 
-class NotCompletelyExtendedLinear(ClusterKitError):
-    pass
-
-
 class NegativeInput(ClusterKitError):
     pass
 

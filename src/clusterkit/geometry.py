@@ -8,9 +8,11 @@ predicates (crossing, ranks of marked points) are pure index arithmetic.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from types import MappingProxyType
 
 from .errors import (
     CrossingDiagonals,
@@ -22,8 +24,8 @@ from .errors import (
 from .quiver import (
     CompletelyExtendedLinearQuiver,
     Quiver,
-    is_type_a,
     oriented_three_cycles,
+    path_order,
     require_type_a,
 )
 
@@ -90,7 +92,7 @@ class Triangulation:
 
     size: int
     n: int
-    edges: dict[int, tuple[int, int]]
+    edges: Mapping[int, tuple[int, int]]
     vpoint: int | None = None
     wpoint: int | None = None
 
@@ -190,7 +192,12 @@ def quiver_of(t: Triangulation, include_boundary: bool = False) -> Quiver:
 def triangulation_for(q: Quiver) -> Triangulation:
     """A triangulation of the (n+3)-gon inducing the given type-A quiver.
 
-    Triangles are read off the quiver (oriented 3-cycles, arrows outside
+    Built once per quiver and shared: its edge map is read-only."""
+    return q._triangulation
+
+
+def _build_triangulation(q: Quiver) -> Triangulation:
+    """Triangles are read off the quiver (oriented 3-cycles, arrows outside
     3-cycles, boundary caps), oriented by the rotation rule, then glued and
     unrolled into a polygon by one counterclockwise boundary walk."""
     require_type_a(q)
@@ -287,7 +294,7 @@ def triangulation_for(q: Quiver) -> Triangulation:
             if s in edges and edges[s] != pair:
                 raise NotTypeA("inconsistent gluing of a shared diagonal")
             edges[s] = pair
-    t = Triangulation(n + 3, n, edges)
+    t = Triangulation(n + 3, n, MappingProxyType(edges))
     induced = quiver_of(t)
     if tuple(sorted(induced.arrows)) != tuple(sorted((a, b) for a, b in q.arrows)):
         raise NotTypeA("constructed triangulation does not induce the quiver")
@@ -416,10 +423,14 @@ def build_pipelines(q: Quiver, a, t: Triangulation | None = None) -> PipelineSet
 
 def decompose(q: Quiver, a, t: Triangulation | None = None) -> tuple[tuple[int, ...], ...]:
     """Multiset of 0-1 vectors (one per pipeline) whose coordinatewise sum is
-    the given nonnegative d-vector; each support induces a path."""
+    the given nonnegative d-vector; each support induces a path.  A 0-1
+    vector whose support already induces a path is returned unchanged."""
     a = tuple(a)
     if all(x == 0 for x in a):
         return ()
+    if set(a) <= {0, 1} and satisfies_property_a(q, a):
+        if path_order(q, {i + 1 for i, x in enumerate(a) if x}) is not None:
+            return (a,)
     return tuple(sorted(build_pipelines(q, a, t).b_vectors()))
 
 

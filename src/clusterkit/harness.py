@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-import os
 import random
 import time
 
@@ -27,8 +26,6 @@ from .quiver import (
 
 MODELS = ("mutation", "gcs", "gcc", "linear-gcc", "gcs-variable",
           "matching", "tpath", "broken-line")
-
-PER_VARIABLE_MODELS = {"linear-gcc", "gcs-variable", "matching", "tpath", "broken-line"}
 
 
 # -- random type-A quivers ------------------------------------------------------
@@ -261,15 +258,16 @@ class CrossCheckReport:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        return {
-            "models": list(self.models),
-            "passed": self.passed,
-            "rows": [
-                {"dvector": list(r.dvector), "counts": r.counts,
-                 "value": r.value, "verdict": r.verdict}
-                for r in self.rows
-            ],
-        }
+        """JSON-ready report; rows carry per-model timings in ms only when
+        the report was built with timings."""
+        rows = []
+        for r in self.rows:
+            row = {"dvector": list(r.dvector), "counts": r.counts,
+                   "value": r.value, "verdict": r.verdict}
+            if r.timings:
+                row["timings"] = {m: round(r.timings[m] * 1000, 3) for m in self.models}
+            rows.append(row)
+        return {"models": list(self.models), "passed": self.passed, "rows": rows}
 
 
 def _scope_dvectors(q: Quiver, box: int) -> list[tuple[int, ...]]:
@@ -316,16 +314,7 @@ def crosscheck(q: Quiver, models=None, box: int = 0,
     for m in models:
         if m not in MODELS:
             raise InvalidInput(f"unknown model {m!r}")
-    scope = _scope_dvectors(q, box)
-    threads = int(os.environ.get("CLUSTERKIT_THREADS", "1") or "1")
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(
-                lambda a: _check_row(q, a, models, with_timings), scope))
-    else:
-        rows = [_check_row(q, a, models, with_timings) for a in scope]
+    rows = [_check_row(q, a, models, with_timings) for a in _scope_dvectors(q, box)]
     return CrossCheckReport(q, models, rows)
 
 

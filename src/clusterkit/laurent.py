@@ -13,7 +13,7 @@ division needed by seed mutation lives in the engine module.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 Monomial = tuple  # tuple[tuple[int, int], ...], sorted by variable index
 
@@ -371,12 +371,3 @@ def poly_product(ps: Iterable[LaurentPoly]) -> LaurentPoly:
     for p in ps:
         result = result * p
     return result
-
-
-def variables_product(exponents: Mapping[int, int]) -> LaurentPoly:
-    """Monomial with the given exponent vector as a polynomial."""
-    return LaurentPoly.monomial(exponents)
-
-
-def iter_monomials(p: LaurentPoly) -> Iterator[tuple[Monomial, int]]:
-    return iter(sorted_terms(p))

@@ -4,14 +4,21 @@ A quiver is a finite directed graph without loops or 2-cycles.  Vertices are
 dense 1-based integers.  Arrows are stored as a sorted tuple of (tail, head)
 pairs, so equality is structural; parallel arrows are allowed in general
 (mutation needs the multiset), though type-A quivers never carry them.
+
+Structure derived from the arrows (adjacency, oriented 3-cycles, the type-A
+verdict, the 3-cycle completion and the realizing triangulation) is computed
+lazily, at most once per instance, and kept as immutable values; the public
+accessors hand out fresh lists and sets built from them.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from functools import cached_property
 import json
 import re
+from types import MappingProxyType
 
 from .errors import (
     DisconnectedQuiver,
@@ -58,43 +65,70 @@ class Quiver:
     def unfrozen(self) -> list[int]:
         return [v for v in self.vertices if v not in self.frozen]
 
+    # -- derived structure, built on first use ---------------------------------
+
+    @cached_property
+    def _arrow_set(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.arrows)
+
+    @cached_property
+    def _adjacency(self):
+        """(out, in, neighbor) maps: vertex -> heads, tails (tuples in arrow
+        order, with multiplicity) and the frozenset of adjacent vertices."""
+        outs: dict[int, list[int]] = {v: [] for v in self.vertices}
+        ins: dict[int, list[int]] = {v: [] for v in self.vertices}
+        for t, h in self.arrows:
+            outs[t].append(h)
+            ins[h].append(t)
+        return (MappingProxyType({v: tuple(hs) for v, hs in outs.items()}),
+                MappingProxyType({v: tuple(ts) for v, ts in ins.items()}),
+                MappingProxyType({v: frozenset(outs[v]) | frozenset(ins[v])
+                                  for v in self.vertices}))
+
+    @cached_property
+    def _three_cycles(self) -> tuple[tuple[int, int, int], ...]:
+        return _scan_three_cycles(self)
+
+    @cached_property
+    def _type_a(self) -> bool:
+        return _type_a_verdict(self)
+
+    @cached_property
+    def _completion(self) -> tuple["Quiver", tuple[int, ...]]:
+        return _complete_three_cycles(self)
+
+    @cached_property
+    def _triangulation(self):
+        from .geometry import _build_triangulation  # local import to avoid a cycle
+
+        return _build_triangulation(self)
+
+    # -- adjacency ---------------------------------------------------------------
+
     def arrows_out(self, v: int) -> list[int]:
-        return [h for t, h in self.arrows if t == v]
+        return list(self._adjacency[0].get(v, ()))
 
     def arrows_in(self, v: int) -> list[int]:
-        return [t for t, h in self.arrows if h == v]
+        return list(self._adjacency[1].get(v, ()))
 
     def neighbors(self, v: int) -> set[int]:
-        out = set()
-        for t, h in self.arrows:
-            if t == v:
-                out.add(h)
-            elif h == v:
-                out.add(t)
-        return out
+        return set(self._adjacency[2].get(v, ()))
 
     def degree(self, v: int) -> int:
-        return sum(1 for t, h in self.arrows if v in (t, h))
+        outs, ins, _ = self._adjacency
+        return len(outs.get(v, ())) + len(ins.get(v, ()))
 
     def has_arrow(self, t: int, h: int) -> bool:
-        return (t, h) in set(self.arrows)
-
-    def arrow_multiplicity(self, t: int, h: int) -> int:
-        return sum(1 for a in self.arrows if a == (t, h))
+        return (t, h) in self._arrow_set
 
     def induced(self, vertices: set[int]) -> list[tuple[int, int]]:
         """Arrows of the full subquiver on the given vertex set (original labels)."""
         return [(t, h) for t, h in self.arrows if t in vertices and h in vertices]
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
+        adj = self._adjacency[2]
         seen = {1}
         queue = deque([1])
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for t, h in self.arrows:
-            adj[t].add(h)
-            adj[h].add(t)
         while queue:
             v = queue.popleft()
             for u in adj[v]:
@@ -210,28 +244,30 @@ def _blocks(q: Quiver) -> list[tuple[set[int], list[tuple[int, int]]]]:
     return blocks
 
 
-def oriented_three_cycles(q: Quiver) -> list[tuple[int, int, int]]:
-    """All directed 3-cycles (i, j, k) with arrows i->j->k->i, i the smallest."""
-    arrow_set = set(q.arrows)
+def _scan_three_cycles(q: Quiver) -> tuple[tuple[int, int, int], ...]:
+    arrow_set = q._arrow_set
+    outs = q._adjacency[0]
     cycles = set()
     for (i, j) in arrow_set:
-        for k in q.arrows_out(j):
+        for k in outs[j]:
             if (k, i) in arrow_set:
                 rot = min(((i, j, k), (j, k, i), (k, i, j)))
                 cycles.add(rot)
-    return sorted(cycles)
+    return tuple(sorted(cycles))
 
 
-def is_type_a(q: Quiver) -> bool:
-    """Connectivity plus the block/degree characterization of type-A quivers:
-    every simple cycle is an oriented triangle, degrees are at most 4, a
-    degree-4 vertex lies in two triangles and a degree-3 vertex in one."""
+def oriented_three_cycles(q: Quiver) -> list[tuple[int, int, int]]:
+    """All directed 3-cycles (i, j, k) with arrows i->j->k->i, i the smallest."""
+    return list(q._three_cycles)
+
+
+def _type_a_verdict(q: Quiver) -> bool:
     if not q.is_connected():
         raise DisconnectedQuiver("type-A test requires a connected quiver")
     pair_counts = Counter((min(t, h), max(t, h)) for t, h in q.arrows)
     if any(c > 1 for c in pair_counts.values()):
         return False
-    arrow_set = set(q.arrows)
+    arrow_set = q._arrow_set
     for vs, es in _blocks(q):
         if len(es) == 1:
             continue
@@ -242,7 +278,7 @@ def is_type_a(q: Quiver) -> bool:
                 or (b, a) in arrow_set and (c, b) in arrow_set and (a, c) in arrow_set):
             return False
     tri_count: Counter[int] = Counter()
-    for (i, j, k) in oriented_three_cycles(q):
+    for (i, j, k) in q._three_cycles:
         tri_count[i] += 1
         tri_count[j] += 1
         tri_count[k] += 1
@@ -257,8 +293,15 @@ def is_type_a(q: Quiver) -> bool:
     return True
 
 
+def is_type_a(q: Quiver) -> bool:
+    """Connectivity plus the block/degree characterization of type-A quivers:
+    every simple cycle is an oriented triangle, degrees are at most 4, a
+    degree-4 vertex lies in two triangles and a degree-3 vertex in one."""
+    return q._type_a
+
+
 def require_type_a(q: Quiver):
-    if not is_type_a(q):
+    if not q._type_a:
         raise NotTypeA("operation requires a type-A quiver")
 
 
@@ -328,7 +371,7 @@ def delta_of_path(q: Quiver, order: list[int]) -> tuple[int, ...]:
     """Edge-direction sequence along a path: 0 when the arrow follows the
     path order, 1 when it points backwards."""
     delta = []
-    arrow_set = set(q.arrows)
+    arrow_set = q._arrow_set
     for a, b in zip(order, order[1:]):
         if (a, b) in arrow_set:
             delta.append(0)
@@ -522,13 +565,9 @@ def complete_extension(q: Quiver, linear_vertices) -> CompletionResult:
     return CompletionResult(celq, tuple(order), to_ambient, invented, fresh)
 
 
-def three_cycle_completion(q: Quiver) -> tuple[Quiver, list[int]]:
-    """Attach a fresh frozen vertex to every arrow lying in no oriented
-    triangle, so that afterwards every edge belongs to one.  Returns the
-    enlarged quiver and the list of added vertices."""
-    cycles = oriented_three_cycles(q)
+def _complete_three_cycles(q: Quiver) -> tuple[Quiver, tuple[int, ...]]:
     in_cycle = set()
-    for (i, j, k) in cycles:
+    for (i, j, k) in q._three_cycles:
         in_cycle.update({(i, j), (j, k), (k, i)})
     missing = [a for a in q.arrows if a not in in_cycle]
     arrows = list(q.arrows)
@@ -538,7 +577,15 @@ def three_cycle_completion(q: Quiver) -> tuple[Quiver, list[int]]:
         label += 1
         arrows += [(h, label), (label, t)]
         added.append(label)
-    return Quiver(label, tuple(arrows), q.frozen | frozenset(added)), added
+    return Quiver(label, tuple(arrows), q.frozen | frozenset(added)), tuple(added)
+
+
+def three_cycle_completion(q: Quiver) -> tuple[Quiver, list[int]]:
+    """Attach a fresh frozen vertex to every arrow lying in no oriented
+    triangle, so that afterwards every edge belongs to one.  Returns the
+    enlarged quiver and the list of added vertices."""
+    completed, added = q._completion
+    return completed, list(added)
 
 
 # -- serialization ---------------------------------------------------------------

@@ -1,7 +1,12 @@
 import json
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
+import clusterkit
 from clusterkit.cli import main
 from clusterkit.quiver import Quiver, to_text, to_json_dict
 
@@ -184,3 +189,62 @@ def test_missing_quiver_file(capsys):
                        "--model", "gcs", "--dvector", "1")
     assert code == 2
     assert json.loads(err)["code"] == "InvalidInput"
+
+
+def test_crosscheck_json_timings(three_cycle_file, capsys):
+    argv = ("crosscheck", "--quiver", three_cycle_file, "--format", "json",
+            "--models", "mutation,gcs")
+    code, out, _ = run(capsys, *argv, "--timings")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 6
+    for row in rows:
+        assert list(row["timings"]) == ["mutation", "gcs"]
+        assert all(ms >= 0 for ms in row["timings"].values())
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert all("timings" not in row for row in json.loads(out)["rows"])
+
+
+def test_snake_matching_out_of_range(table_quiver_file, tmp_path, capsys):
+    svg = tmp_path / "snake.svg"
+    code, out, err = run(capsys, "snake", "--quiver", table_quiver_file,
+                         "--dvector", "1,1,1,0,0,0,0", "--svg", str(svg),
+                         "--matching", "99")
+    assert code == 2 and out == ""
+    assert json.loads(err)["code"] == "InvalidInput"
+    assert not svg.exists()
+
+
+def test_broken_lines_line_out_of_range(three_cycle_file, tmp_path, capsys):
+    code, out, err = run(capsys, "broken-lines", "--quiver", three_cycle_file,
+                         "--subquiver", "1,2", "--svg", str(tmp_path / "l.svg"),
+                         "--line", "99")
+    assert code == 2 and out == ""
+    assert json.loads(err)["code"] == "InvalidInput"
+
+
+@pytest.mark.parametrize("plane", ["a,b", "1", "1,99"])
+def test_broken_lines_bad_plane(three_cycle_file, tmp_path, capsys, plane):
+    code, out, err = run(capsys, "broken-lines", "--quiver", three_cycle_file,
+                         "--subquiver", "1,2", "--svg", str(tmp_path / "l.svg"),
+                         "--plane", plane)
+    assert code == 2 and out == ""
+    assert json.loads(err)["code"] == "InvalidInput"
+
+
+def test_closed_stdout_exits_quietly():
+    """Writing to a pipe nobody reads ends with 141 and no traceback."""
+    src = str(Path(clusterkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "clusterkit.cli", "crosscheck",
+             "--random", "3", "--seed", "5"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert b"Traceback" not in proc.stderr and b"BrokenPipeError" not in proc.stderr

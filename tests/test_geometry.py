@@ -210,3 +210,24 @@ def test_pipelines_svg_smoke(three_cycle):
     svg = pipelines_svg(ps)
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     assert svg.count("<circle") == 6
+
+
+def test_cached_triangulation_is_shared_and_read_only(seven_mixed):
+    t = triangulation_for(seven_mixed)
+    assert triangulation_for(seven_mixed) is t
+    with pytest.raises(TypeError):
+        t.edges[1] = (0, 2)
+    assert t.edges == dict(t.edges)
+    assert quiver_of(t) == seven_mixed
+
+
+def test_decompose_path_support_matches_pipelines():
+    from clusterkit.quiver import linear_full_subquivers
+
+    rng = random.Random(1604)
+    for _ in range(30):
+        q = random_type_a_quiver(rng.randint(2, 12), rng)
+        for support in linear_full_subquivers(q):
+            b = tuple(1 if v in support else 0 for v in q.vertices)
+            expected = tuple(sorted(build_pipelines(q, b).b_vectors()))
+            assert decompose(q, b) == expected == (b,)

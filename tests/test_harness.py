@@ -1,5 +1,4 @@
 import json
-import os
 import random
 
 import pytest
@@ -81,16 +80,6 @@ def test_crosscheck_box_includes_monomials(three_cycle):
     dvectors = {r.dvector for r in report.rows}
     assert (2, 2, 2) in dvectors
     assert report.passed
-
-
-def test_crosscheck_threads_byte_identical(seven_table):
-    serial = crosscheck(seven_table, models=("mutation", "tpath"))
-    os.environ["CLUSTERKIT_THREADS"] = "4"
-    try:
-        parallel = crosscheck(seven_table, models=("mutation", "tpath"))
-    finally:
-        del os.environ["CLUSTERKIT_THREADS"]
-    assert serial.render_text() == parallel.render_text()
 
 
 def test_report_table_contents(seven_table):

@@ -10,6 +10,7 @@ from clusterkit.errors import (
     VertexOutOfRange,
 )
 from clusterkit.harness import random_type_a_quiver
+from clusterkit import geometry, harness, quiver
 from clusterkit.quiver import (
     CompletelyExtendedLinearQuiver,
     LinearQuiver,
@@ -23,6 +24,7 @@ from clusterkit.quiver import (
     linear_full_subquivers,
     mutate,
     mutate_sequence,
+    oriented_three_cycles,
     path_order,
     three_cycle_completion,
     to_json_dict,
@@ -201,3 +203,71 @@ def test_frozen_vertices_participate_in_mutation():
     m = mutate(q, 1)
     assert set(m.arrows) == {(1, 2), (3, 1), (2, 3)}
     assert mutate(m, 1) == q
+
+
+# -- derived structure is built once per instance and shared read-only ----------
+
+
+def _counting(monkeypatch, module, name: str) -> list:
+    """Replace module.name by a wrapper recording the quiver of each call."""
+    seen = []
+    original = getattr(module, name)
+
+    def wrapper(q):
+        seen.append(q)
+        return original(q)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return seen
+
+
+def test_crosscheck_derives_structure_once(monkeypatch):
+    type_a = _counting(monkeypatch, quiver, "_type_a_verdict")
+    cycles = _counting(monkeypatch, quiver, "_scan_three_cycles")
+    triangulations = _counting(monkeypatch, geometry, "_build_triangulation")
+    q = random_type_a_quiver(7, random.Random(3))
+    report = harness.crosscheck(q, box=1)
+    assert report.passed
+    for seen in (type_a, cycles, triangulations):
+        assert sum(1 for x in seen if x is q) == 1
+    # the completed quiver shared by gcs and gcc is derived once as well
+    completed, _ = three_cycle_completion(q)
+    assert sum(1 for x in cycles if x is completed) <= 1
+
+
+def test_accessors_match_arrow_scans():
+    rng = random.Random(8)
+    quivers = [random_type_a_quiver(rng.randint(1, 9), rng) for _ in range(20)]
+    quivers.append(Quiver(3, ((1, 2), (1, 2), (2, 3))))  # parallel arrows
+    for q in quivers:
+        for v in range(0, q.n + 2):
+            assert q.arrows_out(v) == [h for t, h in q.arrows if t == v]
+            assert q.arrows_in(v) == [t for t, h in q.arrows if h == v]
+            assert q.neighbors(v) == ({h for t, h in q.arrows if t == v}
+                                      | {t for t, h in q.arrows if h == v})
+            assert q.degree(v) == sum(1 for t, h in q.arrows if v in (t, h))
+        for t in q.vertices:
+            for h in q.vertices:
+                assert q.has_arrow(t, h) == ((t, h) in q.arrows)
+
+
+def test_accessor_results_cannot_corrupt_the_cache(seven_mixed):
+    q = seven_mixed
+    out, nb = q.arrows_out(5), q.neighbors(5)
+    cycles = oriented_three_cycles(q)
+    completed, added = three_cycle_completion(q)
+    expected = (list(out), set(nb), list(cycles), list(added))
+    out.append(99)
+    nb.add(99)
+    cycles.append((9, 9, 9))
+    added.append(99)
+    assert (q.arrows_out(5), q.neighbors(5), oriented_three_cycles(q),
+            three_cycle_completion(q)[1]) == expected
+    assert three_cycle_completion(q)[0] is completed
+
+
+def test_cached_structure_stays_out_of_equality_and_repr(seven_mixed):
+    twin = Quiver(7, tuple(reversed(seven_mixed.arrows)))
+    assert is_type_a(seven_mixed)
+    assert twin == seven_mixed and hash(twin) == hash(seven_mixed)
+    assert repr(twin) == repr(seven_mixed)
