@@ -14,10 +14,10 @@ import os
 import random
 import sys
 
-from . import engine, formulas, geometry, harness, scattering, snake
+from . import engine, geometry, harness, scattering, snake
 from .errors import ClusterKitError, InvalidInput
 from .laurent import canonical_string, rational_string, to_json_dict
-from .quiver import Quiver, complete_extension, from_json, from_text, to_json_dict as quiver_json
+from .quiver import Quiver, complete_extension, from_json, from_text
 
 
 def _load_quiver(path: str) -> Quiver:
@@ -147,12 +147,7 @@ def cmd_broken_lines(args) -> int:
         chosen = _pick(lines, args.line, "--line")
         plane = _parse_plane(args.plane, len(chosen.endpoint))
     for line in lines:
-        print(json.dumps({
-            "s": list(line.s),
-            "walls": list(line.walls),
-            "monomial": canonical_string(line.final_monomial()),
-            "bends": [[str(c) for c in pt] for pt in line.bends],
-        }))
+        print(json.dumps(scattering.line_json(line)))
     theta = scattering.theta_from_broken_lines(q, support)
     print("theta " + rational_string(theta))
     if args.svg:
@@ -200,52 +195,43 @@ def build_parser() -> argparse.ArgumentParser:
                     "combinatorial models.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_quiver(p, required=True):
-        p.add_argument("--quiver", required=required, help="quiver file (text or JSON)")
+    def command(name: str, func, summary: str, quiver_required: bool = True):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--quiver", required=quiver_required, help="quiver file (text or JSON)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("expand", help="expand a cluster monomial")
-    add_quiver(p)
+    p = command("expand", cmd_expand, "expand a cluster monomial")
     p.add_argument("--model", default="mutation", choices=harness.MODELS)
     p.add_argument("--dvector", required=True)
     p.add_argument("--format", default="text", choices=("text", "json"))
-    p.set_defaults(func=cmd_expand)
 
-    p = sub.add_parser("count", help="count or list combinatorial witnesses")
-    add_quiver(p)
+    p = command("count", cmd_count, "count or list combinatorial witnesses")
     p.add_argument("--model", default="gcs", choices=harness.MODELS)
     p.add_argument("--dvector", required=True)
     p.add_argument("--list-witnesses", action="store_true")
-    p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("decompose", help="split a d-vector into variable d-vectors")
-    add_quiver(p)
+    p = command("decompose", cmd_decompose, "split a d-vector into variable d-vectors")
     p.add_argument("--dvector", required=True)
-    p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("pipelines", help="print or draw the pipeline construction")
-    add_quiver(p)
+    p = command("pipelines", cmd_pipelines, "print or draw the pipeline construction")
     p.add_argument("--dvector", required=True)
     p.add_argument("--svg")
-    p.set_defaults(func=cmd_pipelines)
 
-    p = sub.add_parser("snake", help="snake diagram of one cluster variable")
-    add_quiver(p)
+    p = command("snake", cmd_snake, "snake diagram of one cluster variable")
     p.add_argument("--dvector", required=True)
     p.add_argument("--svg")
     p.add_argument("--matching", type=int, default=0)
-    p.set_defaults(func=cmd_snake)
 
-    p = sub.add_parser("broken-lines", help="broken lines of one cluster variable")
-    add_quiver(p)
+    p = command("broken-lines", cmd_broken_lines, "broken lines of one cluster variable")
     p.add_argument("--subquiver", required=True, help="path vertices, comma-separated")
     p.add_argument("--principal", action="store_true")
     p.add_argument("--svg")
     p.add_argument("--plane", default="1,2")
     p.add_argument("--line", type=int, default=0)
-    p.set_defaults(func=cmd_broken_lines)
 
-    p = sub.add_parser("crosscheck", help="compare all models on all variables")
-    add_quiver(p, required=False)
+    p = command("crosscheck", cmd_crosscheck, "compare all models on all variables",
+                quiver_required=False)
     p.add_argument("--random", type=int, help="random type-A quiver on N vertices")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--models")
@@ -253,17 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also sweep monomial d-vectors in [0,B]^n")
     p.add_argument("--timings", action="store_true")
     p.add_argument("--format", default="text", choices=("text", "json"))
-    p.set_defaults(func=cmd_crosscheck)
 
-    p = sub.add_parser("enumerate-variables", help="dump the full variable table")
-    add_quiver(p)
+    p = command("enumerate-variables", cmd_enumerate_variables, "dump the full variable table")
     p.add_argument("--max-seeds", type=int, default=100_000)
-    p.set_defaults(func=cmd_enumerate_variables)
 
-    p = sub.add_parser("report-table", help="markdown table of all variables")
-    add_quiver(p)
-    p.set_defaults(func=cmd_report_table)
-
+    command("report-table", cmd_report_table, "markdown table of all variables")
     return parser
 
 

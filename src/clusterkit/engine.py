@@ -249,11 +249,10 @@ def g_vector_by_formula(qtilde: Quiver, linear_vertices) -> tuple[int, ...]:
     vs = set(linear_vertices)
     if path_order(qtilde, vs) is None:
         raise NotLinearSubquiver(f"{sorted(vs)} does not induce a path")
-    arrow_set = qtilde.arrows
     g = []
     for r in qtilde.vertices:
-        deg_in = sum(1 for t, h in arrow_set if h == r and t in vs)
-        deg_out = sum(1 for t, h in arrow_set if t == r and h in vs)
+        deg_in = sum(1 for t in qtilde.arrows_in(r) if t in vs)
+        deg_out = sum(1 for h in qtilde.arrows_out(r) if h in vs)
         if r in vs:
             g.append(deg_in - 1)
         elif (deg_out, deg_in) == (0, 1):

@@ -28,7 +28,7 @@ from .errors import (
     Unreachable,
 )
 from .geometry import satisfies_property_a, sigma_int
-from .laurent import LaurentPoly, poly_sum
+from .laurent import LaurentPoly, poly_product, poly_sum
 from .quiver import (
     CompletelyExtendedLinearQuiver,
     Quiver,
@@ -223,15 +223,16 @@ def gcs_term_exponents(q: Quiver, a, s) -> dict[int, int]:
     return e
 
 
+def gcs_weight(q: Quiver, a, s) -> LaurentPoly:
+    """The Laurent monomial of one globally compatible sequence."""
+    e = gcs_term_exponents(q, a, s)
+    return LaurentPoly.monomial({v: e[v] - a[v - 1] for v in q.vertices})
+
+
 def formula_gcs(q: Quiver, a, i0: int | None = None) -> LaurentPoly:
     """Cluster monomial as a sum over globally compatible sequences."""
     a = _check_monomial_vector(q, a)
-    prefix = {v: -a[v - 1] for v in q.vertices}
-    terms = []
-    for s in enumerate_gcs(q, a, i0):
-        e = gcs_term_exponents(q, a, s)
-        terms.append(LaurentPoly.monomial({v: e[v] + prefix[v] for v in q.vertices}))
-    return poly_sum(terms)
+    return poly_sum(gcs_weight(q, a, s) for s in enumerate_gcs(q, a, i0))
 
 
 # -- maximal lattice paths -------------------------------------------------------
@@ -361,15 +362,16 @@ def gcc_term_exponents(q: Quiver, a, gcc: GCCollection) -> dict[int, int]:
     return e
 
 
+def gcc_weight(q: Quiver, a, gcc: GCCollection) -> LaurentPoly:
+    """The Laurent monomial of one globally compatible collection."""
+    e = gcc_term_exponents(q, a, gcc)
+    return LaurentPoly.monomial({v: e[v] - a[v - 1] for v in q.vertices})
+
+
 def formula_gcc(q: Quiver, a) -> LaurentPoly:
     """Cluster monomial as a sum over globally compatible collections."""
     a = _check_monomial_vector(q, a)
-    terms = []
-    for gcc in enumerate_gcc(q, a):
-        e = gcc_term_exponents(q, a, gcc)
-        terms.append(LaurentPoly.monomial(
-            {v: e[v] - a[v - 1] for v in q.vertices}))
-    return poly_sum(terms)
+    return poly_sum(gcc_weight(q, a, gcc) for gcc in enumerate_gcc(q, a))
 
 
 # -- bijection between sequences and collections -----------------------------------
@@ -502,18 +504,17 @@ def linear_gcc_y_products(celq: CompletelyExtendedLinearQuiver,
     return ys
 
 
+def linear_gcc_weight(celq: CompletelyExtendedLinearQuiver, w: LinearGCC) -> LaurentPoly:
+    """Product of the edge factors of one witness, before dividing by the
+    path variables."""
+    return poly_product(linear_gcc_y_products(celq, w))
+
+
 def formula_linear_gcc(celq: CompletelyExtendedLinearQuiver) -> LaurentPoly:
     """Cluster variable with all-ones vector on the path, over canonical
     labels of the completed quiver."""
-    n = celq.n
-    prefix = LaurentPoly.monomial({i: -1 for i in range(1, n + 1)})
-    terms = []
-    for w in enumerate_linear_gcc(celq):
-        prod = prefix
-        for y in linear_gcc_y_products(celq, w):
-            prod = prod * y
-        terms.append(prod)
-    return poly_sum(terms)
+    prefix = LaurentPoly.monomial({i: -1 for i in range(1, celq.n + 1)})
+    return prefix * poly_sum(linear_gcc_weight(celq, w) for w in enumerate_linear_gcc(celq))
 
 
 # -- per-variable sequences on an ambient quiver --------------------------------------
@@ -546,11 +547,9 @@ def variable_gcs_k_set(qtilde: Quiver, linear_vertices) -> set[int]:
     sending exactly one back (the two path neighbors of a glued triangle)."""
     vs = set(linear_vertices)
     out = set()
-    for k in qtilde.vertices:
-        if k in vs:
-            continue
-        deg_in = sum(1 for t, h in qtilde.arrows if h == k and t in vs)
-        deg_out = sum(1 for t, h in qtilde.arrows if t == k and h in vs)
+    for k in set().union(*(qtilde.neighbors(v) for v in vs)) - vs:
+        deg_in = sum(1 for t in qtilde.arrows_in(k) if t in vs)
+        deg_out = sum(1 for h in qtilde.arrows_out(k) if h in vs)
         if deg_in == 1 and deg_out == 1:
             out.add(k)
     return out

@@ -254,28 +254,28 @@ def _build_triangulation(q: Quiver) -> Triangulation:
         if r1 != r2:
             parent[r1] = r2
 
+    # depth-first walk over the glued sides on an explicit stack: a side into
+    # an unseen triangle goes on to that triangle's two other sides, with the
+    # corner they share emitted between them, so corners come out in ccw order
     emitted: list[tuple[int, int]] = []
-    seen_triangles = set()
-
-    def expand(ti: int, m: int):
+    seen_triangles = {0}
+    stack = [(kind, 0, m) for m in (2, 1, 0) for kind in ("side", "corner")]
+    while stack:
+        kind, ti, m = stack.pop()
+        if kind == "corner":
+            emitted.append((ti, m))
+            continue
         label = triangles[ti][m]
         if label > n:
-            return
+            continue
         (t2, m2) = next(site for site in diag_sites[label] if site[0] != ti)
         if t2 in seen_triangles:
             raise NotTypeA("triangulation glue revisited a triangle")
         seen_triangles.add(t2)
         union((ti, (m + 1) % 3), (t2, m2))
         union((ti, m), (t2, (m2 + 1) % 3))
-        expand(t2, (m2 + 1) % 3)
-        emitted.append((t2, (m2 + 2) % 3))
-        expand(t2, (m2 + 2) % 3)
-
-    root = 0
-    seen_triangles.add(root)
-    for m in range(3):
-        emitted.append((root, m))
-        expand(root, m)
+        stack += [("side", t2, (m2 + 2) % 3), ("corner", t2, (m2 + 2) % 3),
+                  ("side", t2, (m2 + 1) % 3)]
     if len(seen_triangles) != len(triangles):
         raise NotTypeA("triangulation does not glue into a disk")
 

@@ -9,24 +9,29 @@ a polygon, which yields type-A quivers by construction.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 import random
 import time
 
 from . import engine, formulas, geometry, scattering, snake
 from .errors import InvalidInput, NotInW
-from .laurent import LaurentPoly, canonical_string, poly_product, rational_string
+from .laurent import (
+    LaurentPoly,
+    canonical_string,
+    poly_sum,
+    rational_string,
+    sorted_terms,
+)
 from .quiver import (
     Quiver,
     complete_extension,
     linear_full_subquivers,
     three_cycle_completion,
 )
-
-MODELS = ("mutation", "gcs", "gcc", "linear-gcc", "gcs-variable",
-          "matching", "tpath", "broken-line")
-
 
 # -- random type-A quivers ------------------------------------------------------
 
@@ -79,146 +84,169 @@ def random_type_a_quiver(n: int, rng: random.Random) -> Quiver:
     return geometry.quiver_of(random_triangulation(n, rng))
 
 
-# -- model dispatch ----------------------------------------------------------------
+# -- the model table -------------------------------------------------------------
 
 
-def _initial_factor(neg) -> LaurentPoly:
-    return LaurentPoly.monomial({i + 1: e for i, e in enumerate(neg) if e})
+@dataclass(frozen=True)
+class _Model:
+    """How one model turns a nonnegative d-vector into witnesses and a value.
+
+    A per-variable model runs on each factor of `decompose` and the factors
+    multiply; the others run once on the whole vector.  `prepare(q, x)` makes
+    the model's input, `witnesses` enumerates it, `weight` is one witness's
+    term, `finish` takes the sum of the terms back to the ambient variables
+    and `dump` is one witness's JSON.  A value model (mutation) gives `value`
+    instead; its witness count is the coefficient sum of that value."""
+
+    per_variable: bool
+    prepare: Callable
+    witnesses: Callable | None = None
+    weight: Callable | None = None
+    finish: Callable = lambda ctx, value: value
+    dump: Callable | None = None
+    value: Callable | None = None
 
 
-def _variable_value(q: Quiver, b, model: str) -> LaurentPoly:
-    support = [i + 1 for i, bit in enumerate(b) if bit]
-    if model == "gcs-variable":
-        return formulas.formula_gcs_variable(q, support)
-    if model == "broken-line":
-        return scattering.theta_from_broken_lines(q, support)
-    comp = complete_extension(q, support)
-    if model == "linear-gcc":
-        value = formulas.formula_linear_gcc(comp.celq)
-    elif model == "matching":
-        value = snake.matching_model_variable(comp.celq)
-    elif model == "tpath":
-        value = snake.tpath_model_variable(comp.celq)
-    else:
-        raise InvalidInput(f"unknown per-variable model {model!r}")
-    return comp.substitution_then_rename(value)
+def _support(b) -> list[int]:
+    return [i + 1 for i, bit in enumerate(b) if bit]
 
 
-def expand_model(q: Quiver, a, model: str) -> LaurentPoly:
-    """Cluster monomial with d-vector a, computed by the chosen model."""
-    if model not in MODELS:
-        raise InvalidInput(f"unknown model {model!r}; choose from {MODELS}")
+def _completed(q: Quiver, plus):
+    """The 3-cycle completion, the vector padded with zeros on the added
+    vertices, and those vertices (set to one by `_drop_added`)."""
+    q2, added = three_cycle_completion(q)
+    return q2, plus + (0,) * (q2.n - q.n), added
+
+
+def _drop_added(ctx, value: LaurentPoly) -> LaurentPoly:
+    return value.substitute_one(ctx[2])
+
+
+def _over_path(comp, value: LaurentPoly) -> LaurentPoly:
+    """Divide a sum over the completed path by its path variables, then
+    return to the ambient labels."""
+    path = LaurentPoly.monomial({i: -1 for i in range(1, comp.celq.n + 1)})
+    return comp.substitution_then_rename(path * value)
+
+
+_TABLE = {
+    "mutation": _Model(True, lambda q, b: (q, b),
+                       value=lambda ctx: engine.cluster_variable(*ctx)),
+    "gcs": _Model(
+        False, _completed, witnesses=lambda ctx: formulas.enumerate_gcs(*ctx[:2]),
+        weight=lambda ctx, s: formulas.gcs_weight(*ctx[:2], s), finish=_drop_added,
+        dump=lambda ctx, s: [list(bits) for bits in s]),
+    "gcc": _Model(
+        False, _completed, witnesses=lambda ctx: formulas.enumerate_gcc(*ctx[:2]),
+        weight=lambda ctx, g: formulas.gcc_weight(*ctx[:2], g), finish=_drop_added,
+        dump=lambda ctx, g: [{"arrow": list(arrow), "S1": sorted(s1), "S2": sorted(s2)}
+                             for (arrow, s1, s2) in g.chosen]),
+    "linear-gcc": _Model(
+        True, lambda q, b: complete_extension(q, _support(b)),
+        witnesses=lambda comp: formulas.enumerate_linear_gcc(comp.celq),
+        weight=lambda comp, w: formulas.linear_gcc_weight(comp.celq, w), finish=_over_path,
+        dump=lambda comp, w: {"pairs": [list(p) for p in w.pairs], "end_bit": w.end_bit}),
+    "gcs-variable": _Model(
+        True, lambda q, b: (q, _support(b)),
+        witnesses=lambda ctx: formulas.enumerate_variable_gcs(*ctx),
+        weight=lambda ctx, s: formulas.variable_gcs_monomial(*ctx, s),
+        dump=lambda ctx, s: list(s)),
+    "matching": _Model(
+        True, lambda q, b: complete_extension(q, _support(b)),
+        witnesses=lambda comp: snake.enumerate_matchings(snake.build_snake(comp.celq)),
+        weight=lambda comp, gamma: snake.matching_weight(gamma), finish=_over_path,
+        dump=lambda comp, gamma: [list(l) if isinstance(l, tuple) else l for l in gamma]),
+    "tpath": _Model(
+        True, lambda q, b: complete_extension(q, _support(b)),
+        witnesses=lambda comp: snake.triangulation_tpaths(
+            geometry.triangulation_of(comp.celq), comp.celq),
+        weight=lambda comp, p: p.value(), dump=lambda comp, p: list(p.labels),
+        finish=lambda comp, value: comp.substitution_then_rename(value)),
+    "broken-line": _Model(
+        True, lambda q, b: (q, _support(b)),
+        witnesses=lambda ctx: scattering.broken_lines(*ctx),
+        weight=lambda ctx, line: scattering.ambient_monomial(line),
+        finish=lambda ctx, value: value.rename(scattering.relabel_for_path(*ctx).to_old),
+        dump=lambda ctx, line: scattering.line_json(line)),
+}
+
+MODELS = tuple(_TABLE)
+
+
+def _model(name: str) -> _Model:
+    try:
+        return _TABLE[name]
+    except KeyError:
+        raise InvalidInput(f"unknown model {name!r}; choose from {MODELS}") from None
+
+
+def _run(q: Quiver, plus, name: str, want_value: bool) -> tuple[LaurentPoly | None, int]:
+    """Value (None unless wanted) and witness count of one model on a nonzero
+    nonnegative d-vector, from one enumeration per factor.  A count alone
+    never computes a weight."""
+    if name == "gcc" and q.n == 1:
+        name = "linear-gcc"  # collections need two vertices
+    model = _TABLE[name]
+    value, count = LaurentPoly.one(), 1
+    for x in geometry.decompose(q, plus) if model.per_variable else (plus,):
+        ctx = model.prepare(q, x)
+        if model.value is not None:
+            part = model.value(ctx)
+            count *= part.coefficient_sum()
+            value = value * part
+        elif want_value:
+            terms = [model.weight(ctx, w) for w in model.witnesses(ctx)]
+            count *= len(terms)
+            value = value * model.finish(ctx, poly_sum(terms))
+        else:
+            count *= sum(1 for _ in model.witnesses(ctx))
+    return (value if want_value else None), count
+
+
+def _expand(q: Quiver, a, name: str) -> tuple[LaurentPoly, int]:
+    _model(name)
     a = tuple(a)
     if len(a) != q.n:
         raise InvalidInput(f"d-vector length {len(a)} != {q.n}")
     if not geometry.satisfies_property_a(q, a):
         raise NotInW(f"{a} violates the parity condition on 3-cycles")
     plus, neg = geometry.positive_split(q, a)
-    init = _initial_factor(neg)
-    if all(x == 0 for x in plus):
-        return init
-    if model == "mutation":
-        parts = [engine.cluster_variable(q, b) for b in geometry.decompose(q, plus)]
-        return poly_product(parts) * init
-    if model in ("gcs", "gcc"):
-        q2, added = three_cycle_completion(q)
-        a2 = plus + (0,) * (q2.n - q.n)
-        if model == "gcs":
-            value = formulas.formula_gcs(q2, a2)
-        else:
-            if q2.n == 1:
-                return expand_model(q, a, "linear-gcc")
-            value = formulas.formula_gcc(q2, a2)
-        return value.substitute_one(added) * init
-    parts = [_variable_value(q, b, model) for b in geometry.decompose(q, plus)]
-    return poly_product(parts) * init
+    init = LaurentPoly.monomial({i + 1: e for i, e in enumerate(neg) if e})
+    if not any(plus):
+        return init, 1
+    value, count = _run(q, plus, name, want_value=True)
+    return value * init, count
+
+
+def expand_model(q: Quiver, a, model: str) -> LaurentPoly:
+    """Cluster monomial with d-vector a, computed by the chosen model."""
+    return _expand(q, a, model)[0]
 
 
 def witness_count(q: Quiver, a, model: str) -> int:
     """Number of combinatorial witnesses behind the model's expansion (the
     mutation oracle reports its coefficient sum, which must agree)."""
-    a = tuple(a)
-    plus, _ = geometry.positive_split(q, a)
-    if all(x == 0 for x in plus):
+    _model(model)
+    plus, _ = geometry.positive_split(q, tuple(a))
+    if not any(plus):
         return 1
-    if model == "mutation":
-        return expand_model(q, plus, "mutation").coefficient_sum()
-    if model in ("gcs", "gcc"):
-        q2, _ = three_cycle_completion(q)
-        a2 = plus + (0,) * (q2.n - q.n)
-        if model == "gcs":
-            return sum(1 for _ in formulas.enumerate_gcs(q2, a2))
-        if q2.n == 1:
-            return witness_count(q, plus, "linear-gcc")
-        return sum(1 for _ in formulas.enumerate_gcc(q2, a2))
-    count = 1
-    for b in geometry.decompose(q, plus):
-        support = [i + 1 for i, bit in enumerate(b) if bit]
-        if model == "gcs-variable":
-            count *= sum(1 for _ in formulas.enumerate_variable_gcs(q, support))
-        elif model == "broken-line":
-            count *= len(scattering.broken_lines(q, support))
-        else:
-            comp = complete_extension(q, support)
-            if model == "linear-gcc":
-                count *= sum(1 for _ in formulas.enumerate_linear_gcc(comp.celq))
-            elif model == "matching":
-                count *= len(snake.enumerate_matchings(snake.build_snake(comp.celq)))
-            elif model == "tpath":
-                t = geometry.triangulation_of(comp.celq)
-                count *= len(snake.triangulation_tpaths(t, comp.celq))
-    return count
+    return _run(q, plus, model, want_value=False)[1]
 
 
 def list_witnesses(q: Quiver, a, model: str) -> list:
     """JSON-ready witness dump for one (quiver, d-vector, model) triple."""
-    a = tuple(a)
-    plus, _ = geometry.positive_split(q, a)
-    if model == "gcs":
-        q2, _ = three_cycle_completion(q)
-        a2 = plus + (0,) * (q2.n - q.n)
-        return [[list(bits) for bits in s] for s in formulas.enumerate_gcs(q2, a2)]
-    if model == "gcc":
-        q2, _ = three_cycle_completion(q)
-        a2 = plus + (0,) * (q2.n - q.n)
-        return [
-            [{"arrow": list(arrow), "S1": sorted(s1), "S2": sorted(s2)}
-             for (arrow, s1, s2) in g.chosen]
-            for g in formulas.enumerate_gcc(q2, a2)
-        ]
+    spec = _model(model)
+    plus, _ = geometry.positive_split(q, tuple(a))
+    if not spec.per_variable:
+        ctx = spec.prepare(q, plus)
+        return [spec.dump(ctx, w) for w in spec.witnesses(ctx)]
     out = []
     for b in geometry.decompose(q, plus):
-        support = [i + 1 for i, bit in enumerate(b) if bit]
-        entry: dict = {"factor": list(b)}
-        if model == "gcs-variable":
-            entry["witnesses"] = [list(s) for s in
-                                  formulas.enumerate_variable_gcs(q, support)]
-        elif model == "broken-line":
-            entry["witnesses"] = [
-                {"s": list(line.s), "walls": list(line.walls),
-                 "monomial": canonical_string(line.final_monomial()),
-                 "bends": [[str(c) for c in pt] for pt in line.bends]}
-                for line in scattering.broken_lines(q, support)
-            ]
-        elif model == "linear-gcc":
-            comp = complete_extension(q, support)
-            entry["witnesses"] = [
-                {"pairs": [list(p) for p in w.pairs], "end_bit": w.end_bit}
-                for w in formulas.enumerate_linear_gcc(comp.celq)
-            ]
-        elif model == "matching":
-            comp = complete_extension(q, support)
-            d = snake.build_snake(comp.celq)
-            entry["witnesses"] = [[list(l) if isinstance(l, tuple) else l for l in g]
-                                  for g in snake.enumerate_matchings(d)]
-        elif model == "tpath":
-            comp = complete_extension(q, support)
-            t = geometry.triangulation_of(comp.celq)
-            entry["witnesses"] = [list(p.labels)
-                                  for p in snake.triangulation_tpaths(t, comp.celq)]
-        else:
+        if spec.dump is None:
             raise InvalidInput(f"model {model!r} has no witness listing")
-        out.append(entry)
+        ctx = spec.prepare(q, b)
+        out.append({"factor": list(b),
+                    "witnesses": [spec.dump(ctx, w) for w in spec.witnesses(ctx)]})
     return out
 
 
@@ -232,6 +260,8 @@ class RowResult:
     value: str
     verdict: str
     timings: dict[str, float] = field(default_factory=dict)
+    # FAIL rows: each model whose value or count differs from the majority
+    dissent: list[dict] = field(default_factory=list)
 
 
 @dataclass
@@ -251,6 +281,9 @@ class CrossCheckReport:
             counts = " ".join(f"{m}={r.counts[m]}" for m in self.models)
             lines.append(f"{r.verdict}  d={','.join(map(str, r.dvector))}  "
                          f"[{counts}]  {r.value}")
+            if r.verdict == "FAIL":  # "none": all agree, a coefficient is not positive
+                lines.append("      dissent: " + ("; ".join(", ".join(
+                    f"{k}={v}" for k, v in d.items()) for d in r.dissent) or "none"))
             if timings and r.timings:
                 lines.append("      " + " ".join(
                     f"{m}:{r.timings[m] * 1000:.1f}ms" for m in self.models))
@@ -259,11 +292,13 @@ class CrossCheckReport:
 
     def to_json_dict(self) -> dict:
         """JSON-ready report; rows carry per-model timings in ms only when
-        the report was built with timings."""
+        the report was built with timings, and FAIL rows their dissent."""
         rows = []
         for r in self.rows:
             row = {"dvector": list(r.dvector), "counts": r.counts,
                    "value": r.value, "verdict": r.verdict}
+            if r.verdict == "FAIL":
+                row["dissent"] = r.dissent
             if r.timings:
                 row["timings"] = {m: round(r.timings[m] * 1000, 3) for m in self.models}
             rows.append(row)
@@ -271,39 +306,44 @@ class CrossCheckReport:
 
 
 def _scope_dvectors(q: Quiver, box: int) -> list[tuple[int, ...]]:
-    scope = []
-    for support in linear_full_subquivers(q):
-        scope.append(tuple(1 if v + 1 in set(support) else 0
-                           for v in range(q.n)))
-    scope = sorted(set(scope), key=lambda b: (sum(b), b))
+    scope = sorted({tuple(int(v in support) for v in q.vertices)
+                    for support in linear_full_subquivers(q)}, key=lambda b: (sum(b), b))
     if box > 0:
-        def grow(prefix):
-            if len(prefix) == q.n:
-                a = tuple(prefix)
-                if any(x > 1 for x in a) and geometry.satisfies_property_a(q, a):
-                    yield a
-                return
-            for x in range(box + 1):
-                yield from grow(prefix + [x])
-        scope += sorted(grow([]))
+        scope += [a for a in product(range(box + 1), repeat=q.n)
+                  if any(x > 1 for x in a) and geometry.satisfies_property_a(q, a)]
     return scope
 
 
+def _first_difference(got: LaurentPoly, want: LaurentPoly) -> tuple[str | None, str | None]:
+    """Each value's term at the first monomial, in canonical order, whose
+    coefficients differ (None where a value has no such term)."""
+    m, _ = sorted_terms(got - want)[0]
+    term = lambda p: canonical_string(LaurentPoly({m: p.terms[m]})) if m in p.terms else None
+    return term(got), term(want)
+
+
 def _check_row(q: Quiver, a, models, with_timings: bool) -> RowResult:
-    values = {}
-    counts = {}
-    timings = {}
+    values, counts, timings = {}, {}, {}
     for m in models:
         t0 = time.perf_counter()
-        values[m] = expand_model(q, a, m)
-        counts[m] = witness_count(q, a, m)
+        values[m], counts[m] = _expand(q, a, m)
         if with_timings:
             timings[m] = time.perf_counter() - t0
-    forms = {canonical_string(v) for v in values.values()}
+    forms = {m: canonical_string(v) for m, v in values.items()}
+    # the majority value and count; a tie goes to the model listed first
+    form = Counter(forms.values()).most_common(1)[0][0]
+    count = Counter(counts.values()).most_common(1)[0][0]
+    majority = next(values[m] for m in forms if forms[m] == form)
+    dissent = []
+    for m in forms:
+        if forms[m] != form or counts[m] != count:
+            entry = {"model": m, "count": counts[m], "majority_count": count}
+            if forms[m] != form:
+                entry["term"], entry["majority_term"] = _first_difference(values[m], majority)
+            dissent.append(entry)
     positive = all(c > 0 for v in values.values() for c in v.terms.values())
-    same_counts = len(set(counts.values())) == 1
-    verdict = "PASS" if len(forms) == 1 and positive and same_counts else "FAIL"
-    return RowResult(tuple(a), counts, sorted(forms)[0], verdict, timings)
+    verdict = "PASS" if positive and not dissent else "FAIL"
+    return RowResult(tuple(a), counts, form, verdict, timings, dissent)
 
 
 def crosscheck(q: Quiver, models=None, box: int = 0,

@@ -12,6 +12,7 @@ division needed by seed mutation lives in the engine module.
 
 from __future__ import annotations
 
+from itertools import chain
 import json
 from typing import Iterable, Mapping
 
@@ -114,14 +115,7 @@ class LaurentPoly:
             return other
         if not other.terms:
             return self
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = acc.get(m, 0) + c
-            if nc:
-                acc[m] = nc
-            else:
-                del acc[m]
-        return LaurentPoly(acc)
+        return LaurentPoly.from_terms(chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({m: -c for m, c in self.terms.items()})
@@ -166,12 +160,6 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_one(self) -> bool:
-        return self.terms == {MONO_ONE: 1}
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -236,15 +224,8 @@ def substitute_one(p: LaurentPoly, variables: Iterable[int]) -> LaurentPoly:
     drop = set(variables)
     if not drop:
         return p
-    acc: dict[Monomial, int] = {}
-    for m, c in p.terms.items():
-        m2 = tuple(pair for pair in m if pair[0] not in drop)
-        nc = acc.get(m2, 0) + c
-        if nc:
-            acc[m2] = nc
-        elif m2 in acc:
-            del acc[m2]
-    return LaurentPoly(acc)
+    return LaurentPoly.from_terms((tuple(pair for pair in m if pair[0] not in drop), c)
+                                  for m, c in p.terms.items())
 
 
 def rename(p: LaurentPoly, mapping: Mapping[int, int]) -> LaurentPoly:
@@ -355,15 +336,7 @@ def from_json(s: str) -> LaurentPoly:
 
 
 def poly_sum(ps: Iterable[LaurentPoly]) -> LaurentPoly:
-    acc: dict[Monomial, int] = {}
-    for p in ps:
-        for m, c in p.terms.items():
-            nc = acc.get(m, 0) + c
-            if nc:
-                acc[m] = nc
-            elif m in acc:
-                del acc[m]
-    return LaurentPoly(acc)
+    return LaurentPoly.from_terms(pair for p in ps for pair in p.terms.items())
 
 
 def poly_product(ps: Iterable[LaurentPoly]) -> LaurentPoly:

@@ -426,10 +426,6 @@ class CompletelyExtendedLinearQuiver:
         return self.base.delta
 
     @property
-    def total_vertices(self) -> int:
-        return 2 * self.n + 3
-
-    @property
     def start0(self) -> int:
         return self.n + 1
 

@@ -24,7 +24,7 @@ from .errors import (
     PositivityViolation,
 )
 from .formulas import enumerate_variable_gcs, variable_gcs_monomial
-from .laurent import LaurentPoly, poly_sum
+from .laurent import LaurentPoly, canonical_string, poly_sum
 from .quiver import Quiver, exchange_matrix, oriented_three_cycles, path_order
 
 
@@ -122,8 +122,8 @@ def g_direction(rel: PathRelabeling, s) -> tuple[int, ...]:
                 triangle_closers.add(x)
     g = []
     for r in q.vertices:
-        deg1 = sum(1 for t, h in q.arrows if h == r and t <= n and s[t - 1] == 1)
-        deg0 = sum(1 for t, h in q.arrows if t == r and h <= n and s[h - 1] == 0)
+        deg1 = sum(1 for t in q.arrows_in(r) if t <= n and s[t - 1] == 1)
+        deg0 = sum(1 for h in q.arrows_out(r) if h <= n and s[h - 1] == 0)
         val = deg1 + deg0
         if r <= n or r in triangle_closers:
             val -= 1
@@ -281,40 +281,57 @@ def certify_travel_bounds(line: BrokenLine, ep: Endpoint):
                     f"coordinate {w} of point {ip} drifted out of its band")
 
 
-def broken_line_from_gcs(qtilde: Quiver, linear_vertices, s,
-                         endpoint: Endpoint | None = None) -> BrokenLine:
-    """Broken line of one marking in the even-rank case."""
-    rel = relabel_for_path(qtilde, linear_vertices)
-    if rel.quiver.n % 2:
+def _build(rel: PathRelabeling, s, endpoint: Endpoint | None,
+           principal: bool) -> BrokenLine:
+    if not principal and rel.quiver.n % 2:
         raise OddRankWithoutPrincipal(
             "odd ambient rank: use principal_broken_line instead")
     if endpoint is None:
-        endpoint = default_endpoint(rel.n, rel.quiver.n)
-    return _construct(rel, s, endpoint, principal=False)
+        endpoint = default_endpoint(rel.n, rel.quiver.n, principal=principal)
+    return _construct(rel, s, endpoint, principal)
+
+
+def broken_line_from_gcs(qtilde: Quiver, linear_vertices, s,
+                         endpoint: Endpoint | None = None) -> BrokenLine:
+    """Broken line of one marking in the even-rank case."""
+    return _build(relabel_for_path(qtilde, linear_vertices), s, endpoint, False)
 
 
 def principal_broken_line(qtilde: Quiver, linear_vertices, s,
                           endpoint: Endpoint | None = None) -> BrokenLine:
     """Broken line of one marking over the doubled coordinates; restricting
     the final monomial to the first block recovers the plain witness term."""
-    rel = relabel_for_path(qtilde, linear_vertices)
-    if endpoint is None:
-        endpoint = default_endpoint(rel.n, rel.quiver.n, principal=True)
-    return _construct(rel, s, endpoint, principal=True)
+    return _build(relabel_for_path(qtilde, linear_vertices), s, endpoint, True)
 
 
 def broken_lines(qtilde: Quiver, linear_vertices, endpoint: Endpoint | None = None,
                  principal: bool | None = None) -> list[BrokenLine]:
     """One broken line per witness marking; odd rank automatically routed
-    through the principal construction."""
+    through the principal construction.  The path is relabeled once."""
     rel = relabel_for_path(qtilde, linear_vertices)
     if principal is None:
         principal = rel.quiver.n % 2 == 1
     if endpoint is None:
         endpoint = default_endpoint(rel.n, rel.quiver.n, principal=principal)
-    build = principal_broken_line if principal else broken_line_from_gcs
-    return [build(qtilde, linear_vertices, s, endpoint)
+    return [_build(rel, s, endpoint, principal)
             for s in enumerate_variable_gcs(qtilde, linear_vertices)]
+
+
+def ambient_monomial(line: BrokenLine) -> LaurentPoly:
+    """Final monomial of a line over the relabeled ambient variables; a
+    principal line's coefficient block is set to one."""
+    monomial = line.final_monomial()
+    if line.principal:
+        npr = len(line.endpoint) // 2
+        monomial = monomial.substitute_one(range(npr + 1, 2 * npr + 1))
+    return monomial
+
+
+def line_json(line: BrokenLine) -> dict:
+    """JSON-ready summary of one broken line."""
+    return {"s": list(line.s), "walls": list(line.walls),
+            "monomial": canonical_string(line.final_monomial()),
+            "bends": [[str(c) for c in pt] for pt in line.bends]}
 
 
 def theta_from_broken_lines(qtilde: Quiver, linear_vertices,
@@ -323,14 +340,7 @@ def theta_from_broken_lines(qtilde: Quiver, linear_vertices,
     ambient variables; equals the cluster variable of the path subquiver."""
     rel = relabel_for_path(qtilde, linear_vertices)
     lines = broken_lines(qtilde, linear_vertices, endpoint)
-    total = []
-    npr = rel.quiver.n
-    for line in lines:
-        monomial = line.final_monomial()
-        if line.principal:
-            monomial = monomial.substitute_one(range(npr + 1, 2 * npr + 1))
-        total.append(monomial.rename(rel.to_old))
-    return poly_sum(total)
+    return poly_sum(ambient_monomial(line) for line in lines).rename(rel.to_old)
 
 
 def witness_monomial(qtilde: Quiver, linear_vertices, s) -> LaurentPoly:

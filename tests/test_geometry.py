@@ -231,3 +231,10 @@ def test_decompose_path_support_matches_pipelines():
             b = tuple(1 if v in support else 0 for v in q.vertices)
             expected = tuple(sorted(build_pipelines(q, b).b_vectors()))
             assert decompose(q, b) == expected == (b,)
+
+
+def test_triangulation_of_a_long_path_needs_no_recursion():
+    q = path_quiver(1500)
+    t = triangulation_for(q)
+    assert t.size == 1503
+    assert quiver_of(t) == q

@@ -1,9 +1,11 @@
 import json
+import math
 import random
 
 import pytest
 
-from clusterkit.errors import InvalidInput, NotInW
+from clusterkit import cli, engine, formulas, harness, scattering, snake
+from clusterkit.errors import InvalidInput, NotInW, PositivePartNotInW
 from clusterkit.harness import (
     MODELS,
     crosscheck,
@@ -14,8 +16,8 @@ from clusterkit.harness import (
     report_table,
     witness_count,
 )
-from clusterkit.laurent import LaurentPoly
-from clusterkit.quiver import Quiver, is_type_a
+from clusterkit.laurent import LaurentPoly, canonical_string
+from clusterkit.quiver import Quiver, is_type_a, to_text
 
 
 def test_random_quivers_are_type_a():
@@ -93,3 +95,137 @@ def test_witness_counts_match_across_models(seven_mixed):
     a = (2, 2, 0, 0, 2, 0, 0)
     counts = {m: witness_count(seven_mixed, a, m) for m in MODELS}
     assert len(set(counts.values())) == 1
+
+
+def test_unknown_model_rejected_by_every_entry_point(three_cycle):
+    for entry in (expand_model, witness_count, list_witnesses):
+        with pytest.raises(InvalidInput):
+            entry(three_cycle, (1, 1, 0), "bogus")
+    with pytest.raises(InvalidInput):
+        witness_count(three_cycle, (0, 0, 0), "bogus")
+
+
+def test_parity_error_classes_per_entry_point(three_cycle):
+    for model in MODELS:
+        with pytest.raises(NotInW) as exc:
+            expand_model(three_cycle, (1, 1, 1), model)
+        assert type(exc.value) is NotInW
+        with pytest.raises(PositivePartNotInW):
+            witness_count(three_cycle, (1, 1, 1), model)
+
+
+ENUMERATORS = ((formulas, "enumerate_gcs"), (formulas, "enumerate_gcc"),
+               (formulas, "enumerate_linear_gcc"), (formulas, "enumerate_variable_gcs"),
+               (snake, "enumerate_matchings"), (snake, "triangulation_tpaths"),
+               (scattering, "broken_lines"), (engine, "cluster_variable"))
+
+
+def _count_calls(monkeypatch, targets) -> dict:
+    calls = {name: 0 for _, name in targets}
+    for module, name in targets:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_crosscheck_enumerates_each_model_once_per_row(monkeypatch):
+    q = random_type_a_quiver(6, random.Random(4242))
+    calls = _count_calls(monkeypatch, ENUMERATORS)
+    report = crosscheck(q)
+    assert report.passed and len(report.rows) == 21
+    assert calls == {name: 21 for _, name in ENUMERATORS}
+
+
+def test_witness_count_computes_no_weight(monkeypatch, seven_mixed):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a count computed a weight")
+    for module, name in ((formulas, "gcs_weight"), (formulas, "gcc_weight"),
+                         (formulas, "linear_gcc_weight"), (formulas, "variable_gcs_monomial"),
+                         (snake, "matching_weight"), (scattering, "ambient_monomial")):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(snake.TPath, "value", refuse)
+    a = (2, 2, 0, 0, 2, 0, 0)
+    counts = {m: witness_count(seven_mixed, a, m) for m in MODELS if m != "mutation"}
+    assert len(set(counts.values())) == 1
+
+
+def _box_monomials_with_a_negative_entry(q: Quiver, rng: random.Random, k: int) -> list:
+    """k of the box-2 monomial d-vectors of q, each with one nonzero entry negated."""
+    monomials = [a for a in harness._scope_dvectors(q, 2) if max(a) > 1]
+    out = []
+    for a in rng.sample(monomials, min(k, len(monomials))):
+        i = rng.choice([i for i, x in enumerate(a) if x])
+        out.append(a[:i] + (-a[i],) + a[i + 1:])
+    return out
+
+
+def test_rows_agree_with_separate_calls_and_listings():
+    rng = random.Random(5150)
+    for n in range(2, 8):
+        q = random_type_a_quiver(n, rng)
+        rows = crosscheck(q).rows
+        rows += [harness._check_row(q, a, MODELS, False)
+                 for a in _box_monomials_with_a_negative_entry(q, rng, 3)]
+        for row in rows:
+            assert row.verdict == "PASS", (n, row.dvector)
+            for m in MODELS:
+                count = witness_count(q, row.dvector, m)
+                assert row.counts[m] == count, (n, row.dvector, m)
+                assert canonical_string(expand_model(q, row.dvector, m)) == row.value
+                if m == "mutation":
+                    continue
+                listing = list_witnesses(q, row.dvector, m)
+                if m in ("gcs", "gcc"):
+                    assert len(listing) == count, (n, row.dvector, m)
+                else:
+                    assert math.prod(len(f["witnesses"]) for f in listing) == count
+
+
+def test_fail_row_names_the_dissenting_model(monkeypatch, seven_table, tmp_path, capsys):
+    original = snake.matching_weight
+    monkeypatch.setattr(snake, "matching_weight",
+                        lambda gamma: original(gamma) + LaurentPoly.variable(4))
+    models = ("mutation", "gcs", "matching")
+    report = crosscheck(seven_table, models)
+    assert not report.passed
+    failed = [r for r in report.rows if r.verdict == "FAIL"]
+    assert failed and len(failed) == len(report.rows)
+    for r in failed:
+        assert [d["model"] for d in r.dissent] == ["matching"]
+        (d,) = r.dissent
+        assert d["count"] == d["majority_count"] == r.counts["mutation"]
+        assert d["term"] != d["majority_term"]
+        assert r.value == canonical_string(expand_model(seven_table, r.dvector, "mutation"))
+    text = report.render_text()
+    assert text.count("      dissent: model=matching, count=") == len(failed)
+    assert text.endswith("RESULT FAIL\n")
+
+    path = tmp_path / "table.txt"
+    path.write_text(to_text(seven_table))
+    argv = ["crosscheck", "--quiver", str(path), "--models", ",".join(models)]
+    assert cli.main(argv) == 1
+    assert "dissent: model=matching" in capsys.readouterr().out
+    assert cli.main(argv + ["--format", "json"]) == 1
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert all(row["dissent"][0]["model"] == "matching" for row in rows)
+
+
+def test_fail_row_reports_a_count_dissent(monkeypatch, three_cycle):
+    original = snake.triangulation_tpaths
+    monkeypatch.setattr(snake, "triangulation_tpaths", lambda t, celq: original(t, celq)[:-1])
+    report = crosscheck(three_cycle, ("mutation", "tpath", "gcs"))
+    for r in report.rows:
+        (d,) = r.dissent
+        assert d["model"] == "tpath" and d["count"] == d["majority_count"] - 1
+        assert d["majority_term"] is not None
+
+
+def test_passing_json_rows_carry_no_dissent(three_cycle):
+    report = crosscheck(three_cycle, box=2)
+    assert report.passed
+    assert all(set(row) == {"dvector", "counts", "value", "verdict"}
+               for row in report.to_json_dict()["rows"])

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from clusterkit.engine import cluster_variable
+from clusterkit import scattering
+from clusterkit.engine import cluster_variable, g_vector_by_formula
 from clusterkit.errors import EndpointRejected, OddRankWithoutPrincipal
-from clusterkit.formulas import enumerate_variable_gcs
+from clusterkit.formulas import enumerate_variable_gcs, variable_gcs_k_set
 from clusterkit.harness import random_type_a_quiver
 from clusterkit.laurent import LaurentPoly, poly_sum
-from clusterkit.quiver import Quiver, linear_full_subquivers
+from clusterkit.quiver import Quiver, linear_full_subquivers, oriented_three_cycles
 from clusterkit.scattering import (
     Endpoint,
     adjustable_positions,
@@ -210,3 +211,42 @@ def test_broken_line_svg_smoke(four_with_triangle):
     line = broken_line_from_gcs(four_with_triangle, [1, 2, 3], (0, 0, 0))
     svg = broken_line_svg(line, (1, 2))
     assert svg.startswith("<svg")
+
+
+def test_degree_helpers_equal_full_arrow_scans():
+    """g_direction, variable_gcs_k_set and g_vector_by_formula read the
+    adjacency; they must equal the scans over every arrow they replaced."""
+    rng = random.Random(808)
+    for _ in range(20):
+        q = random_type_a_quiver(rng.randint(2, 8), rng)
+        for sup in linear_full_subquivers(q):
+            vs = set(sup)
+            deg_in = {r: sum(1 for t, h in q.arrows if h == r and t in vs) for r in q.vertices}
+            deg_out = {r: sum(1 for t, h in q.arrows if t == r and h in vs) for r in q.vertices}
+            assert variable_gcs_k_set(q, sup) == {
+                k for k in q.vertices if k not in vs and deg_in[k] == deg_out[k] == 1}
+            assert g_vector_by_formula(q, sup) == tuple(
+                deg_in[r] - 1 if r in vs else int((deg_out[r], deg_in[r]) == (0, 1))
+                for r in q.vertices)
+            rel = relabel_for_path(q, list(sup))
+            r_arrows = rel.quiver.arrows
+            closers = {x for cycle in oriented_three_cycles(rel.quiver) for x in cycle
+                       if x > rel.n and sum(v <= rel.n for v in cycle) == 2}
+            for s in enumerate_variable_gcs(q, list(sup)):
+                assert g_direction(rel, s) == tuple(
+                    sum(1 for t, h in r_arrows if h == r and t <= rel.n and s[t - 1] == 1)
+                    + sum(1 for t, h in r_arrows if t == r and h <= rel.n and s[h - 1] == 0)
+                    - (r <= rel.n or r in closers)
+                    for r in rel.quiver.vertices)
+
+
+def test_broken_lines_relabel_once_per_call(monkeypatch, four_with_triangle):
+    calls = []
+    original = scattering.relabel_for_path
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(scattering, "relabel_for_path", counted)
+    lines = broken_lines(four_with_triangle, [1, 2, 3])
+    assert len(lines) > 1 and len(calls) == 1
