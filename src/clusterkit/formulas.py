@@ -113,8 +113,9 @@ def _enumerate_closed_assignments(nbits: int, implications):
         fwd[x].append(y)
         bwd[y].append(x)
     value = [-1] * nbits
+    trail: list[int] = []  # every assigned bit, in assignment order
 
-    def propagate(idx: int, val: int, trail: list[int]) -> bool:
+    def propagate(idx: int, val: int) -> bool:
         stack = [(idx, val)]
         while stack:
             x, v = stack.pop()
@@ -129,23 +130,22 @@ def _enumerate_closed_assignments(nbits: int, implications):
                 stack.append((y, v))
         return True
 
-    def undo(trail: list[int]):
-        for x in trail:
-            value[x] = -1
-
-    def search(pos: int):
+    # depth-first on an explicit stack of (trail length to go back to, bit,
+    # value); the first free bit is tried at 0 before 1
+    todo = [(0, -1, 0)]
+    while todo:
+        mark, pos, v = todo.pop()
+        while len(trail) > mark:
+            value[trail.pop()] = -1
+        if pos >= 0 and not propagate(pos, v):
+            continue
+        pos += 1
         while pos < nbits and value[pos] != -1:
             pos += 1
         if pos == nbits:
             yield tuple(value)
-            return
-        for v in (0, 1):
-            trail: list[int] = []
-            if propagate(pos, v, trail):
-                yield from search(pos + 1)
-            undo(trail)
-
-    yield from search(0)
+        else:
+            todo += [(len(trail), pos, 1), (len(trail), pos, 0)]
 
 
 # -- globally compatible sequences ----------------------------------------------
@@ -463,18 +463,17 @@ def enumerate_linear_gcc(celq: CompletelyExtendedLinearQuiver):
             return prev[1] == cur[1]
         return prev[0] == cur[0]
 
-    def rec(pairs):
-        i = len(pairs) + 1
-        if i == n:
+    # depth-first on an explicit stack of (edges kept, pair for the next edge)
+    pairs: list[tuple[int, int]] = []
+    todo = [(0, cur) for cur in reversed(allowed)]
+    while todo:
+        k, cur = todo.pop()
+        del pairs[k:]
+        pairs.append(cur)
+        if k + 2 == n:
             yield LinearGCC(n, tuple(pairs))
-            return
-        for cur in allowed:
-            if i == 1 or ok(pairs[-1], cur, i):
-                pairs.append(cur)
-                yield from rec(pairs)
-                pairs.pop()
-
-    yield from rec([])
+        else:
+            todo += [(k + 1, nxt) for nxt in reversed(allowed) if ok(cur, nxt, k + 2)]
 
 
 def linear_gcc_y_products(celq: CompletelyExtendedLinearQuiver,

@@ -96,17 +96,6 @@ class Triangulation:
     vpoint: int | None = None
     wpoint: int | None = None
 
-    @property
-    def diagonals(self) -> dict[int, tuple[int, int]]:
-        return {i: self.edges[i] for i in range(1, self.n + 1)}
-
-    @property
-    def boundary(self) -> dict[int, tuple[int, int]]:
-        return {i: e for i, e in self.edges.items() if i > self.n}
-
-    def endpoints(self, label: int) -> tuple[int, int]:
-        return self.edges[label]
-
     def in_open_arc(self, x: int, a: int, b: int) -> bool:
         """Is corner x strictly inside the ccw arc from a to b?"""
         m = self.size
@@ -193,14 +182,17 @@ def triangulation_for(q: Quiver) -> Triangulation:
     """A triangulation of the (n+3)-gon inducing the given type-A quiver.
 
     Built once per quiver and shared: its edge map is read-only."""
+    require_type_a(q)
     return q._triangulation
 
 
 def _build_triangulation(q: Quiver) -> Triangulation:
     """Triangles are read off the quiver (oriented 3-cycles, arrows outside
     3-cycles, boundary caps), oriented by the rotation rule, then glued and
-    unrolled into a polygon by one counterclockwise boundary walk."""
-    require_type_a(q)
+    unrolled into a polygon by one counterclockwise boundary walk.
+
+    This is the type-A test of a connected quiver: it raises NotTypeA unless
+    the triangulation it built induces exactly the quiver's arrows."""
     n = q.n
     cycles = oriented_three_cycles(q)
     in_cycle: set[tuple[int, int]] = set()

@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product
 import random
 import time
@@ -36,41 +35,40 @@ from .quiver import (
 # -- random type-A quivers ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _catalan(k: int) -> int:
-    if k <= 1:
-        return 1
-    return sum(_catalan(i) * _catalan(k - 1 - i) for i in range(k))
-
-
-def _random_fan(i: int, j: int, rng: random.Random, diags: list):
-    """Uniformly triangulate the region cut off by the chord (i, j)."""
-    if j - i < 2:
-        return
-    weights = [_catalan(z - i - 1) * _catalan(j - z - 1) for z in range(i + 1, j)]
-    total = sum(weights)
-    pick = rng.randrange(total)
-    z = i + 1
-    for w in weights:
-        if pick < w:
-            break
-        pick -= w
-        z += 1
-    if z - i >= 2:
-        diags.append((i, z))
-    if j - z >= 2:
-        diags.append((z, j))
-    _random_fan(i, z, rng, diags)
-    _random_fan(z, j, rng, diags)
+def _random_diagonals(m: int, rng: random.Random) -> list[tuple[int, int]]:
+    """Uniformly triangulate the m-gon: the region cut off by a chord (i, j)
+    takes apex z with weight C(z-i-1)·C(j-z-1) (Catalan numbers), and the
+    two sub-regions are drawn depth-first, (i, z) before (z, j)."""
+    catalan = [1]
+    for k in range(m):
+        catalan.append(catalan[-1] * 2 * (2 * k + 1) // (k + 2))
+    diags: list[tuple[int, int]] = []
+    stack = [(0, m - 1)]
+    while stack:
+        i, j = stack.pop()
+        if j - i < 2:
+            continue
+        weights = [catalan[z - i - 1] * catalan[j - z - 1] for z in range(i + 1, j)]
+        pick = rng.randrange(sum(weights))
+        z = i + 1
+        for w in weights:
+            if pick < w:
+                break
+            pick -= w
+            z += 1
+        if z - i >= 2:
+            diags.append((i, z))
+        if j - z >= 2:
+            diags.append((z, j))
+        stack += [(z, j), (i, z)]
+    return diags
 
 
 def random_triangulation(n: int, rng: random.Random) -> geometry.Triangulation:
     """Uniformly random triangulation of the (n+3)-gon; diagonals labeled in
     sorted corner-pair order."""
     m = n + 3
-    diags: list[tuple[int, int]] = []
-    _random_fan(0, m - 1, rng, diags)
-    diags.sort()
+    diags = sorted(_random_diagonals(m, rng))
     edges = {i + 1: d for i, d in enumerate(diags)}
     label = n
     for k in range(m - 1):
@@ -173,20 +171,19 @@ _TABLE = {
 MODELS = tuple(_TABLE)
 
 
-def _model(name: str) -> _Model:
-    try:
-        return _TABLE[name]
-    except KeyError:
-        raise InvalidInput(f"unknown model {name!r}; choose from {MODELS}") from None
+def _model(q: Quiver, name: str) -> _Model:
+    """The table entry that runs `name` on q; gcc on a one-vertex quiver runs
+    as linear-gcc, because collections need two vertices."""
+    if name not in _TABLE:
+        raise InvalidInput(f"unknown model {name!r}; choose from {MODELS}")
+    return _TABLE["linear-gcc" if name == "gcc" and q.n == 1 else name]
 
 
 def _run(q: Quiver, plus, name: str, want_value: bool) -> tuple[LaurentPoly | None, int]:
     """Value (None unless wanted) and witness count of one model on a nonzero
     nonnegative d-vector, from one enumeration per factor.  A count alone
     never computes a weight."""
-    if name == "gcc" and q.n == 1:
-        name = "linear-gcc"  # collections need two vertices
-    model = _TABLE[name]
+    model = _model(q, name)
     value, count = LaurentPoly.one(), 1
     for x in geometry.decompose(q, plus) if model.per_variable else (plus,):
         ctx = model.prepare(q, x)
@@ -204,7 +201,7 @@ def _run(q: Quiver, plus, name: str, want_value: bool) -> tuple[LaurentPoly | No
 
 
 def _expand(q: Quiver, a, name: str) -> tuple[LaurentPoly, int]:
-    _model(name)
+    _model(q, name)
     a = tuple(a)
     if len(a) != q.n:
         raise InvalidInput(f"d-vector length {len(a)} != {q.n}")
@@ -226,7 +223,7 @@ def expand_model(q: Quiver, a, model: str) -> LaurentPoly:
 def witness_count(q: Quiver, a, model: str) -> int:
     """Number of combinatorial witnesses behind the model's expansion (the
     mutation oracle reports its coefficient sum, which must agree)."""
-    _model(model)
+    _model(q, model)
     plus, _ = geometry.positive_split(q, tuple(a))
     if not any(plus):
         return 1
@@ -235,7 +232,7 @@ def witness_count(q: Quiver, a, model: str) -> int:
 
 def list_witnesses(q: Quiver, a, model: str) -> list:
     """JSON-ready witness dump for one (quiver, d-vector, model) triple."""
-    spec = _model(model)
+    spec = _model(q, model)
     plus, _ = geometry.positive_split(q, tuple(a))
     if not spec.per_variable:
         ctx = spec.prepare(q, plus)

@@ -5,6 +5,13 @@ dense 1-based integers.  Arrows are stored as a sorted tuple of (tail, head)
 pairs, so equality is structural; parallel arrows are allowed in general
 (mutation needs the multiset), though type-A quivers never carry them.
 
+A connected quiver is of type A exactly when it is the quiver of a
+triangulation of the (n+3)-gon (Caldero-Chapoton-Schiffler, "Quivers with
+relations arising from clusters (A_n case)", 2006).  The type-A verdict is
+therefore "a triangulation realizing the quiver exists": it is decided by
+building that triangulation (`geometry._build_triangulation`), which checks
+that the triangulation it built induces the quiver.
+
 Structure derived from the arrows (adjacency, oriented 3-cycles, the type-A
 verdict, the 3-cycle completion and the realizing triangulation) is computed
 lazily, at most once per instance, and kept as immutable values; the public
@@ -91,7 +98,15 @@ class Quiver:
 
     @cached_property
     def _type_a(self) -> bool:
-        return _type_a_verdict(self)
+        """Whether the realizing triangulation builds.  Cached, so a failed
+        build is attempted once; `_triangulation` itself caches no error."""
+        if not self.is_connected():
+            raise DisconnectedQuiver("type-A test requires a connected quiver")
+        try:
+            self._triangulation
+        except NotTypeA:
+            return False
+        return True
 
     @cached_property
     def _completion(self) -> tuple["Quiver", tuple[int, ...]]:
@@ -183,67 +198,6 @@ def mutate_sequence(q: Quiver, vertices: list[int]) -> Quiver:
 # -- type-A recognition -------------------------------------------------------
 
 
-def _blocks(q: Quiver) -> list[tuple[set[int], list[tuple[int, int]]]]:
-    """Biconnected components of the underlying graph as (vertices, edges)."""
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in q.vertices}
-    edges = []
-    for idx, (t, h) in enumerate(q.arrows):
-        edges.append((t, h))
-        adj[t].append((h, idx))
-        adj[h].append((t, idx))
-    visited: dict[int, int] = {}
-    low: dict[int, int] = {}
-    stack: list[int] = []
-    blocks: list[tuple[set[int], list[tuple[int, int]]]] = []
-    counter = [0]
-
-    def dfs(root: int):
-        work = [(root, -1, iter(adj[root]))]
-        visited[root] = low[root] = counter[0]
-        counter[0] += 1
-        while work:
-            v, parent_edge, it = work[-1]
-            advanced = False
-            for (u, eidx) in it:
-                if eidx == parent_edge:
-                    continue
-                if u not in visited:
-                    stack.append(eidx)
-                    visited[u] = low[u] = counter[0]
-                    counter[0] += 1
-                    work.append((u, eidx, iter(adj[u])))
-                    advanced = True
-                    break
-                elif visited[u] < visited[v]:
-                    stack.append(eidx)
-                    low[v] = min(low[v], visited[u])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-                if low[v] >= visited[pv]:
-                    comp = []
-                    while stack:
-                        eidx = stack.pop()
-                        comp.append(eidx)
-                        if eidx == parent_edge:
-                            break
-                    vs: set[int] = set()
-                    es = []
-                    for eidx in comp:
-                        t, h = edges[eidx]
-                        vs.update((t, h))
-                        es.append((t, h))
-                    blocks.append((vs, es))
-
-    for v in q.vertices:
-        if v not in visited:
-            dfs(v)
-    return blocks
-
-
 def _scan_three_cycles(q: Quiver) -> tuple[tuple[int, int, int], ...]:
     arrow_set = q._arrow_set
     outs = q._adjacency[0]
@@ -261,42 +215,10 @@ def oriented_three_cycles(q: Quiver) -> list[tuple[int, int, int]]:
     return list(q._three_cycles)
 
 
-def _type_a_verdict(q: Quiver) -> bool:
-    if not q.is_connected():
-        raise DisconnectedQuiver("type-A test requires a connected quiver")
-    pair_counts = Counter((min(t, h), max(t, h)) for t, h in q.arrows)
-    if any(c > 1 for c in pair_counts.values()):
-        return False
-    arrow_set = q._arrow_set
-    for vs, es in _blocks(q):
-        if len(es) == 1:
-            continue
-        if len(vs) != 3 or len(es) != 3:
-            return False
-        a, b, c = sorted(vs)
-        if not ((a, b) in arrow_set and (b, c) in arrow_set and (c, a) in arrow_set
-                or (b, a) in arrow_set and (c, b) in arrow_set and (a, c) in arrow_set):
-            return False
-    tri_count: Counter[int] = Counter()
-    for (i, j, k) in q._three_cycles:
-        tri_count[i] += 1
-        tri_count[j] += 1
-        tri_count[k] += 1
-    for v in q.vertices:
-        d = q.degree(v)
-        if d > 4:
-            return False
-        if d == 4 and tri_count[v] != 2:
-            return False
-        if d == 3 and tri_count[v] != 1:
-            return False
-    return True
-
-
 def is_type_a(q: Quiver) -> bool:
-    """Connectivity plus the block/degree characterization of type-A quivers:
-    every simple cycle is an oriented triangle, degrees are at most 4, a
-    degree-4 vertex lies in two triangles and a degree-3 vertex in one."""
+    """Whether a triangulation of the (n+3)-gon realizing the quiver exists
+    (Caldero-Chapoton-Schiffler 2006), decided by building it.  Raises
+    DisconnectedQuiver for a disconnected quiver."""
     return q._type_a
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from pathlib import Path
 import subprocess
@@ -90,6 +91,17 @@ def test_count_and_witnesses(three_cycle_file, capsys):
     assert code == 0
     witnesses = json.loads(out)
     assert len(witnesses) == 27
+
+
+def test_one_vertex_gcc_listing_falls_back_to_linear_gcc(tmp_path, capsys):
+    path = tmp_path / "one.txt"
+    path.write_text("n 1 frozen none\n")
+    args = ("--quiver", str(path), "--model", "gcc", "--dvector", "2")
+    code, out, _ = run(capsys, "count", *args)
+    assert code == 0 and out.strip() == "4"
+    code, out, err = run(capsys, "count", *args, "--list-witnesses")
+    assert code == 0 and err == ""
+    assert math.prod(len(f["witnesses"]) for f in json.loads(out)) == 4
 
 
 def test_decompose_output(three_cycle_file, capsys):

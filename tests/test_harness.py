@@ -32,6 +32,18 @@ def test_random_quivers_are_type_a():
     assert len(sizes) >= 6
 
 
+def test_large_random_quiver_needs_no_recursion():
+    q = random_type_a_quiver(1000, random.Random(12))
+    assert q.n == 1000 and is_type_a(q)
+
+
+def test_witness_counts_on_a_long_path_need_no_recursion():
+    n = 1200
+    q = Quiver(n, tuple((i, i + 1) for i in range(1, n)))
+    for model in ("gcs", "gcs-variable", "linear-gcc"):
+        assert witness_count(q, (1,) * n, model) == n + 1
+
+
 def test_random_triangulation_shape():
     rng = random.Random(7)
     t = random_triangulation(5, rng)

@@ -1,3 +1,4 @@
+from itertools import combinations, permutations, product
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from clusterkit.errors import (
     FrozenVertex,
     InvalidInput,
     NotLinearSubquiver,
+    NotTypeA,
     VertexOutOfRange,
 )
 from clusterkit.harness import random_type_a_quiver
@@ -26,6 +28,7 @@ from clusterkit.quiver import (
     mutate_sequence,
     oriented_three_cycles,
     path_order,
+    require_type_a,
     three_cycle_completion,
     to_json_dict,
     to_text,
@@ -76,6 +79,53 @@ def test_type_a_examples(three_cycle, eleven_complete):
     assert not is_type_a(unoriented_triangle)
     with pytest.raises(DisconnectedQuiver):
         is_type_a(Quiver(2, ()))
+
+
+def _path_mutation_class(n: int) -> set[tuple[tuple[int, int], ...]]:
+    """Arrows of every quiver reached by mutation from some labelled
+    orientation of the n-vertex path: the type-A_n quivers on 1..n."""
+    todo = []
+    for labels in permutations(range(1, n + 1)):
+        for flips in product((False, True), repeat=n - 1):
+            todo.append(Quiver(n, tuple((b, a) if flip else (a, b) for (a, b), flip
+                                        in zip(zip(labels, labels[1:]), flips))))
+    seen = {q.arrows for q in todo}
+    while todo:
+        q = todo.pop()
+        for v in q.vertices:
+            m = mutate(q, v)
+            if m.arrows not in seen:
+                seen.add(m.arrows)
+                todo.append(m)
+    return seen
+
+
+def test_type_a_verdict_equals_the_path_mutation_class():
+    """Oracle sharing no code with the triangulation: every connected simple
+    quiver with n <= 5, plus random multi-quivers with parallel arrows."""
+    classes = {n: _path_mutation_class(n) for n in range(1, 6)}
+    connected = type_a = 0
+    for n in range(1, 6):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for choice in product((0, 1, 2), repeat=len(pairs)):
+            q = Quiver(n, tuple((a, b) if c == 1 else (b, a)
+                                for (a, b), c in zip(pairs, choice) if c))
+            if not q.is_connected():
+                continue
+            connected += 1
+            type_a += is_type_a(q)
+            assert is_type_a(q) == (q.arrows in classes[n]), q
+    assert (connected, type_a) == (55895, sum(map(len, classes.values())))
+    rng = random.Random(11)
+    parallel = 0
+    while parallel < 300:
+        n = rng.randint(2, 5)
+        arrows = [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randint(n - 1, 2 * n))]
+        arrows = [(t, h) for t, h in arrows if (h, t) not in arrows]
+        q = Quiver(n, tuple(arrows + arrows[:rng.randint(0, 2)]))
+        if q.is_connected():
+            parallel += len(set(q.arrows)) < len(q.arrows)
+            assert is_type_a(q) == (q.arrows in classes[n]), q
 
 
 def test_type_a_mutation_invariant():
@@ -222,17 +272,27 @@ def _counting(monkeypatch, module, name: str) -> list:
 
 
 def test_crosscheck_derives_structure_once(monkeypatch):
-    type_a = _counting(monkeypatch, quiver, "_type_a_verdict")
+    # building the triangulation is also the type-A verdict
     cycles = _counting(monkeypatch, quiver, "_scan_three_cycles")
     triangulations = _counting(monkeypatch, geometry, "_build_triangulation")
     q = random_type_a_quiver(7, random.Random(3))
     report = harness.crosscheck(q, box=1)
     assert report.passed
-    for seen in (type_a, cycles, triangulations):
+    for seen in (cycles, triangulations):
         assert sum(1 for x in seen if x is q) == 1
     # the completed quiver shared by gcs and gcc is derived once as well
     completed, _ = three_cycle_completion(q)
     assert sum(1 for x in cycles if x is completed) <= 1
+
+
+def test_failed_type_a_build_is_attempted_once(monkeypatch):
+    builds = _counting(monkeypatch, geometry, "_build_triangulation")
+    four_cycle = Quiver(4, ((1, 2), (2, 3), (3, 4), (4, 1)))
+    assert not is_type_a(four_cycle) and not is_type_a(four_cycle)
+    for check in (require_type_a, geometry.triangulation_for):
+        with pytest.raises(NotTypeA, match="^operation requires a type-A quiver$"):
+            check(four_cycle)
+    assert builds == [four_cycle]
 
 
 def test_accessors_match_arrow_scans():
