@@ -148,7 +148,7 @@ def cmd_broken_lines(args) -> int:
         plane = _parse_plane(args.plane, len(chosen.endpoint))
     for line in lines:
         print(json.dumps(scattering.line_json(line)))
-    theta = scattering.theta_from_broken_lines(q, support)
+    theta = scattering.theta_from_broken_lines(q, support, lines=lines)
     print("theta " + rational_string(theta))
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:

@@ -17,10 +17,11 @@ from .errors import (
     InexactDivision,
     NotAClusterVariableDVector,
     NotHomogeneous,
-    NotLinearSubquiver,
+    NotInW,
 )
+from .geometry import satisfies_property_a
 from .laurent import LaurentPoly, mono_degree, mono_mul, poly_product
-from .quiver import Quiver, mutate, path_order
+from .quiver import Quiver, mutate, path_order, require_path
 
 
 def _term_order_key(m, support):
@@ -169,15 +170,32 @@ def principal_quiver(q: Quiver) -> Quiver:
 
 def variable_mutation_sequence(q: Quiver, a) -> list[int]:
     """Mutation sequence reaching the cluster variable with 0-1 denominator
-    vector a: flip the crossed diagonals in crossing order along the
-    realizing arc."""
-    from .geometry import build_pipelines  # local import to avoid a cycle
-
+    vector a: the path order of its support (`path_order`), the order in
+    which the realizing arc crosses the diagonals.  No pipelines and no
+    triangulation are built.  A vector with a negative entry, of the wrong
+    length or breaking the 3-cycle parity raises NotInW; any other vector
+    whose support is not a path raises NotAClusterVariableDVector."""
     a = tuple(a)
-    sets = build_pipelines(q, a)
-    if len(sets.pipelines) != 1:
+    if any(x < 0 for x in a):
+        raise NotInW(f"mutation sequences need a nonnegative vector, got {a}")
+    if not satisfies_property_a(q, a):
+        raise NotInW(f"{a} violates the parity condition on 3-cycles")
+    order = path_order(q, {i + 1 for i, x in enumerate(a) if x}) if set(a) <= {0, 1} else None
+    if order is None:
         raise NotAClusterVariableDVector(f"{a} decomposes into several variables")
-    return [diag for diag, _ in sets.pipelines[0].crossings]
+    return order
+
+
+def _walk_to_variable(start: Quiver, q: Quiver, a: tuple) -> LaurentPoly:
+    """The initial variable for minus a unit vector; otherwise the entry left
+    at the last vertex by mutating, from the start quiver (q or its principal
+    extension), along the variable's mutation sequence in q."""
+    if len(a) == q.n and a.count(-1) == 1 and a.count(0) == q.n - 1:
+        return LaurentPoly.variable(a.index(-1) + 1)
+    if any(x not in (0, 1) for x in a):
+        raise NotAClusterVariableDVector(f"{a} is not a variable denominator vector")
+    seq = variable_mutation_sequence(q, a)
+    return mutate_seed_sequence(initial_seed(start), seq).entry(seq[-1])
 
 
 def cluster_variable(q: Quiver, a) -> LaurentPoly:
@@ -185,15 +203,9 @@ def cluster_variable(q: Quiver, a) -> LaurentPoly:
     for minus a unit vector, otherwise computed by a targeted mutation
     sequence along the realizing arc."""
     a = tuple(a)
-    units = {tuple(-1 if i == j else 0 for i in range(q.n)): j + 1 for j in range(q.n)}
-    if a in units:
-        return LaurentPoly.variable(units[a])
-    if any(x not in (0, 1) for x in a):
-        raise NotAClusterVariableDVector(f"{a} is not a variable denominator vector")
-    seq = variable_mutation_sequence(q, a)
-    seed = mutate_seed_sequence(initial_seed(q), seq)
-    poly = seed.entry(seq[-1])
-    if poly.denominator_vector(len(q.unfrozen)) != a:
+    poly = _walk_to_variable(q, q, a)
+    # past the walk, a is minus a unit vector exactly when it holds a -1
+    if -1 not in a and poly.denominator_vector(len(q.unfrozen)) != a:
         raise NotAClusterVariableDVector(f"mutation walk missed the target {a}")
     return poly
 
@@ -202,14 +214,7 @@ def principal_lift(q: Quiver, a) -> LaurentPoly:
     """The corresponding cluster variable with principal coefficients (over
     2n variables; setting the top n to 1 recovers the plain variable)."""
     a = tuple(a)
-    units = {tuple(-1 if i == j else 0 for i in range(q.n)): j + 1 for j in range(q.n)}
-    if a in units:
-        return LaurentPoly.variable(units[a])
-    if any(x not in (0, 1) for x in a):
-        raise NotAClusterVariableDVector(f"{a} is not a variable denominator vector")
-    seq = variable_mutation_sequence(q, a)
-    seed = mutate_seed_sequence(initial_seed(principal_quiver(q)), seq)
-    poly = seed.entry(seq[-1])
+    poly = _walk_to_variable(principal_quiver(q), q, a)
     check = poly.substitute_one(range(q.n + 1, 2 * q.n + 1))
     if check != cluster_variable(q, a):
         raise NotAClusterVariableDVector("principal lift does not specialize correctly")
@@ -247,8 +252,7 @@ def g_vector_by_formula(qtilde: Quiver, linear_vertices) -> tuple[int, ...]:
     off the path, 1 exactly when the vertex only receives one arrow from the
     path and sends none back."""
     vs = set(linear_vertices)
-    if path_order(qtilde, vs) is None:
-        raise NotLinearSubquiver(f"{sorted(vs)} does not induce a path")
+    require_path(qtilde, vs)
     g = []
     for r in qtilde.vertices:
         deg_in = sum(1 for t in qtilde.arrows_in(r) if t in vs)

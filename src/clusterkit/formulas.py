@@ -24,7 +24,6 @@ import logging
 from .errors import (
     AssumptionViolated,
     NotInW,
-    NotLinearSubquiver,
     Unreachable,
 )
 from .geometry import satisfies_property_a, sigma_int
@@ -33,7 +32,7 @@ from .quiver import (
     CompletelyExtendedLinearQuiver,
     Quiver,
     oriented_three_cycles,
-    path_order,
+    require_path,
     require_type_a,
 )
 
@@ -519,22 +518,14 @@ def formula_linear_gcc(celq: CompletelyExtendedLinearQuiver) -> LaurentPoly:
 # -- per-variable sequences on an ambient quiver --------------------------------------
 
 
-def _variable_setup(qtilde: Quiver, linear_vertices):
-    order = path_order(qtilde, set(linear_vertices))
-    if order is None:
-        raise NotLinearSubquiver(f"{sorted(set(linear_vertices))} does not induce a path")
-    return order
-
-
 def enumerate_variable_gcs(qtilde: Quiver, linear_vertices):
     """0-1 markings of the path vertices with no arrow inside the path going
     from a marked to an unmarked vertex; bits are listed in path order."""
-    order = _variable_setup(qtilde, linear_vertices)
-    arrow_set = set(qtilde.arrows)
+    order = require_path(qtilde, linear_vertices)
     pos = {v: i for i, v in enumerate(order)}
     imps = []
     for a, b in zip(order, order[1:]):
-        if (a, b) in arrow_set:
+        if qtilde.has_arrow(a, b):
             imps.append((pos[a], pos[b]))
         else:
             imps.append((pos[b], pos[a]))
@@ -555,17 +546,20 @@ def variable_gcs_k_set(qtilde: Quiver, linear_vertices) -> set[int]:
 
 
 def variable_gcs_monomial(qtilde: Quiver, linear_vertices, s) -> LaurentPoly:
-    """The Laurent monomial attached to one marking."""
-    order = _variable_setup(qtilde, linear_vertices)
+    """The Laurent monomial attached to one marking: every arrow i -> j adds
+    the marking of i (0 off the path) to x_j and one minus the marking of j
+    (0 off the path) to x_i, so only arrows with an end on the path count."""
+    order = require_path(qtilde, linear_vertices)
     bit = {v: s[i] for i, v in enumerate(order)}
-    vs = set(order)
     expo: dict[int, int] = defaultdict(int)
-    for (i, j) in qtilde.arrows:
-        sbar_j = (1 - bit[j]) if j in vs else 0
-        s_i = bit.get(i, 0)
-        expo[i] += sbar_j
-        expo[j] += s_i
-    for r in vs | variable_gcs_k_set(qtilde, linear_vertices):
+    for i in order:
+        for j in qtilde.arrows_out(i):
+            expo[j] += bit[i]
+            expo[i] += 1 - bit[j] if j in bit else 0
+        for t in qtilde.arrows_in(i):
+            if t not in bit:  # an arrow inside the path was counted from its tail
+                expo[t] += 1 - bit[i]
+    for r in bit.keys() | variable_gcs_k_set(qtilde, order):
         expo[r] -= 1
     return LaurentPoly.monomial(expo)
 

@@ -136,10 +136,6 @@ class Quiver:
     def has_arrow(self, t: int, h: int) -> bool:
         return (t, h) in self._arrow_set
 
-    def induced(self, vertices: set[int]) -> list[tuple[int, int]]:
-        """Arrows of the full subquiver on the given vertex set (original labels)."""
-        return [(t, h) for t, h in self.arrows if t in vertices and h in vertices]
-
     def is_connected(self) -> bool:
         adj = self._adjacency[2]
         seen = {1}
@@ -230,34 +226,41 @@ def require_type_a(q: Quiver):
 # -- linear subquivers ---------------------------------------------------------
 
 
-def path_order(q: Quiver, vertices: set[int]) -> list[int] | None:
-    """If the induced full subquiver is a path, return its vertices in path
-    order starting from the smaller endpoint; otherwise None."""
+def path_order(q: Quiver, vertices) -> list[int] | None:
+    """If the full subquiver on the given vertices is a path, return its
+    vertices in path order starting from the smaller endpoint; otherwise
+    None.  For the support of a cluster variable this is the order in which
+    its arc crosses the diagonals (read from one end), since consecutive
+    crossed diagonals share a triangle.  Reads only the cached neighbour
+    sets of the given vertices."""
     vs = set(vertices)
-    if not vs or not vs <= set(q.vertices):
+    nbr = q._adjacency[2]
+    if not vs or not vs <= nbr.keys():
         return None
-    edges = {(min(t, h), max(t, h)) for t, h in q.induced(vs)}
-    if len(edges) != len(vs) - 1:
-        return None
+    adj = {v: nbr[v] & vs for v in vs}
     if len(vs) == 1:
-        return [next(iter(vs))]
-    adj: dict[int, list[int]] = {v: [] for v in vs}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
+        return list(vs)
     ends = sorted(v for v in vs if len(adj[v]) == 1)
-    if len(ends) != 2 or any(len(adj[v]) > 2 for v in vs):
+    if len(ends) != 2 or any(len(us) > 2 for us in adj.values()):
         return None
-    order = [ends[0]]
-    prev = None
+    # the walk from one end covers vs unless a cycle or lone vertex is left
+    order, prev = [ends[0]], None
     while len(order) < len(vs):
         nxt = [u for u in adj[order[-1]] if u != prev]
         if len(nxt) != 1:
             return None
         prev = order[-1]
         order.append(nxt[0])
-    if order[-1] != ends[1]:
-        return None
+    return order
+
+
+def require_path(q: Quiver, vertices) -> list[int]:
+    """The path order of the vertices; raises NotLinearSubquiver unless
+    their full subquiver is a path."""
+    vs = set(vertices)
+    order = path_order(q, vs)
+    if order is None:
+        raise NotLinearSubquiver(f"{sorted(vs)} does not induce a path")
     return order
 
 
@@ -406,9 +409,7 @@ def complete_extension(q: Quiver, linear_vertices) -> CompletionResult:
     subquiver and attach the missing triangles, producing a canonically
     labeled completely extended linear quiver plus the relabeling map."""
     require_type_a(q)
-    order = path_order(q, set(linear_vertices))
-    if order is None:
-        raise NotLinearSubquiver(f"{sorted(set(linear_vertices))} does not induce a path")
+    order = require_path(q, linear_vertices)
     n = len(order)
     delta = delta_of_path(q, order)
     celq = CompletelyExtendedLinearQuiver(LinearQuiver(n, delta))
@@ -420,8 +421,7 @@ def complete_extension(q: Quiver, linear_vertices) -> CompletionResult:
         to_ambient[pos[v]] = v
 
     # classify ambient neighbors of the path into extension slots
-    outside = sorted(v for v in q.vertices if v not in base_set
-                     and q.neighbors(v) & base_set)
+    outside = sorted(set().union(*(q.neighbors(v) for v in order)) - base_set)
     end_hang: dict[int, list[int]] = {order[0]: [], order[-1]: []}
     for w in outside:
         touched = sorted(q.neighbors(w) & base_set, key=lambda v: pos[v])

@@ -19,13 +19,12 @@ from fractions import Fraction
 from .errors import (
     CoordinateOutOfRange,
     EndpointRejected,
-    NotLinearSubquiver,
     OddRankWithoutPrincipal,
     PositivityViolation,
 )
 from .formulas import enumerate_variable_gcs, variable_gcs_monomial
 from .laurent import LaurentPoly, canonical_string, poly_sum
-from .quiver import Quiver, exchange_matrix, oriented_three_cycles, path_order
+from .quiver import Quiver, exchange_matrix, oriented_three_cycles, require_path
 
 
 # -- relabeling so the path occupies 1..n ----------------------------------------
@@ -40,9 +39,7 @@ class PathRelabeling:
 
 
 def relabel_for_path(qtilde: Quiver, linear_vertices) -> PathRelabeling:
-    order = path_order(qtilde, set(linear_vertices))
-    if order is None:
-        raise NotLinearSubquiver(f"{sorted(set(linear_vertices))} does not induce a path")
+    order = require_path(qtilde, linear_vertices)
     to_new = {v: i + 1 for i, v in enumerate(order)}
     nxt = len(order) + 1
     for v in qtilde.vertices:
@@ -65,14 +62,13 @@ def adjustable_positions(rel: PathRelabeling, s) -> list[int]:
     """Unmarked path positions whose flip stays a valid marking; equivalently
     the sinks of the unmarked part of the path."""
     q = rel.quiver
-    arrow_set = set(q.arrows)
     out = []
     for r in range(1, rel.n + 1):
         if s[r - 1] != 0:
             continue
         blocked = False
         for j in (r - 1, r + 1):
-            if 1 <= j <= rel.n and (r, j) in arrow_set and s[j - 1] == 0:
+            if 1 <= j <= rel.n and q.has_arrow(r, j) and s[j - 1] == 0:
                 blocked = True
         if not blocked:
             out.append(r)
@@ -335,19 +331,21 @@ def line_json(line: BrokenLine) -> dict:
 
 
 def theta_from_broken_lines(qtilde: Quiver, linear_vertices,
-                            endpoint: Endpoint | None = None) -> LaurentPoly:
-    """Sum of the final monomials over all broken lines, expressed in the
-    ambient variables; equals the cluster variable of the path subquiver."""
-    rel = relabel_for_path(qtilde, linear_vertices)
-    lines = broken_lines(qtilde, linear_vertices, endpoint)
-    return poly_sum(ambient_monomial(line) for line in lines).rename(rel.to_old)
+                            endpoint: Endpoint | None = None,
+                            lines: list[BrokenLine] | None = None) -> LaurentPoly:
+    """Sum of the final monomials over all broken lines of the path
+    subquiver (the given ones, else built here), expressed in the ambient
+    variables; equals the cluster variable of the path subquiver."""
+    if lines is None:
+        lines = broken_lines(qtilde, linear_vertices, endpoint)
+    to_old = relabel_for_path(qtilde, linear_vertices).to_old
+    return poly_sum(ambient_monomial(line) for line in lines).rename(to_old)
 
 
 def witness_monomial(qtilde: Quiver, linear_vertices, s) -> LaurentPoly:
-    """Per-witness monomial in ambient variables (for termwise comparisons)."""
-    rel = relabel_for_path(qtilde, linear_vertices)
-    order = [rel.to_old[i] for i in range(1, rel.n + 1)]
-    return variable_gcs_monomial(qtilde, order, s)
+    """Per-witness monomial in ambient variables (for termwise comparisons):
+    the gcs-variable weight of the marking, bits in path order."""
+    return variable_gcs_monomial(qtilde, linear_vertices, s)
 
 
 def broken_line_svg(line: BrokenLine, plane: tuple[int, int]) -> str:

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import clusterkit
+from clusterkit import scattering
 from clusterkit.cli import main
 from clusterkit.quiver import Quiver, to_text, to_json_dict
 
@@ -153,6 +154,25 @@ def test_broken_lines_command(tmp_path, capsys):
     assert {tuple(r["s"]) for r in rows} == {
         (0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1)}
     assert svg.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("principal", [[], ["--principal"]])
+def test_broken_lines_builds_each_line_once(tmp_path, capsys, monkeypatch, principal):
+    built = []
+    original = scattering._build
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+    monkeypatch.setattr(scattering, "_build", counted)
+    q = Quiver(4, ((2, 1), (1, 4), (4, 2), (2, 3)))
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(to_json_dict(q)))
+    code, out, _ = run(capsys, "broken-lines", "--quiver", str(path),
+                       "--subquiver", "1,2,3", *principal)
+    lines = out.strip().splitlines()
+    assert code == 0 and lines[-1].startswith("theta ")
+    assert len(built) == len(lines) - 1 == 5
 
 
 def test_crosscheck_pass_and_determinism(capsys):

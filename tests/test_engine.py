@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from clusterkit import geometry
 from clusterkit.engine import (
     Seed,
     cluster_variable,
@@ -15,14 +16,19 @@ from clusterkit.engine import (
     mutate_seed_sequence,
     principal_lift,
     principal_quiver,
+    variable_mutation_sequence,
 )
 from clusterkit.errors import (
+    DisconnectedQuiver,
     ExplosionGuard,
     InexactDivision,
+    NotAClusterVariableDVector,
     NotHomogeneous,
+    NotInW,
     NotLinearSubquiver,
+    NotTypeA,
 )
-from clusterkit.harness import random_type_a_quiver
+from clusterkit.harness import crosscheck, random_type_a_quiver
 from clusterkit.laurent import LaurentPoly
 from clusterkit.quiver import Quiver, exchange_matrix, linear_full_subquivers
 from conftest import path_quiver
@@ -161,3 +167,43 @@ def test_laurent_phenomenon_random_walks():
         walk = [rng.randint(1, q.n) for _ in range(12)]
         seed = mutate_seed_sequence(seed, walk)  # InexactDivision must not fire
         assert isinstance(seed, Seed)
+
+
+_A3 = Quiver(3, ((1, 2), (2, 3)))
+
+
+@pytest.mark.parametrize("q, a, sequence_error, variable_error", [
+    (_A3, (1, 1), NotInW, NotInW),                              # wrong length
+    (_A3, (0, 1, 1, 0), NotInW, NotInW),                        # wrong length
+    (_A3, (1, -1, 0), NotInW, NotAClusterVariableDVector),      # negative entry
+    (Quiver(3, ((1, 2), (2, 3), (3, 1))), (1, 1, 1), NotInW, NotInW),
+    (_A3, (0, 2, 0), NotAClusterVariableDVector, NotAClusterVariableDVector),
+    (_A3, (0, 0, 0), NotAClusterVariableDVector, NotAClusterVariableDVector),
+    (_A3, (1, 0, 1), NotAClusterVariableDVector, NotAClusterVariableDVector),
+    (Quiver(4, ((1, 2), (2, 3), (3, 4), (4, 1))), (1, 1, 0, 0), NotTypeA, NotTypeA),
+    (Quiver(3, ((1, 2),)), (1, 0, 0), DisconnectedQuiver, DisconnectedQuiver),
+])
+def test_malformed_dvectors_keep_their_exception_classes(q, a, sequence_error,
+                                                          variable_error):
+    with pytest.raises(sequence_error):
+        variable_mutation_sequence(q, a)
+    for oracle in (cluster_variable, principal_lift):
+        with pytest.raises(variable_error):
+            oracle(q, a)
+
+
+def test_mutation_builds_no_pipelines(monkeypatch):
+    """The flip sequence is the support's path order: the mutation oracle
+    needs neither pipelines nor the triangulation."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the mutation oracle built pipelines or a triangulation")
+    rng = random.Random(31)
+    quivers = [random_type_a_quiver(n, rng) for n in range(1, 11) for _ in range(2)]
+    monkeypatch.setattr(geometry, "build_pipelines", refuse)
+    monkeypatch.setattr(geometry, "triangulation_for", refuse)
+    for q in quivers:
+        for sup in linear_full_subquivers(q):
+            b = tuple(int(v in sup) for v in q.vertices)
+            assert cluster_variable(q, b).denominator_vector(q.n) == b
+            principal_lift(q, b)
+        assert crosscheck(q, ("mutation", "gcs", "matching")).passed

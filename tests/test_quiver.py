@@ -331,3 +331,55 @@ def test_cached_structure_stays_out_of_equality_and_repr(seven_mixed):
     assert is_type_a(seven_mixed)
     assert twin == seven_mixed and hash(twin) == hash(seven_mixed)
     assert repr(twin) == repr(seven_mixed)
+
+
+def _path_order_by_arrow_scan(q: Quiver, vertices):
+    """The arrow-scan `path_order` kept as the reference: it collects the
+    induced edges by scanning every arrow of q."""
+    vs = set(vertices)
+    if not vs or not vs <= set(q.vertices):
+        return None
+    edges = {(min(t, h), max(t, h)) for t, h in q.arrows if t in vs and h in vs}
+    if len(edges) != len(vs) - 1:
+        return None
+    if len(vs) == 1:
+        return [next(iter(vs))]
+    adj = {v: [] for v in vs}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    ends = sorted(v for v in vs if len(adj[v]) == 1)
+    if len(ends) != 2 or any(len(adj[v]) > 2 for v in vs):
+        return None
+    order, prev = [ends[0]], None
+    while len(order) < len(vs):
+        nxt = [u for u in adj[order[-1]] if u != prev]
+        if len(nxt) != 1:
+            return None
+        prev = order[-1]
+        order.append(nxt[0])
+    return order if order[-1] == ends[1] else None
+
+
+def test_path_order_matches_the_arrow_scan():
+    rng = random.Random(21)
+    quivers = [random_type_a_quiver(rng.randint(1, 9), rng) for _ in range(40)]
+    while len(quivers) < 120:  # arbitrary quivers, parallel arrows included
+        n = rng.randint(2, 7)
+        arrows = [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randint(0, 3 * n))]
+        arrows = [(t, h) for t, h in arrows if (h, t) not in arrows]
+        quivers.append(Quiver(n, tuple(arrows + arrows[:rng.randint(0, 3)])))
+    paths = 0
+    for q in quivers:
+        subsets = [set(), {0}, {q.n + 1}, {1, q.n + 1}, set(q.vertices)]
+        if q.n <= 7:
+            subsets += [{v for v in q.vertices if mask >> (v - 1) & 1}
+                        for mask in range(1, 2 ** q.n)]
+        else:
+            subsets += [set(rng.sample(range(1, q.n + 1), rng.randint(1, q.n)))
+                        for _ in range(200)]
+        for vs in subsets:
+            expected = _path_order_by_arrow_scan(q, vs)
+            assert path_order(q, vs) == expected, (q, vs)
+            paths += expected is not None
+    assert paths > 1000
