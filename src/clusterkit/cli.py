@@ -50,11 +50,9 @@ def _parse_subquiver(text: str) -> list[int]:
 
 
 def _pick(items: list, index: int, option: str):
-    try:
-        return items[index]
-    except IndexError:
-        raise InvalidInput(f"{option} {index} is out of range: "
-                           f"there are {len(items)}") from None
+    if not 0 <= index < len(items):
+        raise InvalidInput(f"{option} {index} is out of range: there are {len(items)}")
+    return items[index]
 
 
 def _parse_plane(text: str, dim: int) -> tuple[int, int]:

@@ -1,9 +1,10 @@
 """Seed mutation oracle and exhaustive cluster-variable enumeration.
 
 The exchange relation replaces one cluster entry by (product over incoming
-arrows + product over outgoing arrows) / old entry.  The division is carried
-out by leading-term elimination and then certified exact by multiplying
-back; a failure raises InexactDivision and indicates a bug, never bad input.
+arrows + product over outgoing arrows) / old entry.  A one-term divisor is
+divided in one pass, any other by leading-term elimination; the quotient is
+certified exact by multiplying back, and a failure raises InexactDivision
+and indicates a bug, never bad input.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from .errors import (
     ExplosionGuard,
     FrozenVertex,
     InexactDivision,
+    InvalidInput,
     NotAClusterVariableDVector,
     NotHomogeneous,
     NotInW,
@@ -29,15 +31,9 @@ def _term_order_key(m, support):
     return (mono_degree(m), tuple(d.get(v, 0) for v in support))
 
 
-def exact_divide(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
-    """Certified exact division in the Laurent ring.
-
-    Iterated leading-term elimination under the graded order; the candidate
-    quotient is multiplied back and compared with the numerator."""
-    if d.is_zero():
-        raise InexactDivision("division by zero")
-    if p.is_zero():
-        return LaurentPoly.zero()
+def _eliminate(p: LaurentPoly, d: LaurentPoly) -> dict:
+    """Quotient terms of p by d from iterated leading-term elimination under
+    the graded order."""
     support = sorted(set(p.support()) | set(d.support()))
     key = lambda m: _term_order_key(m, support)
     lead_d = max(d.terms, key=key)
@@ -64,7 +60,26 @@ def exact_divide(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
                 remainder[mm] = nc
             elif mm in remainder:
                 del remainder[mm]
-    q = LaurentPoly(quotient)
+    return quotient
+
+
+def exact_divide(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
+    """Certified exact division in the Laurent ring: by a one-term divisor
+    c*m in one pass (every coefficient divided by c, every monomial times
+    1/m), by a longer one through leading-term elimination.  The quotient is
+    multiplied back and compared with the numerator."""
+    if d.is_zero():
+        raise InexactDivision("division by zero")
+    if p.is_zero():
+        return LaurentPoly.zero()
+    if len(d.terms) == 1:
+        ((m_d, c_d),) = d.terms.items()
+        if any(c % c_d for c in p.terms.values()):
+            raise InexactDivision("coefficient not divisible by the monomial divisor")
+        inv = tuple((v, -e) for v, e in m_d)
+        q = LaurentPoly({mono_mul(m, inv): c // c_d for m, c in p.terms.items()})
+    else:
+        q = LaurentPoly(_eliminate(p, d))
     if q * d != p:
         raise InexactDivision("quotient verification failed")
     return q
@@ -121,6 +136,8 @@ def enumerate_seeds(q: Quiver, max_seeds: int = 100_000):
     """Breadth-first walk of the exchange graph with permutation-insensitive
     seed deduplication.  Deterministic order; raises ExplosionGuard past the
     bound (a sign the input is not of finite type)."""
+    if max_seeds < 1:
+        raise InvalidInput(f"max_seeds must be at least 1, got {max_seeds}")
     start = initial_seed(q)
     visited = {_seed_key(start)}
     queue = deque([start])

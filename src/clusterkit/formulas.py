@@ -17,7 +17,7 @@ so the search is near linear per witness.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 import logging
 
@@ -27,7 +27,7 @@ from .errors import (
     Unreachable,
 )
 from .geometry import satisfies_property_a, sigma_int
-from .laurent import LaurentPoly, poly_product, poly_sum
+from .laurent import LaurentPoly, poly_sum
 from .quiver import (
     CompletelyExtendedLinearQuiver,
     Quiver,
@@ -206,32 +206,50 @@ def enumerate_gcs(q: Quiver, a, i0: int | None = None):
         yield tuple(out)
 
 
-def gcs_term_exponents(q: Quiver, a, s) -> dict[int, int]:
-    """Exponent vector of the summand attached to one globally compatible
-    sequence: over each arrow the head contributes its zero count and the
-    tail its one count, with one overlap correction per triangle rotation."""
-    ones = {v: sum(s[v - 1]) for v in q.vertices}
-    zeros = {v: a[v - 1] - ones[v] for v in q.vertices}
-    e = {v: 0 for v in q.vertices}
-    for (t, h) in q.arrows:
-        e[t] += zeros[h]
-        e[h] += ones[t]
+def term_base(q: Quiver, a) -> tuple[int, ...]:
+    """The part of every gcs or gcc term fixed by (q, a), indexed by v - 1:
+    the denominator exponent -a_v minus one overlap count sigma per rotation
+    of an oriented triangle starting at v."""
+    base = [-x for x in a]
     for (i, j, k) in oriented_three_cycles(q):
         for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-            e[x] -= sigma_int(a[y - 1], a[z - 1], a[x - 1])
+            base[x - 1] -= sigma_int(a[y - 1], a[z - 1], a[x - 1])
+    return tuple(base)
+
+
+def _bare(a, e) -> dict[int, int]:
+    """Term exponents e without the denominator x^-a, keyed by vertex."""
+    return {v: x + a[v - 1] for v, x in enumerate(e, 1)}
+
+
+def _gcs_exponents(q: Quiver, a, s, base) -> list[int]:
+    """base plus the witness part of one sequence: over each arrow the head
+    contributes its zero count and the tail its one count."""
+    e = list(base)
+    ones = [sum(bits) for bits in s]
+    for (t, h) in q.arrows:
+        e[t - 1] += a[h - 1] - ones[h - 1]
+        e[h - 1] += ones[t - 1]
     return e
 
 
-def gcs_weight(q: Quiver, a, s) -> LaurentPoly:
-    """The Laurent monomial of one globally compatible sequence."""
-    e = gcs_term_exponents(q, a, s)
-    return LaurentPoly.monomial({v: e[v] - a[v - 1] for v in q.vertices})
+def gcs_term_exponents(q: Quiver, a, s) -> dict[int, int]:
+    """Exponent vector of the summand attached to one globally compatible
+    sequence, before the denominator x^-a."""
+    return _bare(a, _gcs_exponents(q, a, s, term_base(q, a)))
+
+
+def gcs_weight(q: Quiver, a, s, base) -> LaurentPoly:
+    """The Laurent monomial of one globally compatible sequence, given
+    `term_base(q, a)`."""
+    return LaurentPoly.monomial(dict(enumerate(_gcs_exponents(q, a, s, base), 1)))
 
 
 def formula_gcs(q: Quiver, a, i0: int | None = None) -> LaurentPoly:
     """Cluster monomial as a sum over globally compatible sequences."""
     a = _check_monomial_vector(q, a)
-    return poly_sum(gcs_weight(q, a, s) for s in enumerate_gcs(q, a, i0))
+    base = term_base(q, a)
+    return poly_sum(gcs_weight(q, a, s, base) for s in enumerate_gcs(q, a, i0))
 
 
 # -- maximal lattice paths -------------------------------------------------------
@@ -349,28 +367,31 @@ def enumerate_gcc(q: Quiver, a):
         yield GCCollection(tuple(chosen))
 
 
-def gcc_term_exponents(q: Quiver, a, gcc: GCCollection) -> dict[int, int]:
-    e = {v: 0 for v in q.vertices}
-    for (arrow, s1, s2) in gcc.chosen:
-        i, j = arrow
-        e[i] += len(s2)
-        e[j] += len(s1)
-    for (i, j, k) in oriented_three_cycles(q):
-        for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-            e[x] -= sigma_int(a[y - 1], a[z - 1], a[x - 1])
+def _gcc_exponents(gcc: GCCollection, base) -> list[int]:
+    """base plus the witness part of one collection: each arrow i -> j adds
+    its vertical count to x_i and its horizontal count to x_j."""
+    e = list(base)
+    for ((i, j), s1, s2) in gcc.chosen:
+        e[i - 1] += len(s2)
+        e[j - 1] += len(s1)
     return e
 
 
-def gcc_weight(q: Quiver, a, gcc: GCCollection) -> LaurentPoly:
-    """The Laurent monomial of one globally compatible collection."""
-    e = gcc_term_exponents(q, a, gcc)
-    return LaurentPoly.monomial({v: e[v] - a[v - 1] for v in q.vertices})
+def gcc_term_exponents(q: Quiver, a, gcc: GCCollection) -> dict[int, int]:
+    return _bare(a, _gcc_exponents(gcc, term_base(q, a)))
+
+
+def gcc_weight(gcc: GCCollection, base) -> LaurentPoly:
+    """The Laurent monomial of one globally compatible collection, given
+    `term_base(q, a)` of its quiver and vector."""
+    return LaurentPoly.monomial(dict(enumerate(_gcc_exponents(gcc, base), 1)))
 
 
 def formula_gcc(q: Quiver, a) -> LaurentPoly:
     """Cluster monomial as a sum over globally compatible collections."""
     a = _check_monomial_vector(q, a)
-    return poly_sum(gcc_weight(q, a, gcc) for gcc in enumerate_gcc(q, a))
+    base = term_base(q, a)
+    return poly_sum(gcc_weight(gcc, base) for gcc in enumerate_gcc(q, a))
 
 
 # -- bijection between sequences and collections -----------------------------------
@@ -475,37 +496,41 @@ def enumerate_linear_gcc(celq: CompletelyExtendedLinearQuiver):
             todo += [(k + 1, nxt) for nxt in reversed(allowed) if ok(cur, nxt, k + 2)]
 
 
-def linear_gcc_y_products(celq: CompletelyExtendedLinearQuiver,
-                          w: LinearGCC) -> list[LaurentPoly]:
-    """The edge factors y_0..y_n of one witness, over canonical labels."""
+def _linear_gcc_factors(celq: CompletelyExtendedLinearQuiver,
+                        w: LinearGCC) -> list[dict[int, int]]:
+    """The exponent maps of the edge factors y_0..y_n of one witness."""
     n = celq.n
     if n == 1:
         if w.end_bit == 1:
-            return [LaurentPoly.variable(celq.start0), LaurentPoly.variable(celq.end0)]
-        return [LaurentPoly.variable(celq.start1), LaurentPoly.variable(celq.end1)]
+            return [{celq.start0: 1}, {celq.end0: 1}]
+        return [{celq.start1: 1}, {celq.end1: 1}]
     delta = celq.delta
-    ys = []
     d1 = delta[0]
     first = w.pairs[0][d1]  # |S_{1,1+delta_1}|
-    ys.append(LaurentPoly.variable(celq.start0 if first == 1 - d1 else celq.start1))
+    ys = [{celq.start0 if first == 1 - d1 else celq.start1: 1}]
     for i in range(1, n):
         s1, s2 = w.pairs[i - 1]
         d = delta[i - 1]
-        ys.append(LaurentPoly.monomial({
-            i + d: s2,
-            i + 1 - d: s1,
-            celq.mid(i): 1 - s1 - s2,
-        }))
+        ys.append({i + d: s2, i + 1 - d: s1, celq.mid(i): 1 - s1 - s2})
     dn = delta[n - 2]
     last = w.pairs[n - 2][1 - dn]  # |S_{n-1,2-delta_{n-1}}|
-    ys.append(LaurentPoly.variable(celq.end0 if last == dn else celq.end1))
+    ys.append({celq.end0 if last == dn else celq.end1: 1})
     return ys
+
+
+def linear_gcc_y_products(celq: CompletelyExtendedLinearQuiver,
+                          w: LinearGCC) -> list[LaurentPoly]:
+    """The edge factors y_0..y_n of one witness, over canonical labels."""
+    return [LaurentPoly.monomial(y) for y in _linear_gcc_factors(celq, w)]
 
 
 def linear_gcc_weight(celq: CompletelyExtendedLinearQuiver, w: LinearGCC) -> LaurentPoly:
     """Product of the edge factors of one witness, before dividing by the
-    path variables."""
-    return poly_product(linear_gcc_y_products(celq, w))
+    path variables, summed into one exponent map."""
+    e: Counter[int] = Counter()
+    for y in _linear_gcc_factors(celq, w):
+        e.update(y)
+    return LaurentPoly.monomial(e)
 
 
 def formula_linear_gcc(celq: CompletelyExtendedLinearQuiver) -> LaurentPoly:

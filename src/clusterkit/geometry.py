@@ -30,6 +30,12 @@ from .quiver import (
 )
 
 
+def _twice_sigma(x, y, z) -> int:
+    if x < 0 or y < 0 or z < 0:
+        raise NegativeInput(f"sigma needs nonnegative inputs, got {(x, y, z)}")
+    return max(x + y - z, 0) - max(x - y - z, 0) - max(y - x - z, 0)
+
+
 def sigma(x, y, z):
     """Overlap count ([x+y-z]_+ - [x-y-z]_+ - [y-x-z]_+) / 2.
 
@@ -37,20 +43,16 @@ def sigma(x, y, z):
     otherwise.  Integer inputs yield an integer in every use on valid
     d-vectors; a half-integer comes back as an exact Fraction.
     """
-    if x < 0 or y < 0 or z < 0:
-        raise NegativeInput(f"sigma needs nonnegative inputs, got {(x, y, z)}")
-    pos = lambda t: t if t > 0 else 0
-    num = pos(x + y - z) - pos(x - y - z) - pos(y - x - z)
-    if num % 2 == 0:
-        return num // 2
-    return Fraction(num, 2)
+    num = _twice_sigma(x, y, z)
+    return num // 2 if num % 2 == 0 else Fraction(num, 2)
 
 
 def sigma_int(x, y, z) -> int:
-    s = sigma(x, y, z)
-    if isinstance(s, Fraction):
+    """sigma in integer arithmetic alone; a half-integer raises NotInW."""
+    num = _twice_sigma(x, y, z)
+    if num % 2:
         raise NotInW(f"sigma{(x, y, z)} is not an integer; vector violates parity")
-    return s
+    return num // 2
 
 
 def satisfies_property_a(q: Quiver, a) -> bool:

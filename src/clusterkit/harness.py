@@ -111,9 +111,11 @@ def _support(b) -> list[int]:
 
 def _completed(q: Quiver, plus):
     """The 3-cycle completion, the vector padded with zeros on the added
-    vertices, and those vertices (set to one by `_drop_added`)."""
+    vertices, those vertices (set to one by `_drop_added`) and the part of
+    every term fixed by the two (`formulas.term_base`)."""
     q2, added = three_cycle_completion(q)
-    return q2, plus + (0,) * (q2.n - q.n), added
+    a = plus + (0,) * (q2.n - q.n)
+    return q2, a, added, formulas.term_base(q2, a)
 
 
 def _drop_added(ctx, value: LaurentPoly) -> LaurentPoly:
@@ -132,11 +134,11 @@ _TABLE = {
                        value=lambda ctx: engine.cluster_variable(*ctx)),
     "gcs": _Model(
         False, _completed, witnesses=lambda ctx: formulas.enumerate_gcs(*ctx[:2]),
-        weight=lambda ctx, s: formulas.gcs_weight(*ctx[:2], s), finish=_drop_added,
+        weight=lambda ctx, s: formulas.gcs_weight(*ctx[:2], s, ctx[3]), finish=_drop_added,
         dump=lambda ctx, s: [list(bits) for bits in s]),
     "gcc": _Model(
         False, _completed, witnesses=lambda ctx: formulas.enumerate_gcc(*ctx[:2]),
-        weight=lambda ctx, g: formulas.gcc_weight(*ctx[:2], g), finish=_drop_added,
+        weight=lambda ctx, g: formulas.gcc_weight(g, ctx[3]), finish=_drop_added,
         dump=lambda ctx, g: [{"arrow": list(arrow), "S1": sorted(s1), "S2": sorted(s2)}
                              for (arrow, s1, s2) in g.chosen]),
     "linear-gcc": _Model(
@@ -326,7 +328,9 @@ def _check_row(q: Quiver, a, models, with_timings: bool) -> RowResult:
         values[m], counts[m] = _expand(q, a, m)
         if with_timings:
             timings[m] = time.perf_counter() - t0
-    forms = {m: canonical_string(v) for m, v in values.items()}
+    forms = {}
+    for m, v in values.items():  # one rendering per distinct value
+        forms[m] = next((forms[k] for k in forms if values[k] == v), None) or canonical_string(v)
     # the majority value and count; a tie goes to the model listed first
     form = Counter(forms.values()).most_common(1)[0][0]
     count = Counter(counts.values()).most_common(1)[0][0]
@@ -351,6 +355,10 @@ def crosscheck(q: Quiver, models=None, box: int = 0,
     for m in models:
         if m not in MODELS:
             raise InvalidInput(f"unknown model {m!r}")
+    if len(set(models)) != len(models):
+        raise InvalidInput(f"models listed twice: {', '.join(models)}")
+    if box < 0:
+        raise InvalidInput(f"box must be nonnegative, got {box}")
     rows = [_check_row(q, a, models, with_timings) for a in _scope_dvectors(q, box)]
     return CrossCheckReport(q, models, rows)
 

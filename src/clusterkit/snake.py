@@ -14,11 +14,12 @@ between them in increasing order.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InvalidInput, NotInitialTriangulation
 from .geometry import Triangulation, triangulation_of
-from .laurent import LaurentPoly, poly_product, poly_sum
+from .laurent import LaurentPoly, poly_sum
 from .formulas import LinearGCC
 from .quiver import CompletelyExtendedLinearQuiver
 
@@ -171,8 +172,8 @@ def enumerate_matchings(d: SnakeDiagram):
 
 
 def matching_weight(gamma) -> LaurentPoly:
-    """Product of the edge weights of one matching."""
-    return poly_product(LaurentPoly.variable(label_variable(lbl)) for lbl in gamma)
+    """Product of the edge weights of one matching, as one exponent count."""
+    return LaurentPoly.monomial(Counter(label_variable(lbl) for lbl in gamma))
 
 
 def matching_model_variable(celq: CompletelyExtendedLinearQuiver) -> LaurentPoly:

@@ -240,18 +240,32 @@ def test_crosscheck_json_timings(three_cycle_file, capsys):
 
 def test_snake_matching_out_of_range(table_quiver_file, tmp_path, capsys):
     svg = tmp_path / "snake.svg"
-    code, out, err = run(capsys, "snake", "--quiver", table_quiver_file,
-                         "--dvector", "1,1,1,0,0,0,0", "--svg", str(svg),
-                         "--matching", "99")
-    assert code == 2 and out == ""
-    assert json.loads(err)["code"] == "InvalidInput"
-    assert not svg.exists()
+    for index in ("99", "-1"):  # a negative index would draw from the end
+        code, out, err = run(capsys, "snake", "--quiver", table_quiver_file,
+                             "--dvector", "1,1,1,0,0,0,0", "--svg", str(svg),
+                             "--matching", index)
+        assert code == 2 and out == ""
+        assert json.loads(err)["code"] == "InvalidInput"
+        assert not svg.exists()
 
 
 def test_broken_lines_line_out_of_range(three_cycle_file, tmp_path, capsys):
-    code, out, err = run(capsys, "broken-lines", "--quiver", three_cycle_file,
-                         "--subquiver", "1,2", "--svg", str(tmp_path / "l.svg"),
-                         "--line", "99")
+    svg = tmp_path / "l.svg"
+    for index in ("99", "-1"):
+        code, out, err = run(capsys, "broken-lines", "--quiver", three_cycle_file,
+                             "--subquiver", "1,2", "--svg", str(svg), "--line", index)
+        assert code == 2 and out == ""
+        assert json.loads(err)["code"] == "InvalidInput"
+        assert not svg.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("crosscheck", "--models", "gcs,gcs"),
+    ("crosscheck", "--box", "-2"),
+    ("enumerate-variables", "--max-seeds", "-5"),
+])
+def test_bad_option_values_are_invalid_input(three_cycle_file, capsys, argv):
+    code, out, err = run(capsys, argv[0], "--quiver", three_cycle_file, *argv[1:])
     assert code == 2 and out == ""
     assert json.loads(err)["code"] == "InvalidInput"
 

@@ -1,8 +1,9 @@
 import random
+import time
 
 import pytest
 
-from clusterkit import geometry
+from clusterkit import engine, geometry, harness
 from clusterkit.engine import (
     Seed,
     cluster_variable,
@@ -22,6 +23,7 @@ from clusterkit.errors import (
     DisconnectedQuiver,
     ExplosionGuard,
     InexactDivision,
+    InvalidInput,
     NotAClusterVariableDVector,
     NotHomogeneous,
     NotInW,
@@ -29,7 +31,7 @@ from clusterkit.errors import (
     NotTypeA,
 )
 from clusterkit.harness import crosscheck, random_type_a_quiver
-from clusterkit.laurent import LaurentPoly
+from clusterkit.laurent import LaurentPoly, mono
 from clusterkit.quiver import Quiver, exchange_matrix, linear_full_subquivers
 from conftest import path_quiver
 
@@ -79,6 +81,41 @@ def test_dvector_keys_are_linear_subquivers(three_cycle):
 def test_positivity_of_coefficients(seven_mixed):
     for poly in enumerate_cluster_variables(seven_mixed).values():
         assert all(c > 0 for c in poly.terms.values())
+
+
+def test_one_term_divisor_needs_every_coefficient_to_divide():
+    term = LaurentPoly.monomial
+    p = term({1: 1, 2: 1}, coeff=2) + term({2: 2}, coeff=3)  # 2 does not divide 3
+    assert exact_divide(p, x(2)) == term({1: 1}, coeff=2) + term({2: 1}, coeff=3)
+    with pytest.raises(InexactDivision):
+        exact_divide(p, term({2: 1}, coeff=2))
+
+
+def test_one_term_branch_equals_elimination():
+    rng = random.Random(606)
+
+    def random_mono():
+        return mono({v: rng.randint(-3, 3) for v in rng.sample(range(1, 7), rng.randint(0, 4))})
+
+    for _ in range(200):
+        q = LaurentPoly.from_terms((random_mono(), rng.choice((-5, -2, -1, 1, 3, 7)))
+                                   for _ in range(rng.randint(1, 12)))
+        d = LaurentPoly({random_mono(): rng.choice((-3, -1, 1, 2, 4))})
+        p = q * d
+        assert exact_divide(p, d) == LaurentPoly(engine._eliminate(p, d)) == q
+
+
+def test_mutation_counts_a_long_zig_zag_path_fast():
+    n = 18
+    zig_zag = Quiver(n, tuple((i, i + 1) if i % 2 else (i + 1, i) for i in range(1, n)))
+    start = time.perf_counter()
+    assert harness.witness_count(zig_zag, (1,) * n, "mutation") == 6765  # Fibonacci F_20
+    assert time.perf_counter() - start < 5
+
+
+def test_max_seeds_must_be_positive(three_cycle):
+    with pytest.raises(InvalidInput):
+        enumerate_cluster_variables(three_cycle, max_seeds=-5)
 
 
 def test_explosion_guard():

@@ -18,14 +18,18 @@ from clusterkit.formulas import (
     formula_linear_gcc,
     gcc_term_exponents,
     gcc_to_gcs,
+    gcc_weight,
     gcs_term_exponents,
     gcs_to_gcc,
+    gcs_weight,
     linear_gcc_y_products,
     maximal_dyck_path,
+    term_base,
     variable_gcs_k_set,
     variable_gcs_monomial,
 )
-from clusterkit.geometry import decompose, satisfies_property_a
+from clusterkit import harness
+from clusterkit.geometry import decompose, satisfies_property_a, sigma
 from clusterkit.harness import expand_model, random_type_a_quiver
 from clusterkit.laurent import LaurentPoly, poly_product, poly_sum
 from clusterkit.quiver import (
@@ -34,6 +38,7 @@ from clusterkit.quiver import (
     Quiver,
     complete_extension,
     linear_full_subquivers,
+    oriented_three_cycles,
     three_cycle_completion,
 )
 
@@ -260,3 +265,40 @@ def test_gcs_gcc_counts_match_matchings_on_completion(seven_table):
         n_gcs = sum(1 for _ in enumerate_gcs(q2, a2))
         value = cluster_variable(seven_table, b)
         assert n_gcs == value.coefficient_sum()
+
+
+def _exponents_without_base(q, a, witness_part) -> dict[int, int]:
+    """Reference term exponents (before the denominator) that recompute every
+    sigma overlap per witness: the witness part, minus one overlap per
+    triangle rotation."""
+    e = {v: 0 for v in q.vertices}
+    for v, k in witness_part:
+        e[v] += k
+    for (i, j, k) in oriented_three_cycles(q):
+        for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
+            e[x] -= sigma(a[y - 1], a[z - 1], a[x - 1])
+    return e
+
+
+def test_hoisted_base_matches_per_witness_exponents():
+    rng = random.Random(2718)
+    for n in range(2, 9):
+        q = random_type_a_quiver(n, rng)
+        q2, added = three_cycle_completion(q)
+        scope = harness._scope_dvectors(q, 2)
+        for plus in rng.sample(scope, min(30, len(scope))):
+            a = plus + (0,) * len(added)
+            base = term_base(q2, a)
+            for s in enumerate_gcs(q2, a):
+                old = _exponents_without_base(q2, a, [
+                    pair for (t, h) in q2.arrows
+                    for pair in ((t, a[h - 1] - sum(s[h - 1])), (h, sum(s[t - 1])))])
+                assert gcs_term_exponents(q2, a, s) == old
+                assert gcs_weight(q2, a, s, base) == \
+                    LaurentPoly.monomial({v: old[v] - a[v - 1] for v in q2.vertices})
+            for g in enumerate_gcc(q2, a):
+                old = _exponents_without_base(q2, a, [
+                    pair for ((i, j), s1, s2) in g.chosen for pair in ((i, len(s2)), (j, len(s1)))])
+                assert gcc_term_exponents(q2, a, g) == old
+                assert gcc_weight(g, base) == \
+                    LaurentPoly.monomial({v: old[v] - a[v - 1] for v in q2.vertices})

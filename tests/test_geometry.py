@@ -14,6 +14,7 @@ from clusterkit.geometry import (
     quiver_of,
     satisfies_property_a,
     sigma,
+    sigma_int,
     triangulation_for,
     triangulation_of,
 )
@@ -49,6 +50,18 @@ def test_sigma_two_closed_forms_agree():
     for x, y, z in product(range(8), repeat=3):
         assert sigma(x, y, z) == by_cases(x, y, z)
         assert sigma(x, y, z) == sigma(y, x, z)
+
+
+def test_sigma_int_is_sigma_on_integers():
+    for x, y, z in product(range(9), repeat=3):
+        if isinstance(sigma(x, y, z), Fraction):
+            with pytest.raises(NotInW):
+                sigma_int(x, y, z)
+        else:
+            assert sigma_int(x, y, z) == sigma(x, y, z)
+    for bad in ((-1, 0, 0), (0, -2, 1), (3, 3, -1)):
+        with pytest.raises(NegativeInput):
+            sigma_int(*bad)
 
 
 def test_sigma_symmetry_bound_on_triples():

@@ -152,6 +152,16 @@ def test_crosscheck_enumerates_each_model_once_per_row(monkeypatch):
     assert calls == {name: 21 for _, name in ENUMERATORS}
 
 
+def test_passing_row_renders_its_value_once(monkeypatch, seven_table):
+    calls = []
+    monkeypatch.setattr(harness, "canonical_string",
+                        lambda p: calls.append(p) or canonical_string(p))
+    models = ("mutation", "gcs", "gcc", "matching", "tpath")
+    row = harness._check_row(seven_table, (1, 1, 1, 0, 0, 0, 0), models, False)
+    assert row.verdict == "PASS" and len(calls) == 1
+    assert row.value == canonical_string(expand_model(seven_table, row.dvector, "gcs"))
+
+
 def test_witness_count_computes_no_weight(monkeypatch, seven_mixed):
     def refuse(*args, **kwargs):
         raise AssertionError("a count computed a weight")
