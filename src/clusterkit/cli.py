@@ -44,9 +44,12 @@ def _parse_dvector(text: str, n: int) -> tuple[int, ...]:
 
 def _parse_subquiver(text: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",")]
+        vertices = [int(x) for x in text.split(",")]
     except ValueError as exc:
         raise InvalidInput(f"bad vertex list {text!r}") from exc
+    if len(set(vertices)) != len(vertices):
+        raise InvalidInput(f"vertex list {text!r} repeats a vertex")
+    return vertices
 
 
 def _pick(items: list, index: int, option: str):
@@ -140,13 +143,14 @@ def cmd_broken_lines(args) -> int:
     q = _load_quiver(args.quiver)
     support = _parse_subquiver(args.subquiver)
     principal = True if args.principal else None
-    lines = scattering.broken_lines(q, support, principal=principal)
+    rel = scattering.relabel_for_path(q, support)
+    lines = scattering.broken_lines(q, support, principal=principal, rel=rel)
     if args.svg:
         chosen = _pick(lines, args.line, "--line")
         plane = _parse_plane(args.plane, len(chosen.endpoint))
     for line in lines:
         print(json.dumps(scattering.line_json(line)))
-    theta = scattering.theta_from_broken_lines(q, support, lines=lines)
+    theta = scattering.theta_from_broken_lines(q, support, lines=lines, rel=rel)
     print("theta " + rational_string(theta))
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:

@@ -122,6 +122,13 @@ def _drop_added(ctx, value: LaurentPoly) -> LaurentPoly:
     return value.substitute_one(ctx[2])
 
 
+def _relabeled(q: Quiver, b):
+    """The quiver, the support of b and its path relabeled to 1..n, built
+    once: the lines are drawn in it and their sum is renamed back from it."""
+    support = _support(b)
+    return q, support, scattering.relabel_for_path(q, support)
+
+
 def _over_path(comp, value: LaurentPoly) -> LaurentPoly:
     """Divide a sum over the completed path by its path variables, then
     return to the ambient labels."""
@@ -163,10 +170,10 @@ _TABLE = {
         weight=lambda comp, p: p.value(), dump=lambda comp, p: list(p.labels),
         finish=lambda comp, value: comp.substitution_then_rename(value)),
     "broken-line": _Model(
-        True, lambda q, b: (q, _support(b)),
-        witnesses=lambda ctx: scattering.broken_lines(*ctx),
+        True, _relabeled,
+        witnesses=lambda ctx: scattering.broken_lines(*ctx[:2], rel=ctx[2]),
         weight=lambda ctx, line: scattering.ambient_monomial(line),
-        finish=lambda ctx, value: value.rename(scattering.relabel_for_path(*ctx).to_old),
+        finish=lambda ctx, value: value.rename(ctx[2].to_old),
         dump=lambda ctx, line: scattering.line_json(line)),
 }
 

@@ -143,12 +143,18 @@ def enumerate_matchings(d: SnakeDiagram):
         for lbl in grp:
             group_of[lbl] = gi
 
+    # depth-first over (covered vertex bits, chosen edges as a linked list
+    # (edge, rest)); children are pushed in reverse so they pop in the order
+    # of incident[v], the first uncovered vertex (the lowest zero bit)
+    full = (1 << len(vertices)) - 1
     out = []
-
-    def rec(covered: int, chosen: list):
-        if covered == (1 << len(vertices)) - 1:
+    stack = [(0, None)]
+    while stack:
+        covered, chosen = stack.pop()
+        if covered == full:
             gamma: list = [None] * len(d.pl_groups)
-            for e in chosen:
+            while chosen is not None:
+                e, chosen = chosen
                 lbl = d.label_of_edge[e]
                 gi = group_of[lbl]
                 if gamma[gi] is not None:
@@ -157,17 +163,13 @@ def enumerate_matchings(d: SnakeDiagram):
             if any(g is None for g in gamma):
                 raise InvalidInput("matching misses a group")
             out.append(tuple(gamma))
-            return
-        v = next(i for i in range(len(vertices)) if not covered >> i & 1)
-        for e in incident[v]:
+            continue
+        v = (~covered & (covered + 1)).bit_length() - 1
+        for e in reversed(incident[v]):
             i1, i2 = index[e[0]], index[e[1]]
             if covered >> i1 & 1 or covered >> i2 & 1:
                 continue
-            chosen.append(e)
-            rec(covered | 1 << i1 | 1 << i2, chosen)
-            chosen.pop()
-
-    rec(0, [])
+            stack.append((covered | 1 << i1 | 1 << i2, (e, chosen)))
     return sorted(out, key=lambda g: [str(x) for x in g])
 
 

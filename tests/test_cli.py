@@ -175,6 +175,20 @@ def test_broken_lines_builds_each_line_once(tmp_path, capsys, monkeypatch, princ
     assert len(built) == len(lines) - 1 == 5
 
 
+@pytest.mark.parametrize("principal", [[], ["--principal"]])
+def test_broken_lines_relabels_the_path_once(tmp_path, capsys, monkeypatch, principal):
+    calls = []
+    original = scattering.relabel_for_path
+    monkeypatch.setattr(scattering, "relabel_for_path",
+                        lambda *args: calls.append(args) or original(*args))
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(to_json_dict(Quiver(4, ((2, 1), (1, 4), (4, 2), (2, 3))))))
+    code, out, _ = run(capsys, "broken-lines", "--quiver", str(path),
+                       "--subquiver", "1,2,3", "--svg", str(tmp_path / "l.svg"), *principal)
+    assert code == 0 and out.splitlines()[-1].startswith("theta ")
+    assert len(calls) == 1
+
+
 def test_crosscheck_pass_and_determinism(capsys):
     code1, out1, _ = run(capsys, "crosscheck", "--random", "5", "--seed", "42")
     code2, out2, _ = run(capsys, "crosscheck", "--random", "5", "--seed", "42")
@@ -277,6 +291,24 @@ def test_broken_lines_bad_plane(three_cycle_file, tmp_path, capsys, plane):
                          "--plane", plane)
     assert code == 2 and out == ""
     assert json.loads(err)["code"] == "InvalidInput"
+
+
+def test_broken_lines_rejects_a_repeated_vertex(tmp_path, capsys):
+    path = tmp_path / "q.txt"
+    path.write_text(to_text(Quiver(4, ((2, 1), (1, 4), (4, 2), (2, 3)))))
+    code, out, err = run(capsys, "broken-lines", "--quiver", str(path), "--subquiver", "1,1,2")
+    assert code == 2 and out == ""
+    envelope = json.loads(err)
+    assert envelope["code"] == "InvalidInput" and "repeats a vertex" in envelope["message"]
+
+
+def test_count_matching_on_the_1100_vertex_path(tmp_path, capsys):
+    n = 1100
+    path = tmp_path / "path.txt"
+    path.write_text(to_text(Quiver(n, tuple((i, i + 1) for i in range(1, n)))))
+    code, out, err = run(capsys, "count", "--quiver", str(path), "--model", "matching",
+                         "--dvector", ",".join(["1"] * n))
+    assert (code, out, err) == (0, "1101\n", "")
 
 
 def test_closed_stdout_exits_quietly():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from clusterkit import cli, engine, formulas, harness, scattering, snake
+from clusterkit import cli, engine, formulas, geometry, harness, scattering, snake
 from clusterkit.errors import InvalidInput, NotInW, PositivePartNotInW
 from clusterkit.harness import (
     MODELS,
@@ -173,6 +173,21 @@ def test_witness_count_computes_no_weight(monkeypatch, seven_mixed):
     a = (2, 2, 0, 0, 2, 0, 0)
     counts = {m: witness_count(seven_mixed, a, m) for m in MODELS if m != "mutation"}
     assert len(set(counts.values())) == 1
+
+
+def test_broken_line_relabels_each_factor_once(monkeypatch, seven_mixed):
+    calls = []
+    original = scattering.relabel_for_path
+    monkeypatch.setattr(scattering, "relabel_for_path",
+                        lambda *args: calls.append(args) or original(*args))
+    a = (2, 2, 0, 0, 2, 0, 0)
+    factors = len(geometry.decompose(seven_mixed, a))
+    assert factors > 1
+    value = expand_model(seven_mixed, a, "broken-line")
+    assert value == expand_model(seven_mixed, a, "mutation")
+    assert len(calls) == factors
+    witness_count(seven_mixed, a, "broken-line")
+    assert len(calls) == 2 * factors
 
 
 def _box_monomials_with_a_negative_entry(q: Quiver, rng: random.Random, k: int) -> list:

@@ -1,21 +1,34 @@
 import random
 from fractions import Fraction
+import time
 
 import pytest
 
 from clusterkit import scattering
 from clusterkit.engine import cluster_variable, g_vector_by_formula
-from clusterkit.errors import EndpointRejected, OddRankWithoutPrincipal
+from clusterkit.errors import (
+    ClusterKitError,
+    CoordinateOutOfRange,
+    EndpointRejected,
+    OddRankWithoutPrincipal,
+    PositivityViolation,
+)
 from clusterkit.formulas import enumerate_variable_gcs, variable_gcs_k_set
-from clusterkit.harness import random_type_a_quiver
+from clusterkit.harness import random_type_a_quiver, witness_count
 from clusterkit.laurent import LaurentPoly, poly_sum
-from clusterkit.quiver import Quiver, linear_full_subquivers, oriented_three_cycles
+from clusterkit.quiver import (
+    Quiver,
+    exchange_matrix,
+    linear_full_subquivers,
+    oriented_three_cycles,
+)
 from clusterkit.scattering import (
     Endpoint,
     adjustable_positions,
     broken_line_from_gcs,
     broken_line_svg,
     broken_lines,
+    certify_travel_bounds,
     default_endpoint,
     g_direction,
     principal_broken_line,
@@ -250,3 +263,254 @@ def test_broken_lines_relabel_once_per_call(monkeypatch, four_with_triangle):
     monkeypatch.setattr(scattering, "relabel_for_path", counted)
     lines = broken_lines(four_with_triangle, [1, 2, 3])
     assert len(lines) > 1 and len(calls) == 1
+
+
+# -- the Fraction construction, kept as a reference for the integer one ----------
+#
+# Every coordinate of every bend point is a Fraction, every direction is
+# evaluated at every vertex, and the wall columns come from the full exchange
+# matrix.  The reference returns (walls, directions, bends, travels, endpoint).
+
+
+def _ref_direction(rel, s):
+    q = rel.quiver
+    n = rel.n
+    triangle_closers = set()
+    for (i, j, k) in oriented_three_cycles(q):
+        for (x, rest) in ((i, (j, k)), (j, (i, k)), (k, (i, j))):
+            if x > n and all(v <= n for v in rest):
+                triangle_closers.add(x)
+    g = []
+    for r in q.vertices:
+        deg1 = sum(1 for t in q.arrows_in(r) if t <= n and s[t - 1] == 1)
+        deg0 = sum(1 for h in q.arrows_out(r) if h <= n and s[h - 1] == 0)
+        val = deg1 + deg0
+        if r <= n or r in triangle_closers:
+            val -= 1
+        if val not in (-1, 0, 1):
+            raise CoordinateOutOfRange(f"direction coordinate {val} at vertex {r}")
+        g.append(val)
+    return tuple(g)
+
+
+def _ref_validate(ep):
+    n, npr = ep.n, ep.nprime
+    q = ep.coords
+    if len(q) not in (npr, 2 * npr):
+        raise EndpointRejected(f"endpoint needs {npr} or {2 * npr} coordinates")
+    if (1 + ep.eps) ** n >= 2:
+        raise EndpointRejected("scale parameter too large: (1+eps)^n must stay below 2")
+    if any(c <= 0 for c in q[:npr]):
+        raise EndpointRejected("ordered-block coordinates must be positive")
+    for k in range(n - 1):
+        if q[k] / q[k + 1] > ep.eps:
+            raise EndpointRejected(f"coordinate {k + 1} is not far below coordinate {k + 2}")
+    for i in range(n, npr):
+        if q[i] / q[0] > ep.eps:
+            raise EndpointRejected(f"coordinate {i + 1} is not far below coordinate 1")
+
+
+def _ref_construct(rel, s, ep, principal, validate=True):
+    npr = rel.quiver.n
+    if not principal and npr % 2:
+        raise OddRankWithoutPrincipal("odd ambient rank: use principal_broken_line instead")
+    dim = 2 * npr if principal else npr
+    if validate:
+        _ref_validate(ep)
+    if len(ep.coords) != dim:
+        raise EndpointRejected(f"endpoint has {len(ep.coords)} coordinates, expected {dim}")
+    ws = w_sequence(rel, s)
+    b = exchange_matrix(rel.quiver)
+
+    directions = []
+    for i, marking in enumerate(ws.chain):
+        m = list(_ref_direction(rel, marking))
+        if principal:
+            lift = [0] * npr
+            for w in ws.walls[:i]:
+                lift[w - 1] += 1
+            m += lift
+        directions.append(tuple(m))
+
+    vcol = {}
+    for w in set(ws.walls):
+        col = [b[r][w - 1] for r in range(npr)]
+        if principal:
+            col += [1 if r == w else 0 for r in range(1, npr + 1)]
+        vcol[w] = tuple(col)
+
+    for i in range(1, ws.ell + 1):
+        w = ws.walls[i - 1]
+        diff = tuple(directions[i][r] - directions[i - 1][r] for r in range(dim))
+        if diff != vcol[w]:
+            raise CoordinateOutOfRange(
+                f"direction step at wall {w} is not the wall exponent vector")
+        if directions[i][w - 1] != -1 or directions[i - 1][w - 1] != -1:
+            raise CoordinateOutOfRange(f"bend at wall {w} lacks the unit pairing")
+
+    points = [tuple(ep.coords)]  # Q_{ell+1}, then Q_ell .. Q_1
+    travels = []
+    for i in range(ws.ell, 0, -1):
+        w = ws.walls[i - 1]
+        lam = points[-1][w - 1]
+        if lam <= 0:
+            raise PositivityViolation(f"travel parameter at wall {w} is {lam}")
+        travels.append(lam)
+        m = directions[i]
+        nxt = tuple(points[-1][r] + lam * m[r] for r in range(dim))
+        if nxt[w - 1] != 0:
+            raise PositivityViolation("bend point missed its wall")
+        for r in range(1, npr + 1):
+            if r != w and nxt[r - 1] == 0:
+                raise EndpointRejected(
+                    f"bend point on wall {w} also lies on wall {r}; "
+                    "choose a more generic endpoint")
+        points.append(nxt)
+    line = (ws.walls, tuple(directions), tuple(reversed(points[1:])),
+            tuple(reversed(travels)), tuple(ep.coords))
+    _ref_certify(line, ep)
+    return line
+
+
+def _ref_certify(line, ep):
+    walls, _, bends, _, endpoint = line
+    ell = len(walls)
+    pts = list(bends) + [endpoint]  # Q_1..Q_ell, Q_{ell+1}
+    for i in range(1, ell + 1):
+        w = walls[i - 1]
+        base = ep.coords[w - 1]
+        for ip in range(i + 1, ell + 2):
+            ratio = pts[ip - 1][w - 1] / base
+            bound = (1 + ep.eps) ** (ell + 1 - ip)
+            if not (2 - bound <= ratio <= bound):
+                raise PositivityViolation(
+                    f"coordinate {w} of point {ip} drifted out of its band")
+
+
+def _outcome(build):
+    """The line as the reference's tuple, or the class and message raised."""
+    try:
+        line = build()
+    except ClusterKitError as exc:
+        return type(exc), str(exc)
+    if line is None or isinstance(line, tuple):
+        return line
+    for value in (*line.bends, line.travels, line.endpoint):
+        assert all(type(c) is Fraction for c in value)
+    return line.walls, line.directions, line.bends, line.travels, line.endpoint
+
+
+def _agree(q, sup, s, endpoint, principal):
+    """Reference and integer construction give the same line or the same
+    error; returns the outcome."""
+    rel = relabel_for_path(q, list(sup))
+    ep = endpoint or default_endpoint(rel.n, q.n, principal)
+    build = principal_broken_line if principal else broken_line_from_gcs
+    want = _outcome(lambda: _ref_construct(rel, s, ep, principal))
+    assert _outcome(lambda: build(q, list(sup), s, endpoint)) == want
+    return want
+
+
+def _rational_endpoint(rng, n, npr, principal, eps):
+    """A non-default endpoint: each ordered coordinate at most eps/25 times
+    the next, scaled by a random factor in [1/5, 5], the rest likewise far
+    below the first; the principal block is arbitrary."""
+    step = eps / 25
+    coords = [Fraction(rng.randint(1, 5), rng.randint(1, 5))]
+    for _ in range(n - 1):
+        coords.insert(0, coords[0] * step * Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+    coords += [coords[0] * step * Fraction(rng.randint(1, 9), rng.randint(1, 9))
+               for _ in range(npr - n)]
+    if principal:
+        coords += [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(npr)]
+    return Endpoint(tuple(coords), eps, n, npr)
+
+
+def _linear_cases(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        q = random_type_a_quiver(rng.randint(2, 9), rng)
+        for sup in linear_full_subquivers(q):
+            for principal in (False, True) if q.n % 2 == 0 else (True,):
+                yield rng, q, sup, principal
+
+
+def test_integer_lines_equal_the_fraction_reference():
+    """Every marking of every linear full subquiver, plain and principal:
+    walls, directions, bends, travels and endpoint agree with the reference
+    at the default endpoint and at a non-default rational one."""
+    lines = 0
+    for rng, q, sup, principal in _linear_cases(6061, 12):
+        rel = relabel_for_path(q, list(sup))
+        other = _rational_endpoint(rng, rel.n, q.n, principal, Fraction(1, 3 * rel.n))
+        batch = broken_lines(q, list(sup), other, principal)
+        for s, line in zip(enumerate_variable_gcs(q, list(sup)), batch, strict=True):
+            for endpoint in (None, other):
+                want = _agree(q, sup, s, endpoint, principal)
+                assert isinstance(want[0], tuple), want
+                lines += 1
+            assert _outcome(lambda: line) == want
+            certify_travel_bounds(line, other)
+    assert lines > 1000
+
+
+def test_perturbed_endpoints_fail_like_the_reference():
+    """Seeded perturbations of the default endpoint: a larger eps, ladders
+    near or past their bound, off-path coordinates close to the first, zero
+    or negative entries.  Both constructions build the same line or raise
+    the same class with the same message.  Valid endpoints always give a
+    line, so the travel, wall and band checks are also compared past the
+    endpoint check, on every perturbation whose ordered block stays
+    positive (what the per-line builder assumes)."""
+    checked, past = set(), set()
+    for rng, q, sup, principal in _linear_cases(6062, 25):
+        rel = relabel_for_path(q, list(sup))
+        n, npr = rel.n, q.n
+        eps = Fraction(rng.randint(1, 4), rng.randint(2, 4 * n + 2))
+        coords = list(default_endpoint(n, npr, principal).coords)
+        ladder = [Fraction(1)]
+        for _ in range(n - 1):
+            ladder.insert(0, ladder[0] * Fraction(rng.randint(1, 15), 10) ** rng.randint(1, 3))
+        coords[:n] = ladder
+        for r in rng.sample(range(len(coords)), rng.randint(0, 2)):
+            coords[r] = rng.choice([Fraction(0), -coords[r], coords[0] * eps, coords[n - 1],
+                                    coords[r] * Fraction(rng.randint(1, 30), 7)])
+        if rng.random() < 0.05:
+            coords.pop()
+        endpoint = Endpoint(tuple(coords), eps, n, npr)
+        unchecked = len(coords) == (2 if principal else 1) * npr and min(coords[:npr]) > 0
+        for s in enumerate_variable_gcs(q, list(sup)):
+            want = _agree(q, sup, s, endpoint, principal)
+            checked.add(want[0] if isinstance(want[0], type) else "line")
+            if unchecked:
+                want = _outcome(lambda: _ref_construct(rel, s, endpoint, principal, False))
+                got = _outcome(lambda: scattering._build(
+                    rel, s, scattering._scaled(endpoint), principal))
+                assert got == want
+                past.add(want[:2] if isinstance(want[0], type) else "line")
+    assert {"line", EndpointRejected} <= checked
+    kinds = {k if k == "line" else (k[0], k[1].split(" ")[0]) for k in past}
+    assert {"line", (PositivityViolation, "travel"), (PositivityViolation, "coordinate"),
+            (EndpointRejected, "bend")} <= kinds, kinds
+
+
+def test_linear_path_of_100_vertices_within_its_stated_time():
+    """101 broken lines of up to 100 bends each, every check made; about
+    0.55 s on a 2-vCPU Xeon at 2.1 GHz."""
+    n = 100
+    start = time.perf_counter()
+    assert witness_count(path_quiver(n), (1,) * n, "broken-line") == n + 1
+    assert time.perf_counter() - start < 2
+
+
+def test_validate_endpoint_equals_the_reference():
+    rng = random.Random(6063)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        npr = n + rng.randint(0, 4)
+        eps = Fraction(rng.randint(-2, 5), rng.randint(1, 12))
+        coords = [Fraction(rng.randint(-1, 40), rng.randint(1, 40)) ** rng.randint(1, 3)
+                  for _ in range(rng.choice((npr, 2 * npr, npr + 1)))]
+        endpoint = Endpoint(tuple(coords), eps, n, npr)
+        assert _outcome(lambda: validate_endpoint(endpoint)) == \
+            _outcome(lambda: _ref_validate(endpoint))

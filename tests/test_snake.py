@@ -2,17 +2,20 @@ import random
 from itertools import product
 
 from clusterkit.engine import enumerate_cluster_variables
+from clusterkit.errors import InvalidInput
 from clusterkit.formulas import (
     enumerate_linear_gcc,
     formula_linear_gcc,
     linear_gcc_y_products,
 )
 from clusterkit.geometry import triangulation_of
+from clusterkit.harness import random_type_a_quiver
 from clusterkit.laurent import LaurentPoly, poly_product, poly_sum
 from clusterkit.quiver import (
     CompletelyExtendedLinearQuiver,
     LinearQuiver,
     complete_extension,
+    linear_full_subquivers,
 )
 from clusterkit.snake import (
     CompleteTPath,
@@ -245,3 +248,57 @@ def test_complete_tpath_is_nondecreasing():
             ranks = [rank[lbl] for lbl in theta.labels]
             assert ranks == sorted(ranks)
             assert isinstance(theta, CompleteTPath)
+
+
+def _recursive_matchings(d):
+    """The recursive enumerator that enumerate_matchings replaced: depth-first,
+    the first uncovered vertex by a linear scan, edges in incidence order."""
+    vertices = d.vertices()
+    index = {v: i for i, v in enumerate(vertices)}
+    edges = sorted(d.label_of_edge, key=lambda e: (index[e[0]], index[e[1]]))
+    incident = {i: [] for i in range(len(vertices))}
+    for e in edges:
+        incident[index[e[0]]].append(e)
+        incident[index[e[1]]].append(e)
+    group_of = {lbl: gi for gi, grp in enumerate(d.pl_groups) for lbl in grp}
+    out = []
+
+    def rec(covered, chosen):
+        if covered == (1 << len(vertices)) - 1:
+            gamma = [None] * len(d.pl_groups)
+            for e in chosen:
+                lbl = d.label_of_edge[e]
+                gi = group_of[lbl]
+                if gamma[gi] is not None:
+                    raise InvalidInput("matching hits one group twice")
+                gamma[gi] = lbl
+            if any(g is None for g in gamma):
+                raise InvalidInput("matching misses a group")
+            out.append(tuple(gamma))
+            return
+        v = next(i for i in range(len(vertices)) if not covered >> i & 1)
+        for e in incident[v]:
+            i1, i2 = index[e[0]], index[e[1]]
+            if covered >> i1 & 1 or covered >> i2 & 1:
+                continue
+            chosen.append(e)
+            rec(covered | 1 << i1 | 1 << i2, chosen)
+            chosen.pop()
+
+    rec(0, [])
+    return sorted(out, key=lambda g: [str(x) for x in g])
+
+
+def test_stack_enumerator_equals_the_recursive_one():
+    """Seeded snakes: every direction sequence up to 8 tiles and the paths of
+    random type-A quivers give the same matchings in the same order."""
+    snakes = [build_snake(celq) for celq in all_celqs(8)]
+    rng = random.Random(9191)
+    for _ in range(40):
+        q = random_type_a_quiver(rng.randint(2, 9), rng)
+        snakes += [build_snake(complete_extension(q, list(sup)).celq)
+                   for sup in linear_full_subquivers(q)]
+    assert len(snakes) > 1000
+    for d in snakes:
+        assert enumerate_matchings(d) == _recursive_matchings(d)
+
