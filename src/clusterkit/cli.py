@@ -24,12 +24,20 @@ def _load_quiver(path: str) -> Quiver:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"cannot read quiver file: {exc}") from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return from_json(text)
     return from_text(text)
+
+
+def _write_svg(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidInput(f"cannot write SVG file: {exc}") from exc
 
 
 def _parse_dvector(text: str, n: int) -> tuple[int, ...]:
@@ -112,12 +120,11 @@ def cmd_pipelines(args) -> int:
     a = _parse_dvector(args.dvector, q.n)
     plus, _ = geometry.positive_split(q, a)
     ps = geometry.build_pipelines(q, plus)
+    if args.svg:
+        _write_svg(args.svg, geometry.pipelines_svg(ps))
     for p in ps.pipelines:
         print(json.dumps({"b": list(p.b_vector), "endpoints": list(p.endpoints),
                           "crossings": [list(c) for c in p.crossings]}))
-    if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(geometry.pipelines_svg(ps))
     return 0
 
 
@@ -130,12 +137,11 @@ def cmd_snake(args) -> int:
     comp = complete_extension(q, support)
     d = snake.build_snake(comp.celq)
     matchings = snake.enumerate_matchings(d)
-    gamma = _pick(matchings, args.matching, "--matching") if args.svg and matchings else None
+    if args.svg:
+        gamma = _pick(matchings, args.matching, "--matching") if matchings else None
+        _write_svg(args.svg, snake.snake_svg(d, gamma))
     print(f"tiles: {list(d.tiles)}")
     print(f"matchings: {len(matchings)}")
-    if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(snake.snake_svg(d, gamma))
     return 0
 
 
@@ -148,13 +154,11 @@ def cmd_broken_lines(args) -> int:
     if args.svg:
         chosen = _pick(lines, args.line, "--line")
         plane = _parse_plane(args.plane, len(chosen.endpoint))
+        _write_svg(args.svg, scattering.broken_line_svg(chosen, plane))
     for line in lines:
         print(json.dumps(scattering.line_json(line)))
     theta = scattering.theta_from_broken_lines(q, support, lines=lines, rel=rel)
     print("theta " + rational_string(theta))
-    if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(scattering.broken_line_svg(chosen, plane))
     return 0
 
 

@@ -222,7 +222,7 @@ def cluster_variable(q: Quiver, a) -> LaurentPoly:
     a = tuple(a)
     poly = _walk_to_variable(q, q, a)
     # past the walk, a is minus a unit vector exactly when it holds a -1
-    if -1 not in a and poly.denominator_vector(len(q.unfrozen)) != a:
+    if -1 not in a and poly.denominator_vector(q.n) != a:
         raise NotAClusterVariableDVector(f"mutation walk missed the target {a}")
     return poly
 

@@ -217,11 +217,6 @@ def term_base(q: Quiver, a) -> tuple[int, ...]:
     return tuple(base)
 
 
-def _bare(a, e) -> dict[int, int]:
-    """Term exponents e without the denominator x^-a, keyed by vertex."""
-    return {v: x + a[v - 1] for v, x in enumerate(e, 1)}
-
-
 def _gcs_exponents(q: Quiver, a, s, base) -> list[int]:
     """base plus the witness part of one sequence: over each arrow the head
     contributes its zero count and the tail its one count."""
@@ -231,12 +226,6 @@ def _gcs_exponents(q: Quiver, a, s, base) -> list[int]:
         e[t - 1] += a[h - 1] - ones[h - 1]
         e[h - 1] += ones[t - 1]
     return e
-
-
-def gcs_term_exponents(q: Quiver, a, s) -> dict[int, int]:
-    """Exponent vector of the summand attached to one globally compatible
-    sequence, before the denominator x^-a."""
-    return _bare(a, _gcs_exponents(q, a, s, term_base(q, a)))
 
 
 def gcs_weight(q: Quiver, a, s, base) -> LaurentPoly:
@@ -377,21 +366,10 @@ def _gcc_exponents(gcc: GCCollection, base) -> list[int]:
     return e
 
 
-def gcc_term_exponents(q: Quiver, a, gcc: GCCollection) -> dict[int, int]:
-    return _bare(a, _gcc_exponents(gcc, term_base(q, a)))
-
-
 def gcc_weight(gcc: GCCollection, base) -> LaurentPoly:
     """The Laurent monomial of one globally compatible collection, given
     `term_base(q, a)` of its quiver and vector."""
     return LaurentPoly.monomial(dict(enumerate(_gcc_exponents(gcc, base), 1)))
-
-
-def formula_gcc(q: Quiver, a) -> LaurentPoly:
-    """Cluster monomial as a sum over globally compatible collections."""
-    a = _check_monomial_vector(q, a)
-    base = term_base(q, a)
-    return poly_sum(gcc_weight(gcc, base) for gcc in enumerate_gcc(q, a))
 
 
 # -- bijection between sequences and collections -----------------------------------
@@ -518,12 +496,6 @@ def _linear_gcc_factors(celq: CompletelyExtendedLinearQuiver,
     return ys
 
 
-def linear_gcc_y_products(celq: CompletelyExtendedLinearQuiver,
-                          w: LinearGCC) -> list[LaurentPoly]:
-    """The edge factors y_0..y_n of one witness, over canonical labels."""
-    return [LaurentPoly.monomial(y) for y in _linear_gcc_factors(celq, w)]
-
-
 def linear_gcc_weight(celq: CompletelyExtendedLinearQuiver, w: LinearGCC) -> LaurentPoly:
     """Product of the edge factors of one witness, before dividing by the
     path variables, summed into one exponent map."""
@@ -531,13 +503,6 @@ def linear_gcc_weight(celq: CompletelyExtendedLinearQuiver, w: LinearGCC) -> Lau
     for y in _linear_gcc_factors(celq, w):
         e.update(y)
     return LaurentPoly.monomial(e)
-
-
-def formula_linear_gcc(celq: CompletelyExtendedLinearQuiver) -> LaurentPoly:
-    """Cluster variable with all-ones vector on the path, over canonical
-    labels of the completed quiver."""
-    prefix = LaurentPoly.monomial({i: -1 for i in range(1, celq.n + 1)})
-    return prefix * poly_sum(linear_gcc_weight(celq, w) for w in enumerate_linear_gcc(celq))
 
 
 # -- per-variable sequences on an ambient quiver --------------------------------------
@@ -587,13 +552,3 @@ def variable_gcs_monomial(qtilde: Quiver, linear_vertices, s) -> LaurentPoly:
     for r in bit.keys() | variable_gcs_k_set(qtilde, order):
         expo[r] -= 1
     return LaurentPoly.monomial(expo)
-
-
-def formula_gcs_variable(qtilde: Quiver, linear_vertices) -> LaurentPoly:
-    """Cluster variable indexed by a linear full subquiver, computed on the
-    ambient quiver without any completion."""
-    require_type_a(qtilde)
-    return poly_sum(
-        variable_gcs_monomial(qtilde, linear_vertices, s)
-        for s in enumerate_variable_gcs(qtilde, linear_vertices)
-    )

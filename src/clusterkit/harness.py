@@ -242,14 +242,14 @@ def witness_count(q: Quiver, a, model: str) -> int:
 def list_witnesses(q: Quiver, a, model: str) -> list:
     """JSON-ready witness dump for one (quiver, d-vector, model) triple."""
     spec = _model(q, model)
+    if spec.dump is None:
+        raise InvalidInput(f"model {model!r} has no witness listing")
     plus, _ = geometry.positive_split(q, tuple(a))
     if not spec.per_variable:
         ctx = spec.prepare(q, plus)
         return [spec.dump(ctx, w) for w in spec.witnesses(ctx)]
     out = []
     for b in geometry.decompose(q, plus):
-        if spec.dump is None:
-            raise InvalidInput(f"model {model!r} has no witness listing")
         ctx = spec.prepare(q, b)
         out.append({"factor": list(b),
                     "witnesses": [spec.dump(ctx, w) for w in spec.witnesses(ctx)]})

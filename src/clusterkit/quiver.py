@@ -394,7 +394,6 @@ class CompletionResult:
     base_order: tuple[int, ...]           # ambient vertices of the path, v_1..v_n
     to_ambient: dict[int, int | None]     # canonical label -> ambient vertex (None = invented)
     invented: frozenset[int]              # canonical labels of invented vertices
-    invented_ambient_labels: dict[int, int]  # canonical label -> fresh ambient-style label
 
     def substitution_then_rename(self, poly):
         """Express a polynomial over canonical labels in ambient variables:
@@ -475,12 +474,7 @@ def complete_extension(q: Quiver, linear_vertices) -> CompletionResult:
             raise NotLinearSubquiver(f"too many triangles hang on {order[-1]}")
 
     invented = frozenset(c for c, a in to_ambient.items() if a is None)
-    fresh = {}
-    next_label = q.n + 1
-    for c in sorted(invented):
-        fresh[c] = next_label
-        next_label += 1
-    return CompletionResult(celq, tuple(order), to_ambient, invented, fresh)
+    return CompletionResult(celq, tuple(order), to_ambient, invented)
 
 
 def _complete_three_cycles(q: Quiver) -> tuple[Quiver, tuple[int, ...]]:
@@ -524,14 +518,18 @@ def from_text(text: str) -> Quiver:
     if not m:
         raise InvalidInput(f"bad header line: {lines[0]!r}")
     n = int(m.group(1))
-    frozen = frozenset() if m.group(2) == "none" else frozenset(
-        int(v) for v in m.group(2).split(","))
+    try:
+        frozen = frozenset() if m.group(2) == "none" else frozenset(
+            int(v) for v in m.group(2).split(","))
+    except ValueError:
+        raise InvalidInput(f"bad header line: {lines[0]!r}") from None
     arrows = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise InvalidInput(f"bad arrow line: {ln!r}")
-        arrows.append((int(parts[0]), int(parts[1])))
+        try:
+            t, h = map(int, ln.split())
+        except ValueError:
+            raise InvalidInput(f"bad arrow line: {ln!r}") from None
+        arrows.append((t, h))
     return Quiver(n, tuple(arrows), frozen)
 
 

@@ -32,7 +32,7 @@ from .errors import (
     OddRankWithoutPrincipal,
     PositivityViolation,
 )
-from .formulas import enumerate_variable_gcs, variable_gcs_monomial
+from .formulas import enumerate_variable_gcs
 from .laurent import LaurentPoly, canonical_string, poly_sum
 from .quiver import Quiver, require_path
 
@@ -463,12 +463,6 @@ def theta_from_broken_lines(qtilde: Quiver, linear_vertices,
     if lines is None:
         lines = broken_lines(qtilde, linear_vertices, endpoint, rel=rel)
     return poly_sum(ambient_monomial(line) for line in lines).rename(rel.to_old)
-
-
-def witness_monomial(qtilde: Quiver, linear_vertices, s) -> LaurentPoly:
-    """Per-witness monomial in ambient variables (for termwise comparisons):
-    the gcs-variable weight of the marking, bits in path order."""
-    return variable_gcs_monomial(qtilde, linear_vertices, s)
 
 
 def broken_line_svg(line: BrokenLine, plane: tuple[int, int]) -> str:

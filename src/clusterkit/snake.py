@@ -18,8 +18,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InvalidInput, NotInitialTriangulation
-from .geometry import Triangulation, triangulation_of
-from .laurent import LaurentPoly, poly_sum
+from .geometry import Triangulation
+from .laurent import LaurentPoly
 from .formulas import LinearGCC
 from .quiver import CompletelyExtendedLinearQuiver
 
@@ -178,14 +178,6 @@ def matching_weight(gamma) -> LaurentPoly:
     return LaurentPoly.monomial(Counter(label_variable(lbl) for lbl in gamma))
 
 
-def matching_model_variable(celq: CompletelyExtendedLinearQuiver) -> LaurentPoly:
-    """Cluster variable with all-ones vector on the path, as the weighted
-    matching sum over canonical labels."""
-    d = build_snake(celq)
-    prefix = LaurentPoly.monomial({i: -1 for i in range(1, celq.n + 1)})
-    return poly_sum(prefix * matching_weight(g) for g in enumerate_matchings(d))
-
-
 # -- matchings <-> path-quiver witnesses ------------------------------------------
 
 
@@ -308,11 +300,6 @@ def triangulation_tpaths(t: Triangulation, celq: CompletelyExtendedLinearQuiver)
 
     rec(t.vpoint, [], set(), 0)
     return sorted(out, key=lambda p: p.labels)
-
-
-def tpath_model_variable(celq: CompletelyExtendedLinearQuiver) -> LaurentPoly:
-    t = triangulation_of(celq)
-    return poly_sum(p.value() for p in triangulation_tpaths(t, celq))
 
 
 # -- folding between matchings and complete T-paths ---------------------------------

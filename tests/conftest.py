@@ -1,5 +1,6 @@
 import pytest
 
+from clusterkit.harness import expand_model
 from clusterkit.quiver import Quiver
 
 
@@ -15,6 +16,13 @@ def a2() -> Quiver:
 
 def path_quiver(n: int) -> Quiver:
     return Quiver(n, tuple((i, i + 1) for i in range(1, n)))
+
+
+def whole_path_value(celq, model: str):
+    """The cluster variable of the whole path of a completed quiver, by one
+    model of the table; the completion is labelled canonically, so the value
+    is over its canonical labels."""
+    return expand_model(celq.quiver(), (1,) * celq.n + (0,) * (celq.n + 3), model)
 
 
 @pytest.fixture

@@ -73,7 +73,7 @@ def test_criterion_1_three_cycle_monomial():
             oracle_parts.append(comp.substitution_then_rename(lifted))
         assert poly_product(oracle_parts) == expected
         assert formulas.formula_gcs(q, a) == expected
-        assert formulas.formula_gcc(q, a) == expected
+        assert harness.expand_model(q, a, "gcc") == expected
         assert harness.expand_model(q, a, "linear-gcc") == expected
         assert sum(1 for _ in formulas.enumerate_gcs(q, a)) == 27
         assert sum(1 for _ in formulas.enumerate_gcc(q, a)) == 27
@@ -198,8 +198,7 @@ def test_criterion_6_bijection_suites():
                 for w in witnesses:
                     gamma = snake.psi_gcc_to_matching(d, w)
                     assert snake.psi_matching_to_gcc(d, gamma) == w
-                    ys = poly_product(formulas.linear_gcc_y_products(celq, w))
-                    assert ys == snake.matching_weight(gamma)
+                    assert formulas.linear_gcc_weight(celq, w) == snake.matching_weight(gamma)
                 if n > 5:
                     continue
                 t = geometry.triangulation_of(celq)
@@ -219,12 +218,12 @@ def test_criterion_6_bijection_suites():
         cases.append((q11, (1, 1, 1, 1) + (0,) * 7))
         for q, a in cases:
             gcc_list = list(formulas.enumerate_gcc(q, a))
+            base = formulas.term_base(q, a)
             for s in formulas.enumerate_gcs(q, a):
                 g = formulas.gcs_to_gcc(q, a, s)
                 assert g in gcc_list
                 assert formulas.gcc_to_gcs(q, a, g) == s
-                assert formulas.gcs_term_exponents(q, a, s) == \
-                    formulas.gcc_term_exponents(q, a, g)
+                assert formulas.gcs_weight(q, a, s, base) == formulas.gcc_weight(g, base)
 
 
 def test_criterion_7_dvector_parametrization():

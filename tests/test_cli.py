@@ -237,6 +237,42 @@ def test_missing_quiver_file(capsys):
     assert json.loads(err)["code"] == "InvalidInput"
 
 
+def test_mutation_expands_on_a_quiver_with_a_frozen_vertex(tmp_path, capsys):
+    path = tmp_path / "frozen.txt"
+    path.write_text("n 3 frozen 3\n1 2\n2 3\n")
+    for model in ("mutation", "gcs", "matching", "tpath", "broken-line"):
+        code, out, err = run(capsys, "expand", "--quiver", str(path), "--model", model,
+                             "--dvector", "1,0,0")
+        assert (code, out, err) == (0, "(1 + x2)/(x1)\n", "")
+
+
+_A3_TEXT = b"n 3 frozen none\n1 2\n2 3\n"
+
+
+@pytest.mark.parametrize("quiver, argv, message", [
+    (b"n 3 frozen a\n1 2\n", ("expand", "--dvector", "1,0,0"), "'n 3 frozen a'"),
+    (b"n 3 frozen 1,,2\n1 2\n", ("expand", "--dvector", "1,0,0"), "'n 3 frozen 1,,2'"),
+    (b"n 3 frozen none\n1 x\n", ("expand", "--dvector", "1,0,0"), "'1 x'"),
+    (_A3_TEXT + b"\xff\xfe\n", ("expand", "--dvector", "1,0,0"), "cannot read quiver file"),
+    (_A3_TEXT, ("pipelines", "--dvector", "1,1,0", "--svg", "{bad}"), "cannot write SVG"),
+    (_A3_TEXT, ("snake", "--dvector", "1,1,0", "--svg", "{bad}"), "cannot write SVG"),
+    (_A3_TEXT, ("broken-lines", "--subquiver", "1,2", "--svg", "{bad}"), "cannot write SVG"),
+], ids=["frozen-token", "empty-frozen-entry", "arrow-token", "not-utf8",
+        "pipelines-svg", "snake-svg", "broken-lines-svg"])
+def test_file_errors_are_invalid_input(tmp_path, capsys, quiver, argv, message):
+    """Malformed or undecodable quiver files and unwritable SVG paths end in
+    the error envelope with exit 2, never in a traceback."""
+    path = tmp_path / "q.txt"
+    path.write_bytes(quiver)
+    bad = str(tmp_path / "no-such-dir" / "out.svg")
+    code, out, err = run(capsys, argv[0], "--quiver", str(path),
+                         *(arg.format(bad=bad) for arg in argv[1:]))
+    assert code == 2 and out == ""
+    envelope = json.loads(err)
+    assert envelope["code"] == "InvalidInput" and message in envelope["message"]
+    assert "Traceback" not in err
+
+
 def test_crosscheck_json_timings(three_cycle_file, capsys):
     argv = ("crosscheck", "--quiver", three_cycle_file, "--format", "json",
             "--models", "mutation,gcs")

@@ -22,6 +22,7 @@ from clusterkit.engine import (
 from clusterkit.errors import (
     DisconnectedQuiver,
     ExplosionGuard,
+    FrozenVertex,
     InexactDivision,
     InvalidInput,
     NotAClusterVariableDVector,
@@ -30,7 +31,7 @@ from clusterkit.errors import (
     NotLinearSubquiver,
     NotTypeA,
 )
-from clusterkit.harness import crosscheck, random_type_a_quiver
+from clusterkit.harness import MODELS, crosscheck, expand_model, random_type_a_quiver
 from clusterkit.laurent import LaurentPoly, mono
 from clusterkit.quiver import Quiver, exchange_matrix, linear_full_subquivers
 from conftest import path_quiver
@@ -227,6 +228,28 @@ def test_malformed_dvectors_keep_their_exception_classes(q, a, sequence_error,
     for oracle in (cluster_variable, principal_lift):
         with pytest.raises(variable_error):
             oracle(q, a)
+
+
+def test_mutation_agrees_with_every_model_on_quivers_with_frozen_vertices():
+    """The d-vector check compares all n coordinates, frozen ones included
+    (they are 0 in any valid target); a support through a frozen vertex
+    cannot be reached by mutation."""
+    rng = random.Random(8)
+    checked = 0
+    for _ in range(40):
+        q0 = random_type_a_quiver(rng.randint(2, 7), rng)
+        frozen = frozenset(v for v in q0.vertices if rng.random() < 0.3)
+        q = Quiver(q0.n, q0.arrows, frozen)
+        for support in linear_full_subquivers(q):
+            b = tuple(int(v in support) for v in q.vertices)
+            if frozen & set(support):
+                with pytest.raises(FrozenVertex):
+                    cluster_variable(q, b)
+                continue
+            want = expand_model(q, b, "gcs")
+            assert all(expand_model(q, b, m) == want for m in MODELS), (q, b)
+            checked += 1
+    assert checked > 200
 
 
 def test_mutation_builds_no_pipelines(monkeypatch):

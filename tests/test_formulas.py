@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from clusterkit.engine import cluster_variable, enumerate_cluster_variables
+from clusterkit.engine import cluster_variable
 from clusterkit.errors import AssumptionViolated, NotInW, Unreachable
 from clusterkit.formulas import (
     base_vertex_distance,
@@ -12,17 +12,12 @@ from clusterkit.formulas import (
     enumerate_gcs,
     enumerate_linear_gcc,
     enumerate_variable_gcs,
-    formula_gcc,
     formula_gcs,
-    formula_gcs_variable,
-    formula_linear_gcc,
-    gcc_term_exponents,
     gcc_to_gcs,
     gcc_weight,
-    gcs_term_exponents,
     gcs_to_gcc,
     gcs_weight,
-    linear_gcc_y_products,
+    linear_gcc_weight,
     maximal_dyck_path,
     term_base,
     variable_gcs_k_set,
@@ -41,6 +36,7 @@ from clusterkit.quiver import (
     oriented_three_cycles,
     three_cycle_completion,
 )
+from conftest import whole_path_value
 
 x = LaurentPoly.variable
 
@@ -114,10 +110,11 @@ def test_maximal_dyck_path_labels():
 def test_enumerate_gcc_three_cycle(three_cycle):
     gccs = list(enumerate_gcc(three_cycle, (2, 2, 2)))
     assert len(gccs) == 27
-    assert formula_gcc(three_cycle, (2, 2, 2)) == cube_over_squares()
+    assert expand_model(three_cycle, (2, 2, 2), "gcc") == cube_over_squares()
     # some collection's bare product (before the global denominator) is x1^2*x2
-    target = {1: 2, 2: 1, 3: 0}
-    terms = [gcc_term_exponents(three_cycle, (2, 2, 2), g) for g in gccs]
+    target = LaurentPoly.monomial({1: 2, 2: 1}) * LaurentPoly.monomial({1: -2, 2: -2, 3: -2})
+    base = term_base(three_cycle, (2, 2, 2))
+    terms = [gcc_weight(g, base) for g in gccs]
     assert target in terms
 
 
@@ -128,6 +125,7 @@ def test_gcc_gcs_bijection_round_trip(three_cycle, eleven_complete):
         gcs_list = list(enumerate_gcs(q, a))
         gcc_list = list(enumerate_gcc(q, a))
         assert len(gcs_list) == len(gcc_list)
+        base = term_base(q, a)
         seen = set()
         for s in gcs_list:
             g = gcs_to_gcc(q, a, s)
@@ -135,9 +133,7 @@ def test_gcc_gcs_bijection_round_trip(three_cycle, eleven_complete):
             assert gcc_to_gcs(q, a, g) == s
             seen.add(g)
             # the translation preserves the per-witness exponent vector
-            es = gcs_term_exponents(q, a, s)
-            eg = gcc_term_exponents(q, a, g)
-            assert es == eg
+            assert gcs_weight(q, a, s, base) == gcc_weight(g, base)
         assert len(seen) == len(gcc_list)
 
 
@@ -157,7 +153,7 @@ def test_formula_linear_gcc_two_vertex():
     # completed 2-vertex path: the three witnesses give x2*s0*e0, x1*s1*e1,
     # mid*s1*e0, matching the collection-to-matching weight table
     celq = CompletelyExtendedLinearQuiver(LinearQuiver(2, (0,)))
-    ys = {tuple(sorted(poly_product(linear_gcc_y_products(celq, w)).terms))
+    ys = {tuple(sorted(linear_gcc_weight(celq, w).terms))
           for w in enumerate_linear_gcc(celq)}
     expected = {
         tuple(sorted(LaurentPoly.monomial({2: 1, celq.start0: 1, celq.end0: 1}).terms)),
@@ -166,7 +162,7 @@ def test_formula_linear_gcc_two_vertex():
             {celq.mid(1): 1, celq.start1: 1, celq.end0: 1}).terms)),
     }
     assert ys == expected
-    value = formula_linear_gcc(celq)
+    value = whole_path_value(celq, "linear-gcc")
     subs = value.substitute_one(
         {celq.start0, celq.start1, celq.end0, celq.end1}).rename({celq.mid(1): 3})
     assert subs == (x(1) + x(2) + x(3)) * LaurentPoly.monomial({1: -1, 2: -1})
@@ -189,7 +185,7 @@ def test_variable_gcs_table_entry(seven_table):
     markings = list(enumerate_variable_gcs(seven_table, [1, 2, 3]))
     assert sorted(markings) == [(0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 1, 0), (1, 1, 1)]
     assert variable_gcs_k_set(seven_table, [1, 2, 3]) == {5, 6}
-    value = formula_gcs_variable(seven_table, [1, 2, 3])
+    value = expand_model(seven_table, (1, 1, 1, 0, 0, 0, 0), "gcs-variable")
     num = [
         {5: 1, 6: 1}, {2: 1, 4: 1, 5: 1}, {2: 1, 6: 1}, {2: 2, 4: 1}, {1: 1, 3: 1},
     ]
@@ -207,7 +203,7 @@ def test_variable_gcs_five_markings(four_with_triangle):
 
 
 def test_formula_gcs_variable_singleton(seven_table):
-    value = formula_gcs_variable(seven_table, [1])
+    value = expand_model(seven_table, (1, 0, 0, 0, 0, 0, 0), "gcs-variable")
     assert value == (x(2) + x(5)) * LaurentPoly.variable(1, -1)
 
 
@@ -217,8 +213,8 @@ def test_gcc_multiplicative_over_decomposition(three_cycle, seven_mixed):
     for q, a in cases:
         q2, added = three_cycle_completion(q)
         a2 = a + (0,) * (q2.n - q.n)
-        whole = formula_gcc(q2, a2)
-        parts = [formula_gcc(q2, b + (0,) * (q2.n - q.n))
+        whole = expand_model(q2, a2, "gcc")
+        parts = [expand_model(q2, b + (0,) * (q2.n - q.n), "gcc")
                  for b in decompose(q, a)]
         assert poly_product(parts) == whole
 
@@ -243,9 +239,9 @@ def test_formula_gcs_variable_matches_completion_route():
         q = random_type_a_quiver(rng.randint(2, 6), rng)
         for sup in linear_full_subquivers(q):
             b = tuple(1 if v + 1 in set(sup) else 0 for v in range(q.n))
-            direct = formula_gcs_variable(q, list(sup))
+            direct = expand_model(q, b, "gcs-variable")
             comp = complete_extension(q, list(sup))
-            routed = comp.substitution_then_rename(formula_linear_gcc(comp.celq))
+            routed = comp.substitution_then_rename(whole_path_value(comp.celq, "linear-gcc"))
             assert direct == routed == cluster_variable(q, b)
 
 
@@ -293,12 +289,12 @@ def test_hoisted_base_matches_per_witness_exponents():
                 old = _exponents_without_base(q2, a, [
                     pair for (t, h) in q2.arrows
                     for pair in ((t, a[h - 1] - sum(s[h - 1])), (h, sum(s[t - 1])))])
-                assert gcs_term_exponents(q2, a, s) == old
-                assert gcs_weight(q2, a, s, base) == \
-                    LaurentPoly.monomial({v: old[v] - a[v - 1] for v in q2.vertices})
+                want = LaurentPoly.monomial({v: old[v] - a[v - 1] for v in q2.vertices})
+                assert gcs_weight(q2, a, s, term_base(q2, a)) == want
+                assert gcs_weight(q2, a, s, base) == want
             for g in enumerate_gcc(q2, a):
                 old = _exponents_without_base(q2, a, [
                     pair for ((i, j), s1, s2) in g.chosen for pair in ((i, len(s2)), (j, len(s1)))])
-                assert gcc_term_exponents(q2, a, g) == old
-                assert gcc_weight(g, base) == \
-                    LaurentPoly.monomial({v: old[v] - a[v - 1] for v in q2.vertices})
+                want = LaurentPoly.monomial({v: old[v] - a[v - 1] for v in q2.vertices})
+                assert gcc_weight(g, term_base(q2, a)) == want
+                assert gcc_weight(g, base) == want

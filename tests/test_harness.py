@@ -89,6 +89,12 @@ def test_witness_listings_have_matching_sizes(seven_table):
         list_witnesses(seven_table, a, "mutation")
 
 
+@pytest.mark.parametrize("a", [(0, 0, 0), (-1, 0, 0), (1, 0, 0), (1, 1, 0)])
+def test_mutation_has_no_witness_listing_for_any_dvector(three_cycle, a):
+    with pytest.raises(InvalidInput, match="no witness listing"):
+        list_witnesses(three_cycle, a, "mutation")
+
+
 def test_crosscheck_box_includes_monomials(three_cycle):
     report = crosscheck(three_cycle, models=("mutation", "gcs"), box=2)
     dvectors = {r.dvector for r in report.rows}

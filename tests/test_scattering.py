@@ -13,11 +13,14 @@ from clusterkit.errors import (
     OddRankWithoutPrincipal,
     PositivityViolation,
 )
-from clusterkit.formulas import enumerate_variable_gcs, variable_gcs_k_set
+from clusterkit.formulas import (
+    enumerate_variable_gcs,
+    variable_gcs_k_set,
+    variable_gcs_monomial,
+)
 from clusterkit.harness import random_type_a_quiver, witness_count
-from clusterkit.laurent import LaurentPoly, poly_sum
+from clusterkit.laurent import LaurentPoly
 from clusterkit.quiver import (
-    Quiver,
     exchange_matrix,
     linear_full_subquivers,
     oriented_three_cycles,
@@ -36,7 +39,6 @@ from clusterkit.scattering import (
     theta_from_broken_lines,
     validate_endpoint,
     w_sequence,
-    witness_monomial,
 )
 from conftest import path_quiver
 
@@ -183,7 +185,7 @@ def test_theta_termwise_matches_witness_monomials():
                 mono = line.final_monomial()
                 if line.principal:
                     mono = mono.substitute_one(range(npr + 1, 2 * npr + 1))
-                assert mono.rename(rel.to_old) == witness_monomial(q, list(sup), line.s)
+                assert mono.rename(rel.to_old) == variable_gcs_monomial(q, list(sup), line.s)
 
 
 def test_single_vertex_theta():

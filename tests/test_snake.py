@@ -3,14 +3,10 @@ from itertools import product
 
 from clusterkit.engine import enumerate_cluster_variables
 from clusterkit.errors import InvalidInput
-from clusterkit.formulas import (
-    enumerate_linear_gcc,
-    formula_linear_gcc,
-    linear_gcc_y_products,
-)
+from clusterkit.formulas import enumerate_linear_gcc, linear_gcc_weight
 from clusterkit.geometry import triangulation_of
 from clusterkit.harness import random_type_a_quiver
-from clusterkit.laurent import LaurentPoly, poly_product, poly_sum
+from clusterkit.laurent import LaurentPoly
 from clusterkit.quiver import (
     CompletelyExtendedLinearQuiver,
     LinearQuiver,
@@ -24,16 +20,15 @@ from clusterkit.snake import (
     complete_path,
     enumerate_matchings,
     fold,
-    matching_model_variable,
     matching_weight,
     psi_gcc_to_matching,
     psi_matching_to_gcc,
     reduce_path,
     snake_svg,
-    tpath_model_variable,
     triangulation_tpaths,
     unfold,
 )
+from conftest import whole_path_value
 
 
 def celq_of(delta) -> CompletelyExtendedLinearQuiver:
@@ -102,8 +97,7 @@ def test_psi_round_trips_and_weights():
             w = psi_matching_to_gcc(d, gamma)
             assert psi_gcc_to_matching(d, w) == gamma
             # edge factors equal the matched edge weights, term by term
-            ys = linear_gcc_y_products(celq, w)
-            assert poly_product(ys) == matching_weight(gamma)
+            assert linear_gcc_weight(celq, w) == matching_weight(gamma)
         for w in witnesses:
             gamma = psi_gcc_to_matching(d, w)
             assert psi_matching_to_gcc(d, gamma) == w
@@ -111,7 +105,7 @@ def test_psi_round_trips_and_weights():
 
 def test_matching_formula_equals_linear_gcc():
     for celq in all_celqs(7):
-        assert matching_model_variable(celq) == formula_linear_gcc(celq)
+        assert whole_path_value(celq, "matching") == whole_path_value(celq, "linear-gcc")
 
 
 def test_tpath_conditions_and_counts():
@@ -129,14 +123,14 @@ def test_tpath_conditions_and_counts():
 
 def test_tpath_formula_equality():
     for celq in all_celqs(7):
-        assert tpath_model_variable(celq) == formula_linear_gcc(celq)
+        assert whole_path_value(celq, "tpath") == whole_path_value(celq, "linear-gcc")
 
 
 def test_models_match_oracle_on_completed_quiver():
     for celq in all_celqs(5):
         q = celq.quiver()
         table = enumerate_cluster_variables(q)
-        assert table[(1,) * celq.n] == matching_model_variable(celq)
+        assert table[(1,) * celq.n] == whole_path_value(celq, "matching")
 
 
 def test_tpath_figure_example():
