@@ -160,12 +160,12 @@ def enumerate_cluster_variables(
 ) -> dict[tuple[int, ...], LaurentPoly]:
     """Every cluster variable keyed by its denominator vector (in the
     unfrozen initial variables; initial variables get minus a unit vector)."""
-    nuf = len(q.unfrozen)
+    unfrozen = q.unfrozen
     out: dict[tuple[int, ...], LaurentPoly] = {}
     for s in enumerate_seeds(q, max_seeds):
         for v in s.quiver.unfrozen:
             poly = s.entry(v)
-            key = poly.denominator_vector(nuf)
+            key = tuple(-poly.min_exponent(u) for u in unfrozen)
             if key not in out:
                 out[key] = poly
             elif out[key] != poly:
@@ -206,13 +206,28 @@ def variable_mutation_sequence(q: Quiver, a) -> list[int]:
 def _walk_to_variable(start: Quiver, q: Quiver, a: tuple) -> LaurentPoly:
     """The initial variable for minus a unit vector; otherwise the entry left
     at the last vertex by mutating, from the start quiver (q or its principal
-    extension), along the variable's mutation sequence in q."""
+    extension), along the variable's mutation sequence in q.
+
+    The walk runs on the full subquiver of the start quiver spanned by the
+    path and its neighbours, relabelled 1..k in vertex order, with the
+    initial variables under their own labels.  That is exact: a flip at v
+    changes arrows only among v and its neighbours, so by induction no path
+    vertex ever gains a neighbour outside that set, and every exchange reads
+    only entries inside it."""
     if len(a) == q.n and a.count(-1) == 1 and a.count(0) == q.n - 1:
         return LaurentPoly.variable(a.index(-1) + 1)
     if any(x not in (0, 1) for x in a):
         raise NotAClusterVariableDVector(f"{a} is not a variable denominator vector")
     seq = variable_mutation_sequence(q, a)
-    return mutate_seed_sequence(initial_seed(start), seq).entry(seq[-1])
+    frozen = [v for v in seq if v in start.frozen]
+    if frozen:
+        raise FrozenVertex(f"cannot mutate frozen vertex {frozen[0]}")
+    outs, _, nbr = start._adjacency
+    local = sorted(set(seq).union(*(nbr[v] for v in seq)))
+    pos = {v: k for k, v in enumerate(local, 1)}
+    arrows = tuple((pos[t], pos[h]) for t in local for h in outs[t] if h in pos)
+    seed = Seed(Quiver(len(local), arrows), tuple(LaurentPoly.variable(v) for v in local))
+    return mutate_seed_sequence(seed, [pos[v] for v in seq]).entry(pos[seq[-1]])
 
 
 def cluster_variable(q: Quiver, a) -> LaurentPoly:
@@ -221,8 +236,10 @@ def cluster_variable(q: Quiver, a) -> LaurentPoly:
     sequence along the realizing arc."""
     a = tuple(a)
     poly = _walk_to_variable(q, q, a)
-    # past the walk, a is minus a unit vector exactly when it holds a -1
-    if -1 not in a and poly.denominator_vector(q.n) != a:
+    # past the walk, a is minus a unit vector exactly when it holds a -1; the
+    # d-vector is 0 off the support of poly, and a is 0-1 there
+    d = {v: -poly.min_exponent(v) for v in poly.support()}
+    if -1 not in a and (any(a[v - 1] != x for v, x in d.items()) or sum(a) != sum(d.values())):
         raise NotAClusterVariableDVector(f"mutation walk missed the target {a}")
     return poly
 
@@ -231,8 +248,8 @@ def principal_lift(q: Quiver, a) -> LaurentPoly:
     """The corresponding cluster variable with principal coefficients (over
     2n variables; setting the top n to 1 recovers the plain variable)."""
     a = tuple(a)
-    poly = _walk_to_variable(principal_quiver(q), q, a)
-    check = poly.substitute_one(range(q.n + 1, 2 * q.n + 1))
+    poly = _walk_to_variable(q._principal, q, a)
+    check = poly.substitute_one([v for v in poly.support() if v > q.n])
     if check != cluster_variable(q, a):
         raise NotAClusterVariableDVector("principal lift does not specialize correctly")
     return poly

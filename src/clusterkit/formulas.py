@@ -17,7 +17,9 @@ so the search is near linear per witness.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, defaultdict, deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 import logging
 
@@ -42,18 +44,13 @@ log = logging.getLogger(__name__)
 # -- assumptions and distances -------------------------------------------------
 
 
-def three_cycle_cover(q: Quiver) -> dict[tuple[int, int], tuple[int, int, int]]:
+def three_cycle_cover(q: Quiver) -> Mapping[tuple[int, int], tuple[int, int, int]]:
     """Map every arrow to its oriented triangle (as the rotation starting at
     the arrow); raises if some arrow lies in none."""
-    cycles = oriented_three_cycles(q)
-    cover: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for (i, j, k) in cycles:
-        cover[(i, j)] = (i, j, k)
-        cover[(j, k)] = (j, k, i)
-        cover[(k, i)] = (k, i, j)
-    for a in q.arrows:
-        if a not in cover:
-            raise AssumptionViolated(f"arrow {a} lies in no oriented triangle")
+    cover = q._cover
+    if len(cover) < len(q._arrow_set):
+        a = next(a for a in q.arrows if a not in cover)
+        raise AssumptionViolated(f"arrow {a} lies in no oriented triangle")
     return cover
 
 
@@ -98,6 +95,43 @@ def _gateway_labels(cycle, dist) -> tuple[int, int, int]:
         raise AssumptionViolated(
             f"triangle {cycle} has non-distinct distances {[dist[v] for v in cycle]}")
     return g, p, qq
+
+
+def gateway_rotations(q: Quiver, dist) -> dict[tuple[int, int], tuple[int, int, int]]:
+    """The gateway rotation of every oriented triangle, keyed by its first
+    arrow; raises unless every triangle has distinct distances."""
+    out = {}
+    for cycle in oriented_three_cycles(q):
+        g, p, qq = _gateway_labels(cycle, dist)
+        out[(g, p)] = (g, p, qq)
+    return out
+
+
+def _gateways(q: Quiver, i0: int | None):
+    """Gateway rotations from i0, or from the default base vertex, which
+    are labelled once per quiver."""
+    return q._base_gateways if i0 is None else gateway_rotations(q, base_vertex_distance(q, i0))
+
+
+def _support(a) -> list[int]:
+    return [v for v, x in enumerate(a, 1) if x]
+
+
+def _overlaps(q: Quiver, a, support) -> dict[tuple[int, int], int]:
+    """sigma(a_i, a_j, a_k) for every arrow (i, j) of an oriented triangle
+    (i, j, k) that touches the support, three sigmas per triangle.  Every
+    other arrow has overlap 0: its triangle's entries are all 0."""
+    cover, outs = q._cover, q._adjacency[0]
+    ov: dict[tuple[int, int], int] = {}
+    for v in support:
+        for h in outs[v]:
+            if (v, h) in cover and (v, h) not in ov:
+                i, j, k = cover[(v, h)]
+                x, y, z = a[i - 1], a[j - 1], a[k - 1]
+                ov[(i, j)] = sigma_int(x, y, z)
+                ov[(j, k)] = sigma_int(y, z, x)
+                ov[(k, i)] = sigma_int(z, x, y)
+    return ov
 
 
 # -- binary constraint solver ---------------------------------------------------
@@ -150,30 +184,6 @@ def _enumerate_closed_assignments(nbits: int, implications):
 # -- globally compatible sequences ----------------------------------------------
 
 
-def _gcs_bits(q: Quiver, a):
-    index: dict[tuple[int, int], int] = {}
-    for v in q.vertices:
-        for r in range(1, a[v - 1] + 1):
-            index[(v, r)] = len(index)
-    return index
-
-
-def _gcs_implications(q: Quiver, a, dist) -> list[tuple[int, int]]:
-    index = _gcs_bits(q, a)
-    bit = lambda v, r: index[(v, r)]
-    imps = []
-    for cycle in oriented_three_cycles(q):
-        g, p, qq = _gateway_labels(cycle, dist)
-        ag, ap, aq = a[g - 1], a[p - 1], a[qq - 1]
-        for t in range(1, sigma_int(ag, ap, aq) + 1):
-            imps.append((bit(g, t), bit(p, t)))
-        for t in range(1, sigma_int(ap, aq, ag) + 1):
-            imps.append((bit(p, ap + 1 - t), bit(qq, t)))
-        for t in range(1, sigma_int(aq, ag, ap) + 1):
-            imps.append((bit(qq, aq + 1 - t), bit(g, ag + 1 - t)))
-    return imps
-
-
 def _check_monomial_vector(q: Quiver, a) -> tuple[int, ...]:
     a = tuple(a)
     if len(a) != q.n:
@@ -188,50 +198,68 @@ def _check_monomial_vector(q: Quiver, a) -> tuple[int, ...]:
 def enumerate_gcs(q: Quiver, a, i0: int | None = None):
     """All globally compatible sequences for the vector a, as tuples of 0-1
     tuples (one per vertex), in lexicographic order of the concatenated
-    bits."""
+    bits.  Only the triangles touching the support of a constrain a bit."""
     a = _check_monomial_vector(q, a)
     require_type_a(q)
     three_cycle_cover(q)
-    if i0 is None:
-        _, dist = choose_base_vertex(q) if q.arrows else (1, {v: 0 for v in q.vertices})
-    else:
-        dist = base_vertex_distance(q, i0)
-    nbits = sum(a)
-    for bits in _enumerate_closed_assignments(nbits, _gcs_implications(q, a, dist)):
-        out = []
-        pos = 0
-        for v in q.vertices:
-            out.append(tuple(bits[pos: pos + a[v - 1]]))
-            pos += a[v - 1]
+    gateways = _gateways(q, i0)
+    support = _support(a)
+    ov = _overlaps(q, a, support)
+    first, nbits = {}, 0  # index of each support vertex's first bit
+    for v in support:
+        first[v] = nbits
+        nbits += a[v - 1]
+    bit = lambda v, r: first[v] + r - 1
+    imps = []
+    for e in ov:
+        if e not in gateways:
+            continue
+        g, p, qq = gateways[e]
+        ag, ap, aq = a[g - 1], a[p - 1], a[qq - 1]
+        for t in range(1, ov[(g, p)] + 1):
+            imps.append((bit(g, t), bit(p, t)))
+        for t in range(1, ov[(p, qq)] + 1):
+            imps.append((bit(p, ap + 1 - t), bit(qq, t)))
+        for t in range(1, ov[(qq, g)] + 1):
+            imps.append((bit(qq, aq + 1 - t), bit(g, ag + 1 - t)))
+    for bits in _enumerate_closed_assignments(nbits, imps):
+        out = [()] * q.n
+        for v in support:
+            out[v - 1] = bits[first[v]: first[v] + a[v - 1]]
         yield tuple(out)
 
 
-def term_base(q: Quiver, a) -> tuple[int, ...]:
-    """The part of every gcs or gcc term fixed by (q, a), indexed by v - 1:
-    the denominator exponent -a_v minus one overlap count sigma per rotation
-    of an oriented triangle starting at v."""
-    base = [-x for x in a]
-    for (i, j, k) in oriented_three_cycles(q):
-        for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-            base[x - 1] -= sigma_int(a[y - 1], a[z - 1], a[x - 1])
-    return tuple(base)
-
-
-def _gcs_exponents(q: Quiver, a, s, base) -> list[int]:
-    """base plus the witness part of one sequence: over each arrow the head
-    contributes its zero count and the tail its one count."""
-    e = list(base)
-    ones = [sum(bits) for bits in s]
-    for (t, h) in q.arrows:
-        e[t - 1] += a[h - 1] - ones[h - 1]
-        e[h - 1] += ones[t - 1]
-    return e
+def term_base(q: Quiver, a) -> dict[int, int]:
+    """The part of every gcs or gcc term fixed by (q, a): the denominator
+    exponent -a_v minus one overlap count sigma per rotation of an oriented
+    triangle starting at v.  It maps the support of a and every vertex of a
+    triangle touching it (on a completed quiver, all their neighbours); no
+    other vertex can have a nonzero exponent in a term."""
+    a = tuple(a)
+    support = _support(a)
+    base = {v: -a[v - 1] for v in support}
+    for e, s in _overlaps(q, a, support).items():
+        k = q._cover[e][2]
+        base[k] = base.get(k, 0) - s
+    return base
 
 
 def gcs_weight(q: Quiver, a, s, base) -> LaurentPoly:
     """The Laurent monomial of one globally compatible sequence, given
-    `term_base(q, a)`."""
-    return LaurentPoly.monomial(dict(enumerate(_gcs_exponents(q, a, s, base), 1)))
+    `term_base(q, a)`: base plus, over each arrow, the head's zero count on
+    the tail and the tail's one count on the head.  Only arrows at the
+    support add anything."""
+    e = dict(base)
+    outs, ins, _ = q._adjacency
+    for v in base:
+        k = a[v - 1]
+        if k:
+            ones = sum(s[v - 1])
+            for h in outs[v]:
+                e[h] = e.get(h, 0) + ones
+            for t in ins[v]:
+                e[t] = e.get(t, 0) + k - ones
+    return LaurentPoly.monomial(e)
 
 
 def formula_gcs(q: Quiver, a, i0: int | None = None) -> LaurentPoly:
@@ -298,78 +326,82 @@ class GCCollection:
         raise KeyError(arrow)
 
 
-def _gcc_structures(q: Quiver, a):
-    cover = three_cycle_cover(q)
-    arrows = sorted(set(q.arrows))
-    index: dict[tuple[tuple[int, int], int], int] = {}
-    for e in arrows:
-        i, _ = e
-        for r in range(1, a[i - 1] + 1):
-            index[(e, r)] = len(index)
-
-    def next_arrow(e):
-        i, j, k = cover[e]
-        return (j, k)
-
-    def s2_source(e, r):
-        """Free bit whose negation gives the r-th vertical of arrow e."""
-        i, j, _ = cover[e]
-        return index[(next_arrow(e), a[j - 1] + 1 - r)]
-
-    imps = []
-    # corner compatibility: a chosen horizontal forbids the matching vertical
-    for e in arrows:
-        i, j, k = cover[e]
-        for r in range(1, sigma_int(a[i - 1], a[j - 1], a[k - 1]) + 1):
-            imps.append((index[(e, r)], s2_source(e, r)))
-    # matching across distinct triangles sharing a vertex
-    arrow_set = set(arrows)
-    for (k, i) in arrows:
-        for j in q.arrows_out(i):
-            if (j, k) in arrow_set:
-                continue  # same triangle, already the defining rule
-            for r in range(1, a[i - 1] + 1):
-                x = s2_source((k, i), r)      # 1 - x = vertical bit r
-                y = index[((i, j), r)]        # horizontal bit r
-                # requirement: vertical r chosen iff horizontal r not chosen
-                imps.append((x, y))
-                imps.append((y, x))
-    return arrows, index, cover, imps, s2_source
+def _empty_collection(q: Quiver):
+    """Every distinct arrow in sorted order with two empty sets, and each
+    arrow's position in that tuple."""
+    arrows = sorted(q._arrow_set)
+    none = frozenset()
+    return tuple((e, none, none) for e in arrows), {e: k for k, e in enumerate(arrows)}
 
 
 def enumerate_gcc(q: Quiver, a):
-    """All globally compatible collections for the vector a."""
+    """All globally compatible collections for the vector a.  Only arrows
+    meeting the support of a carry bits or labels; each collection fills
+    them in on the quiver's empty collection."""
     a = _check_monomial_vector(q, a)
     require_type_a(q)
     if q.n == 1:
         raise AssumptionViolated("collections need at least two vertices")
-    arrows, index, cover, imps, s2_source = _gcc_structures(q, a)
-    nbits = len(index)
-    for bits in _enumerate_closed_assignments(nbits, imps):
-        chosen = []
-        for e in arrows:
-            i, j, _ = cover[e]
-            s1 = frozenset(r for r in range(1, a[i - 1] + 1) if bits[index[(e, r)]])
-            s2 = frozenset(r for r in range(1, a[j - 1] + 1)
-                           if not bits[s2_source(e, r)])
-            chosen.append((e, s1, s2))
+    cover = three_cycle_cover(q)
+    template, place = q._gcc_template
+    support = _support(a)
+    ov = _overlaps(q, a, support)
+    outs, ins, _ = q._adjacency
+    leaving = {(v, h) for v in support for h in outs[v]}  # the arrows with bits
+    index: dict[tuple[tuple[int, int], int], int] = {}
+    for e in sorted(leaving):
+        for r in range(1, a[e[0] - 1] + 1):
+            index[(e, r)] = len(index)
+
+    def s2_source(e, r):
+        """Free bit whose negation gives the r-th vertical of arrow e."""
+        _, j, k = cover[e]
+        return index[((j, k), a[j - 1] + 1 - r)]
+
+    # corner compatibility: a chosen horizontal forbids the matching vertical
+    imps = [(x, s2_source(e, r)) for (e, r), x in index.items() if r <= ov[e]]
+    # matching across distinct triangles sharing a vertex
+    for i in support:
+        for k in ins[i]:
+            for j in outs[i]:
+                if (j, k) in q._arrow_set:
+                    continue  # same triangle, already the defining rule
+                for r in range(1, a[i - 1] + 1):
+                    x = s2_source((k, i), r)      # 1 - x = vertical bit r
+                    y = index[((i, j), r)]        # horizontal bit r
+                    # requirement: vertical r chosen iff horizontal r not chosen
+                    imps.append((x, y))
+                    imps.append((y, x))
+    fill = []
+    for e in leaving | {(t, v) for v in support for t in ins[v]}:
+        i, j, _ = cover[e]
+        fill.append((place[e], e, [(r, index[(e, r)]) for r in range(1, a[i - 1] + 1)],
+                     [(r, s2_source(e, r)) for r in range(1, a[j - 1] + 1)]))
+    for bits in _enumerate_closed_assignments(len(index), imps):
+        chosen = list(template)
+        for k, e, horizontal, vertical in fill:
+            chosen[k] = (e, frozenset(r for r, x in horizontal if bits[x]),
+                         frozenset(r for r, x in vertical if not bits[x]))
         yield GCCollection(tuple(chosen))
-
-
-def _gcc_exponents(gcc: GCCollection, base) -> list[int]:
-    """base plus the witness part of one collection: each arrow i -> j adds
-    its vertical count to x_i and its horizontal count to x_j."""
-    e = list(base)
-    for ((i, j), s1, s2) in gcc.chosen:
-        e[i - 1] += len(s2)
-        e[j - 1] += len(s1)
-    return e
 
 
 def gcc_weight(gcc: GCCollection, base) -> LaurentPoly:
     """The Laurent monomial of one globally compatible collection, given
-    `term_base(q, a)` of its quiver and vector."""
-    return LaurentPoly.monomial(dict(enumerate(_gcc_exponents(gcc, base), 1)))
+    `term_base(q, a)` of its quiver and vector: base plus, over each arrow
+    i -> j, its vertical count on x_i and its horizontal count on x_j.
+    Only arrows meeting the support carry labels, and their tails are keys
+    of base (the support and its neighbours), so only the runs of `chosen`
+    with those tails are read."""
+    e = dict(base)
+    chosen = gcc.chosen
+    for t in base:
+        k = bisect_left(chosen, ((t, 0),))  # the first arrow out of t
+        while k < len(chosen) and chosen[k][0][0] == t:
+            (i, j), s1, s2 = chosen[k]
+            e[i] = e.get(i, 0) + len(s2)
+            e[j] = e.get(j, 0) + len(s1)
+            k += 1
+    return LaurentPoly.monomial(e)
 
 
 # -- bijection between sequences and collections -----------------------------------
@@ -381,13 +413,8 @@ def gcs_to_gcc(q: Quiver, a, s, i0: int | None = None) -> GCCollection:
     the horizontals copy the tail's bits (reversed past the first arrow) and
     the verticals negate the head's bits."""
     a = tuple(a)
-    if i0 is None:
-        i0, dist = choose_base_vertex(q)
-    else:
-        dist = base_vertex_distance(q, i0)
     chosen = {}
-    for cycle in oriented_three_cycles(q):
-        g, p, qq = _gateway_labels(cycle, dist)
+    for (g, p, qq) in _gateways(q, i0).values():
         ag, ap, aq = a[g - 1], a[p - 1], a[qq - 1]
         sg, sp, sq = s[g - 1], s[p - 1], s[qq - 1]
         chosen[(g, p)] = (
@@ -409,14 +436,10 @@ def gcc_to_gcs(q: Quiver, a, gcc: GCCollection, i0: int | None = None):
     """Inverse translation; each vertex's sequence is read off any incident
     arrow."""
     a = tuple(a)
-    if i0 is None:
-        i0, dist = choose_base_vertex(q)
-    else:
-        dist = base_vertex_distance(q, i0)
-    cover = three_cycle_cover(q)
+    gateways = _gateways(q, i0)
+    three_cycle_cover(q)
     s: dict[int, tuple[int, ...]] = {}
-    for cycle in oriented_three_cycles(q):
-        g, p, qq = _gateway_labels(cycle, dist)
+    for (g, p, qq) in gateways.values():
         ag, ap, aq = a[g - 1], a[p - 1], a[qq - 1]
         s1_gp, s2_gp = gcc.sets((g, p))
         s1_pq, s2_pq = gcc.sets((p, qq))

@@ -312,11 +312,15 @@ class CrossCheckReport:
 
 
 def _scope_dvectors(q: Quiver, box: int) -> list[tuple[int, ...]]:
+    """The cluster variables and, with a box, the box monomials with an entry
+    above 1; supports through a frozen vertex index no cluster variable."""
     scope = sorted({tuple(int(v in support) for v in q.vertices)
-                    for support in linear_full_subquivers(q)}, key=lambda b: (sum(b), b))
+                    for support in linear_full_subquivers(q)
+                    if q.frozen.isdisjoint(support)}, key=lambda b: (sum(b), b))
     if box > 0:
         scope += [a for a in product(range(box + 1), repeat=q.n)
-                  if any(x > 1 for x in a) and geometry.satisfies_property_a(q, a)]
+                  if any(x > 1 for x in a) and not any(a[v - 1] for v in q.frozen)
+                  and geometry.satisfies_property_a(q, a)]
     return scope
 
 

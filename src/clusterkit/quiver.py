@@ -12,10 +12,12 @@ therefore "a triangulation realizing the quiver exists": it is decided by
 building that triangulation (`geometry._build_triangulation`), which checks
 that the triangulation it built induces the quiver.
 
-Structure derived from the arrows (adjacency, oriented 3-cycles, the type-A
-verdict, the 3-cycle completion and the realizing triangulation) is computed
-lazily, at most once per instance, and kept as immutable values; the public
-accessors hand out fresh lists and sets built from them.
+Structure derived from the arrows (adjacency, oriented 3-cycles and the
+triangle of each arrow, the type-A verdict, the 3-cycle completion, the
+realizing triangulation, the principal extension, and the base-vertex
+labelling and empty collection that the gcs/gcc formulas start from) is
+computed lazily, at most once per instance, and kept as immutable values;
+the public accessors hand out fresh lists and sets built from them.
 """
 
 from __future__ import annotations
@@ -95,6 +97,35 @@ class Quiver:
     @cached_property
     def _three_cycles(self) -> tuple[tuple[int, int, int], ...]:
         return _scan_three_cycles(self)
+
+    @cached_property
+    def _cover(self):
+        """Arrow -> the rotation (tail, head, third) of its oriented
+        triangle, for every arrow that lies in one."""
+        cover = {}
+        for (i, j, k) in self._three_cycles:
+            cover.update({(i, j): (i, j, k), (j, k): (j, k, i), (k, i): (k, i, j)})
+        return MappingProxyType(cover)
+
+    @cached_property
+    def _base_gateways(self):
+        """Gateway rotation of every oriented triangle from the default base
+        vertex; a failed choice raises again on every access."""
+        from .formulas import choose_base_vertex, gateway_rotations  # local import to avoid a cycle
+
+        return gateway_rotations(self, choose_base_vertex(self)[1]) if self.arrows else {}
+
+    @cached_property
+    def _gcc_template(self):
+        from .formulas import _empty_collection  # local import to avoid a cycle
+
+        return _empty_collection(self)
+
+    @cached_property
+    def _principal(self) -> "Quiver":
+        from .engine import principal_quiver  # local import to avoid a cycle
+
+        return principal_quiver(self)
 
     @cached_property
     def _type_a(self) -> bool:
@@ -478,10 +509,7 @@ def complete_extension(q: Quiver, linear_vertices) -> CompletionResult:
 
 
 def _complete_three_cycles(q: Quiver) -> tuple[Quiver, tuple[int, ...]]:
-    in_cycle = set()
-    for (i, j, k) in q._three_cycles:
-        in_cycle.update({(i, j), (j, k), (k, i)})
-    missing = [a for a in q.arrows if a not in in_cycle]
+    missing = [a for a in q.arrows if a not in q._cover]
     arrows = list(q.arrows)
     added = []
     label = q.n

@@ -246,6 +246,32 @@ def test_mutation_expands_on_a_quiver_with_a_frozen_vertex(tmp_path, capsys):
         assert (code, out, err) == (0, "(1 + x2)/(x1)\n", "")
 
 
+@pytest.mark.parametrize("frozen", [1, 2, 3])
+def test_crosscheck_and_report_table_leave_out_frozen_supports(tmp_path, capsys, frozen):
+    path = tmp_path / "frozen.txt"
+    path.write_text(f"n 3 frozen {frozen}\n1 2\n2 3\n")
+    code, out, err = run(capsys, "crosscheck", "--quiver", str(path), "--box", "2",
+                         "--format", "json")
+    data = json.loads(out)
+    assert (code, err, data["passed"]) == (0, "", True)
+    assert len(data["models"]) == 8 and data["rows"]
+    assert all(row["dvector"][frozen - 1] == 0 for row in data["rows"])
+    code, out, err = run(capsys, "report-table", "--quiver", str(path))
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[2:]
+    assert rows and all(r.split(" | ")[0][3:-1].split(",")[frozen - 1] == "0" for r in rows)
+
+
+def test_enumerate_variables_with_a_frozen_vertex_first(tmp_path, capsys):
+    path = tmp_path / "frozen.txt"
+    path.write_text("n 3 frozen 1\n1 2\n2 3\n")
+    code, out, err = run(capsys, "enumerate-variables", "--quiver", str(path))
+    assert (code, err) == (0, "")
+    table = json.loads(out)
+    assert sorted(table) == ["-1,0", "0,-1", "0,1", "1,0", "1,1"]
+    assert table["1,1"] == "x1*x2^-1*x3^-1 + x2^-1 + x1*x3^-1"
+
+
 _A3_TEXT = b"n 3 frozen none\n1 2\n2 3\n"
 
 

@@ -17,7 +17,14 @@ from clusterkit.harness import (
     witness_count,
 )
 from clusterkit.laurent import LaurentPoly, canonical_string
-from clusterkit.quiver import Quiver, is_type_a, to_text
+from clusterkit.quiver import (
+    Quiver,
+    is_type_a,
+    linear_full_subquivers,
+    oriented_three_cycles,
+    three_cycle_completion,
+    to_text,
+)
 
 
 def test_random_quivers_are_type_a():
@@ -272,3 +279,80 @@ def test_passing_json_rows_carry_no_dissent(three_cycle):
     assert report.passed
     assert all(set(row) == {"dvector", "counts", "value", "verdict"}
                for row in report.to_json_dict()["rows"])
+
+
+def test_crosscheck_skips_supports_through_frozen_vertices():
+    """A support through a frozen vertex indexes no cluster variable (the
+    mutation oracle cannot flip there), so the scope leaves it out; every
+    model agrees on the rest."""
+    rng = random.Random(90)
+    rows = 0
+    for _ in range(60):
+        q0 = random_type_a_quiver(rng.randint(2, 7), rng)
+        frozen = frozenset(v for v in q0.vertices if rng.random() < 0.3)
+        q = Quiver(q0.n, q0.arrows, frozen)
+        report = crosscheck(q)
+        assert report.passed, to_text(q)
+        assert {r.dvector for r in report.rows} == {
+            tuple(int(v in s) for v in q.vertices)
+            for s in linear_full_subquivers(q) if frozen.isdisjoint(s)}
+        rows += len(report.rows)
+    assert rows > 300
+    q = Quiver(3, ((1, 2), (2, 3)), frozenset({2}))
+    box = crosscheck(q, box=2)
+    assert box.passed and all(r.dvector[1] == 0 for r in box.rows)
+    assert len(box.rows) == 2 + 5  # two variables, and x0z with x or z equal to 2
+
+
+def _random_path(q: Quiver, rng: random.Random, size: int) -> set[int]:
+    """A linear full subquiver of q with `size` vertices, grown from a
+    random vertex by random steps (retried until it is that long)."""
+    while True:
+        path = [rng.choice(list(q.vertices))]
+        while len(path) < size:
+            last = path[-1]
+            options = sorted(u for u in q.neighbors(last) if u not in path
+                             and not any(w in q.neighbors(u) for w in path if w != last))
+            if not options:
+                break
+            path.append(rng.choice(options))
+        if len(path) == size:
+            return set(path)
+
+
+def test_short_arc_requests_touch_only_their_neighbourhood(monkeypatch):
+    """On a 1,000-vertex quiver, short-arc gcs, gcc and mutation requests
+    label the base vertex once per completed quiver, evaluate sigma only on
+    the triangles touching the support (three per triangle in term_base and
+    three in the witness constraints) and mutate only the subquiver spanned
+    by the path and its neighbours."""
+    rng = random.Random(1000)
+    q = random_type_a_quiver(1000, rng)
+    q2, _ = three_cycle_completion(q)
+    calls = {"base": 0, "gateways": 0, "sigma": 0}
+    mutated_sizes: list[int] = []
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+    monkeypatch.setattr(formulas, "choose_base_vertex", counted("base", formulas.choose_base_vertex))
+    monkeypatch.setattr(formulas, "gateway_rotations",
+                        counted("gateways", formulas.gateway_rotations))
+    monkeypatch.setattr(formulas, "sigma_int", counted("sigma", formulas.sigma_int))
+    mutate = engine.mutate
+    monkeypatch.setattr(engine, "mutate", lambda p, v: mutated_sizes.append(p.n) or mutate(p, v))
+    for k in range(20):
+        support = _random_path(q, rng, k % 4 + 1)
+        b = tuple(int(v in support) for v in q.vertices)
+        touching = [c for c in oriented_three_cycles(q2) if support & set(c)]
+        neighbourhood = support.union(*(q.neighbors(v) for v in support))
+        for model in ("gcs", "gcc", "mutation"):
+            calls["sigma"], mutated_sizes[:] = 0, []
+            assert expand_model(q, b, model).coefficient_sum() == witness_count(q, b, model)
+            # two requests, each with one term_base and one constraint pass
+            assert calls["sigma"] <= 2 * 2 * 3 * len(touching)
+            assert max(mutated_sizes, default=0) <= len(neighbourhood)
+        assert len(mutated_sizes) == 2 * len(support)
+    assert calls["base"] == calls["gateways"] == 1
