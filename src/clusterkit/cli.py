@@ -109,9 +109,8 @@ def cmd_decompose(args) -> int:
     plus, neg = geometry.positive_split(q, a)
     for b in geometry.decompose(q, plus):
         print(json.dumps(list(b)))
-    for i, e in enumerate(neg):
-        if e:
-            print(json.dumps({"initial": i + 1, "exponent": e}))
+    for v in geometry.support_of(neg):
+        print(json.dumps({"initial": v, "exponent": neg[v - 1]}))
     return 0
 
 
@@ -133,8 +132,7 @@ def cmd_snake(args) -> int:
     a = _parse_dvector(args.dvector, q.n)
     if any(x not in (0, 1) for x in a):
         raise InvalidInput("snake diagrams are drawn per variable: use a 0-1 d-vector")
-    support = [i + 1 for i, bit in enumerate(a) if bit]
-    comp = complete_extension(q, support)
+    comp = complete_extension(q, geometry.support_of(a))
     d = snake.build_snake(comp.celq)
     matchings = snake.enumerate_matchings(d)
     if args.svg:
@@ -163,7 +161,7 @@ def cmd_broken_lines(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    if args.random:
+    if args.random is not None:
         rng = random.Random(args.seed)
         q = harness.random_type_a_quiver(args.random, rng)
     else:

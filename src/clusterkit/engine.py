@@ -21,7 +21,7 @@ from .errors import (
     NotHomogeneous,
     NotInW,
 )
-from .geometry import satisfies_property_a
+from .geometry import require_in_w, support_of
 from .laurent import LaurentPoly, mono_degree, mono_mul, poly_product
 from .quiver import Quiver, mutate, path_order, require_path
 
@@ -192,12 +192,10 @@ def variable_mutation_sequence(q: Quiver, a) -> list[int]:
     triangulation are built.  A vector with a negative entry, of the wrong
     length or breaking the 3-cycle parity raises NotInW; any other vector
     whose support is not a path raises NotAClusterVariableDVector."""
-    a = tuple(a)
+    a = require_in_w(q, a)
     if any(x < 0 for x in a):
         raise NotInW(f"mutation sequences need a nonnegative vector, got {a}")
-    if not satisfies_property_a(q, a):
-        raise NotInW(f"{a} violates the parity condition on 3-cycles")
-    order = path_order(q, {i + 1 for i, x in enumerate(a) if x}) if set(a) <= {0, 1} else None
+    order = path_order(q, support_of(a)) if set(a) <= {0, 1} else None
     if order is None:
         raise NotAClusterVariableDVector(f"{a} decomposes into several variables")
     return order

@@ -28,14 +28,13 @@ from .errors import (
     NotInW,
     Unreachable,
 )
-from .geometry import satisfies_property_a, sigma_int
+from .geometry import require_in_w, sigma_int, support_of
 from .laurent import LaurentPoly, poly_sum
 from .quiver import (
     CompletelyExtendedLinearQuiver,
     Quiver,
     oriented_three_cycles,
     require_path,
-    require_type_a,
 )
 
 log = logging.getLogger(__name__)
@@ -113,10 +112,6 @@ def _gateways(q: Quiver, i0: int | None):
     return q._base_gateways if i0 is None else gateway_rotations(q, base_vertex_distance(q, i0))
 
 
-def _support(a) -> list[int]:
-    return [v for v, x in enumerate(a, 1) if x]
-
-
 def _overlaps(q: Quiver, a, support) -> dict[tuple[int, int], int]:
     """sigma(a_i, a_j, a_k) for every arrow (i, j) of an oriented triangle
     (i, j, k) that touches the support, three sigmas per triangle.  Every
@@ -185,13 +180,9 @@ def _enumerate_closed_assignments(nbits: int, implications):
 
 
 def _check_monomial_vector(q: Quiver, a) -> tuple[int, ...]:
-    a = tuple(a)
-    if len(a) != q.n:
-        raise NotInW(f"vector length {len(a)} != {q.n}")
+    a = require_in_w(q, a)
     if any(x < 0 for x in a):
         raise NotInW(f"formula requires a nonnegative vector, got {a}")
-    if not satisfies_property_a(q, a):
-        raise NotInW(f"{a} violates the parity condition on 3-cycles")
     return a
 
 
@@ -200,10 +191,9 @@ def enumerate_gcs(q: Quiver, a, i0: int | None = None):
     tuples (one per vertex), in lexicographic order of the concatenated
     bits.  Only the triangles touching the support of a constrain a bit."""
     a = _check_monomial_vector(q, a)
-    require_type_a(q)
     three_cycle_cover(q)
     gateways = _gateways(q, i0)
-    support = _support(a)
+    support = support_of(a)
     ov = _overlaps(q, a, support)
     first, nbits = {}, 0  # index of each support vertex's first bit
     for v in support:
@@ -236,7 +226,7 @@ def term_base(q: Quiver, a) -> dict[int, int]:
     triangle touching it (on a completed quiver, all their neighbours); no
     other vertex can have a nonzero exponent in a term."""
     a = tuple(a)
-    support = _support(a)
+    support = support_of(a)
     base = {v: -a[v - 1] for v in support}
     for e, s in _overlaps(q, a, support).items():
         k = q._cover[e][2]
@@ -339,12 +329,11 @@ def enumerate_gcc(q: Quiver, a):
     meeting the support of a carry bits or labels; each collection fills
     them in on the quiver's empty collection."""
     a = _check_monomial_vector(q, a)
-    require_type_a(q)
     if q.n == 1:
         raise AssumptionViolated("collections need at least two vertices")
     cover = three_cycle_cover(q)
     template, place = q._gcc_template
-    support = _support(a)
+    support = support_of(a)
     ov = _overlaps(q, a, support)
     outs, ins, _ = q._adjacency
     leaving = {(v, h) for v in support for h in outs[v]}  # the arrows with bits

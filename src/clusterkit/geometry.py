@@ -63,7 +63,7 @@ def satisfies_property_a(q: Quiver, a) -> bool:
     a = tuple(a)
     if len(a) != q.n:
         raise NotInW(f"vector length {len(a)} != {q.n}")
-    for (i, j, k) in oriented_three_cycles(q):
+    for (i, j, k) in q._three_cycles:
         x, y, z = a[i - 1], a[j - 1], a[k - 1]
         if x > 0 and y > 0 and z > 0 and x < y + z and y < x + z and z < x + y:
             if (x + y + z) % 2:
@@ -71,14 +71,28 @@ def satisfies_property_a(q: Quiver, a) -> bool:
     return True
 
 
+def require_in_w(q: Quiver, a) -> tuple[int, ...]:
+    """The d-vector as a tuple, once q is type A, a has length n and a passes
+    the parity test (in that order; signs are not checked)."""
+    a = tuple(a)
+    if not satisfies_property_a(q, a):
+        raise NotInW(f"{a} violates the parity condition on 3-cycles")
+    return a
+
+
+def support_of(a) -> list[int]:
+    """The vertices (1-based) where the vector is nonzero, in order."""
+    return [v for v, x in enumerate(a, 1) if x]
+
+
 def positive_split(q: Quiver, a) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split a d-vector into its nonnegative part and the exponents of the
     initial variables carried by the negative entries."""
     a = tuple(a)
-    plus = tuple(max(x, 0) for x in a)
+    plus = tuple(x if x > 0 else 0 for x in a)
     if not satisfies_property_a(q, plus):
         raise PositivePartNotInW(f"positive part {plus} violates the parity condition")
-    return plus, tuple(max(-x, 0) for x in a)
+    return plus, tuple(-x if x < 0 else 0 for x in a)
 
 
 # -- triangulations ----------------------------------------------------------
@@ -322,20 +336,17 @@ class PipelineSet:
         return [p.endpoints for p in self.pipelines]
 
 
-def build_pipelines(q: Quiver, a, t: Triangulation | None = None) -> PipelineSet:
+def build_pipelines(q: Quiver, a) -> PipelineSet:
     """Marked points and pipes realizing a nonnegative d-vector.
 
     Each diagonal i carries a_i marked points.  Inside every triangle the
     matching marked points of two sides are joined rank-by-rank (counted from
     the sides' common corner), and leftover points run to the opposite
     corner.  Chaining pipes through marked points yields the pipelines."""
-    a = tuple(a)
+    a = require_in_w(q, a)
     if any(x < 0 for x in a):
         raise NotInW(f"pipelines need a nonnegative vector, got {a}")
-    if not satisfies_property_a(q, a):
-        raise NotInW(f"{a} violates the parity condition on 3-cycles")
-    if t is None:
-        t = triangulation_for(q)
+    t = q._triangulation
     count = {lbl: (a[lbl - 1] if lbl <= t.n else 0) for lbl in t.edges}
 
     def rank_from(label: int, corner: int, r: int) -> int:
@@ -415,17 +426,16 @@ def build_pipelines(q: Quiver, a, t: Triangulation | None = None) -> PipelineSet
     return PipelineSet(q, t, a, tuple(pipelines), tuple(pipes))
 
 
-def decompose(q: Quiver, a, t: Triangulation | None = None) -> tuple[tuple[int, ...], ...]:
+def decompose(q: Quiver, a) -> tuple[tuple[int, ...], ...]:
     """Multiset of 0-1 vectors (one per pipeline) whose coordinatewise sum is
     the given nonnegative d-vector; each support induces a path.  A 0-1
     vector whose support already induces a path is returned unchanged."""
-    a = tuple(a)
-    if all(x == 0 for x in a):
+    a = require_in_w(q, a)
+    if not any(a):
         return ()
-    if set(a) <= {0, 1} and satisfies_property_a(q, a):
-        if path_order(q, {i + 1 for i, x in enumerate(a) if x}) is not None:
-            return (a,)
-    return tuple(sorted(build_pipelines(q, a, t).b_vectors()))
+    if set(a) <= {0, 1} and path_order(q, support_of(a)) is not None:
+        return (a,)
+    return tuple(sorted(build_pipelines(q, a).b_vectors()))
 
 
 def intersection_number(t: Triangulation, d: tuple[int, int], e: tuple[int, int]) -> int:

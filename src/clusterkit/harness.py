@@ -17,7 +17,7 @@ import random
 import time
 
 from . import engine, formulas, geometry, scattering, snake
-from .errors import InvalidInput, NotInW
+from .errors import FrozenVertex, InvalidInput
 from .laurent import (
     LaurentPoly,
     canonical_string,
@@ -105,10 +105,6 @@ class _Model:
     value: Callable | None = None
 
 
-def _support(b) -> list[int]:
-    return [i + 1 for i, bit in enumerate(b) if bit]
-
-
 def _completed(q: Quiver, plus):
     """The 3-cycle completion, the vector padded with zeros on the added
     vertices, those vertices (set to one by `_drop_added`) and the part of
@@ -125,7 +121,7 @@ def _drop_added(ctx, value: LaurentPoly) -> LaurentPoly:
 def _relabeled(q: Quiver, b):
     """The quiver, the support of b and its path relabeled to 1..n, built
     once: the lines are drawn in it and their sum is renamed back from it."""
-    support = _support(b)
+    support = geometry.support_of(b)
     return q, support, scattering.relabel_for_path(q, support)
 
 
@@ -149,22 +145,22 @@ _TABLE = {
         dump=lambda ctx, g: [{"arrow": list(arrow), "S1": sorted(s1), "S2": sorted(s2)}
                              for (arrow, s1, s2) in g.chosen]),
     "linear-gcc": _Model(
-        True, lambda q, b: complete_extension(q, _support(b)),
+        True, lambda q, b: complete_extension(q, geometry.support_of(b)),
         witnesses=lambda comp: formulas.enumerate_linear_gcc(comp.celq),
         weight=lambda comp, w: formulas.linear_gcc_weight(comp.celq, w), finish=_over_path,
         dump=lambda comp, w: {"pairs": [list(p) for p in w.pairs], "end_bit": w.end_bit}),
     "gcs-variable": _Model(
-        True, lambda q, b: (q, _support(b)),
+        True, lambda q, b: (q, geometry.support_of(b)),
         witnesses=lambda ctx: formulas.enumerate_variable_gcs(*ctx),
         weight=lambda ctx, s: formulas.variable_gcs_monomial(*ctx, s),
         dump=lambda ctx, s: list(s)),
     "matching": _Model(
-        True, lambda q, b: complete_extension(q, _support(b)),
+        True, lambda q, b: complete_extension(q, geometry.support_of(b)),
         witnesses=lambda comp: snake.enumerate_matchings(snake.build_snake(comp.celq)),
         weight=lambda comp, gamma: snake.matching_weight(gamma), finish=_over_path,
         dump=lambda comp, gamma: [list(l) if isinstance(l, tuple) else l for l in gamma]),
     "tpath": _Model(
-        True, lambda q, b: complete_extension(q, _support(b)),
+        True, lambda q, b: complete_extension(q, geometry.support_of(b)),
         witnesses=lambda comp: snake.triangulation_tpaths(
             geometry.triangulation_of(comp.celq), comp.celq),
         weight=lambda comp, p: p.value(), dump=lambda comp, p: list(p.labels),
@@ -209,15 +205,23 @@ def _run(q: Quiver, plus, name: str, want_value: bool) -> tuple[LaurentPoly | No
     return (value if want_value else None), count
 
 
+def _positive_part(q: Quiver, a):
+    """`geometry.positive_split`, refusing (as mutation would) a positive
+    entry on a frozen vertex before any model runs."""
+    plus, neg = geometry.positive_split(q, a)
+    frozen = [v for v in sorted(q.frozen) if plus[v - 1]]
+    if frozen:
+        raise FrozenVertex(f"cannot mutate frozen vertex {frozen[0]}")
+    return plus, neg
+
+
 def _expand(q: Quiver, a, name: str) -> tuple[LaurentPoly, int]:
     _model(q, name)
     a = tuple(a)
     if len(a) != q.n:
         raise InvalidInput(f"d-vector length {len(a)} != {q.n}")
-    if not geometry.satisfies_property_a(q, a):
-        raise NotInW(f"{a} violates the parity condition on 3-cycles")
-    plus, neg = geometry.positive_split(q, a)
-    init = LaurentPoly.monomial({i + 1: e for i, e in enumerate(neg) if e})
+    plus, neg = _positive_part(q, geometry.require_in_w(q, a))
+    init = LaurentPoly.monomial(dict(enumerate(neg, 1)))
     if not any(plus):
         return init, 1
     value, count = _run(q, plus, name, want_value=True)
@@ -233,7 +237,7 @@ def witness_count(q: Quiver, a, model: str) -> int:
     """Number of combinatorial witnesses behind the model's expansion (the
     mutation oracle reports its coefficient sum, which must agree)."""
     _model(q, model)
-    plus, _ = geometry.positive_split(q, tuple(a))
+    plus, _ = _positive_part(q, a)
     if not any(plus):
         return 1
     return _run(q, plus, model, want_value=False)[1]
@@ -244,7 +248,7 @@ def list_witnesses(q: Quiver, a, model: str) -> list:
     spec = _model(q, model)
     if spec.dump is None:
         raise InvalidInput(f"model {model!r} has no witness listing")
-    plus, _ = geometry.positive_split(q, tuple(a))
+    plus, _ = _positive_part(q, a)
     if not spec.per_variable:
         ctx = spec.prepare(q, plus)
         return [spec.dump(ctx, w) for w in spec.witnesses(ctx)]

@@ -235,7 +235,7 @@ def test_criterion_7_dvector_parametrization():
                 if not geometry.satisfies_property_a(q, a):
                     continue
                 plus, neg = geometry.positive_split(q, a)
-                ps = geometry.build_pipelines(q, plus, t)
+                ps = geometry.build_pipelines(q, plus)
                 diagonals = ps.as_diagonal_multiset()
                 diagonals += [t.edges[i + 1] for i, e in enumerate(neg)
                               for _ in range(e)]

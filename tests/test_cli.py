@@ -388,3 +388,12 @@ def test_closed_stdout_exits_quietly():
         os.close(write_end)
     assert proc.returncode == 141
     assert b"Traceback" not in proc.stderr and b"BrokenPipeError" not in proc.stderr
+
+
+def test_crosscheck_random_zero_is_a_size_not_a_missing_option(three_cycle_file, capsys):
+    """`--random 0` asks for a quiver on no vertices: it fails like any size
+    below one, also when a quiver file is given."""
+    want = run(capsys, "crosscheck", "--random", "-3")
+    assert want[0] == 2 and json.loads(want[2])["message"] == "quiver needs at least one vertex"
+    assert run(capsys, "crosscheck", "--random", "0") == want
+    assert run(capsys, "crosscheck", "--random", "0", "--quiver", three_cycle_file) == want

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from clusterkit.errors import CrossingDiagonals, NegativeInput, NotInW
+from clusterkit.errors import CrossingDiagonals, NegativeInput, NotInW, NotTypeA
 from clusterkit.geometry import (
     build_pipelines,
     d_vector_of,
@@ -12,9 +12,11 @@ from clusterkit.geometry import (
     pipelines_svg,
     positive_split,
     quiver_of,
+    require_in_w,
     satisfies_property_a,
     sigma,
     sigma_int,
+    support_of,
     triangulation_for,
     triangulation_of,
 )
@@ -125,6 +127,31 @@ def test_decompose_three_cycle(three_cycle):
         decompose(three_cycle, (-1, 0, 0))
 
 
+def test_require_in_w_checks_type_a_then_length_then_parity(three_cycle):
+    square = Quiver(4, ((1, 2), (2, 3), (3, 4), (4, 1)))
+    with pytest.raises(NotTypeA):
+        require_in_w(square, (1, 1, 1))  # also too short
+    with pytest.raises(NotInW, match="vector length 4 != 3"):
+        require_in_w(three_cycle, (1, 1, 1, 0))  # also an odd triangle
+    with pytest.raises(NotInW, match=r"\(1, 1, 1\) violates the parity condition on 3-cycles"):
+        require_in_w(three_cycle, [1, 1, 1])
+    assert require_in_w(three_cycle, [2, -1, 2]) == (2, -1, 2)  # signs are not checked
+
+
+def test_decompose_checks_the_zero_vector(three_cycle):
+    """The all-zero shortcut comes after the d-vector check."""
+    with pytest.raises(NotInW, match="vector length 2 != 3"):
+        decompose(three_cycle, (0, 0))
+    with pytest.raises(NotTypeA):
+        decompose(Quiver(4, ((1, 2), (2, 3), (3, 4), (4, 1))), (0, 0, 0, 0))
+
+
+def test_support_and_positive_split():
+    assert support_of((0, 2, -1, 0, 1)) == [2, 3, 5]
+    assert support_of(()) == []
+    assert positive_split(path_quiver(4), (2, -3, 0, 1)) == ((2, 0, 0, 1), (0, 3, 0, 0))
+
+
 def test_decompose_seven_vertex_example(seven_mixed):
     got = decompose(seven_mixed, (3, 3, 3, 2, 4, 3, 1))
     supports = sorted(tuple(i + 1 for i, x in enumerate(b) if x) for b in got)
@@ -197,7 +224,7 @@ def test_pipelines_d_vector_round_trip():
             if not satisfies_property_a(q, a):
                 continue
             plus, neg = positive_split(q, a)
-            ps = build_pipelines(q, plus, t)
+            ps = build_pipelines(q, plus)
             diagonals = ps.as_diagonal_multiset()
             diagonals += [t.edges[i + 1] for i, e in enumerate(neg)
                           for _ in range(e)]

@@ -29,13 +29,14 @@ QUIVERS = {
     "table": ("table.json", json.dumps(to_json_dict(Quiver(7, (
         (1, 2), (2, 5), (5, 1), (2, 6), (6, 3), (3, 2), (3, 4), (6, 7)))))),
     "four": ("four.txt", to_text(Quiver(4, ((2, 1), (1, 4), (4, 2), (2, 3))))),
+    "frozen": ("frozen.txt", to_text(Quiver(2, ((1, 2),), frozenset({2})))),
 }
 
 MODELS = ("mutation", "gcs", "gcc", "linear-gcc", "gcs-variable", "matching",
           "tpath", "broken-line")
 
-# name -> argv; "{tri}", "{table}" and "{four}" are quiver files, "{svg}" the
-# SVG path of the case
+# name -> argv; "{tri}", "{table}", "{four}" and "{frozen}" are quiver files,
+# "{svg}" the SVG path of the case
 CASES = {
     **{f"expand-{m}-text": ("expand", "--quiver", "{table}", "--model", m,
                             "--dvector", "1,1,1,0,0,0,0") for m in MODELS},
@@ -65,6 +66,9 @@ CASES = {
     "error-not-in-w": ("expand", "--quiver", "{tri}", "--model", "gcs", "--dvector", "1,1,1"),
     "error-bad-plane": ("broken-lines", "--quiver", "{tri}", "--subquiver", "1,2",
                         "--svg", "{svg}", "--plane", "1,99"),
+    "error-frozen-vertex": ("expand", "--quiver", "{frozen}", "--model", "gcs",
+                            "--dvector", "0,1"),
+    "error-random-zero": ("crosscheck", "--random", "0"),
 }
 
 

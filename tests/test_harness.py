@@ -5,7 +5,7 @@ import random
 import pytest
 
 from clusterkit import cli, engine, formulas, geometry, harness, scattering, snake
-from clusterkit.errors import InvalidInput, NotInW, PositivePartNotInW
+from clusterkit.errors import FrozenVertex, InvalidInput, NotInW, PositivePartNotInW
 from clusterkit.harness import (
     MODELS,
     crosscheck,
@@ -302,6 +302,36 @@ def test_crosscheck_skips_supports_through_frozen_vertices():
     box = crosscheck(q, box=2)
     assert box.passed and all(r.dvector[1] == 0 for r in box.rows)
     assert len(box.rows) == 2 + 5  # two variables, and x0z with x or z equal to 2
+
+
+@pytest.mark.parametrize("q, a", [
+    (Quiver(2, ((1, 2),), frozenset({2})), (0, 1)),        # a variable
+    (Quiver(3, ((1, 2), (2, 3)), frozenset({3})), (2, 1, 1)),  # a monomial
+])
+@pytest.mark.parametrize("model", MODELS)
+def test_positive_entry_on_a_frozen_vertex_is_refused_by_every_model(q, a, model):
+    """Every model refuses as the mutation oracle does, with its message,
+    and counting or listing refuses too; the listing check comes first."""
+    frozen = max(q.frozen)
+    with pytest.raises(FrozenVertex) as want:
+        expand_model(q, a, "mutation")
+    assert str(want.value) == f"cannot mutate frozen vertex {frozen}"
+    for entry in (expand_model, witness_count, list_witnesses):
+        if entry is list_witnesses and model == "mutation":
+            with pytest.raises(InvalidInput, match="no witness listing"):
+                entry(q, a, model)
+            continue
+        with pytest.raises(FrozenVertex) as got:
+            entry(q, a, model)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_negative_entry_on_a_frozen_vertex_is_an_initial_variable(model):
+    q = Quiver(3, ((1, 2), (2, 3)), frozenset({3}))
+    value = expand_model(q, (1, 1, -1), model)
+    assert value == expand_model(q, (1, 1, 0), model) * LaurentPoly.variable(3)
+    assert witness_count(q, (1, 1, -1), model) == witness_count(q, (1, 1, 0), model)
 
 
 def _random_path(q: Quiver, rng: random.Random, size: int) -> set[int]:
