@@ -251,9 +251,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_dvector(argv: list[str]) -> list[str]:
+    """`--dvector V` as `--dvector=V`, so that a value with a negative first
+    entry (`-1,0`) is not read as an option."""
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        out.append(token)
+        if token == "--dvector":
+            value = next(tokens, None)
+            if value is not None:
+                out[-1] = f"--dvector={value}"
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_dvector(sys.argv[1:] if argv is None else list(argv)))
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .geometry import require_in_w, support_of
 from .laurent import LaurentPoly, mono_degree, mono_mul, poly_product
-from .quiver import Quiver, mutate, path_order, require_path
+from .quiver import Quiver, mutate, path_order, require_path, require_type_a
 
 
 def _term_order_key(m, support):
@@ -204,7 +204,8 @@ def variable_mutation_sequence(q: Quiver, a) -> list[int]:
 def _walk_to_variable(start: Quiver, q: Quiver, a: tuple) -> LaurentPoly:
     """The initial variable for minus a unit vector; otherwise the entry left
     at the last vertex by mutating, from the start quiver (q or its principal
-    extension), along the variable's mutation sequence in q.
+    extension), along the variable's mutation sequence in q.  Either way q
+    must be type A (and so connected) first.
 
     The walk runs on the full subquiver of the start quiver spanned by the
     path and its neighbours, relabelled 1..k in vertex order, with the
@@ -212,6 +213,7 @@ def _walk_to_variable(start: Quiver, q: Quiver, a: tuple) -> LaurentPoly:
     changes arrows only among v and its neighbours, so by induction no path
     vertex ever gains a neighbour outside that set, and every exchange reads
     only entries inside it."""
+    require_type_a(q)
     if len(a) == q.n and a.count(-1) == 1 and a.count(0) == q.n - 1:
         return LaurentPoly.variable(a.index(-1) + 1)
     if any(x not in (0, 1) for x in a):

@@ -119,8 +119,9 @@ def _drop_added(ctx, value: LaurentPoly) -> LaurentPoly:
 
 
 def _relabeled(q: Quiver, b):
-    """The quiver, the support of b and its path relabeled to 1..n, built
-    once: the lines are drawn in it and their sum is renamed back from it."""
+    """The quiver, the support of b and the relabelling of its path to 1..n,
+    made once: the lines are drawn in the relabelled coordinates and their
+    sum is renamed back through its maps."""
     support = geometry.support_of(b)
     return q, support, scattering.relabel_for_path(q, support)
 
@@ -217,9 +218,6 @@ def _positive_part(q: Quiver, a):
 
 def _expand(q: Quiver, a, name: str) -> tuple[LaurentPoly, int]:
     _model(q, name)
-    a = tuple(a)
-    if len(a) != q.n:
-        raise InvalidInput(f"d-vector length {len(a)} != {q.n}")
     plus, neg = _positive_part(q, geometry.require_in_w(q, a))
     init = LaurentPoly.monomial(dict(enumerate(neg, 1)))
     if not any(plus):

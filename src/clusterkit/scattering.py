@@ -11,8 +11,10 @@ request as integer coordinates over one common scale, and since a travel
 parameter is a coordinate and every direction is an integer vector, every
 bend point is an integer vector over the same scale.  A direction is nonzero
 only on the path and its neighbours, so a bend touches only those
-coordinates.  Bend points, travels and the endpoint are exposed as
-`Fraction`s, converted when they are read.
+coordinates, and a line is built from the path's neighbourhood alone: the
+relabelling is a pair of maps over the ambient quiver, and the default
+endpoint is made once per shape.  Dense directions and points, and the
+bend points, travels and endpoint as `Fraction`s, are built when read.
 
 Odd total rank is handled by doubling the coordinates with principal
 coefficients, whose extra block simply records the walls crossed so far.
@@ -23,7 +25,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from heapq import heappop, heappush
 from math import lcm
 
 from .errors import (
@@ -42,10 +45,19 @@ from .quiver import Quiver, require_path
 
 @dataclass(frozen=True)
 class PathRelabeling:
-    quiver: Quiver               # relabeled ambient quiver
-    n: int                       # path length
+    """The path's vertices renumbered 1..n in path order, the other vertices
+    n+1.. in their own order.  No relabelled quiver is built: every view a
+    line reads comes from the ambient quiver's cached adjacency through the
+    maps, once per relabelling, and covers only the path and its neighbours."""
+
+    ambient: Quiver
+    order: tuple[int, ...]       # the path in ambient labels
     to_new: dict[int, int]
     to_old: dict[int, int]
+
+    @property
+    def n(self) -> int:
+        return len(self.order)
 
     @cached_property
     def local(self) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...], int], ...]:
@@ -55,31 +67,44 @@ class PathRelabeling:
         0-based positions in a marking.  The offset is -1 on the path and on
         a triangle closer: an off-path x with h -> x -> t for an arrow t -> h
         of the path, i.e. an oriented 3-cycle through two path vertices."""
-        q, n = self.quiver, self.n
-        closers = {x for t in range(1, n + 1) for h in q.arrows_out(t) if h <= n
-                   for x in q.arrows_out(h) if x > n and q.has_arrow(x, t)}
-        near = sorted(set(range(1, n + 1)).union(*(q.neighbors(v) for v in range(1, n + 1))))
-        return tuple((r, tuple(t - 1 for t in q.arrows_in(r) if t <= n),
-                      tuple(h - 1 for h in q.arrows_out(r) if h <= n),
-                      -1 if r <= n or r in closers else 0)
-                     for r in near)
+        outs, ins, nbr = self.ambient._adjacency
+        pos = {v: i for i, v in enumerate(self.order)}
+        closers = {x for t in self.order for h in outs[t] if h in pos
+                   for x in outs[h] if x not in pos and t in outs[x]}
+        near = set(self.order).union(*(nbr[v] for v in self.order))
+        return tuple(sorted((self.to_new[u], tuple(pos[t] for t in ins[u] if t in pos),
+                             tuple(pos[h] for h in outs[u] if h in pos),
+                             -1 if u in pos or u in closers else 0)
+                            for u in near))
+
+    @cached_property
+    def downstream(self) -> tuple[tuple[int, ...], ...]:
+        """Per path position r (index r - 1), the path neighbours r has an
+        arrow to: an unmarked one keeps r from flipping."""
+        outs, order = self.ambient._adjacency[0], self.order
+        return tuple(tuple(j for j in (r - 1, r + 1)
+                           if 1 <= j <= len(order) and order[j - 1] in outs[order[r - 1]])
+                     for r in range(1, len(order) + 1))
+
+    @cached_property
+    def columns(self) -> tuple[dict[int, int], ...]:
+        """Per path position w (index w - 1), the wall's exchange-matrix
+        column #(r -> w) - #(w -> r) by 0-based coordinate, zeros left out."""
+        outs, ins, _ = self.ambient._adjacency
+        cols = []
+        for v in self.order:
+            col = Counter(self.to_new[t] - 1 for t in ins[v])
+            col.subtract(self.to_new[h] - 1 for h in outs[v])
+            cols.append({r: x for r, x in col.items() if x})
+        return tuple(cols)
 
 
 def relabel_for_path(qtilde: Quiver, linear_vertices) -> PathRelabeling:
-    order = require_path(qtilde, linear_vertices)
-    to_new = {v: i + 1 for i, v in enumerate(order)}
-    nxt = len(order) + 1
-    for v in qtilde.vertices:
-        if v not in to_new:
-            to_new[v] = nxt
-            nxt += 1
-    arrows = tuple(sorted((to_new[t], to_new[h]) for t, h in qtilde.arrows))
-    return PathRelabeling(
-        Quiver(qtilde.n, arrows),
-        len(order),
-        to_new,
-        {new: old for old, new in to_new.items()},
-    )
+    order = tuple(require_path(qtilde, linear_vertices))
+    to_new = {v: i for i, v in enumerate(order, 1)}
+    rest = [v for v in qtilde.vertices if v not in to_new]
+    to_new.update(zip(rest, range(len(order) + 1, qtilde.n + 1)))
+    return PathRelabeling(qtilde, order, to_new, dict(zip(to_new.values(), to_new)))
 
 
 # -- adjustable positions and the wall order --------------------------------------
@@ -88,18 +113,8 @@ def relabel_for_path(qtilde: Quiver, linear_vertices) -> PathRelabeling:
 def adjustable_positions(rel: PathRelabeling, s) -> list[int]:
     """Unmarked path positions whose flip stays a valid marking; equivalently
     the sinks of the unmarked part of the path."""
-    q = rel.quiver
-    out = []
-    for r in range(1, rel.n + 1):
-        if s[r - 1] != 0:
-            continue
-        blocked = False
-        for j in (r - 1, r + 1):
-            if 1 <= j <= rel.n and q.has_arrow(r, j) and s[j - 1] == 0:
-                blocked = True
-        if not blocked:
-            out.append(r)
-    return out
+    return [r for r, down in enumerate(rel.downstream, 1)
+            if s[r - 1] == 0 and all(s[j - 1] != 0 for j in down)]
 
 
 @dataclass(frozen=True)
@@ -112,24 +127,29 @@ class WSequence:
 
 def w_sequence(rel: PathRelabeling, s) -> WSequence:
     """Backward recursion flipping the smallest adjustable position until the
-    all-ones marking is reached."""
+    all-ones marking is reached.  Flips only free positions, and a flip at w
+    can free only its path neighbours that point to w, so the candidates sit
+    in a heap and each enters it once."""
     s = tuple(s)
+    down = rel.downstream
     ell = rel.n - sum(s)
-    chain = [None] * (ell + 1)
-    walls = [0] * ell
-    cur = s
-    chain[ell] = cur
-    for i in range(ell, 0, -1):
-        adj = adjustable_positions(rel, cur)
-        if not adj:
+    heap = adjustable_positions(rel, s)  # ascending, so already a heap
+    cur = list(s)
+    chain, walls = [s], []
+    for _ in range(ell):
+        if not heap:
             raise PositivityViolation("no adjustable position on a non-full marking")
-        w = adj[0]
-        walls[i - 1] = w
-        cur = tuple(1 if r == w else b for r, b in zip(range(1, rel.n + 1), cur))
-        chain[i - 1] = cur
-    if chain[0] != tuple([1] * rel.n):
+        w = heappop(heap)
+        cur[w - 1] = 1
+        walls.append(w)
+        chain.append(tuple(cur))
+        for j in (w - 1, w + 1):
+            if (0 < j <= rel.n and cur[j - 1] == 0 and w in down[j - 1]
+                    and all(cur[k - 1] != 0 for k in down[j - 1])):
+                heappush(heap, j)
+    if chain[-1] != (1,) * rel.n:
         raise PositivityViolation("wall recursion did not end at the full marking")
-    return WSequence(s, ell, tuple(walls), tuple(chain))
+    return WSequence(s, ell, tuple(reversed(walls)), tuple(reversed(chain)))
 
 
 def _direction(rel: PathRelabeling, s) -> dict[int, int]:
@@ -154,7 +174,7 @@ def g_direction(rel: PathRelabeling, s) -> tuple[int, ...]:
     marked path vertices plus arrows leaving toward unmarked path vertices,
     less one on the path itself or on a vertex completing a path triangle.
     Only path vertices and their neighbours are evaluated; the rest are 0."""
-    return _dense(_direction(rel, s), rel.quiver.n)
+    return _dense(_direction(rel, s), rel.ambient.n)
 
 
 def _dense(m: dict[int, int], dim: int) -> tuple[int, ...]:
@@ -241,11 +261,18 @@ def validate_endpoint(ep: Endpoint):
     _validate(_scaled(ep))
 
 
+@lru_cache(maxsize=64)
+def _default_request(n: int, nprime: int, principal: bool) -> _Scaled:
+    """The default endpoint as integers, built and checked once per shape."""
+    sc = _default_scaled(n, nprime, principal)
+    _validate(sc)
+    return sc
+
+
 def default_endpoint(n: int, nprime: int, principal: bool = False) -> Endpoint:
     """Scale-separated endpoint: eps = 1/(2n), path coordinate k at eps^(n-k),
     all remaining coordinates at eps^(n+1)."""
-    sc = _default_scaled(n, nprime, principal)
-    _validate(sc)
+    sc = _default_request(n, nprime, principal)
     return Endpoint(tuple(Fraction(c, sc.scale) for c in sc.ints), Fraction(1, 2 * n),
                     n, nprime)
 
@@ -255,16 +282,35 @@ def default_endpoint(n: int, nprime: int, principal: bool = False) -> Endpoint:
 
 @dataclass(frozen=True)
 class BrokenLine:
+    """One line, kept sparse: each direction by its nonzero coordinates and
+    each bend by its travel parameter, so its points are the endpoint moved
+    back along the directions.  The dense vectors are views, built on first
+    read."""
+
     s: tuple[int, ...]
     walls: tuple[int, ...]                       # wall indices, bend order
-    directions: tuple[tuple[int, ...], ...]      # m_0..m_ell (lifted if principal)
+    moves: tuple[dict[int, int], ...]            # m_0..m_ell by 0-based coordinate
     principal: bool
     scale: int                                   # common denominator of every point
-    points: tuple[tuple[int, ...], ...]          # Q_1..Q_ell, endpoint; times scale
+    base: tuple[int, ...]                        # the endpoint, times scale
+    lams: tuple[int, ...]                        # travel parameter per bend, times scale
 
     @property
     def ell(self) -> int:
         return len(self.walls)
+
+    @cached_property
+    def directions(self) -> tuple[tuple[int, ...], ...]:    # lifted if principal
+        return tuple(_dense(m, len(self.base)) for m in self.moves)
+
+    @cached_property
+    def points(self) -> tuple[tuple[int, ...], ...]:        # Q_1..Q_ell, endpoint; times scale
+        point, out = list(self.base), [self.base]
+        for i in range(self.ell, 0, -1):
+            for r, v in self.moves[i].items():
+                point[r] += self.lams[i - 1] * v
+            out.append(tuple(point))
+        return tuple(reversed(out))
 
     @cached_property
     def bends(self) -> tuple[tuple[Fraction, ...], ...]:     # Q_1..Q_ell
@@ -272,39 +318,38 @@ class BrokenLine:
 
     @cached_property
     def endpoint(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self.scale) for c in self.points[-1])
+        return tuple(Fraction(c, self.scale) for c in self.base)
 
     @cached_property
     def travels(self) -> tuple[Fraction, ...]:
         """The positive travel parameter per bend: the wall coordinate of the
         point before it."""
-        return tuple(Fraction(self.points[i][w - 1], self.scale)
-                     for i, w in enumerate(self.walls, start=1))
+        return tuple(Fraction(lam, self.scale) for lam in self.lams)
 
     def monomials(self) -> list[LaurentPoly]:
-        return [_monomial(m) for m in self.directions]
+        return [_monomial(m) for m in self.moves]
 
     def final_monomial(self) -> LaurentPoly:
-        return _monomial(self.directions[-1])
+        return _monomial(self.moves[-1])
 
 
-def _monomial(m) -> LaurentPoly:
-    return LaurentPoly.monomial({r + 1: e for r, e in enumerate(m) if e})
+def _monomial(m: dict[int, int]) -> LaurentPoly:
+    return LaurentPoly.monomial({r + 1: e for r, e in m.items()})
 
 
 def _request(rel: PathRelabeling, endpoint: Endpoint | None, principal: bool) -> _Scaled:
     """The endpoint of one request as integers, checked once for all its
-    lines: odd rank needs the principal construction, then the endpoint
-    checks, then its dimension."""
-    npr = rel.quiver.n
+    lines (the default once per shape): odd rank needs the principal
+    construction, then the endpoint checks, then its dimension."""
+    npr = rel.ambient.n
     if not principal and npr % 2:
         raise OddRankWithoutPrincipal(
             "odd ambient rank: use principal_broken_line instead")
     if endpoint is None:
-        sc = _default_scaled(rel.n, npr, principal)
+        sc = _default_request(rel.n, npr, principal)
     else:
         sc = _scaled(endpoint)
-    _validate(sc)
+        _validate(sc)
     dim = 2 * npr if principal else npr
     if len(sc.ints) != dim:
         raise EndpointRejected(f"endpoint has {len(sc.ints)} coordinates, expected {dim}")
@@ -313,7 +358,7 @@ def _request(rel: PathRelabeling, endpoint: Endpoint | None, principal: bool) ->
 
 def _build(rel: PathRelabeling, s, sc: _Scaled, principal: bool) -> BrokenLine:
     """One line, from an endpoint that `_request` accepted."""
-    npr = rel.quiver.n
+    npr = rel.ambient.n
     ws = w_sequence(rel, s)
 
     # directions, sparse by 0-based coordinate; the principal lift counts
@@ -327,54 +372,63 @@ def _build(rel: PathRelabeling, s, sc: _Scaled, principal: bool) -> BrokenLine:
         sparse.append(m)
 
     # each step is the column of the wall in the exchange matrix,
-    # #(r -> w) - #(w -> r), and in the lift the indicator of the wall
-    q = rel.quiver
+    # #(r -> w) - #(w -> r), and in the lift the indicator of the wall;
+    # no direction holds a zero, so the sum is compared without its zeros
     for i in range(1, ws.ell + 1):
         w = ws.walls[i - 1]
-        step = Counter(sparse[i])
-        step.subtract(sparse[i - 1])
-        step.subtract(t - 1 for t in q.arrows_in(w))
-        step.update(h - 1 for h in q.arrows_out(w))
+        step = rel.columns[w - 1]
         if principal:
-            step[npr + w - 1] -= 1
-        if any(step.values()):
+            step = {**step, npr + w - 1: 1}
+        want = dict(sparse[i - 1])
+        for r, v in step.items():
+            x = want.get(r, 0) + v
+            if x:
+                want[r] = x
+            else:
+                del want[r]
+        if want != sparse[i]:
             raise CoordinateOutOfRange(
                 f"direction step at wall {w} is not the wall exponent vector")
         if sparse[i].get(w - 1) != -1 or sparse[i - 1].get(w - 1) != -1:
             raise CoordinateOutOfRange(f"bend at wall {w} lacks the unit pairing")
 
-    # Walk back from the endpoint.  Its ordered-block coordinates are
-    # positive, and a bend changes only the coordinates its direction
-    # touches, so a point can vanish off its wall only there or on the wall
-    # of the bend after it.
-    points = [sc.ints]  # Q_{ell+1}, then Q_ell .. Q_1
+    # Walk back from the endpoint.  A point is kept on the coordinates a
+    # direction can touch (the walls among them); the rest stay at the
+    # endpoint.  Its ordered-block coordinates are positive, and a bend
+    # changes only the coordinates its direction touches, so a point can
+    # vanish off its wall only there or on the wall of the bend after it.
+    base = sc.ints
+    point = {r - 1: base[r - 1] for r, *_ in rel.local}
+    if principal:
+        point.update((npr + w - 1, base[npr + w - 1]) for w in ws.walls)
+    points, lams = [point], []  # Q_{ell+1}, then Q_ell .. Q_1
     later = None
     for i in range(ws.ell, 0, -1):
         w = ws.walls[i - 1]
-        lam = points[-1][w - 1]
+        lam = point[w - 1]
         if lam <= 0:
             raise PositivityViolation(
                 f"travel parameter at wall {w} is {Fraction(lam, sc.scale)}")
-        nxt = list(points[-1])
+        point = dict(point)
         for r, v in sparse[i].items():
-            nxt[r] += lam * v
-        if nxt[w - 1] != 0:
+            point[r] += lam * v
+        if point[w - 1] != 0:
             raise PositivityViolation("bend point missed its wall")
         touched = [r for r in sparse[i] if r < npr]
         if later is not None:
             touched.append(later - 1)
-        on_wall = [r + 1 for r in touched if r != w - 1 and nxt[r] == 0]
+        on_wall = [r + 1 for r in touched if r != w - 1 and point[r] == 0]
         if on_wall:
             raise EndpointRejected(
                 f"bend point on wall {w} also lies on wall {min(on_wall)}; "
                 "choose a more generic endpoint")
-        points.append(tuple(nxt))
+        points.append(point)
+        lams.append(lam)
         later = w
     points.reverse()  # Q_1..Q_ell, Q_{ell+1}
-    _certify(ws.walls, points, sc.ints, sc.band)
-    dim = 2 * npr if principal else npr
-    return BrokenLine(ws.s, ws.walls, tuple(_dense(m, dim) for m in sparse), principal,
-                      sc.scale, tuple(points))
+    _certify(ws.walls, points, base, sc.band)
+    return BrokenLine(ws.s, ws.walls, tuple(sparse), principal, sc.scale, base,
+                      tuple(reversed(lams)))
 
 
 def _certify(walls, points, base, band):
@@ -430,7 +484,7 @@ def broken_lines(qtilde: Quiver, linear_vertices, endpoint: Endpoint | None = No
     if rel is None:
         rel = relabel_for_path(qtilde, linear_vertices)
     if principal is None:
-        principal = rel.quiver.n % 2 == 1
+        principal = rel.ambient.n % 2 == 1
     sc = _request(rel, endpoint, principal)
     return [_build(rel, s, sc, principal)
             for s in enumerate_variable_gcs(qtilde, linear_vertices)]
@@ -439,8 +493,11 @@ def broken_lines(qtilde: Quiver, linear_vertices, endpoint: Endpoint | None = No
 def ambient_monomial(line: BrokenLine) -> LaurentPoly:
     """Final monomial of a line over the relabeled ambient variables; a
     principal line's coefficient block is set to one."""
-    m = line.directions[-1]
-    return _monomial(m[:len(m) // 2] if line.principal else m)
+    m = line.moves[-1]
+    if line.principal:
+        half = len(line.base) // 2
+        m = {r: e for r, e in m.items() if r < half}
+    return _monomial(m)
 
 
 def line_json(line: BrokenLine) -> dict:

@@ -99,5 +99,26 @@ def test_every_entry_raises_as_recorded():
     assert changed == {}
 
 
+def test_wrong_length_is_reported_alike_by_every_request():
+    """expand_model, witness_count and list_witnesses report a vector of the
+    wrong length with one class and message; list_witnesses of mutation
+    refuses the model before it reads the vector."""
+    table = json.loads(ERRORS.read_text())
+    checked = 0
+    for name, q in QUIVERS.items():
+        for a in vectors(q):
+            if len(a) == q.n:
+                continue
+            for m in harness.MODELS:
+                want = table[f"expand_model[{m}] | {name} | {a}"]
+                assert want != "ok"
+                assert table[f"witness_count[{m}] | {name} | {a}"] == want
+                listed = table[f"list_witnesses[{m}] | {name} | {a}"]
+                assert listed == (["InvalidInput", "model 'mutation' has no witness listing"]
+                                  if m == "mutation" else want)
+                checked += 1
+    assert checked > 300
+
+
 if __name__ == "__main__":
     ERRORS.write_text(render(contract()))

@@ -49,6 +49,8 @@ CASES = {
                        "--dvector", "1,1,0", "--list-witnesses"),
     "count-tpath-list": ("count", "--quiver", "{four}", "--model", "tpath",
                          "--dvector", "1,1,1,0", "--list-witnesses"),
+    "expand-negative-first": ("expand", "--quiver", "{tri}", "--model", "mutation",
+                              "--dvector", "-1,1,0"),
     "decompose": ("decompose", "--quiver", "{tri}", "--dvector", "2,2,-1"),
     "pipelines": ("pipelines", "--quiver", "{tri}", "--dvector", "2,2,2", "--svg", "{svg}"),
     "snake": ("snake", "--quiver", "{table}", "--dvector", "1,1,1,0,0,0,0",

@@ -386,3 +386,36 @@ def test_short_arc_requests_touch_only_their_neighbourhood(monkeypatch):
             assert max(mutated_sizes, default=0) <= len(neighbourhood)
         assert len(mutated_sizes) == 2 * len(support)
     assert calls["base"] == calls["gateways"] == 1
+
+
+def test_broken_line_requests_touch_only_their_neighbourhood(monkeypatch):
+    """On a 1,000-vertex quiver, short-arc broken-line requests build no
+    Quiver (the path is relabelled through maps over the ambient one),
+    evaluate directions only on the path and its neighbours, and check the
+    default endpoint at most once per (path length, principal)."""
+    rng = random.Random(1001)
+    q = random_type_a_quiver(1000, rng)
+    geometry.decompose(q, (1,) + (0,) * 999)  # the once-per-quiver checks
+    scattering._default_request.cache_clear()
+    built, outside, validated, near = [], [], [], set()
+    post_init = Quiver.__post_init__
+    monkeypatch.setattr(Quiver, "__post_init__", lambda p: built.append(p.n) or post_init(p))
+    direction, validate = scattering._direction, scattering._validate
+
+    def counted_direction(rel, s):
+        outside.extend(rel.to_old[r] for r, *_ in rel.local if rel.to_old[r] not in near)
+        return direction(rel, s)
+    monkeypatch.setattr(scattering, "_direction", counted_direction)
+    monkeypatch.setattr(scattering, "_validate",
+                        lambda sc: validated.append((sc.n, len(sc.ints) > sc.nprime))
+                        or validate(sc))
+    for k in range(20):
+        support = _random_path(q, rng, k % 4 + 1)
+        b = tuple(int(v in support) for v in q.vertices)
+        near.clear()
+        near.update(support.union(*(q.neighbors(v) for v in support)))
+        count = witness_count(q, b, "broken-line")
+        assert expand_model(q, b, "broken-line").coefficient_sum() == count
+        assert len(scattering.broken_lines(q, support, principal=True)) == count
+    assert built == [] and outside == []
+    assert len(validated) == len(set(validated)) == 8

@@ -1,7 +1,12 @@
-"""The support-local gcs, gcc and mutation paths against the whole-quiver
-code they replaced, kept here as the reference: the same witnesses in the
-same order, the same values and counts, and the same principal lifts."""
+"""The support-local gcs, gcc, mutation and broken-line paths against the
+whole-quiver code they replaced, kept here as the reference: the same
+witnesses in the same order, the same values and counts, the same principal
+lifts and the same broken lines."""
 
+from collections import Counter
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 import random
 
 import pytest
@@ -9,7 +14,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from clusterkit import geometry, harness
+from clusterkit import geometry, harness, scattering
 from clusterkit.engine import (
     cluster_variable,
     initial_seed,
@@ -18,7 +23,15 @@ from clusterkit.engine import (
     principal_quiver,
     variable_mutation_sequence,
 )
-from clusterkit.errors import AssumptionViolated, ClusterKitError, NotAClusterVariableDVector
+from clusterkit.errors import (
+    AssumptionViolated,
+    ClusterKitError,
+    CoordinateOutOfRange,
+    EndpointRejected,
+    NotAClusterVariableDVector,
+    OddRankWithoutPrincipal,
+    PositivityViolation,
+)
 from clusterkit.formulas import (
     GCCollection,
     _check_monomial_vector,
@@ -28,11 +41,14 @@ from clusterkit.formulas import (
     choose_base_vertex,
     enumerate_gcc,
     enumerate_gcs,
+    enumerate_variable_gcs,
 )
 from clusterkit.geometry import sigma_int
 from clusterkit.laurent import LaurentPoly, poly_sum
 from clusterkit.quiver import (
+    Quiver,
     oriented_three_cycles,
+    require_path,
     require_type_a,
     three_cycle_completion,
 )
@@ -164,6 +180,175 @@ def ref_walk_to_variable(start, q, a):
     return mutate_seed_sequence(initial_seed(start), seq).entry(seq[-1])
 
 
+# The broken lines with the path relabelled as a whole Quiver and every
+# direction and point a dense vector over the ambient coordinates.
+
+
+@dataclass(frozen=True)
+class RefRelabeling:
+    quiver: Quiver
+    n: int
+    to_new: dict
+    to_old: dict
+
+    @cached_property
+    def local(self):
+        q, n = self.quiver, self.n
+        closers = {x for t in range(1, n + 1) for h in q.arrows_out(t) if h <= n
+                   for x in q.arrows_out(h) if x > n and q.has_arrow(x, t)}
+        near = sorted(set(range(1, n + 1)).union(*(q.neighbors(v) for v in range(1, n + 1))))
+        return tuple((r, tuple(t - 1 for t in q.arrows_in(r) if t <= n),
+                      tuple(h - 1 for h in q.arrows_out(r) if h <= n),
+                      -1 if r <= n or r in closers else 0)
+                     for r in near)
+
+
+def ref_relabel_for_path(qtilde, linear_vertices):
+    order = require_path(qtilde, linear_vertices)
+    to_new = {v: i + 1 for i, v in enumerate(order)}
+    nxt = len(order) + 1
+    for v in qtilde.vertices:
+        if v not in to_new:
+            to_new[v] = nxt
+            nxt += 1
+    arrows = tuple(sorted((to_new[t], to_new[h]) for t, h in qtilde.arrows))
+    return RefRelabeling(Quiver(qtilde.n, arrows), len(order), to_new,
+                         {new: old for old, new in to_new.items()})
+
+
+def ref_adjustable_positions(rel, s):
+    q = rel.quiver
+    out = []
+    for r in range(1, rel.n + 1):
+        if s[r - 1] != 0:
+            continue
+        blocked = False
+        for j in (r - 1, r + 1):
+            if 1 <= j <= rel.n and q.has_arrow(r, j) and s[j - 1] == 0:
+                blocked = True
+        if not blocked:
+            out.append(r)
+    return out
+
+
+def ref_w_sequence(rel, s):
+    s = tuple(s)
+    ell = rel.n - sum(s)
+    chain = [None] * (ell + 1)
+    walls = [0] * ell
+    cur = s
+    chain[ell] = cur
+    for i in range(ell, 0, -1):
+        adj = ref_adjustable_positions(rel, cur)
+        if not adj:
+            raise PositivityViolation("no adjustable position on a non-full marking")
+        w = adj[0]
+        walls[i - 1] = w
+        cur = tuple(1 if r == w else b for r, b in zip(range(1, rel.n + 1), cur))
+        chain[i - 1] = cur
+    if chain[0] != tuple([1] * rel.n):
+        raise PositivityViolation("wall recursion did not end at the full marking")
+    return tuple(walls), tuple(chain)
+
+
+def ref_direction(rel, s):
+    g = {}
+    for r, tails, heads, val in rel.local:
+        for t in tails:
+            if s[t] == 1:
+                val += 1
+        for h in heads:
+            if s[h] == 0:
+                val += 1
+        if val not in (-1, 0, 1):
+            raise CoordinateOutOfRange(f"direction coordinate {val} at vertex {r}")
+        if val:
+            g[r - 1] = val
+    return g
+
+
+def ref_dense(m, dim):
+    out = [0] * dim
+    for r, v in m.items():
+        out[r] = v
+    return tuple(out)
+
+
+def ref_request(rel, endpoint, principal):
+    npr = rel.quiver.n
+    if not principal and npr % 2:
+        raise OddRankWithoutPrincipal("odd ambient rank: use principal_broken_line instead")
+    if endpoint is None:
+        sc = scattering._default_scaled(rel.n, npr, principal)
+    else:
+        sc = scattering._scaled(endpoint)
+    scattering._validate(sc)
+    dim = 2 * npr if principal else npr
+    if len(sc.ints) != dim:
+        raise EndpointRejected(f"endpoint has {len(sc.ints)} coordinates, expected {dim}")
+    return sc
+
+
+def ref_build(rel, s, sc, principal):
+    """(walls, directions, bends, travels, endpoint, ambient monomial)."""
+    npr = rel.quiver.n
+    walls, chain = ref_w_sequence(rel, s)
+    ell = len(walls)
+    sparse = []
+    for i, marking in enumerate(chain):
+        m = ref_direction(rel, marking)
+        if principal:
+            for w in walls[:i]:
+                m[npr + w - 1] = m.get(npr + w - 1, 0) + 1
+        sparse.append(m)
+    q = rel.quiver
+    for i in range(1, ell + 1):
+        w = walls[i - 1]
+        step = Counter(sparse[i])
+        step.subtract(sparse[i - 1])
+        step.subtract(t - 1 for t in q.arrows_in(w))
+        step.update(h - 1 for h in q.arrows_out(w))
+        if principal:
+            step[npr + w - 1] -= 1
+        if any(step.values()):
+            raise CoordinateOutOfRange(
+                f"direction step at wall {w} is not the wall exponent vector")
+        if sparse[i].get(w - 1) != -1 or sparse[i - 1].get(w - 1) != -1:
+            raise CoordinateOutOfRange(f"bend at wall {w} lacks the unit pairing")
+    points = [sc.ints]
+    later = None
+    for i in range(ell, 0, -1):
+        w = walls[i - 1]
+        lam = points[-1][w - 1]
+        if lam <= 0:
+            raise PositivityViolation(
+                f"travel parameter at wall {w} is {Fraction(lam, sc.scale)}")
+        nxt = list(points[-1])
+        for r, v in sparse[i].items():
+            nxt[r] += lam * v
+        if nxt[w - 1] != 0:
+            raise PositivityViolation("bend point missed its wall")
+        touched = [r for r in sparse[i] if r < npr]
+        if later is not None:
+            touched.append(later - 1)
+        on_wall = [r + 1 for r in touched if r != w - 1 and nxt[r] == 0]
+        if on_wall:
+            raise EndpointRejected(
+                f"bend point on wall {w} also lies on wall {min(on_wall)}; "
+                "choose a more generic endpoint")
+        points.append(tuple(nxt))
+        later = w
+    points.reverse()
+    scattering._certify(walls, points, sc.ints, sc.band)
+    dim = 2 * npr if principal else npr
+    directions = tuple(ref_dense(m, dim) for m in sparse)
+    frac = lambda pt: tuple(Fraction(c, sc.scale) for c in pt)
+    final = directions[-1][:npr] if principal else directions[-1]
+    return (walls, directions, tuple(frac(pt) for pt in points[:-1]),
+            tuple(Fraction(points[i][w - 1], sc.scale) for i, w in enumerate(walls, start=1)),
+            frac(points[-1]), LaurentPoly.monomial({r + 1: e for r, e in enumerate(final) if e}))
+
+
 # -- inputs ------------------------------------------------------------------------
 
 
@@ -243,3 +428,60 @@ def test_box_monomials_match_the_whole_quiver_reference(n, seed):
     for b in factors:
         want = want * ref_walk_to_variable(q, q, b)
     assert harness.expand_model(q, a, "mutation") == want
+
+
+def line_view(line):
+    return (line.walls, line.directions, line.bends, line.travels, line.endpoint,
+            scattering.ambient_monomial(line))
+
+
+def valid_endpoint(rng, n, npr, principal):
+    """An explicit endpoint that passes the endpoint checks: each ordered
+    coordinate at most eps times the next, the rest at most eps times the
+    first, and any principal block."""
+    eps = Fraction(1, 3 * n)
+    coords = [Fraction(rng.randint(1, 5), rng.randint(1, 5))]
+    for _ in range(n - 1):
+        coords.insert(0, coords[0] * eps * Fraction(rng.randint(1, 5), 5))
+    coords += [coords[0] * eps * Fraction(rng.randint(1, 5), 5) for _ in range(npr - n)]
+    if principal:
+        coords += [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(npr)]
+    return scattering.Endpoint(tuple(coords), eps, n, npr)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(n=st.integers(2, 60), seed=st.integers(0, 2 ** 32), size=st.integers(1, 5))
+def test_sparse_broken_lines_match_the_dense_reference(n, seed, size):
+    """Plain and principal lines at the default endpoint and at a valid
+    explicit one equal the dense construction, or raise as it does; past
+    the endpoint checks, endpoints that the builder rejects (the path block
+    negated, flat, or a ladder of ratio 1/2) fail in the same way line by
+    line."""
+    rng = random.Random(seed)
+    q = geometry.quiver_of(harness.random_triangulation(n, rng))
+    support = random_path(q, rng, size)
+    rel, ref = scattering.relabel_for_path(q, support), ref_relabel_for_path(q, support)
+    assert (rel.to_new, rel.to_old) == (ref.to_new, ref.to_old)
+    markings = list(enumerate_variable_gcs(q, support))
+    for principal in (False, True):
+        valid = valid_endpoint(rng, rel.n, q.n, principal)
+        for endpoint in (None, valid):
+            want = outcome(lambda: [ref_build(ref, s, ref_request(ref, endpoint, principal),
+                                              principal) for s in markings])
+            got = outcome(lambda: [line_view(line) for line in scattering.broken_lines(
+                q, support, endpoint, principal)])
+            assert got == want
+        if not principal and q.n % 2:
+            continue
+        k = rel.n
+        top = valid.coords[k - 1]
+        for negated, path in ((True, [-c for c in valid.coords[:k]]),
+                              (False, [top] * k),
+                              (False, [top / 2 ** (k - i) for i in range(1, k + 1)])):
+            sc = scattering._scaled(scattering.Endpoint(
+                tuple(path) + valid.coords[k:], valid.eps, k, q.n))
+            for s in markings:
+                want = outcome(lambda: ref_build(ref, s, sc, principal))
+                assert outcome(lambda: line_view(scattering._build(rel, s, sc, principal))) == want
+                if negated and not any(s):  # its first bend travels a negative distance
+                    assert want[0] == "PositivityViolation", want
