@@ -193,19 +193,22 @@ def variable_mutation_sequence(q: Quiver, a) -> list[int]:
     length or breaking the 3-cycle parity raises NotInW; any other vector
     whose support is not a path raises NotAClusterVariableDVector."""
     a = require_in_w(q, a)
-    if any(x < 0 for x in a):
+    if min(a, default=0) < 0:
         raise NotInW(f"mutation sequences need a nonnegative vector, got {a}")
-    order = path_order(q, support_of(a)) if set(a) <= {0, 1} else None
+    return _mutation_sequence(q, a, support_of(a))
+
+
+def _mutation_sequence(q: Quiver, a: tuple, support: list[int]) -> list[int]:
+    """`variable_mutation_sequence` of a checked vector with its support."""
+    order = path_order(q, support) if all(a[v - 1] == 1 for v in support) else None
     if order is None:
         raise NotAClusterVariableDVector(f"{a} decomposes into several variables")
     return order
 
 
-def _walk_to_variable(start: Quiver, q: Quiver, a: tuple) -> LaurentPoly:
-    """The initial variable for minus a unit vector; otherwise the entry left
-    at the last vertex by mutating, from the start quiver (q or its principal
-    extension), along the variable's mutation sequence in q.  Either way q
-    must be type A (and so connected) first.
+def _walk(start: Quiver, seq: list[int]) -> LaurentPoly:
+    """The entry left at the last vertex of seq by mutating along it from
+    the start quiver (a type-A quiver or its principal extension).
 
     The walk runs on the full subquiver of the start quiver spanned by the
     path and its neighbours, relabelled 1..k in vertex order, with the
@@ -213,12 +216,6 @@ def _walk_to_variable(start: Quiver, q: Quiver, a: tuple) -> LaurentPoly:
     changes arrows only among v and its neighbours, so by induction no path
     vertex ever gains a neighbour outside that set, and every exchange reads
     only entries inside it."""
-    require_type_a(q)
-    if len(a) == q.n and a.count(-1) == 1 and a.count(0) == q.n - 1:
-        return LaurentPoly.variable(a.index(-1) + 1)
-    if any(x not in (0, 1) for x in a):
-        raise NotAClusterVariableDVector(f"{a} is not a variable denominator vector")
-    seq = variable_mutation_sequence(q, a)
     frozen = [v for v in seq if v in start.frozen]
     if frozen:
         raise FrozenVertex(f"cannot mutate frozen vertex {frozen[0]}")
@@ -233,13 +230,23 @@ def _walk_to_variable(start: Quiver, q: Quiver, a: tuple) -> LaurentPoly:
 def cluster_variable(q: Quiver, a) -> LaurentPoly:
     """The cluster variable with denominator vector a: an initial variable
     for minus a unit vector, otherwise computed by a targeted mutation
-    sequence along the realizing arc."""
+    sequence along the realizing arc.  q must be type A (so connected)."""
+    require_type_a(q)
     a = tuple(a)
-    poly = _walk_to_variable(q, q, a)
-    # past the walk, a is minus a unit vector exactly when it holds a -1; the
-    # d-vector is 0 off the support of poly, and a is 0-1 there
+    if len(a) == q.n and a.count(-1) == 1 and a.count(0) == q.n - 1:
+        return LaurentPoly.variable(a.index(-1) + 1)
+    if not set(a) <= {0, 1}:
+        raise NotAClusterVariableDVector(f"{a} is not a variable denominator vector")
+    a = require_in_w(q, a)
+    return _cluster_variable(q, a, support_of(a))
+
+
+def _cluster_variable(q: Quiver, a: tuple, support: list[int]) -> LaurentPoly:
+    """`cluster_variable` of a checked 0-1 vector with its support: the walk,
+    certified to have the d-vector 1 on the support and 0 off it."""
+    poly = _walk(q, _mutation_sequence(q, a, support))
     d = {v: -poly.min_exponent(v) for v in poly.support()}
-    if -1 not in a and (any(a[v - 1] != x for v, x in d.items()) or sum(a) != sum(d.values())):
+    if {v: x for v, x in d.items() if x} != dict.fromkeys(support, 1):
         raise NotAClusterVariableDVector(f"mutation walk missed the target {a}")
     return poly
 
@@ -247,10 +254,12 @@ def cluster_variable(q: Quiver, a) -> LaurentPoly:
 def principal_lift(q: Quiver, a) -> LaurentPoly:
     """The corresponding cluster variable with principal coefficients (over
     2n variables; setting the top n to 1 recovers the plain variable)."""
+    plain = cluster_variable(q, a)
     a = tuple(a)
-    poly = _walk_to_variable(q._principal, q, a)
-    check = poly.substitute_one([v for v in poly.support() if v > q.n])
-    if check != cluster_variable(q, a):
+    if -1 in a:  # minus a unit vector
+        return plain
+    poly = _walk(q._principal, _mutation_sequence(q, a, support_of(a)))
+    if poly.substitute_one([v for v in poly.support() if v > q.n]) != plain:
         raise NotAClusterVariableDVector("principal lift does not specialize correctly")
     return poly
 

@@ -181,20 +181,29 @@ def _enumerate_closed_assignments(nbits: int, implications):
 
 def _check_monomial_vector(q: Quiver, a) -> tuple[int, ...]:
     a = require_in_w(q, a)
-    if any(x < 0 for x in a):
+    if min(a, default=0) < 0:
         raise NotInW(f"formula requires a nonnegative vector, got {a}")
     return a
+
+
+def _checked(q: Quiver, a):
+    """A public formula's check, then its core's input: a, support, overlaps."""
+    a = _check_monomial_vector(q, a)
+    support = support_of(a)
+    return a, support, _overlaps(q, a, support)
 
 
 def enumerate_gcs(q: Quiver, a, i0: int | None = None):
     """All globally compatible sequences for the vector a, as tuples of 0-1
     tuples (one per vertex), in lexicographic order of the concatenated
     bits.  Only the triangles touching the support of a constrain a bit."""
-    a = _check_monomial_vector(q, a)
+    yield from _gcs(q, *_checked(q, a), i0)
+
+
+def _gcs(q: Quiver, a, support, ov, i0: int | None = None):
+    """`enumerate_gcs` of a checked vector with its support and overlaps."""
     three_cycle_cover(q)
     gateways = _gateways(q, i0)
-    support = support_of(a)
-    ov = _overlaps(q, a, support)
     first, nbits = {}, 0  # index of each support vertex's first bit
     for v in support:
         first[v] = nbits
@@ -225,10 +234,13 @@ def term_base(q: Quiver, a) -> dict[int, int]:
     triangle starting at v.  It maps the support of a and every vertex of a
     triangle touching it (on a completed quiver, all their neighbours); no
     other vertex can have a nonzero exponent in a term."""
-    a = tuple(a)
-    support = support_of(a)
+    return _term_base(q, *_checked(q, a))
+
+
+def _term_base(q: Quiver, a, support, ov) -> dict[int, int]:
+    """`term_base` of a checked vector with its support and overlaps."""
     base = {v: -a[v - 1] for v in support}
-    for e, s in _overlaps(q, a, support).items():
+    for e, s in ov.items():
         k = q._cover[e][2]
         base[k] = base.get(k, 0) - s
     return base
@@ -254,9 +266,9 @@ def gcs_weight(q: Quiver, a, s, base) -> LaurentPoly:
 
 def formula_gcs(q: Quiver, a, i0: int | None = None) -> LaurentPoly:
     """Cluster monomial as a sum over globally compatible sequences."""
-    a = _check_monomial_vector(q, a)
-    base = term_base(q, a)
-    return poly_sum(gcs_weight(q, a, s, base) for s in enumerate_gcs(q, a, i0))
+    a, support, ov = _checked(q, a)
+    base = _term_base(q, a, support, ov)
+    return poly_sum(gcs_weight(q, a, s, base) for s in _gcs(q, a, support, ov, i0))
 
 
 # -- maximal lattice paths -------------------------------------------------------
@@ -328,13 +340,17 @@ def enumerate_gcc(q: Quiver, a):
     """All globally compatible collections for the vector a.  Only arrows
     meeting the support of a carry bits or labels; each collection fills
     them in on the quiver's empty collection."""
-    a = _check_monomial_vector(q, a)
+    yield from _gcc(q, *_checked(q, a))
+
+
+def _gcc_system(q: Quiver, a, support, ov):
+    """The solver input for the collections of a checked vector: the bit
+    count, the implications and, per arrow meeting the support, its place in
+    the empty collection and the bits of its horizontals and verticals."""
     if q.n == 1:
         raise AssumptionViolated("collections need at least two vertices")
     cover = three_cycle_cover(q)
-    template, place = q._gcc_template
-    support = support_of(a)
-    ov = _overlaps(q, a, support)
+    place = q._gcc_template[1]
     outs, ins, _ = q._adjacency
     leaving = {(v, h) for v in support for h in outs[v]}  # the arrows with bits
     index: dict[tuple[tuple[int, int], int], int] = {}
@@ -366,12 +382,25 @@ def enumerate_gcc(q: Quiver, a):
         i, j, _ = cover[e]
         fill.append((place[e], e, [(r, index[(e, r)]) for r in range(1, a[i - 1] + 1)],
                      [(r, s2_source(e, r)) for r in range(1, a[j - 1] + 1)]))
-    for bits in _enumerate_closed_assignments(len(index), imps):
+    return len(index), imps, fill
+
+
+def _gcc(q: Quiver, a, support, ov):
+    """`enumerate_gcc` of a checked vector with its support and overlaps."""
+    nbits, imps, fill = _gcc_system(q, a, support, ov)
+    template = q._gcc_template[0]
+    for bits in _enumerate_closed_assignments(nbits, imps):
         chosen = list(template)
         for k, e, horizontal, vertical in fill:
             chosen[k] = (e, frozenset(r for r, x in horizontal if bits[x]),
                          frozenset(r for r, x in vertical if not bits[x]))
         yield GCCollection(tuple(chosen))
+
+
+def _gcc_count(q: Quiver, a, support, ov) -> int:
+    """The number of collections, from the solver alone: none is built."""
+    nbits, imps, _ = _gcc_system(q, a, support, ov)
+    return sum(1 for _ in _enumerate_closed_assignments(nbits, imps))
 
 
 def gcc_weight(gcc: GCCollection, base) -> LaurentPoly:

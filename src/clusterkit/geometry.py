@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from types import MappingProxyType
 
 from .errors import (
@@ -58,12 +58,14 @@ def sigma_int(x, y, z) -> int:
 def satisfies_property_a(q: Quiver, a) -> bool:
     """Parity test for membership in the d-vector lattice: on every oriented
     3-cycle whose three entries are positive and satisfy the strict triangle
-    inequalities, the sum must be even.  Always true without 3-cycles."""
+    inequalities, the sum must be even.  Always true without 3-cycles.
+    Each triangle at a nonzero entry is read through its arrow out of it."""
     require_type_a(q)
     a = tuple(a)
     if len(a) != q.n:
         raise NotInW(f"vector length {len(a)} != {q.n}")
-    for (i, j, k) in q._three_cycles:
+    cover, outs, nonzero = q._cover, q._adjacency[0], compress(range(1, q.n + 1), a)
+    for i, j, k in (cover[(v, h)] for v in nonzero for h in outs[v] if (v, h) in cover):
         x, y, z = a[i - 1], a[j - 1], a[k - 1]
         if x > 0 and y > 0 and z > 0 and x < y + z and y < x + z and z < x + y:
             if (x + y + z) % 2:
@@ -82,17 +84,33 @@ def require_in_w(q: Quiver, a) -> tuple[int, ...]:
 
 def support_of(a) -> list[int]:
     """The vertices (1-based) where the vector is nonzero, in order."""
-    return [v for v, x in enumerate(a, 1) if x]
+    return list(compress(range(1, len(a) + 1), a))
+
+
+def _positive_part(q: Quiver, a, in_w: bool = False):
+    """The nonnegative part of a, its support and the negated negative
+    entries by vertex, past one check: `require_in_w` if in_w (a is in W
+    exactly when that part is, since the parity test reads only triangles
+    with three positive entries), else `positive_split`'s on the part.
+    O(support) past the check and `support_of`."""
+    a = require_in_w(q, a) if in_w else tuple(a)
+    plus, support = a, support_of(a)
+    neg = {v: -a[v - 1] for v in support if a[v - 1] < 0}
+    if neg:
+        plus = list(a)
+        for v in neg:
+            plus[v - 1] = 0
+        plus, support = tuple(plus), [v for v in support if v not in neg]
+    if not in_w and not satisfies_property_a(q, plus):
+        raise PositivePartNotInW(f"positive part {plus} violates the parity condition")
+    return plus, support, neg
 
 
 def positive_split(q: Quiver, a) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split a d-vector into its nonnegative part and the exponents of the
     initial variables carried by the negative entries."""
-    a = tuple(a)
-    plus = tuple(x if x > 0 else 0 for x in a)
-    if not satisfies_property_a(q, plus):
-        raise PositivePartNotInW(f"positive part {plus} violates the parity condition")
-    return plus, tuple(-x if x < 0 else 0 for x in a)
+    plus, _, neg = _positive_part(q, a)
+    return plus, tuple(neg.get(v, 0) for v in range(1, len(plus) + 1))
 
 
 # -- triangulations ----------------------------------------------------------
@@ -343,9 +361,19 @@ def build_pipelines(q: Quiver, a) -> PipelineSet:
     matching marked points of two sides are joined rank-by-rank (counted from
     the sides' common corner), and leftover points run to the opposite
     corner.  Chaining pipes through marked points yields the pipelines."""
+    return _pipelines(q, _require_nonnegative(q, a))
+
+
+def _require_nonnegative(q: Quiver, a) -> tuple[int, ...]:
+    """`require_in_w`, then the sign check of the pipelines."""
     a = require_in_w(q, a)
-    if any(x < 0 for x in a):
+    if min(a, default=0) < 0:
         raise NotInW(f"pipelines need a nonnegative vector, got {a}")
+    return a
+
+
+def _pipelines(q: Quiver, a: tuple[int, ...]) -> PipelineSet:
+    """`build_pipelines` on a checked nonnegative vector."""
     t = q._triangulation
     count = {lbl: (a[lbl - 1] if lbl <= t.n else 0) for lbl in t.edges}
 
@@ -430,12 +458,19 @@ def decompose(q: Quiver, a) -> tuple[tuple[int, ...], ...]:
     """Multiset of 0-1 vectors (one per pipeline) whose coordinatewise sum is
     the given nonnegative d-vector; each support induces a path.  A 0-1
     vector whose support already induces a path is returned unchanged."""
-    a = require_in_w(q, a)
-    if not any(a):
+    a = _require_nonnegative(q, a)
+    return tuple(b for b, _ in _decompose(q, a, support_of(a)))
+
+
+def _decompose(q: Quiver, a: tuple[int, ...], support: list[int]) -> tuple:
+    """`decompose` of a checked vector with its support, as sorted (factor,
+    its support) pairs: O(support) on a path, else the (sorted) pipelines."""
+    if not support:
         return ()
-    if set(a) <= {0, 1} and path_order(q, support_of(a)) is not None:
-        return (a,)
-    return tuple(sorted(build_pipelines(q, a).b_vectors()))
+    if all(a[v - 1] == 1 for v in support) and path_order(q, support) is not None:
+        return ((a, support),)
+    return tuple((p.b_vector, sorted(i for i, _ in p.crossings))
+                 for p in _pipelines(q, a).pipelines)
 
 
 def intersection_number(t: Triangulation, d: tuple[int, int], e: tuple[int, int]) -> int:

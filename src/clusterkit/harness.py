@@ -90,40 +90,38 @@ class _Model:
     """How one model turns a nonnegative d-vector into witnesses and a value.
 
     A per-variable model runs on each factor of `decompose` and the factors
-    multiply; the others run once on the whole vector.  `prepare(q, x)` makes
-    the model's input, `witnesses` enumerates it, `weight` is one witness's
-    term, `finish` takes the sum of the terms back to the ambient variables
-    and `dump` is one witness's JSON.  A value model (mutation) gives `value`
-    instead; its witness count is the coefficient sum of that value."""
+    multiply; the others run once on the whole vector.  `prepare(q, x,
+    support)` makes the model's input, `witnesses` enumerates it, `count`
+    (if given) counts it, `weight` is one witness's term, `finish` takes the
+    sum of the terms back to the ambient variables and `dump` is one
+    witness's JSON.  A value model (mutation) gives `value` instead; its
+    witness count is the coefficient sum of that value.  All call unchecked
+    cores: a request is checked once, in `_positive_part`."""
 
     per_variable: bool
     prepare: Callable
     witnesses: Callable | None = None
+    count: Callable | None = None
     weight: Callable | None = None
     finish: Callable = lambda ctx, value: value
     dump: Callable | None = None
     value: Callable | None = None
 
 
-def _completed(q: Quiver, plus):
+def _completed(q: Quiver, plus, support):
     """The 3-cycle completion, the vector padded with zeros on the added
-    vertices, those vertices (set to one by `_drop_added`) and the part of
-    every term fixed by the two (`formulas.term_base`)."""
-    q2, added = three_cycle_completion(q)
+    vertices, its support, its overlaps (once, for witnesses and terms), the
+    part of every term fixed by the two (`formulas.term_base`) and the added
+    vertices a term can hold (set to one by `_drop_added`)."""
+    q2 = three_cycle_completion(q)[0]
     a = plus + (0,) * (q2.n - q.n)
-    return q2, a, added, formulas.term_base(q2, a)
+    ov = formulas._overlaps(q2, a, support)
+    base = formulas._term_base(q2, a, support, ov)
+    return q2, a, support, ov, base, [v for v in base if v > q.n]
 
 
 def _drop_added(ctx, value: LaurentPoly) -> LaurentPoly:
-    return value.substitute_one(ctx[2])
-
-
-def _relabeled(q: Quiver, b):
-    """The quiver, the support of b and the relabelling of its path to 1..n,
-    made once: the lines are drawn in the relabelled coordinates and their
-    sum is renamed back through its maps."""
-    support = geometry.support_of(b)
-    return q, support, scattering.relabel_for_path(q, support)
+    return value.substitute_one(ctx[5])
 
 
 def _over_path(comp, value: LaurentPoly) -> LaurentPoly:
@@ -134,40 +132,43 @@ def _over_path(comp, value: LaurentPoly) -> LaurentPoly:
 
 
 _TABLE = {
-    "mutation": _Model(True, lambda q, b: (q, b),
-                       value=lambda ctx: engine.cluster_variable(*ctx)),
+    "mutation": _Model(True, lambda q, b, support: (q, b, support),
+                       value=lambda ctx: engine._cluster_variable(*ctx)),
     "gcs": _Model(
-        False, _completed, witnesses=lambda ctx: formulas.enumerate_gcs(*ctx[:2]),
-        weight=lambda ctx, s: formulas.gcs_weight(*ctx[:2], s, ctx[3]), finish=_drop_added,
+        False, _completed, witnesses=lambda ctx: formulas._gcs(*ctx[:4]),
+        weight=lambda ctx, s: formulas.gcs_weight(*ctx[:2], s, ctx[4]), finish=_drop_added,
         dump=lambda ctx, s: [list(bits) for bits in s]),
     "gcc": _Model(
-        False, _completed, witnesses=lambda ctx: formulas.enumerate_gcc(*ctx[:2]),
-        weight=lambda ctx, g: formulas.gcc_weight(g, ctx[3]), finish=_drop_added,
+        False, _completed, witnesses=lambda ctx: formulas._gcc(*ctx[:4]),
+        count=lambda ctx: formulas._gcc_count(*ctx[:4]),
+        weight=lambda ctx, g: formulas.gcc_weight(g, ctx[4]), finish=_drop_added,
         dump=lambda ctx, g: [{"arrow": list(arrow), "S1": sorted(s1), "S2": sorted(s2)}
                              for (arrow, s1, s2) in g.chosen]),
     "linear-gcc": _Model(
-        True, lambda q, b: complete_extension(q, geometry.support_of(b)),
+        True, lambda q, b, support: complete_extension(q, support),
         witnesses=lambda comp: formulas.enumerate_linear_gcc(comp.celq),
         weight=lambda comp, w: formulas.linear_gcc_weight(comp.celq, w), finish=_over_path,
         dump=lambda comp, w: {"pairs": [list(p) for p in w.pairs], "end_bit": w.end_bit}),
     "gcs-variable": _Model(
-        True, lambda q, b: (q, geometry.support_of(b)),
+        True, lambda q, b, support: (q, support),
         witnesses=lambda ctx: formulas.enumerate_variable_gcs(*ctx),
         weight=lambda ctx, s: formulas.variable_gcs_monomial(*ctx, s),
         dump=lambda ctx, s: list(s)),
     "matching": _Model(
-        True, lambda q, b: complete_extension(q, geometry.support_of(b)),
+        True, lambda q, b, support: complete_extension(q, support),
         witnesses=lambda comp: snake.enumerate_matchings(snake.build_snake(comp.celq)),
         weight=lambda comp, gamma: snake.matching_weight(gamma), finish=_over_path,
         dump=lambda comp, gamma: [list(l) if isinstance(l, tuple) else l for l in gamma]),
     "tpath": _Model(
-        True, lambda q, b: complete_extension(q, geometry.support_of(b)),
+        True, lambda q, b, support: complete_extension(q, support),
         witnesses=lambda comp: snake.triangulation_tpaths(
             geometry.triangulation_of(comp.celq), comp.celq),
         weight=lambda comp, p: p.value(), dump=lambda comp, p: list(p.labels),
         finish=lambda comp, value: comp.substitution_then_rename(value)),
+    # the path is relabelled to 1..n once per factor: the lines are drawn in
+    # the relabelled coordinates and their sum is renamed back through its maps
     "broken-line": _Model(
-        True, _relabeled,
+        True, lambda q, b, support: (q, support, scattering.relabel_for_path(q, support)),
         witnesses=lambda ctx: scattering.broken_lines(*ctx[:2], rel=ctx[2]),
         weight=lambda ctx, line: scattering.ambient_monomial(line),
         finish=lambda ctx, value: value.rename(ctx[2].to_old),
@@ -185,14 +186,16 @@ def _model(q: Quiver, name: str) -> _Model:
     return _TABLE["linear-gcc" if name == "gcc" and q.n == 1 else name]
 
 
-def _run(q: Quiver, plus, name: str, want_value: bool) -> tuple[LaurentPoly | None, int]:
-    """Value (None unless wanted) and witness count of one model on a nonzero
-    nonnegative d-vector, from one enumeration per factor.  A count alone
-    never computes a weight."""
+def _run(q: Quiver, plus, support, name: str,
+         want_value: bool) -> tuple[LaurentPoly | None, int]:
+    """Value (None unless wanted) and witness count of one model on a checked
+    nonzero nonnegative d-vector and its support, from one enumeration per
+    factor.  A count alone never computes a weight."""
     model = _model(q, name)
     value, count = LaurentPoly.one(), 1
-    for x in geometry.decompose(q, plus) if model.per_variable else (plus,):
-        ctx = model.prepare(q, x)
+    whole = ((plus, support),)
+    for x, sup in geometry._decompose(q, plus, support) if model.per_variable else whole:
+        ctx = model.prepare(q, x, sup)
         if model.value is not None:
             part = model.value(ctx)
             count *= part.coefficient_sum()
@@ -201,28 +204,31 @@ def _run(q: Quiver, plus, name: str, want_value: bool) -> tuple[LaurentPoly | No
             terms = [model.weight(ctx, w) for w in model.witnesses(ctx)]
             count *= len(terms)
             value = value * model.finish(ctx, poly_sum(terms))
+        elif model.count is not None:
+            count *= model.count(ctx)
         else:
             count *= sum(1 for _ in model.witnesses(ctx))
     return (value if want_value else None), count
 
 
-def _positive_part(q: Quiver, a):
-    """`geometry.positive_split`, refusing (as mutation would) a positive
-    entry on a frozen vertex before any model runs."""
-    plus, neg = geometry.positive_split(q, a)
+def _positive_part(q: Quiver, a, in_w: bool = False):
+    """`geometry._positive_part`, the one check of a request, refusing (as
+    mutation would) a positive entry on a frozen vertex before any model
+    runs."""
+    plus, support, neg = geometry._positive_part(q, a, in_w)
     frozen = [v for v in sorted(q.frozen) if plus[v - 1]]
     if frozen:
         raise FrozenVertex(f"cannot mutate frozen vertex {frozen[0]}")
-    return plus, neg
+    return plus, support, neg
 
 
 def _expand(q: Quiver, a, name: str) -> tuple[LaurentPoly, int]:
     _model(q, name)
-    plus, neg = _positive_part(q, geometry.require_in_w(q, a))
-    init = LaurentPoly.monomial(dict(enumerate(neg, 1)))
-    if not any(plus):
+    plus, support, neg = _positive_part(q, a, in_w=True)
+    init = LaurentPoly.monomial(neg)
+    if not support:
         return init, 1
-    value, count = _run(q, plus, name, want_value=True)
+    value, count = _run(q, plus, support, name, want_value=True)
     return value * init, count
 
 
@@ -235,10 +241,10 @@ def witness_count(q: Quiver, a, model: str) -> int:
     """Number of combinatorial witnesses behind the model's expansion (the
     mutation oracle reports its coefficient sum, which must agree)."""
     _model(q, model)
-    plus, _ = _positive_part(q, a)
-    if not any(plus):
+    plus, support, _ = _positive_part(q, a)
+    if not support:
         return 1
-    return _run(q, plus, model, want_value=False)[1]
+    return _run(q, plus, support, model, want_value=False)[1]
 
 
 def list_witnesses(q: Quiver, a, model: str) -> list:
@@ -246,15 +252,15 @@ def list_witnesses(q: Quiver, a, model: str) -> list:
     spec = _model(q, model)
     if spec.dump is None:
         raise InvalidInput(f"model {model!r} has no witness listing")
-    plus, _ = _positive_part(q, a)
-    if not spec.per_variable:
-        ctx = spec.prepare(q, plus)
-        return [spec.dump(ctx, w) for w in spec.witnesses(ctx)]
+    plus, support, _ = _positive_part(q, a)
     out = []
-    for b in geometry.decompose(q, plus):
-        ctx = spec.prepare(q, b)
-        out.append({"factor": list(b),
-                    "witnesses": [spec.dump(ctx, w) for w in spec.witnesses(ctx)]})
+    whole = ((plus, support),)
+    for b, sup in geometry._decompose(q, plus, support) if spec.per_variable else whole:
+        ctx = spec.prepare(q, b, sup)
+        witnesses = [spec.dump(ctx, w) for w in spec.witnesses(ctx)]
+        if not spec.per_variable:
+            return witnesses
+        out.append({"factor": list(b), "witnesses": witnesses})
     return out
 
 

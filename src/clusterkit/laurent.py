@@ -229,17 +229,14 @@ def substitute_one(p: LaurentPoly, variables: Iterable[int]) -> LaurentPoly:
 
 
 def rename(p: LaurentPoly, mapping: Mapping[int, int]) -> LaurentPoly:
-    """Relabel variables; mapping must be injective on the support of p."""
-    targets = list(mapping.values())
-    if len(set(targets)) != len(targets):
+    """Relabel variables (one missing from mapping keeps its label); the
+    relabelling must be injective on the variables of p, which are the only
+    ones read."""
+    support = p.support()
+    new = {v: mapping.get(v, v) for v in support}
+    if len(set(new.values())) != len(support):
         raise ValueError("rename mapping is not injective")
-    acc: dict[Monomial, int] = {}
-    for m, c in p.terms.items():
-        m2 = mono({mapping.get(v, v): e for v, e in m})
-        if m2 in acc:
-            raise ValueError("rename mapping collapses distinct variables")
-        acc[m2] = c
-    return LaurentPoly(acc)
+    return LaurentPoly({mono({new[v]: e for v, e in m}): c for m, c in p.terms.items()})
 
 
 # -- deterministic rendering -----------------------------------------------

@@ -23,6 +23,7 @@ coefficients, whose extra block simply records the walls crossed so far.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -52,8 +53,8 @@ class PathRelabeling:
 
     ambient: Quiver
     order: tuple[int, ...]       # the path in ambient labels
-    to_new: dict[int, int]
-    to_old: dict[int, int]
+    to_new: Mapping[int, int]
+    to_old: Mapping[int, int]
 
     @property
     def n(self) -> int:
@@ -99,12 +100,40 @@ class PathRelabeling:
         return tuple(cols)
 
 
+class _PathFirst(Mapping):
+    """The renumbering of 1..n that puts the path first, in path order, and
+    the other vertices after it in their own order: old label -> new label
+    (forward) or new -> old.  Only the path is stored: it is built in
+    O(path), a lookup takes O(path), and it equals the dict it stands for."""
+
+    def __init__(self, order: tuple[int, ...], n: int, forward: bool):
+        self._order, self._labels, self._forward = order, range(1, n + 1), forward
+
+    def __getitem__(self, v: int) -> int:
+        if v not in self._labels:
+            raise KeyError(v)
+        k = len(self._order)
+        if self._forward:  # off the path: after it, less the path vertices below v
+            return self._order.index(v) + 1 if v in self._order else k + v - sum(
+                p < v for p in self._order)
+        if v <= k:
+            return self._order[v - 1]
+        v -= k  # the v-th vertex off the path
+        for p in sorted(self._order):
+            v += p <= v
+        return v
+
+    def __iter__(self):
+        return iter(self._labels)
+
+    def __len__(self) -> int:
+        return len(self._labels)
+
+
 def relabel_for_path(qtilde: Quiver, linear_vertices) -> PathRelabeling:
     order = tuple(require_path(qtilde, linear_vertices))
-    to_new = {v: i for i, v in enumerate(order, 1)}
-    rest = [v for v in qtilde.vertices if v not in to_new]
-    to_new.update(zip(rest, range(len(order) + 1, qtilde.n + 1)))
-    return PathRelabeling(qtilde, order, to_new, dict(zip(to_new.values(), to_new)))
+    return PathRelabeling(qtilde, order, _PathFirst(order, qtilde.n, True),
+                          _PathFirst(order, qtilde.n, False))
 
 
 # -- adjustable positions and the wall order --------------------------------------

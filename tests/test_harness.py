@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -139,10 +140,12 @@ def test_parity_error_classes_per_entry_point(three_cycle):
             witness_count(three_cycle, (1, 1, 1), model)
 
 
-ENUMERATORS = ((formulas, "enumerate_gcs"), (formulas, "enumerate_gcc"),
+# what the harness calls per model: the unchecked cores behind the checked
+# public functions, and the public enumerators that take no d-vector
+ENUMERATORS = ((formulas, "_gcs"), (formulas, "_gcc"),
                (formulas, "enumerate_linear_gcc"), (formulas, "enumerate_variable_gcs"),
                (snake, "enumerate_matchings"), (snake, "triangulation_tpaths"),
-               (scattering, "broken_lines"), (engine, "cluster_variable"))
+               (scattering, "broken_lines"), (engine, "_cluster_variable"))
 
 
 def _count_calls(monkeypatch, targets) -> dict:
@@ -353,14 +356,17 @@ def _random_path(q: Quiver, rng: random.Random, size: int) -> set[int]:
 def test_short_arc_requests_touch_only_their_neighbourhood(monkeypatch):
     """On a 1,000-vertex quiver, short-arc gcs, gcc and mutation requests
     label the base vertex once per completed quiver, evaluate sigma only on
-    the triangles touching the support (three per triangle in term_base and
-    three in the witness constraints) and mutate only the subquiver spanned
-    by the path and its neighbours."""
+    the triangles touching the support (three per triangle, once per
+    request, shared by the terms and the witness constraints) and mutate
+    only the subquiver spanned by the path and its neighbours; broken-line
+    requests relabel the path without reading the quiver's vertex range and
+    with O(path) memory."""
     rng = random.Random(1000)
     q = random_type_a_quiver(1000, rng)
     q2, _ = three_cycle_completion(q)
     calls = {"base": 0, "gateways": 0, "sigma": 0}
     mutated_sizes: list[int] = []
+    relabel_peaks: list[int] = []
 
     def counted(name, f):
         def wrapper(*args):
@@ -373,19 +379,82 @@ def test_short_arc_requests_touch_only_their_neighbourhood(monkeypatch):
     monkeypatch.setattr(formulas, "sigma_int", counted("sigma", formulas.sigma_int))
     mutate = engine.mutate
     monkeypatch.setattr(engine, "mutate", lambda p, v: mutated_sizes.append(p.n) or mutate(p, v))
+    relabel = scattering.relabel_for_path
+
+    def local_relabel(*args):
+        with monkeypatch.context() as m:
+            m.setattr(Quiver, "vertices", property(lambda p: pytest.fail("read all vertices")))
+            tracemalloc.start()
+            try:
+                rel = relabel(*args)
+                relabel_peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return rel
+    monkeypatch.setattr(scattering, "relabel_for_path", local_relabel)
     for k in range(20):
         support = _random_path(q, rng, k % 4 + 1)
         b = tuple(int(v in support) for v in q.vertices)
         touching = [c for c in oriented_three_cycles(q2) if support & set(c)]
         neighbourhood = support.union(*(q.neighbors(v) for v in support))
-        for model in ("gcs", "gcc", "mutation"):
+        for model in ("broken-line", "gcs", "gcc", "mutation"):
             calls["sigma"], mutated_sizes[:] = 0, []
             assert expand_model(q, b, model).coefficient_sum() == witness_count(q, b, model)
-            # two requests, each with one term_base and one constraint pass
-            assert calls["sigma"] <= 2 * 2 * 3 * len(touching)
+            # two requests, each with one overlap pass
+            assert calls["sigma"] <= 2 * 3 * len(touching)
             assert max(mutated_sizes, default=0) <= len(neighbourhood)
         assert len(mutated_sizes) == 2 * len(support)
     assert calls["base"] == calls["gateways"] == 1
+    # a dict over the 1,000 vertices alone takes more than 30 kB
+    assert len(relabel_peaks) == 40 and max(relabel_peaks) < 8000
+
+
+def test_one_parity_test_and_one_support_per_request(monkeypatch):
+    """Each expand_model, witness_count and list_witnesses call on a short
+    arc of a 1,000-vertex quiver (with a negative entry elsewhere for
+    expand_model) runs satisfies_property_a once and support_of once: the
+    public entry point checks, the cores below it never check again."""
+    rng = random.Random(1002)
+    q = random_type_a_quiver(1000, rng)
+    for model in MODELS:  # the once-per-quiver structure
+        expand_model(q, (1,) + (0,) * 999, model)
+    calls = {"satisfies_property_a": 0, "support_of": 0}
+    for name in calls:
+        original = getattr(geometry, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        for module in (geometry, formulas, engine, scattering, harness):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    for k in range(8):
+        support = _random_path(q, rng, k % 4 + 1)
+        b = tuple(int(v in support) for v in q.vertices)
+        off = next(v for v in q.vertices if v not in support)
+        negative = tuple(-2 if v == off else x for v, x in enumerate(b, 1))
+        for model in MODELS:
+            requests = [lambda: expand_model(q, negative, model),
+                        lambda: witness_count(q, b, model)]
+            if model != "mutation":
+                requests.append(lambda: list_witnesses(q, b, model))
+            for request in requests:
+                calls.update(dict.fromkeys(calls, 0))
+                request()
+                assert calls == {"satisfies_property_a": 1, "support_of": 1}, (model, support)
+
+
+def test_gcc_count_builds_no_collection(monkeypatch, seven_mixed):
+    """A gcc count stops at the solver's assignments."""
+    vectors = [(2, 2, 0, 0, 2, 0, 0), (1, 1, 1, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0)]
+    want = [witness_count(seven_mixed, a, "gcs") for a in vectors]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a count built a collection")
+    monkeypatch.setattr(formulas, "GCCollection", refuse)
+    assert [witness_count(seven_mixed, a, "gcc") for a in vectors] == want
+    n = 40  # the linearly oriented path, all ones: n + 1 collections
+    assert witness_count(Quiver(n, tuple((i, i + 1) for i in range(1, n))), (1,) * n, "gcc") == n + 1
 
 
 def test_broken_line_requests_touch_only_their_neighbourhood(monkeypatch):

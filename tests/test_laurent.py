@@ -63,6 +63,13 @@ def test_rename_checks_injectivity():
         p.rename({1: 2})
 
 
+def test_rename_checks_injectivity_on_the_variables_of_the_polynomial():
+    with pytest.raises(ValueError, match="not injective"):
+        (x1 * x2).rename({1: 2})  # x1*x2 must not merge into x2
+    assert x1.rename({1: 3, 2: 3}) == x3  # 2 is not a variable of x1
+    assert (x1 * x2).rename({1: 2, 2: 1}) == x1 * x2
+
+
 def test_negative_power_of_monomial():
     m = LaurentPoly.monomial({1: 2, 2: -1})
     assert m ** -1 == LaurentPoly.monomial({1: -2, 2: 1})
