@@ -17,10 +17,10 @@ so the search is near linear per witness.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter, defaultdict, deque
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import compress
 import logging
 
 from .errors import (
@@ -29,7 +29,7 @@ from .errors import (
     Unreachable,
 )
 from .geometry import require_in_w, sigma_int, support_of
-from .laurent import LaurentPoly, poly_sum
+from .laurent import LaurentPoly, affine_sum, mono
 from .quiver import (
     CompletelyExtendedLinearQuiver,
     Quiver,
@@ -176,6 +176,23 @@ def _enumerate_closed_assignments(nbits: int, implications):
             todo += [(len(trail), pos, 1), (len(trail), pos, 0)]
 
 
+def _count(nbits: int, implications, *_) -> int:
+    """The number of closed assignments; no witness is built."""
+    return sum(1 for _ in _enumerate_closed_assignments(nbits, implications))
+
+
+def _tally(nbits: int, implications, runs) -> dict[tuple[int, ...], int]:
+    """The number of closed assignments per tuple of set-bit counts in runs
+    of consecutive bits (their lengths, in bit order), each assignment packed
+    at C speed into one integer with a w-bit field per run."""
+    w = max(runs, default=0).bit_length()
+    weights = [1 << w * i for i, size in enumerate(runs) for _ in range(size)]
+    packed = Counter(sum(compress(weights, bits))
+                     for bits in _enumerate_closed_assignments(nbits, implications))
+    mask = (1 << w) - 1
+    return {tuple(key >> w * i & mask for i in range(len(runs))): c for key, c in packed.items()}
+
+
 # -- globally compatible sequences ----------------------------------------------
 
 
@@ -200,11 +217,12 @@ def enumerate_gcs(q: Quiver, a, i0: int | None = None):
     yield from _gcs(q, *_checked(q, a), i0)
 
 
-def _gcs(q: Quiver, a, support, ov, i0: int | None = None):
-    """`enumerate_gcs` of a checked vector with its support and overlaps."""
+def _gcs_system(q: Quiver, a, support, ov, i0: int | None = None):
+    """The solver input for the sequences of a checked vector: the bit count,
+    the implications and the index of each support vertex's first bit."""
     three_cycle_cover(q)
     gateways = _gateways(q, i0)
-    first, nbits = {}, 0  # index of each support vertex's first bit
+    first, nbits = {}, 0
     for v in support:
         first[v] = nbits
         nbits += a[v - 1]
@@ -221,11 +239,31 @@ def _gcs(q: Quiver, a, support, ov, i0: int | None = None):
             imps.append((bit(p, ap + 1 - t), bit(qq, t)))
         for t in range(1, ov[(qq, g)] + 1):
             imps.append((bit(qq, aq + 1 - t), bit(g, ag + 1 - t)))
+    return nbits, imps, first
+
+
+def _gcs(q: Quiver, a, support, ov, i0: int | None = None):
+    """`enumerate_gcs` of a checked vector with its support and overlaps."""
+    nbits, imps, first = _gcs_system(q, a, support, ov, i0)
     for bits in _enumerate_closed_assignments(nbits, imps):
         out = [()] * q.n
         for v in support:
             out[v - 1] = bits[first[v]: first[v] + a[v - 1]]
         yield tuple(out)
+
+
+def _gcs_terms(q: Quiver, a, support, ov, base, i0: int | None = None):
+    """The sum of `gcs_weight` over the sequences as `laurent.affine_sum`
+    input: base plus a_v on the tails of the arrows into each support vertex
+    v, each set bit of v adding 1 on their heads and -1 on those tails."""
+    outs, ins, _ = q._adjacency
+    shifted, deltas = dict(base), []
+    for v in support:
+        for t in ins[v]:
+            shifted[t] = shifted.get(t, 0) + a[v - 1]
+        deltas.append(mono({**dict.fromkeys(outs[v], 1), **dict.fromkeys(ins[v], -1)}))
+    nbits, imps, _ = _gcs_system(q, a, support, ov, i0)
+    return shifted, deltas, _tally(nbits, imps, [a[v - 1] for v in support])
 
 
 def term_base(q: Quiver, a) -> dict[int, int]:
@@ -267,8 +305,7 @@ def gcs_weight(q: Quiver, a, s, base) -> LaurentPoly:
 def formula_gcs(q: Quiver, a, i0: int | None = None) -> LaurentPoly:
     """Cluster monomial as a sum over globally compatible sequences."""
     a, support, ov = _checked(q, a)
-    base = _term_base(q, a, support, ov)
-    return poly_sum(gcs_weight(q, a, s, base) for s in _gcs(q, a, support, ov, i0))
+    return affine_sum(*_gcs_terms(q, a, support, ov, _term_base(q, a, support, ov), i0))
 
 
 # -- maximal lattice paths -------------------------------------------------------
@@ -345,16 +382,17 @@ def enumerate_gcc(q: Quiver, a):
 
 def _gcc_system(q: Quiver, a, support, ov):
     """The solver input for the collections of a checked vector: the bit
-    count, the implications and, per arrow meeting the support, its place in
-    the empty collection and the bits of its horizontals and verticals."""
+    count, the implications, per arrow meeting the support its place in the
+    empty collection and the bits of its horizontals and verticals, and the
+    arrows out of the support (whose horizontals are the bits, in order)."""
     if q.n == 1:
         raise AssumptionViolated("collections need at least two vertices")
     cover = three_cycle_cover(q)
     place = q._gcc_template[1]
     outs, ins, _ = q._adjacency
-    leaving = {(v, h) for v in support for h in outs[v]}  # the arrows with bits
+    leaving = sorted((v, h) for v in support for h in outs[v])  # the arrows with bits
     index: dict[tuple[tuple[int, int], int], int] = {}
-    for e in sorted(leaving):
+    for e in leaving:
         for r in range(1, a[e[0] - 1] + 1):
             index[(e, r)] = len(index)
 
@@ -378,16 +416,16 @@ def _gcc_system(q: Quiver, a, support, ov):
                     imps.append((x, y))
                     imps.append((y, x))
     fill = []
-    for e in leaving | {(t, v) for v in support for t in ins[v]}:
+    for e in leaving + [(t, v) for v in support for t in ins[v] if not a[t - 1]]:
         i, j, _ = cover[e]
         fill.append((place[e], e, [(r, index[(e, r)]) for r in range(1, a[i - 1] + 1)],
                      [(r, s2_source(e, r)) for r in range(1, a[j - 1] + 1)]))
-    return len(index), imps, fill
+    return len(index), imps, fill, leaving
 
 
 def _gcc(q: Quiver, a, support, ov):
     """`enumerate_gcc` of a checked vector with its support and overlaps."""
-    nbits, imps, fill = _gcc_system(q, a, support, ov)
+    nbits, imps, fill, _ = _gcc_system(q, a, support, ov)
     template = q._gcc_template[0]
     for bits in _enumerate_closed_assignments(nbits, imps):
         chosen = list(template)
@@ -397,28 +435,28 @@ def _gcc(q: Quiver, a, support, ov):
         yield GCCollection(tuple(chosen))
 
 
-def _gcc_count(q: Quiver, a, support, ov) -> int:
-    """The number of collections, from the solver alone: none is built."""
-    nbits, imps, _ = _gcc_system(q, a, support, ov)
-    return sum(1 for _ in _enumerate_closed_assignments(nbits, imps))
+def _gcc_terms(q: Quiver, a, support, ov, base):
+    """The sum of `gcc_weight` over the collections as `laurent.affine_sum`
+    input.  A bit of an arrow j -> k out of the support is a horizontal,
+    adding 1 on k, and, negated, a vertical of the arrow i -> j before it in
+    its triangle: base gains a_j on i, and each set bit adds -1 on i."""
+    nbits, imps, _, leaving = _gcc_system(q, a, support, ov)
+    shifted, deltas = dict(base), []
+    for j, k in leaving:
+        i = q._cover[(j, k)][2]
+        shifted[i] = shifted.get(i, 0) + a[j - 1]
+        deltas.append(mono({k: 1, i: -1}))
+    return shifted, deltas, _tally(nbits, imps, [a[j - 1] for j, _ in leaving])
 
 
 def gcc_weight(gcc: GCCollection, base) -> LaurentPoly:
     """The Laurent monomial of one globally compatible collection, given
     `term_base(q, a)` of its quiver and vector: base plus, over each arrow
-    i -> j, its vertical count on x_i and its horizontal count on x_j.
-    Only arrows meeting the support carry labels, and their tails are keys
-    of base (the support and its neighbours), so only the runs of `chosen`
-    with those tails are read."""
+    i -> j, its vertical count on x_i and its horizontal count on x_j."""
     e = dict(base)
-    chosen = gcc.chosen
-    for t in base:
-        k = bisect_left(chosen, ((t, 0),))  # the first arrow out of t
-        while k < len(chosen) and chosen[k][0][0] == t:
-            (i, j), s1, s2 = chosen[k]
-            e[i] = e.get(i, 0) + len(s2)
-            e[j] = e.get(j, 0) + len(s1)
-            k += 1
+    for (i, j), s1, s2 in gcc.chosen:
+        e[i] = e.get(i, 0) + len(s2)
+        e[j] = e.get(j, 0) + len(s1)
     return LaurentPoly.monomial(e)
 
 

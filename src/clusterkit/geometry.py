@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, compress
 from types import MappingProxyType
 
@@ -142,6 +143,15 @@ class Triangulation:
         if {a, b} & {c, f}:
             return False
         return self.in_open_arc(c, a, b) != self.in_open_arc(f, a, b)
+
+    @cached_property
+    def _faces(self):
+        """`triangles()`, built once, and the faces on each side label."""
+        faces, at = self.triangles(), {}
+        for ti, (_, sides) in enumerate(faces):
+            for s in sides:
+                at.setdefault(s, []).append(ti)
+        return faces, at
 
     def triangles(self) -> list[tuple[tuple[int, int, int], tuple[int, int, int]]]:
         """All triangular faces as (ccw corner triple, side labels).
@@ -361,7 +371,8 @@ def build_pipelines(q: Quiver, a) -> PipelineSet:
     matching marked points of two sides are joined rank-by-rank (counted from
     the sides' common corner), and leftover points run to the opposite
     corner.  Chaining pipes through marked points yields the pipelines."""
-    return _pipelines(q, _require_nonnegative(q, a))
+    a = _require_nonnegative(q, a)
+    return _pipelines(q, a, support_of(a))
 
 
 def _require_nonnegative(q: Quiver, a) -> tuple[int, ...]:
@@ -372,27 +383,28 @@ def _require_nonnegative(q: Quiver, a) -> tuple[int, ...]:
     return a
 
 
-def _pipelines(q: Quiver, a: tuple[int, ...]) -> PipelineSet:
-    """`build_pipelines` on a checked nonnegative vector."""
+def _pipelines(q: Quiver, a: tuple[int, ...], support) -> PipelineSet:
+    """`build_pipelines` on a checked nonnegative vector with its support:
+    only the faces at the support hold marked points, and only they are read."""
     t = q._triangulation
-    count = {lbl: (a[lbl - 1] if lbl <= t.n else 0) for lbl in t.edges}
+    faces, at = t._faces
+    count = lambda label: a[label - 1] if label <= t.n else 0
 
     def rank_from(label: int, corner: int, r: int) -> int:
         """Canonical rank (counted from the smaller corner) of the r-th
         marked point counted from the given corner."""
         u, w = t.edges[label]
-        return r if corner == u else count[label] + 1 - r
+        return r if corner == u else count(label) + 1 - r
 
     pipes: list[tuple] = []
-    per_triangle_used: dict[tuple[int, int], set[int]] = {}
-    for ti, (corners, sides) in enumerate(t.triangles()):
+    for corners, sides in (faces[ti] for ti in sorted({ti for v in support for ti in at[v]})):
         corner_of = {frozenset((sides[m], sides[(m + 1) % 3])): corners[(m + 1) % 3]
                      for m in range(3)}
         opposite = {sides[m]: corners[(m + 2) % 3] for m in range(3)}
         used: dict[int, set[int]] = {s: set() for s in sides}
         for sx, sy in combinations(sorted(set(sides)), 2):
             sz = next(s for s in sides if s not in (sx, sy))
-            s_val = sigma_int(count[sx], count[sy], count[sz])
+            s_val = sigma_int(count(sx), count(sy), count(sz))
             common = corner_of[frozenset((sx, sy))]
             for r in range(1, s_val + 1):
                 rx, ry = rank_from(sx, common, r), rank_from(sy, common, r)
@@ -400,7 +412,7 @@ def _pipelines(q: Quiver, a: tuple[int, ...]) -> PipelineSet:
                 used[sx].add(rx)
                 used[sy].add(ry)
         for s in set(sides):
-            for r in range(1, count[s] + 1):
+            for r in range(1, count(s) + 1):
                 if r not in used[s]:
                     pipes.append((("pt", s, r), ("vx", opposite[s])))
 
@@ -438,16 +450,18 @@ def _pipelines(q: Quiver, a: tuple[int, ...]) -> PipelineSet:
         diagonals = [c[1] for c in inner]
         if len(set(diagonals)) != len(diagonals):
             raise NotInW("a pipeline crosses a diagonal twice")
-        b = tuple(1 if i in set(diagonals) else 0 for i in range(1, q.n + 1))
+        b = [0] * q.n
+        for i in diagonals:
+            b[i - 1] = 1
         pipelines.append(Pipeline(
             endpoints=(min(left[1], right[1]), max(left[1], right[1])),
             crossings=tuple((c[1], c[2]) for c in inner),
-            b_vector=b,
+            b_vector=tuple(b),
         ))
     total = [0] * q.n
     for p in pipelines:
-        for i, bit in enumerate(p.b_vector):
-            total[i] += bit
+        for i, _ in p.crossings:
+            total[i - 1] += 1
     if tuple(total) != a:
         raise NotInW(f"pipeline supports sum to {tuple(total)}, expected {a}")
     pipelines.sort(key=lambda p: (p.b_vector, p.endpoints, p.crossings))
@@ -470,7 +484,7 @@ def _decompose(q: Quiver, a: tuple[int, ...], support: list[int]) -> tuple:
     if all(a[v - 1] == 1 for v in support) and path_order(q, support) is not None:
         return ((a, support),)
     return tuple((p.b_vector, sorted(i for i, _ in p.crossings))
-                 for p in _pipelines(q, a).pipelines)
+                 for p in _pipelines(q, a, support).pipelines)
 
 
 def intersection_number(t: Triangulation, d: tuple[int, int], e: tuple[int, int]) -> int:

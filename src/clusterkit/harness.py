@@ -20,6 +20,7 @@ from . import engine, formulas, geometry, scattering, snake
 from .errors import FrozenVertex, InvalidInput
 from .laurent import (
     LaurentPoly,
+    affine_sum,
     canonical_string,
     poly_sum,
     rational_string,
@@ -94,8 +95,9 @@ class _Model:
     support)` makes the model's input, `witnesses` enumerates it, `count`
     (if given) counts it, `weight` is one witness's term, `finish` takes the
     sum of the terms back to the ambient variables and `dump` is one
-    witness's JSON.  A value model (mutation) gives `value` instead; its
-    witness count is the coefficient sum of that value.  All call unchecked
+    witness's JSON.  A value model (mutation, gcs, gcc) gives `value`
+    instead of weights; its witness count is the coefficient sum of that
+    value, or `count` when only a count is wanted.  All call unchecked
     cores: a request is checked once, in `_positive_part`."""
 
     per_variable: bool
@@ -112,7 +114,7 @@ def _completed(q: Quiver, plus, support):
     """The 3-cycle completion, the vector padded with zeros on the added
     vertices, its support, its overlaps (once, for witnesses and terms), the
     part of every term fixed by the two (`formulas.term_base`) and the added
-    vertices a term can hold (set to one by `_drop_added`)."""
+    vertices a term can hold (set to one in the value)."""
     q2 = three_cycle_completion(q)[0]
     a = plus + (0,) * (q2.n - q.n)
     ov = formulas._overlaps(q2, a, support)
@@ -120,8 +122,8 @@ def _completed(q: Quiver, plus, support):
     return q2, a, support, ov, base, [v for v in base if v > q.n]
 
 
-def _drop_added(ctx, value: LaurentPoly) -> LaurentPoly:
-    return value.substitute_one(ctx[5])
+# linear-gcc, matching and tpath: one prepare, so a crosscheck row builds it once
+_neighbourhood = lambda q, b, support: complete_extension(q, support)
 
 
 def _over_path(comp, value: LaurentPoly) -> LaurentPoly:
@@ -134,18 +136,20 @@ def _over_path(comp, value: LaurentPoly) -> LaurentPoly:
 _TABLE = {
     "mutation": _Model(True, lambda q, b, support: (q, b, support),
                        value=lambda ctx: engine._cluster_variable(*ctx)),
+    # gcs and gcc sum their terms from the solver's bits; witnesses are listings
     "gcs": _Model(
         False, _completed, witnesses=lambda ctx: formulas._gcs(*ctx[:4]),
-        weight=lambda ctx, s: formulas.gcs_weight(*ctx[:2], s, ctx[4]), finish=_drop_added,
+        count=lambda ctx: formulas._count(*formulas._gcs_system(*ctx[:4])),
+        value=lambda ctx: affine_sum(*formulas._gcs_terms(*ctx[:5]), drop=ctx[5]),
         dump=lambda ctx, s: [list(bits) for bits in s]),
     "gcc": _Model(
         False, _completed, witnesses=lambda ctx: formulas._gcc(*ctx[:4]),
-        count=lambda ctx: formulas._gcc_count(*ctx[:4]),
-        weight=lambda ctx, g: formulas.gcc_weight(g, ctx[4]), finish=_drop_added,
+        count=lambda ctx: formulas._count(*formulas._gcc_system(*ctx[:4])),
+        value=lambda ctx: affine_sum(*formulas._gcc_terms(*ctx[:5]), drop=ctx[5]),
         dump=lambda ctx, g: [{"arrow": list(arrow), "S1": sorted(s1), "S2": sorted(s2)}
                              for (arrow, s1, s2) in g.chosen]),
     "linear-gcc": _Model(
-        True, lambda q, b, support: complete_extension(q, support),
+        True, _neighbourhood,
         witnesses=lambda comp: formulas.enumerate_linear_gcc(comp.celq),
         weight=lambda comp, w: formulas.linear_gcc_weight(comp.celq, w), finish=_over_path,
         dump=lambda comp, w: {"pairs": [list(p) for p in w.pairs], "end_bit": w.end_bit}),
@@ -155,12 +159,12 @@ _TABLE = {
         weight=lambda ctx, s: formulas.variable_gcs_monomial(*ctx, s),
         dump=lambda ctx, s: list(s)),
     "matching": _Model(
-        True, lambda q, b, support: complete_extension(q, support),
+        True, _neighbourhood,
         witnesses=lambda comp: snake.enumerate_matchings(snake.build_snake(comp.celq)),
         weight=lambda comp, gamma: snake.matching_weight(gamma), finish=_over_path,
         dump=lambda comp, gamma: [list(l) if isinstance(l, tuple) else l for l in gamma]),
     "tpath": _Model(
-        True, lambda q, b, support: complete_extension(q, support),
+        True, _neighbourhood,
         witnesses=lambda comp: snake.triangulation_tpaths(
             geometry.triangulation_of(comp.celq), comp.celq),
         weight=lambda comp, p: p.value(), dump=lambda comp, p: list(p.labels),
@@ -186,17 +190,24 @@ def _model(q: Quiver, name: str) -> _Model:
     return _TABLE["linear-gcc" if name == "gcc" and q.n == 1 else name]
 
 
-def _run(q: Quiver, plus, support, name: str,
-         want_value: bool) -> tuple[LaurentPoly | None, int]:
+def _run(q: Quiver, plus, support, name: str, want_value: bool,
+         row: dict | None = None) -> tuple[LaurentPoly | None, int]:
     """Value (None unless wanted) and witness count of one model on a checked
     nonzero nonnegative d-vector and its support, from one enumeration per
-    factor.  A count alone never computes a weight."""
+    factor.  A count alone never computes a weight.  `row`, one crosscheck
+    row's, keeps each prepared input for the row's other models that prepare
+    the same way; within a row the support fixes the factor."""
     model = _model(q, name)
     value, count = LaurentPoly.one(), 1
     whole = ((plus, support),)
     for x, sup in geometry._decompose(q, plus, support) if model.per_variable else whole:
-        ctx = model.prepare(q, x, sup)
-        if model.value is not None:
+        if row is None:
+            ctx = model.prepare(q, x, sup)
+        elif (ctx := row.get((model.prepare, tuple(sup)))) is None:
+            ctx = row[(model.prepare, tuple(sup))] = model.prepare(q, x, sup)
+        if model.count is not None and not want_value:
+            count *= model.count(ctx)
+        elif model.value is not None:
             part = model.value(ctx)
             count *= part.coefficient_sum()
             value = value * part
@@ -204,8 +215,6 @@ def _run(q: Quiver, plus, support, name: str,
             terms = [model.weight(ctx, w) for w in model.witnesses(ctx)]
             count *= len(terms)
             value = value * model.finish(ctx, poly_sum(terms))
-        elif model.count is not None:
-            count *= model.count(ctx)
         else:
             count *= sum(1 for _ in model.witnesses(ctx))
     return (value if want_value else None), count
@@ -222,13 +231,13 @@ def _positive_part(q: Quiver, a, in_w: bool = False):
     return plus, support, neg
 
 
-def _expand(q: Quiver, a, name: str) -> tuple[LaurentPoly, int]:
+def _expand(q: Quiver, a, name: str, row: dict | None = None) -> tuple[LaurentPoly, int]:
     _model(q, name)
     plus, support, neg = _positive_part(q, a, in_w=True)
     init = LaurentPoly.monomial(neg)
     if not support:
         return init, 1
-    value, count = _run(q, plus, support, name, want_value=True)
+    value, count = _run(q, plus, support, name, True, row)
     return value * init, count
 
 
@@ -341,10 +350,10 @@ def _first_difference(got: LaurentPoly, want: LaurentPoly) -> tuple[str | None, 
 
 
 def _check_row(q: Quiver, a, models, with_timings: bool) -> RowResult:
-    values, counts, timings = {}, {}, {}
+    values, counts, timings, row = {}, {}, {}, {}
     for m in models:
         t0 = time.perf_counter()
-        values[m], counts[m] = _expand(q, a, m)
+        values[m], counts[m] = _expand(q, a, m, row)
         if with_timings:
             timings[m] = time.perf_counter() - t0
     forms = {}

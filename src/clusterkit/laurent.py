@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import chain
 import json
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 Monomial = tuple  # tuple[tuple[int, int], ...], sorted by variable index
 
@@ -334,6 +334,24 @@ def from_json(s: str) -> LaurentPoly:
 
 def poly_sum(ps: Iterable[LaurentPoly]) -> LaurentPoly:
     return LaurentPoly.from_terms(pair for p in ps for pair in p.terms.items())
+
+
+def affine_sum(base: Mapping[int, int], deltas: Sequence[Monomial],
+               tally: Mapping[tuple[int, ...], int], drop: Iterable[int] = ()) -> LaurentPoly:
+    """Sum of c * x^base * deltas[0]^k_0 * deltas[1]^k_1 * ... over the
+    items (k, c) of tally, with the variables in drop set to 1: one monomial
+    built per distinct k."""
+    drop = set(drop)
+    base = {v: e for v, e in base.items() if v not in drop}
+    acc: dict[Monomial, int] = {}
+    for key, c in tally.items():
+        e = dict(base)
+        for k, delta in zip(key, deltas):
+            for v, d in delta if k else ():
+                e[v] = e.get(v, 0) + k * d
+        m = mono({v: x for v, x in e.items() if v not in drop})
+        acc[m] = acc.get(m, 0) + c
+    return LaurentPoly(acc)
 
 
 def poly_product(ps: Iterable[LaurentPoly]) -> LaurentPoly:

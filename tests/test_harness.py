@@ -141,8 +141,9 @@ def test_parity_error_classes_per_entry_point(three_cycle):
 
 
 # what the harness calls per model: the unchecked cores behind the checked
-# public functions, and the public enumerators that take no d-vector
-ENUMERATORS = ((formulas, "_gcs"), (formulas, "_gcc"),
+# public functions (gcs and gcc tally their terms from the solver), and the
+# public enumerators that take no d-vector
+ENUMERATORS = ((formulas, "_gcs_terms"), (formulas, "_gcc_terms"),
                (formulas, "enumerate_linear_gcc"), (formulas, "enumerate_variable_gcs"),
                (snake, "enumerate_matchings"), (snake, "triangulation_tpaths"),
                (scattering, "broken_lines"), (engine, "_cluster_variable"))
@@ -455,6 +456,36 @@ def test_gcc_count_builds_no_collection(monkeypatch, seven_mixed):
     assert [witness_count(seven_mixed, a, "gcc") for a in vectors] == want
     n = 40  # the linearly oriented path, all ones: n + 1 collections
     assert witness_count(Quiver(n, tuple((i, i + 1) for i in range(1, n))), (1,) * n, "gcc") == n + 1
+
+
+def test_gcs_gcc_requests_build_no_witness(monkeypatch, seven_mixed):
+    """expand_model and witness_count of gcs and gcc sum and count from the
+    solver's assignments: no collection and no full-length sequence."""
+    vectors = [(2, 2, 0, 0, 2, 0, 0), (1, 1, 1, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0)]
+    want = [(expand_model(seven_mixed, a, "mutation"), witness_count(seven_mixed, a, "mutation"))
+            for a in vectors]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a request built a witness")
+    for name in ("GCCollection", "_gcs", "_gcc", "gcs_weight", "gcc_weight"):
+        monkeypatch.setattr(formulas, name, refuse)
+    for model in ("gcs", "gcc"):
+        assert [(expand_model(seven_mixed, a, model), witness_count(seven_mixed, a, model))
+                for a in vectors] == want
+
+
+def test_crosscheck_completes_each_neighbourhood_once_per_row(monkeypatch):
+    """linear-gcc, matching and tpath share one completed neighbourhood per
+    row and factor, and nothing is kept across rows."""
+    q = random_type_a_quiver(6, random.Random(4242))
+    calls = _count_calls(monkeypatch, ((harness, "complete_extension"),))
+    report = crosscheck(q, models=("linear-gcc", "matching", "tpath"))
+    assert report.passed and calls == {"complete_extension": len(report.rows)}
+    calls["complete_extension"] = 0
+    report = crosscheck(q, models=("mutation", "matching", "tpath"), box=2)
+    assert report.passed
+    factors = [len(set(geometry.decompose(q, r.dvector))) for r in report.rows]
+    assert max(factors) > 1 and calls == {"complete_extension": sum(factors)}
 
 
 def test_broken_line_requests_touch_only_their_neighbourhood(monkeypatch):
