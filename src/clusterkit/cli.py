@@ -40,21 +40,23 @@ def _write_svg(path: str, text: str) -> None:
         raise InvalidInput(f"cannot write SVG file: {exc}") from exc
 
 
-def _parse_dvector(text: str, n: int) -> tuple[int, ...]:
+def _ints(text: str, what: str) -> list[int]:
+    """The comma-separated integers of an option value."""
     try:
-        a = tuple(int(x) for x in text.split(","))
+        return [int(x) for x in text.split(",")]
     except ValueError as exc:
-        raise InvalidInput(f"bad d-vector {text!r}") from exc
+        raise InvalidInput(f"bad {what} {text!r}") from exc
+
+
+def _parse_dvector(text: str, n: int) -> tuple[int, ...]:
+    a = tuple(_ints(text, "d-vector"))
     if len(a) != n:
         raise InvalidInput(f"d-vector has {len(a)} entries, quiver has {n} vertices")
     return a
 
 
 def _parse_subquiver(text: str) -> list[int]:
-    try:
-        vertices = [int(x) for x in text.split(",")]
-    except ValueError as exc:
-        raise InvalidInput(f"bad vertex list {text!r}") from exc
+    vertices = _ints(text, "vertex list")
     if len(set(vertices)) != len(vertices):
         raise InvalidInput(f"vertex list {text!r} repeats a vertex")
     return vertices
@@ -67,10 +69,7 @@ def _pick(items: list, index: int, option: str):
 
 
 def _parse_plane(text: str, dim: int) -> tuple[int, int]:
-    try:
-        plane = tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise InvalidInput(f"bad --plane {text!r}") from exc
+    plane = tuple(_ints(text, "--plane"))
     if len(plane) != 2:
         raise InvalidInput("--plane needs two coordinates i,j")
     if not all(1 <= c <= dim for c in plane):

@@ -19,9 +19,8 @@ from .errors import (
     InvalidInput,
     NotAClusterVariableDVector,
     NotHomogeneous,
-    NotInW,
 )
-from .geometry import require_in_w, support_of
+from .geometry import _require_nonnegative, require_in_w, support_of
 from .laurent import LaurentPoly, mono_degree, mono_mul, poly_product
 from .quiver import Quiver, mutate, path_order, require_path, require_type_a
 
@@ -192,10 +191,7 @@ def variable_mutation_sequence(q: Quiver, a) -> list[int]:
     triangulation are built.  A vector with a negative entry, of the wrong
     length or breaking the 3-cycle parity raises NotInW; any other vector
     whose support is not a path raises NotAClusterVariableDVector."""
-    a = require_in_w(q, a)
-    if min(a, default=0) < 0:
-        raise NotInW(f"mutation sequences need a nonnegative vector, got {a}")
-    return _mutation_sequence(q, a, support_of(a))
+    return _mutation_sequence(q, *_require_nonnegative(q, a, "mutation sequences need"))
 
 
 def _mutation_sequence(q: Quiver, a: tuple, support: list[int]) -> list[int]:

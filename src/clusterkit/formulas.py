@@ -25,10 +25,9 @@ import logging
 
 from .errors import (
     AssumptionViolated,
-    NotInW,
     Unreachable,
 )
-from .geometry import require_in_w, sigma_int, support_of
+from .geometry import _require_nonnegative, sigma_int
 from .laurent import LaurentPoly, affine_sum, mono
 from .quiver import (
     CompletelyExtendedLinearQuiver,
@@ -196,17 +195,9 @@ def _tally(nbits: int, implications, runs) -> dict[tuple[int, ...], int]:
 # -- globally compatible sequences ----------------------------------------------
 
 
-def _check_monomial_vector(q: Quiver, a) -> tuple[int, ...]:
-    a = require_in_w(q, a)
-    if min(a, default=0) < 0:
-        raise NotInW(f"formula requires a nonnegative vector, got {a}")
-    return a
-
-
 def _checked(q: Quiver, a):
     """A public formula's check, then its core's input: a, support, overlaps."""
-    a = _check_monomial_vector(q, a)
-    support = support_of(a)
+    a, support = _require_nonnegative(q, a, "formula requires")
     return a, support, _overlaps(q, a, support)
 
 

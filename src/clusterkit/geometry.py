@@ -88,6 +88,16 @@ def support_of(a) -> list[int]:
     return list(compress(range(1, len(a) + 1), a))
 
 
+def _require_nonnegative(q: Quiver, a, subject: str) -> tuple[tuple[int, ...], list[int]]:
+    """The checked vector and its support, past `require_in_w` and a sign
+    check whose message names the subject ("formula requires", "pipelines
+    need", "mutation sequences need")."""
+    a = require_in_w(q, a)
+    if min(a, default=0) < 0:
+        raise NotInW(f"{subject} a nonnegative vector, got {a}")
+    return a, support_of(a)
+
+
 def _positive_part(q: Quiver, a, in_w: bool = False):
     """The nonnegative part of a, its support and the negated negative
     entries by vertex, past one check: `require_in_w` if in_w (a is in W
@@ -371,16 +381,7 @@ def build_pipelines(q: Quiver, a) -> PipelineSet:
     matching marked points of two sides are joined rank-by-rank (counted from
     the sides' common corner), and leftover points run to the opposite
     corner.  Chaining pipes through marked points yields the pipelines."""
-    a = _require_nonnegative(q, a)
-    return _pipelines(q, a, support_of(a))
-
-
-def _require_nonnegative(q: Quiver, a) -> tuple[int, ...]:
-    """`require_in_w`, then the sign check of the pipelines."""
-    a = require_in_w(q, a)
-    if min(a, default=0) < 0:
-        raise NotInW(f"pipelines need a nonnegative vector, got {a}")
-    return a
+    return _pipelines(q, *_require_nonnegative(q, a, "pipelines need"))
 
 
 def _pipelines(q: Quiver, a: tuple[int, ...], support) -> PipelineSet:
@@ -472,8 +473,7 @@ def decompose(q: Quiver, a) -> tuple[tuple[int, ...], ...]:
     """Multiset of 0-1 vectors (one per pipeline) whose coordinatewise sum is
     the given nonnegative d-vector; each support induces a path.  A 0-1
     vector whose support already induces a path is returned unchanged."""
-    a = _require_nonnegative(q, a)
-    return tuple(b for b, _ in _decompose(q, a, support_of(a)))
+    return tuple(b for b, _ in _decompose(q, *_require_nonnegative(q, a, "pipelines need")))
 
 
 def _decompose(q: Quiver, a: tuple[int, ...], support: list[int]) -> tuple:

@@ -90,15 +90,15 @@ def random_type_a_quiver(n: int, rng: random.Random) -> Quiver:
 class _Model:
     """How one model turns a nonnegative d-vector into witnesses and a value.
 
-    A per-variable model runs on each factor of `decompose` and the factors
-    multiply; the others run once on the whole vector.  `prepare(q, x,
-    support)` makes the model's input, `witnesses` enumerates it, `count`
-    (if given) counts it, `weight` is one witness's term, `finish` takes the
-    sum of the terms back to the ambient variables and `dump` is one
-    witness's JSON.  A value model (mutation, gcs, gcc) gives `value`
-    instead of weights; its witness count is the coefficient sum of that
-    value, or `count` when only a count is wanted.  All call unchecked
-    cores: a request is checked once, in `_positive_part`."""
+    A per-variable model runs once on each distinct factor of `decompose`
+    and the factors multiply, a repeated one as a power; the others run once
+    on the whole vector.  `prepare(q, x, support)` makes the model's input,
+    `witnesses` enumerates it, `count` (if given) counts it, `weight` is one
+    witness's term, `finish` takes the sum of the terms back to the ambient
+    variables and `dump` is one witness's JSON.  A value model (mutation,
+    gcs, gcc) gives `value` instead of weights; its witness count is the
+    coefficient sum of that value, or `count` when only a count is wanted.
+    All call unchecked cores: a request is checked once, in `_request`."""
 
     per_variable: bool
     prepare: Callable
@@ -169,8 +169,8 @@ _TABLE = {
             geometry.triangulation_of(comp.celq), comp.celq),
         weight=lambda comp, p: p.value(), dump=lambda comp, p: list(p.labels),
         finish=lambda comp, value: comp.substitution_then_rename(value)),
-    # the path is relabelled to 1..n once per factor: the lines are drawn in
-    # the relabelled coordinates and their sum is renamed back through its maps
+    # the path is relabelled to 1..n once per distinct factor: the lines are
+    # drawn in the relabelled coordinates and renamed back through its maps
     "broken-line": _Model(
         True, lambda q, b, support: (q, support, scattering.relabel_for_path(q, support)),
         witnesses=lambda ctx: scattering.broken_lines(*ctx[:2], rel=ctx[2]),
@@ -190,86 +190,86 @@ def _model(q: Quiver, name: str) -> _Model:
     return _TABLE["linear-gcc" if name == "gcc" and q.n == 1 else name]
 
 
-def _run(q: Quiver, plus, support, name: str, want_value: bool,
-         row: dict | None = None) -> tuple[LaurentPoly | None, int]:
-    """Value (None unless wanted) and witness count of one model on a checked
-    nonzero nonnegative d-vector and its support, from one enumeration per
-    factor.  A count alone never computes a weight.  `row`, one crosscheck
-    row's, keeps each prepared input for the row's other models that prepare
-    the same way; within a row the support fixes the factor."""
-    model = _model(q, name)
-    value, count = LaurentPoly.one(), 1
-    whole = ((plus, support),)
-    for x, sup in geometry._decompose(q, plus, support) if model.per_variable else whole:
-        if row is None:
-            ctx = model.prepare(q, x, sup)
-        elif (ctx := row.get((model.prepare, tuple(sup)))) is None:
-            ctx = row[(model.prepare, tuple(sup))] = model.prepare(q, x, sup)
-        if model.count is not None and not want_value:
-            count *= model.count(ctx)
-        elif model.value is not None:
-            part = model.value(ctx)
-            count *= part.coefficient_sum()
-            value = value * part
-        elif want_value:
-            terms = [model.weight(ctx, w) for w in model.witnesses(ctx)]
-            count *= len(terms)
-            value = value * model.finish(ctx, poly_sum(terms))
-        else:
-            count *= sum(1 for _ in model.witnesses(ctx))
-    return (value if want_value else None), count
-
-
-def _positive_part(q: Quiver, a, in_w: bool = False):
-    """`geometry._positive_part`, the one check of a request, refusing (as
-    mutation would) a positive entry on a frozen vertex before any model
-    runs."""
+def _request(q: Quiver, a, in_w: bool = False):
+    """The one check of a request or crosscheck row, `geometry._positive_part`
+    then the refusal (as mutation would) of a positive entry on a frozen
+    vertex, before any model runs.  Returns the support, the negative entries
+    and `parts(model)`: the distinct parts the model runs on (the whole
+    vector, or the factors of `decompose`, decomposed once) with the factor,
+    the model's input, prepared once per request and support, and the
+    multiplicity, in `decompose` order."""
     plus, support, neg = geometry._positive_part(q, a, in_w)
-    frozen = [v for v in sorted(q.frozen) if plus[v - 1]]
+    frozen = q.frozen and [v for v in sorted(q.frozen) if plus[v - 1]]
     if frozen:
         raise FrozenVertex(f"cannot mutate frozen vertex {frozen[0]}")
-    return plus, support, neg
+    factors, prepared = [], {}
+
+    def parts(model: _Model):
+        if model.per_variable and not factors:  # equal factors are adjacent
+            for x, sup in geometry._decompose(q, plus, support):
+                if factors and factors[-1][0] == x:
+                    factors[-1][2] += 1
+                else:
+                    factors.append([x, sup, 1])
+        for x, sup, k in factors if model.per_variable else [(plus, support, 1)]:
+            if (key := (model.prepare, tuple(sup))) not in prepared:
+                prepared[key] = model.prepare(q, x, sup)
+            yield x, prepared[key], k
+    return support, neg, parts
 
 
-def _expand(q: Quiver, a, name: str, row: dict | None = None) -> tuple[LaurentPoly, int]:
-    _model(q, name)
-    plus, support, neg = _positive_part(q, a, in_w=True)
-    init = LaurentPoly.monomial(neg)
-    if not support:
-        return init, 1
-    value, count = _run(q, plus, support, name, True, row)
-    return value * init, count
+def _run(model: _Model, parts, want_value: bool) -> tuple[LaurentPoly | None, int]:
+    """Value (None unless wanted) and witness count of one model on a checked
+    nonzero request, from one enumeration per distinct part: a repeated
+    part's value and count are raised to its multiplicity.  A count alone
+    never computes a weight."""
+    value, count = LaurentPoly.one(), 1
+    for _, ctx, k in parts(model):
+        if model.count is not None and not want_value:
+            c = model.count(ctx)
+        elif model.value is not None:
+            part = model.value(ctx)
+            c = part.coefficient_sum()
+        elif want_value:
+            terms = [model.weight(ctx, w) for w in model.witnesses(ctx)]
+            part, c = model.finish(ctx, poly_sum(terms)), len(terms)
+        else:
+            c = sum(1 for _ in model.witnesses(ctx))
+        count *= c ** k
+        if want_value:
+            value = value * (part if k == 1 else part ** k)
+    return (value if want_value else None), count
 
 
 def expand_model(q: Quiver, a, model: str) -> LaurentPoly:
     """Cluster monomial with d-vector a, computed by the chosen model."""
-    return _expand(q, a, model)[0]
+    spec = _model(q, model)
+    support, neg, parts = _request(q, a, in_w=True)
+    init = LaurentPoly.monomial(neg)
+    return _run(spec, parts, True)[0] * init if support else init
 
 
 def witness_count(q: Quiver, a, model: str) -> int:
     """Number of combinatorial witnesses behind the model's expansion (the
     mutation oracle reports its coefficient sum, which must agree)."""
-    _model(q, model)
-    plus, support, _ = _positive_part(q, a)
-    if not support:
-        return 1
-    return _run(q, plus, support, model, want_value=False)[1]
+    spec = _model(q, model)
+    support, _, parts = _request(q, a)
+    return _run(spec, parts, False)[1] if support else 1
 
 
 def list_witnesses(q: Quiver, a, model: str) -> list:
-    """JSON-ready witness dump for one (quiver, d-vector, model) triple."""
+    """JSON-ready witness dump for one (quiver, d-vector, model) triple; a
+    repeated factor is listed once per copy."""
     spec = _model(q, model)
     if spec.dump is None:
         raise InvalidInput(f"model {model!r} has no witness listing")
-    plus, support, _ = _positive_part(q, a)
+    _, _, parts = _request(q, a)
     out = []
-    whole = ((plus, support),)
-    for b, sup in geometry._decompose(q, plus, support) if spec.per_variable else whole:
-        ctx = spec.prepare(q, b, sup)
+    for x, ctx, k in parts(spec):
         witnesses = [spec.dump(ctx, w) for w in spec.witnesses(ctx)]
         if not spec.per_variable:
             return witnesses
-        out.append({"factor": list(b), "witnesses": witnesses})
+        out += [{"factor": list(x), "witnesses": witnesses} for _ in range(k)]
     return out
 
 
@@ -350,10 +350,16 @@ def _first_difference(got: LaurentPoly, want: LaurentPoly) -> tuple[str | None, 
 
 
 def _check_row(q: Quiver, a, models, with_timings: bool) -> RowResult:
-    values, counts, timings, row = {}, {}, {}, {}
+    """One crosscheck row: one check and one decomposition of a, and one
+    prepared input per support and way of preparing, for all the models."""
+    values, counts, timings = {}, {}, {}
+    support, neg, parts = _request(q, a, in_w=True)
+    init = LaurentPoly.monomial(neg)
     for m in models:
         t0 = time.perf_counter()
-        values[m], counts[m] = _expand(q, a, m, row)
+        value, counts[m] = (_run(_model(q, m), parts, True) if support
+                            else (LaurentPoly.one(), 1))
+        values[m] = value * init
         if with_timings:
             timings[m] = time.perf_counter() - t0
     forms = {}

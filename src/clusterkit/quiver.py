@@ -300,26 +300,16 @@ def linear_full_subquivers(q: Quiver) -> list[tuple[int, ...]]:
     path (one or more vertices).  These index the non-initial cluster
     variables of a type-A quiver."""
     require_type_a(q)
-    adj: dict[int, set[int]] = {v: q.neighbors(v) for v in q.vertices}
-    found: set[tuple[int, ...]] = {(v,) for v in q.vertices}
-
-    def extend(path: list[int], members: set[int]):
-        last = path[-1]
-        for u in sorted(adj[last]):
-            if u in members:
-                continue
+    adj = q._adjacency[2]
+    found: set[tuple[int, ...]] = set()
+    stack = [(v,) for v in q.vertices]  # paths still to extend at their last vertex
+    while stack:
+        path = stack.pop()
+        found.add(tuple(sorted(path)))
+        for u in adj[path[-1]]:
             # full-subquiver condition: u may touch only the current endpoint
-            if any(w in adj[u] for w in members if w != last):
-                continue
-            path.append(u)
-            members.add(u)
-            found.add(tuple(sorted(path)))
-            extend(path, members)
-            path.pop()
-            members.remove(u)
-
-    for v in q.vertices:
-        extend([v], {v})
+            if u not in path and not any(w in adj[u] for w in path[:-1]):
+                stack.append(path + (u,))
     return sorted(found)
 
 
@@ -437,73 +427,38 @@ class CompletionResult:
 def complete_extension(q: Quiver, linear_vertices) -> CompletionResult:
     """Restrict the ambient quiver to the neighborhood of a linear full
     subquiver and attach the missing triangles, producing a canonically
-    labeled completely extended linear quiver plus the relabeling map."""
+    labeled completely extended linear quiver plus the relabeling map.
+
+    The triangles are faces of the realizing triangulation: over each path
+    edge the face its two vertices bound, at each end the end vertex's other
+    face.  A one-vertex path starts at a face whose other sides are both
+    diagonals if there is one, else at the face of the smaller neighbour.
+    A diagonal side is its ambient vertex, a boundary side an invented one;
+    at an end the side the path vertex has an arrow to takes the out-slot."""
     require_type_a(q)
     order = require_path(q, linear_vertices)
-    n = len(order)
-    delta = delta_of_path(q, order)
-    celq = CompletelyExtendedLinearQuiver(LinearQuiver(n, delta))
+    celq = CompletelyExtendedLinearQuiver(LinearQuiver(len(order), delta_of_path(q, order)))
+    faces, at = q._triangulation._faces
+    ambient = lambda side: side if side <= q.n else None
+    to_ambient: dict[int, int | None] = dict.fromkeys(celq.extension_vertices)
+    to_ambient.update(enumerate(order, 1))
+    shared = [set(at[u]).intersection(at[w]).pop() for u, w in zip(order, order[1:])]
+    for j, ti in enumerate(shared, 1):
+        to_ambient[celq.mid(j)] = ambient(
+            next(s for s in faces[ti][1] if s not in order[j - 1: j + 1]))
 
-    base_set = set(order)
-    pos = {v: i + 1 for i, v in enumerate(order)}
-    to_ambient: dict[int, int | None] = {celq_label: None for celq_label in celq.extension_vertices}
-    for v in order:
-        to_ambient[pos[v]] = v
+    def rank(ti):
+        near = [s for s in faces[ti][1] if s != order[0] and s <= q.n]
+        return len(near) < 2, min(near, default=q.n + 1)
 
-    # classify ambient neighbors of the path into extension slots
-    outside = sorted(set().union(*(q.neighbors(v) for v in order)) - base_set)
-    end_hang: dict[int, list[int]] = {order[0]: [], order[-1]: []}
-    for w in outside:
-        touched = sorted(q.neighbors(w) & base_set, key=lambda v: pos[v])
-        if len(touched) == 2:
-            a, b = touched
-            if pos[b] != pos[a] + 1:
-                raise NotLinearSubquiver(
-                    f"vertex {w} is adjacent to non-consecutive path vertices")
-            to_ambient[celq.mid(pos[a])] = w
-        elif touched[0] == order[0] or touched[0] == order[-1]:
-            end_hang[touched[0]].append(w)
-        else:
-            raise NotLinearSubquiver(
-                f"vertex {w} hangs on an interior path vertex {touched[0]}")
-
-    def assign_end(anchor: int, slots: tuple[int, int], pool: list[int]) -> list[int]:
-        """Fill (outgoing, incoming) slots at an end vertex from hanging
-        neighbors; returns the leftovers (only possible when anchor serves
-        both ends of a single-vertex path)."""
-        slot_out, slot_in = slots
-        if not pool:
-            return []
-        # a mutually adjacent pair forms a complete triangle at the anchor
-        for i in range(len(pool)):
-            for j in range(i + 1, len(pool)):
-                a, b = pool[i], pool[j]
-                if b in q.neighbors(a):
-                    first = a if q.has_arrow(anchor, a) else b
-                    second = b if first == a else a
-                    to_ambient[slot_out] = first
-                    to_ambient[slot_in] = second
-                    return [w for w in pool if w not in (a, b)]
-        w = pool[0]
-        if q.has_arrow(anchor, w):
-            to_ambient[slot_out] = w
-        else:
-            to_ambient[slot_in] = w
-        return pool[1:]
-
-    if n == 1:
-        rest = assign_end(order[0], (celq.start0, celq.start1), end_hang[order[0]])
-        rest = assign_end(order[0], (celq.end0, celq.end1), rest)
-        if rest:
-            raise NotLinearSubquiver("too many triangles hang on the single path vertex")
-    else:
-        rest = assign_end(order[0], (celq.start0, celq.start1), end_hang[order[0]])
-        if rest:
-            raise NotLinearSubquiver(f"too many triangles hang on {order[0]}")
-        rest = assign_end(order[-1], (celq.end0, celq.end1), end_hang[order[-1]])
-        if rest:
-            raise NotLinearSubquiver(f"too many triangles hang on {order[-1]}")
-
+    start = min((ti for ti in at[order[0]] if ti not in shared), key=rank)
+    end = next(ti for ti in at[order[-1]] if ti not in shared and ti != start)
+    for ti, v, slots in ((start, order[0], (celq.start0, celq.start1)),
+                         (end, order[-1], (celq.end0, celq.end1))):
+        sides = faces[ti][1]  # ccw: each side has an arrow to the one before it
+        m = sides.index(v)
+        for slot, side in zip(slots, (sides[m - 1], sides[(m + 1) % 3])):
+            to_ambient[slot] = ambient(side)
     invented = frozenset(c for c, a in to_ambient.items() if a is None)
     return CompletionResult(celq, tuple(order), to_ambient, invented)
 

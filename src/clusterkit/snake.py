@@ -269,36 +269,26 @@ def triangulation_tpaths(t: Triangulation, celq: CompletelyExtendedLinearQuiver)
         raise NotInitialTriangulation("triangulation lacks distinguished corners")
     chord = (t.vpoint, t.wpoint)
     crossing = {lbl for lbl, e in t.edges.items() if t.cross(e, chord)}
-    incident: dict[int, list[int]] = {}
+    incident: dict[int, list[tuple[int, int]]] = {}  # corner -> (label, far corner)
     for lbl, (u, w) in sorted(t.edges.items()):
-        incident.setdefault(u, []).append(lbl)
-        incident.setdefault(w, []).append(lbl)
+        incident.setdefault(u, []).append((lbl, w))
+        incident.setdefault(w, []).append((lbl, u))
 
     out: list[TPath] = []
-
-    def rec(corner: int, labels: list[int], used: set[int], last_cross: int):
-        pos = len(labels) + 1
-        if corner == t.wpoint and len(labels) % 2 == 1:
-            out.append(TPath(tuple(labels)))
+    stack = [(t.vpoint, (), 0)]  # (corner reached, labels so far, last crossing)
+    while stack:
+        corner, labels, last_cross = stack.pop()
+        even = len(labels) % 2 == 1  # the next label takes an even position
+        if corner == t.wpoint and even:
+            out.append(TPath(labels))
         if len(labels) >= 2 * t.n + 1:
-            return
-        for lbl in incident[corner]:
-            if lbl in used:
-                continue
+            continue
+        for lbl, far in incident[corner]:
             crosses = lbl in crossing
-            if pos % 2 == 0 and not crosses:
+            # crossings come in increasing order, so only a side can repeat
+            if (lbl <= last_cross) if crosses else (even or lbl in labels):
                 continue
-            if crosses and lbl <= last_cross:
-                continue
-            u, w = t.edges[lbl]
-            labels.append(lbl)
-            used.add(lbl)
-            rec(w if corner == u else u, labels, used,
-                lbl if crosses else last_cross)
-            used.remove(lbl)
-            labels.pop()
-
-    rec(t.vpoint, [], set(), 0)
+            stack.append((far, labels + (lbl,), lbl if crosses else last_cross))
     return sorted(out, key=lambda p: p.labels)
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -19,6 +20,7 @@ from clusterkit.harness import (
 )
 from clusterkit.laurent import LaurentPoly, canonical_string
 from clusterkit.quiver import (
+    LinearQuiver,
     Quiver,
     is_type_a,
     linear_full_subquivers,
@@ -50,6 +52,30 @@ def test_witness_counts_on_a_long_path_need_no_recursion():
     q = Quiver(n, tuple((i, i + 1) for i in range(1, n)))
     for model in ("gcs", "gcs-variable", "linear-gcc"):
         assert witness_count(q, (1,) * n, model) == n + 1
+
+
+def _depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_walks_run_thirty_frames_above_the_caller():
+    """The subquiver walk and the T-path walk keep explicit stacks: the
+    60-vertex path's subpaths and the 46,368 T-paths of the zig-zag path on
+    22 vertices are found under a recursion limit 30 frames above here."""
+    line = Quiver(60, tuple((i, i + 1) for i in range(1, 60)))
+    zigzag = LinearQuiver(22, tuple(i % 2 for i in range(21))).quiver()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_depth() + 30)
+    try:
+        subpaths = linear_full_subquivers(line)
+        tpaths = witness_count(zigzag, (1,) * 22, "tpath")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert subpaths == [tuple(range(i, j + 1)) for i in range(1, 61) for j in range(i, 61)]
+    assert tpaths == 46368
 
 
 def test_random_triangulation_shape():
@@ -193,18 +219,51 @@ def test_witness_count_computes_no_weight(monkeypatch, seven_mixed):
 
 
 def test_broken_line_relabels_each_factor_once(monkeypatch, seven_mixed):
+    """Two copies of one factor make one relabelling per request."""
     calls = []
     original = scattering.relabel_for_path
     monkeypatch.setattr(scattering, "relabel_for_path",
                         lambda *args: calls.append(args) or original(*args))
     a = (2, 2, 0, 0, 2, 0, 0)
-    factors = len(geometry.decompose(seven_mixed, a))
-    assert factors > 1
+    factors = geometry.decompose(seven_mixed, a)
+    assert len(factors) > len(set(factors)) == 1
     value = expand_model(seven_mixed, a, "broken-line")
     assert value == expand_model(seven_mixed, a, "mutation")
-    assert len(calls) == factors
+    assert len(calls) == 1
     witness_count(seven_mixed, a, "broken-line")
-    assert len(calls) == 2 * factors
+    assert len(calls) == 2
+
+
+def test_a_crosscheck_row_checks_and_decomposes_once(monkeypatch, seven_mixed):
+    """A five-model row runs the parity test once and decomposes once."""
+    calls = _count_calls(monkeypatch, ((geometry, "satisfies_property_a"),
+                                       (geometry, "_decompose")))
+    models = ("mutation", "gcs", "gcc", "matching", "tpath")
+    for a in ((2, 2, 0, 0, 2, 0, 0), (1, 1, 1, 1, 0, 0, 0), (0, 1, 2, 1, 1, 0, -1)):
+        calls.update(dict.fromkeys(calls, 0))
+        row = harness._check_row(seven_mixed, a, models, False)
+        assert row.verdict == "PASS", a
+        assert calls == {"satisfies_property_a": 1, "_decompose": 1}, a
+
+
+def test_a_repeated_factor_is_enumerated_once_per_model(monkeypatch, seven_mixed):
+    """Two equal factors make one enumeration, whose value and count are
+    squared; the listing still shows both copies."""
+    a = (2, 2, 0, 0, 2, 0, 0)
+    factor = (1, 1, 0, 0, 1, 0, 0)
+    assert geometry.decompose(seven_mixed, a) == (factor, factor)
+    want = expand_model(seven_mixed, factor, "mutation")
+    calls = _count_calls(monkeypatch, ENUMERATORS)
+    for model in MODELS:
+        calls.update(dict.fromkeys(calls, 0))
+        assert expand_model(seven_mixed, a, model) == want ** 2, model
+        assert witness_count(seven_mixed, a, model) == want.coefficient_sum() ** 2, model
+        assert max(calls.values()) <= 2, (model, calls)
+    calls = _count_calls(monkeypatch, ((snake, "enumerate_matchings"),))
+    assert witness_count(seven_mixed, a, "matching") == want.coefficient_sum() ** 2
+    assert calls == {"enumerate_matchings": 1}
+    listing = list_witnesses(seven_mixed, a, "matching")
+    assert listing == list_witnesses(seven_mixed, factor, "matching") * 2
 
 
 def _box_monomials_with_a_negative_entry(q: Quiver, rng: random.Random, k: int) -> list:

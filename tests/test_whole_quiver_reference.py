@@ -1,7 +1,8 @@
 """The support-local gcs, gcc, mutation and broken-line paths against the
 whole-quiver code they replaced, kept here as the reference: the same
 witnesses in the same order, the same values and counts, the same principal
-lifts and the same broken lines."""
+lifts and the same broken lines; and the completion read off the faces of
+the triangulation against the one that sorted the path's neighbours."""
 
 from collections import Counter
 from dataclasses import dataclass
@@ -29,12 +30,12 @@ from clusterkit.errors import (
     CoordinateOutOfRange,
     EndpointRejected,
     NotAClusterVariableDVector,
+    NotLinearSubquiver,
     OddRankWithoutPrincipal,
     PositivityViolation,
 )
 from clusterkit.formulas import (
     GCCollection,
-    _check_monomial_vector,
     _enumerate_closed_assignments,
     _gateway_labels,
     base_vertex_distance,
@@ -46,7 +47,13 @@ from clusterkit.formulas import (
 from clusterkit.geometry import sigma_int
 from clusterkit.laurent import LaurentPoly, poly_sum
 from clusterkit.quiver import (
+    CompletelyExtendedLinearQuiver,
+    CompletionResult,
+    LinearQuiver,
     Quiver,
+    complete_extension,
+    delta_of_path,
+    linear_full_subquivers,
     oriented_three_cycles,
     require_path,
     require_type_a,
@@ -69,7 +76,7 @@ def ref_three_cycle_cover(q):
 
 
 def ref_enumerate_gcs(q, a, i0=None):
-    a = _check_monomial_vector(q, a)
+    a = geometry._require_nonnegative(q, a, "formula requires")[0]
     require_type_a(q)
     ref_three_cycle_cover(q)
     if i0 is None:
@@ -100,7 +107,7 @@ def ref_enumerate_gcs(q, a, i0=None):
 
 
 def ref_enumerate_gcc(q, a):
-    a = _check_monomial_vector(q, a)
+    a = geometry._require_nonnegative(q, a, "formula requires")[0]
     require_type_a(q)
     if q.n == 1:
         raise AssumptionViolated("collections need at least two vertices")
@@ -485,3 +492,88 @@ def test_sparse_broken_lines_match_the_dense_reference(n, seed, size):
                 assert outcome(lambda: line_view(scattering._build(rel, s, sc, principal))) == want
                 if negated and not any(s):  # its first bend travels a negative distance
                     assert want[0] == "PositivityViolation", want
+
+
+# The completion that sorted the path's neighbours into the triangle slots.
+
+
+def ref_complete_extension(q, linear_vertices):
+    require_type_a(q)
+    order = require_path(q, linear_vertices)
+    n = len(order)
+    delta = delta_of_path(q, order)
+    celq = CompletelyExtendedLinearQuiver(LinearQuiver(n, delta))
+    base_set = set(order)
+    pos = {v: i + 1 for i, v in enumerate(order)}
+    to_ambient = {celq_label: None for celq_label in celq.extension_vertices}
+    for v in order:
+        to_ambient[pos[v]] = v
+    outside = sorted(set().union(*(q.neighbors(v) for v in order)) - base_set)
+    end_hang = {order[0]: [], order[-1]: []}
+    for w in outside:
+        touched = sorted(q.neighbors(w) & base_set, key=lambda v: pos[v])
+        if len(touched) == 2:
+            a, b = touched
+            if pos[b] != pos[a] + 1:
+                raise NotLinearSubquiver(
+                    f"vertex {w} is adjacent to non-consecutive path vertices")
+            to_ambient[celq.mid(pos[a])] = w
+        elif touched[0] == order[0] or touched[0] == order[-1]:
+            end_hang[touched[0]].append(w)
+        else:
+            raise NotLinearSubquiver(
+                f"vertex {w} hangs on an interior path vertex {touched[0]}")
+
+    def assign_end(anchor, slots, pool):
+        slot_out, slot_in = slots
+        if not pool:
+            return []
+        for i in range(len(pool)):
+            for j in range(i + 1, len(pool)):
+                a, b = pool[i], pool[j]
+                if b in q.neighbors(a):
+                    first = a if q.has_arrow(anchor, a) else b
+                    second = b if first == a else a
+                    to_ambient[slot_out] = first
+                    to_ambient[slot_in] = second
+                    return [w for w in pool if w not in (a, b)]
+        w = pool[0]
+        if q.has_arrow(anchor, w):
+            to_ambient[slot_out] = w
+        else:
+            to_ambient[slot_in] = w
+        return pool[1:]
+
+    if n == 1:
+        rest = assign_end(order[0], (celq.start0, celq.start1), end_hang[order[0]])
+        rest = assign_end(order[0], (celq.end0, celq.end1), rest)
+        if rest:
+            raise NotLinearSubquiver("too many triangles hang on the single path vertex")
+    else:
+        rest = assign_end(order[0], (celq.start0, celq.start1), end_hang[order[0]])
+        if rest:
+            raise NotLinearSubquiver(f"too many triangles hang on {order[0]}")
+        rest = assign_end(order[-1], (celq.end0, celq.end1), end_hang[order[-1]])
+        if rest:
+            raise NotLinearSubquiver(f"too many triangles hang on {order[-1]}")
+    invented = frozenset(c for c, a in to_ambient.items() if a is None)
+    return CompletionResult(celq, tuple(order), to_ambient, invented)
+
+
+def test_completion_from_the_faces_matches_the_neighbour_sort():
+    """The whole completion (quiver, path order, label map and invented
+    labels) on every linear full subquiver of the one-vertex quiver and of
+    400 random type-A quivers n 1-14; one-vertex paths pin which face
+    starts the path."""
+    rng = random.Random(1604)
+    quivers = [Quiver(1, ())] + [harness.random_type_a_quiver(1 + k % 14, rng)
+                                 for k in range(400)]
+    singles = 0
+    for q in quivers:
+        for support in linear_full_subquivers(q):
+            got = complete_extension(q, support)
+            assert got == ref_complete_extension(q, support), (q, support)
+            assert list(got.to_ambient) == list(got.celq.extension_vertices) + list(
+                range(1, len(support) + 1))
+            singles += len(support) == 1
+    assert singles > 2000
