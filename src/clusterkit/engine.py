@@ -1,10 +1,11 @@
 """Seed mutation oracle and exhaustive cluster-variable enumeration.
 
 The exchange relation replaces one cluster entry by (product over incoming
-arrows + product over outgoing arrows) / old entry.  A one-term divisor is
-divided in one pass, any other by leading-term elimination; the quotient is
-certified exact by multiplying back, and a failure raises InexactDivision
-and indicates a bug, never bad input.
+arrows + product over outgoing arrows) / old entry, read off the signed row
+of the mutated vertex.  A one-term divisor is divided in one pass, any other
+by leading-term elimination; the quotient is certified exact by multiplying
+back, and a failure raises InexactDivision and indicates a bug, never bad
+input.  The walk to one cluster variable mutates signed rows in place.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from .errors import (
     NotHomogeneous,
 )
 from .geometry import _require_nonnegative, require_in_w, support_of
-from .laurent import LaurentPoly, mono_degree, mono_mul, poly_product
-from .quiver import Quiver, mutate, path_order, require_path, require_type_a
+from .laurent import LaurentPoly, mono, mono_degree, mono_mul, poly_product
+from .quiver import (Quiver, _mutate_rows, _signed_rows, mutate, path_order, require_path,
+                     require_type_a)
 
 
 def _term_order_key(m, support):
@@ -69,14 +71,12 @@ def exact_divide(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     multiplied back and compared with the numerator."""
     if d.is_zero():
         raise InexactDivision("division by zero")
-    if p.is_zero():
-        return LaurentPoly.zero()
     if len(d.terms) == 1:
         ((m_d, c_d),) = d.terms.items()
         if any(c % c_d for c in p.terms.values()):
             raise InexactDivision("coefficient not divisible by the monomial divisor")
         inv = tuple((v, -e) for v, e in m_d)
-        q = LaurentPoly({mono_mul(m, inv): c // c_d for m, c in p.terms.items()})
+        q = LaurentPoly._of({mono_mul(m, inv): c // c_d for m, c in p.terms.items()})
     else:
         q = LaurentPoly(_eliminate(p, d))
     if q * d != p:
@@ -100,14 +100,25 @@ def initial_seed(q: Quiver) -> Seed:
     return Seed(q, tuple(LaurentPoly.variable(i) for i in q.vertices))
 
 
+def _exchange(row: dict[int, int], entries: dict, old: LaurentPoly) -> LaurentPoly:
+    """The exchange relation at a vertex v with signed row `row`.  A vertex
+    missing from entries still holds its initial variable; each side gathers
+    those into one monomial, so only the other entries are multiplied."""
+    sides = []
+    for sign in (-1, 1):  # arrows into v, then arrows out of v
+        arrows = [(u, sign * c) for u, c in row.items() if sign * c > 0]
+        initial = LaurentPoly._of({mono({u: k for u, k in arrows if u not in entries}): 1})
+        sides.append(poly_product([initial, *(entries[u] for u, k in arrows
+                                              if u in entries for _ in range(k))]))
+    return exact_divide(sides[0] + sides[1], old)
+
+
 def mutate_seed(s: Seed, v: int) -> Seed:
     if v in s.quiver.frozen:
         raise FrozenVertex(f"cannot mutate frozen vertex {v}")
-    inc = poly_product(s.entry(t) for t in s.quiver.arrows_in(v))
-    out = poly_product(s.entry(h) for h in s.quiver.arrows_out(v))
-    new_entry = exact_divide(inc + out, s.entry(v))
+    row = _signed_rows(s.quiver.vertices, s.quiver.arrows).get(v, {})
     cluster = list(s.cluster)
-    cluster[v - 1] = new_entry
+    cluster[v - 1] = _exchange(row, dict(enumerate(s.cluster, 1)), s.entry(v))
     return Seed(mutate(s.quiver, v), tuple(cluster))
 
 
@@ -164,7 +175,8 @@ def enumerate_cluster_variables(
     for s in enumerate_seeds(q, max_seeds):
         for v in s.quiver.unfrozen:
             poly = s.entry(v)
-            key = tuple(-poly.min_exponent(u) for u in unfrozen)
+            least = poly.min_exponents()
+            key = tuple(-least.get(u, 0) for u in unfrozen)
             if key not in out:
                 out[key] = poly
             elif out[key] != poly:
@@ -206,21 +218,22 @@ def _walk(start: Quiver, seq: list[int]) -> LaurentPoly:
     """The entry left at the last vertex of seq by mutating along it from
     the start quiver (a type-A quiver or its principal extension).
 
-    The walk runs on the full subquiver of the start quiver spanned by the
-    path and its neighbours, relabelled 1..k in vertex order, with the
-    initial variables under their own labels.  That is exact: a flip at v
-    changes arrows only among v and its neighbours, so by induction no path
-    vertex ever gains a neighbour outside that set, and every exchange reads
-    only entries inside it."""
+    The walk mutates in place the signed rows of the full subquiver spanned
+    by the path and its neighbours, and keeps the entries it has exchanged.
+    That is exact: a flip at v changes arrows only among v and its
+    neighbours, so by induction no path vertex ever gains a neighbour
+    outside that set, and every exchange reads only entries inside it."""
     frozen = [v for v in seq if v in start.frozen]
     if frozen:
         raise FrozenVertex(f"cannot mutate frozen vertex {frozen[0]}")
     outs, _, nbr = start._adjacency
     local = sorted(set(seq).union(*(nbr[v] for v in seq)))
-    pos = {v: k for k, v in enumerate(local, 1)}
-    arrows = tuple((pos[t], pos[h]) for t in local for h in outs[t] if h in pos)
-    seed = Seed(Quiver(len(local), arrows), tuple(LaurentPoly.variable(v) for v in local))
-    return mutate_seed_sequence(seed, [pos[v] for v in seq]).entry(pos[seq[-1]])
+    b = _signed_rows(local, ((t, h) for t in local for h in outs[t]))
+    entries: dict[int, LaurentPoly] = {}
+    for v in seq:
+        entries[v] = _exchange(b[v], entries, entries.get(v, LaurentPoly.variable(v)))
+        _mutate_rows(b, v)
+    return entries[seq[-1]]
 
 
 def cluster_variable(q: Quiver, a) -> LaurentPoly:
@@ -241,8 +254,7 @@ def _cluster_variable(q: Quiver, a: tuple, support: list[int]) -> LaurentPoly:
     """`cluster_variable` of a checked 0-1 vector with its support: the walk,
     certified to have the d-vector 1 on the support and 0 off it."""
     poly = _walk(q, _mutation_sequence(q, a, support))
-    d = {v: -poly.min_exponent(v) for v in poly.support()}
-    if {v: x for v, x in d.items() if x} != dict.fromkeys(support, 1):
+    if {v: -e for v, e in poly.min_exponents().items() if e} != dict.fromkeys(support, 1):
         raise NotAClusterVariableDVector(f"mutation walk missed the target {a}")
     return poly
 

@@ -24,9 +24,8 @@ MONO_ONE: Monomial = ()
 def mono(exponents: Mapping[int, int]) -> Monomial:
     """Canonical monomial from a variable -> exponent mapping."""
     items = tuple(sorted((v, e) for v, e in exponents.items() if e != 0))
-    for v, _ in items:
-        if v < 1:
-            raise ValueError(f"variable index must be positive, got {v}")
+    if items and items[0][0] < 1:  # the smallest index
+        raise ValueError(f"variable index must be positive, got {items[0][0]}")
     return items
 
 
@@ -75,6 +74,13 @@ class LaurentPoly:
             self.terms = {}
         self._key = None
 
+    @classmethod
+    def _of(cls, terms: dict) -> "LaurentPoly":
+        """Trusted constructor: owns terms, whose coefficients are nonzero."""
+        p = cls()
+        p.terms = terms
+        return p
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -106,7 +112,7 @@ class LaurentPoly:
                 acc[m] = nc
             elif m in acc:
                 del acc[m]
-        return LaurentPoly(acc)
+        return LaurentPoly._of(acc)
 
     # -- ring operations ---------------------------------------------------
 
@@ -128,6 +134,9 @@ class LaurentPoly:
             return _ZERO
         if len(self.terms) > len(other.terms):
             self, other = other, self
+        if len(self.terms) == 1:  # its products cannot collide or cancel
+            ((m1, c1),) = self.terms.items()
+            return LaurentPoly._of({mono_mul(m1, m2): c1 * c2 for m2, c2 in other.terms.items()})
         acc: dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -137,7 +146,7 @@ class LaurentPoly:
                     acc[m] = nc
                 elif m in acc:
                     del acc[m]
-        return LaurentPoly(acc)
+        return LaurentPoly._of(acc)
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
@@ -181,13 +190,24 @@ class LaurentPoly:
             return 0
         return min(dict(m).get(v, 0) for m in self.terms)
 
+    def min_exponents(self) -> dict[int, int]:
+        """`min_exponent` of every variable of the polynomial, in one pass
+        over the terms (a term without the variable counts as exponent 0)."""
+        least, present = {}, {}
+        for m in self.terms:
+            for v, e in m:
+                least[v] = min(least.get(v, e), e)
+                present[v] = present.get(v, 0) + 1
+        return {v: e if present[v] == len(self.terms) else min(e, 0) for v, e in least.items()}
+
     def denominator_vector(self, nvars: int) -> tuple[int, ...]:
         """Per-variable denominator exponents: -min exponent, clamped from below.
 
         Initial variables come out as -1 in their own coordinate by this
         convention, matching the denominator parametrization used throughout.
         """
-        return tuple(-self.min_exponent(i) for i in range(1, nvars + 1))
+        least = self.min_exponents()
+        return tuple(-least.get(i, 0) for i in range(1, nvars + 1))
 
     def key(self) -> tuple:
         """Hashable canonical form (terms sorted by monomial)."""
@@ -294,11 +314,7 @@ def rational_string(p: LaurentPoly) -> str:
     a single monomial denominator."""
     if not p.terms:
         return "0"
-    den: dict[int, int] = {}
-    for v in p.support():
-        e = p.min_exponent(v)
-        if e < 0:
-            den[v] = -e
+    den = {v: -e for v, e in p.min_exponents().items() if e < 0}
     if not den:
         return canonical_string(p)
     num = p * LaurentPoly.monomial(den)

@@ -22,7 +22,7 @@ the public accessors hand out fresh lists and sets built from them.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 import json
@@ -180,40 +180,43 @@ class Quiver:
         return len(seen) == self.n
 
 
-def mutate(q: Quiver, v: int) -> Quiver:
-    """Quiver mutation at an unfrozen vertex.
+def _signed_rows(vertices, arrows) -> dict[int, dict[int, int]]:
+    """Signed sparse rows b[u][w] = #(u->w) - #(w->u) of the full subquiver
+    on the given vertices, read from arrows (with multiplicity)."""
+    b: dict[int, dict[int, int]] = {u: {} for u in vertices}
+    for t, h in arrows:
+        if t in b and h in b:
+            b[t][h] = b[t].get(h, 0) + 1
+            b[h][t] = b[h].get(t, 0) - 1
+    return b
 
-    1. for every path u -> v -> w add an arrow u -> w,
-    2. reverse all arrows incident to v,
-    3. cancel 2-cycles.
-    """
+
+def _mutate_rows(b: dict[int, dict[int, int]], v: int) -> None:
+    """Matrix mutation at v in place on signed sparse rows (Fomin-Zelevinsky
+    2002): b'_ik = b_ik + sgn(b_iv) [b_iv b_vk]_+ and b'_iv = -b_iv."""
+    row = b[v]
+    for i, bvi in row.items():
+        bi = b[i]
+        for k, bvk in row.items():
+            if bvi * bvk < 0:  # i -> v -> k or k -> v -> i: b_ik moves by |b_vi| b_vk
+                c = bi.pop(k, 0) + abs(bvi) * bvk
+                if c:
+                    bi[k] = c
+        bi[v] = -bi[v]
+    b[v] = {i: -bvi for i, bvi in row.items()}
+
+
+def mutate(q: Quiver, v: int) -> Quiver:
+    """Quiver mutation at an unfrozen vertex: matrix mutation of its signed
+    rows, read back as arrows (an entry c > 0 is c arrows)."""
     if not (1 <= v <= q.n):
         raise VertexOutOfRange(f"vertex {v} outside [1,{q.n}]")
     if v in q.frozen:
         raise FrozenVertex(f"vertex {v} is frozen")
-    counts: Counter[tuple[int, int]] = Counter(q.arrows)
-    ins = Counter(t for t, h in q.arrows if h == v)
-    outs = Counter(h for t, h in q.arrows if t == v)
-    for u, cu in ins.items():
-        for w, cw in outs.items():
-            if u != w:
-                counts[(u, w)] += cu * cw
-    reversed_counts: Counter[tuple[int, int]] = Counter()
-    for (t, h), c in counts.items():
-        if v in (t, h):
-            reversed_counts[(h, t)] += c
-        else:
-            reversed_counts[(t, h)] += c
-    counts = reversed_counts
-    for (t, h) in list(counts):
-        if t < h and (h, t) in counts:
-            m = min(counts[(t, h)], counts[(h, t)])
-            counts[(t, h)] -= m
-            counts[(h, t)] -= m
-    arrows = []
-    for (t, h), c in counts.items():
-        arrows.extend([(t, h)] * c)
-    return Quiver(q.n, tuple(arrows), q.frozen)
+    b = _signed_rows(q.vertices, q.arrows)
+    _mutate_rows(b, v)
+    return Quiver(q.n, tuple((u, w) for u, row in b.items() for w, c in row.items()
+                             for _ in range(c)), q.frozen)
 
 
 def mutate_sequence(q: Quiver, vertices: list[int]) -> Quiver:
@@ -538,8 +541,5 @@ def from_json(text: str) -> Quiver:
 
 def exchange_matrix(q: Quiver) -> list[list[int]]:
     """Skew-symmetric matrix b[i][j] = #(i->j) - #(j->i), 0-indexed lists."""
-    b = [[0] * q.n for _ in range(q.n)]
-    for t, h in q.arrows:
-        b[t - 1][h - 1] += 1
-        b[h - 1][t - 1] -= 1
-    return b
+    b = _signed_rows(q.vertices, q.arrows)
+    return [[b[i].get(j, 0) for j in q.vertices] for i in q.vertices]

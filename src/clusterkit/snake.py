@@ -170,7 +170,8 @@ def enumerate_matchings(d: SnakeDiagram):
             if covered >> i1 & 1 or covered >> i2 & 1:
                 continue
             stack.append((covered | 1 << i1 | 1 << i2, (e, chosen)))
-    return sorted(out, key=lambda g: [str(x) for x in g])
+    text = {lbl: str(lbl) for lbl in d.label_of_edge.values()}  # each label's text, once
+    return sorted(out, key=lambda g: [text[x] for x in g])
 
 
 def matching_weight(gamma) -> LaurentPoly:

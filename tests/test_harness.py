@@ -417,15 +417,16 @@ def test_short_arc_requests_touch_only_their_neighbourhood(monkeypatch):
     """On a 1,000-vertex quiver, short-arc gcs, gcc and mutation requests
     label the base vertex once per completed quiver, evaluate sigma only on
     the triangles touching the support (three per triangle, once per
-    request, shared by the terms and the witness constraints) and mutate
-    only the subquiver spanned by the path and its neighbours; broken-line
-    requests relabel the path without reading the quiver's vertex range and
-    with O(path) memory."""
+    request, shared by the terms and the witness constraints) and walk on
+    the signed rows of the path and its neighbours alone, with one exchange
+    per path vertex; broken-line requests relabel the path without reading
+    the quiver's vertex range and with O(path) memory."""
     rng = random.Random(1000)
     q = random_type_a_quiver(1000, rng)
     q2, _ = three_cycle_completion(q)
     calls = {"base": 0, "gateways": 0, "sigma": 0}
-    mutated_sizes: list[int] = []
+    walked_rows: list[set[int]] = []
+    exchanges = []
     relabel_peaks: list[int] = []
 
     def counted(name, f):
@@ -437,8 +438,14 @@ def test_short_arc_requests_touch_only_their_neighbourhood(monkeypatch):
     monkeypatch.setattr(formulas, "gateway_rotations",
                         counted("gateways", formulas.gateway_rotations))
     monkeypatch.setattr(formulas, "sigma_int", counted("sigma", formulas.sigma_int))
-    mutate = engine.mutate
-    monkeypatch.setattr(engine, "mutate", lambda p, v: mutated_sizes.append(p.n) or mutate(p, v))
+    signed_rows, exchange = engine._signed_rows, engine._exchange
+
+    def recorded_rows(vertices, arrows):
+        b = signed_rows(vertices, arrows)
+        walked_rows.append(set(b))
+        return b
+    monkeypatch.setattr(engine, "_signed_rows", recorded_rows)
+    monkeypatch.setattr(engine, "_exchange", lambda *args: exchanges.append(1) or exchange(*args))
     relabel = scattering.relabel_for_path
 
     def local_relabel(*args):
@@ -458,12 +465,13 @@ def test_short_arc_requests_touch_only_their_neighbourhood(monkeypatch):
         touching = [c for c in oriented_three_cycles(q2) if support & set(c)]
         neighbourhood = support.union(*(q.neighbors(v) for v in support))
         for model in ("broken-line", "gcs", "gcc", "mutation"):
-            calls["sigma"], mutated_sizes[:] = 0, []
+            calls["sigma"], walked_rows[:], exchanges[:] = 0, [], []
             assert expand_model(q, b, model).coefficient_sum() == witness_count(q, b, model)
             # two requests, each with one overlap pass
             assert calls["sigma"] <= 2 * 3 * len(touching)
-            assert max(mutated_sizes, default=0) <= len(neighbourhood)
-        assert len(mutated_sizes) == 2 * len(support)
+        # the mutation requests: one set of rows and one exchange per path vertex each
+        assert walked_rows == [neighbourhood, neighbourhood]
+        assert len(exchanges) == 2 * len(support)
     assert calls["base"] == calls["gateways"] == 1
     # a dict over the 1,000 vertices alone takes more than 30 kB
     assert len(relabel_peaks) == 40 and max(relabel_peaks) < 8000

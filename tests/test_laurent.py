@@ -3,14 +3,19 @@ import random
 
 import pytest
 
+from clusterkit.engine import exact_divide
 from clusterkit.laurent import (
+    MONO_ONE,
     LaurentPoly,
+    affine_sum,
     canonical_string,
     from_json,
     mono,
+    mono_mul,
     poly_product,
     rational_string,
     sorted_terms,
+    poly_sum,
     substitute_one,
     to_json,
 )
@@ -136,3 +141,75 @@ def test_big_coefficients_are_exact():
     top = max(p.terms.values())
     assert top == 1832624140942590534  # binomial(64, 32), beyond 2^60
     assert poly_product([p, p]) == (x1 + x2) ** 128
+
+
+def _random_poly(rng, nvars=3, size=5, span=2):
+    terms = {}
+    for _ in range(rng.randint(0, size)):
+        m = mono({v: rng.randint(-span, span) for v in rng.sample(range(1, nvars + 1), 2)})
+        terms[m] = terms.get(m, 0) + rng.randint(-3, 3)
+    return LaurentPoly(terms)
+
+
+def _generic_product(a, b):
+    """Every pair of terms multiplied and accumulated, zeros dropped."""
+    acc = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = mono_mul(m1, m2)
+            acc[m] = acc.get(m, 0) + c1 * c2
+    return {m: c for m, c in acc.items() if c}
+
+
+def test_one_term_products_equal_the_generic_product():
+    rng = random.Random(15)
+    monomials = [MONO_ONE, mono({1: 1}), mono({2: -3}), mono({1: -1, 3: 2})]
+    for m in monomials:
+        for c in (1, -1, 7, -7):
+            one_term = LaurentPoly({m: c})
+            for _ in range(30):
+                p = _random_poly(rng)
+                want = _generic_product(one_term, p)
+                assert (one_term * p).terms == want
+                assert (p * one_term).terms == want
+
+
+def test_no_operation_stores_a_zero_coefficient():
+    rng = random.Random(16)
+    for _ in range(300):
+        a, b = _random_poly(rng), _random_poly(rng)
+        unit = LaurentPoly({mono({1: rng.randint(-2, 2)}): rng.choice((1, -1))})
+        one_term = unit * LaurentPoly.integer(rng.choice((1, -3)))
+        made = [a + b, a - b, -a, a * b, b * a, a * one_term, one_term * b, a ** 2, unit ** -2,
+                LaurentPoly.from_terms([*a.terms.items(), *(-b).terms.items()]),
+                substitute_one(a, [1]), poly_sum([a, b, -a]), poly_product([a, b, one_term]),
+                affine_sum({1: 1}, [mono({1: -1})], {(1,): 2, (0,): -2}),
+                exact_divide(a * one_term, one_term)]
+        if not b.is_zero():
+            made.append(exact_divide(a * b, b))
+        for p in made:
+            assert all(c != 0 for c in p.terms.values()), p
+
+
+def test_mono_rejects_a_nonpositive_index_with_the_same_message():
+    for exponents, bad in (({0: 1, 3: 2}, 0), ({4: 1, -2: 1, 0: 5}, -2), ({-1: -1}, -1)):
+        with pytest.raises(ValueError) as err:
+            mono(exponents)
+        assert str(err.value) == f"variable index must be positive, got {bad}"
+    assert mono({0: 0, 2: 1}) == ((2, 1),)  # a zero exponent names no variable
+
+
+def test_min_exponents_equals_min_exponent():
+    rng = random.Random(17)
+    cases = [LaurentPoly.zero(), LaurentPoly.one(), x1 * x2 + x1 ** 2 * x2,
+             x1 * x2 ** 2 + x1 ** 3 + x1 * x3 * LaurentPoly.variable(2, -1)]
+    for _ in range(300):
+        p = _random_poly(rng)
+        # x1 (and x2) in every term with a positive exponent must not read as 0
+        cases += [p, p * x1 ** 3, p * x1 ** 3 * x2 ** 3]
+    for p in cases:
+        least = p.min_exponents()
+        assert set(least) == set(p.support())
+        for v in range(1, 5):
+            assert least.get(v, 0) == p.min_exponent(v)
+        assert p.denominator_vector(4) == tuple(-p.min_exponent(v) for v in range(1, 5))

@@ -1,7 +1,8 @@
 """The support-local gcs, gcc, mutation and broken-line paths against the
 whole-quiver code they replaced, kept here as the reference: the same
 witnesses in the same order, the same values and counts, the same principal
-lifts and the same broken lines; and the completion read off the faces of
+lifts and the same broken lines; matrix mutation on signed rows against the
+three steps on the arrow multiset; and the completion read off the faces of
 the triangulation against the one that sorted the path's neighbours."""
 
 from collections import Counter
@@ -18,8 +19,7 @@ from hypothesis import given, settings, strategies as st
 from clusterkit import geometry, harness, scattering
 from clusterkit.engine import (
     cluster_variable,
-    initial_seed,
-    mutate_seed_sequence,
+    exact_divide,
     principal_lift,
     principal_quiver,
     variable_mutation_sequence,
@@ -29,10 +29,12 @@ from clusterkit.errors import (
     ClusterKitError,
     CoordinateOutOfRange,
     EndpointRejected,
+    FrozenVertex,
     NotAClusterVariableDVector,
     NotLinearSubquiver,
     OddRankWithoutPrincipal,
     PositivityViolation,
+    VertexOutOfRange,
 )
 from clusterkit.formulas import (
     GCCollection,
@@ -45,7 +47,7 @@ from clusterkit.formulas import (
     enumerate_variable_gcs,
 )
 from clusterkit.geometry import sigma_int
-from clusterkit.laurent import LaurentPoly, poly_sum
+from clusterkit.laurent import LaurentPoly, poly_product, poly_sum
 from clusterkit.quiver import (
     CompletelyExtendedLinearQuiver,
     CompletionResult,
@@ -54,6 +56,7 @@ from clusterkit.quiver import (
     complete_extension,
     delta_of_path,
     linear_full_subquivers,
+    mutate,
     oriented_three_cycles,
     require_path,
     require_type_a,
@@ -178,13 +181,63 @@ def ref_gcc_value(q, a, gccs):
     return poly_sum(terms)
 
 
+# Quiver mutation as three steps on the arrow multiset, and the seed walk on
+# whole quivers built on it: a seed is (quiver, one entry per vertex).
+
+
+def ref_mutate(q, v):
+    """1. for every path u -> v -> w add an arrow u -> w, 2. reverse all
+    arrows incident to v, 3. cancel 2-cycles."""
+    if not (1 <= v <= q.n):
+        raise VertexOutOfRange(f"vertex {v} outside [1,{q.n}]")
+    if v in q.frozen:
+        raise FrozenVertex(f"vertex {v} is frozen")
+    counts = Counter(q.arrows)
+    ins = Counter(t for t, h in q.arrows if h == v)
+    outs = Counter(h for t, h in q.arrows if t == v)
+    for u, cu in ins.items():
+        for w, cw in outs.items():
+            if u != w:
+                counts[(u, w)] += cu * cw
+    reversed_counts = Counter()
+    for (t, h), c in counts.items():
+        if v in (t, h):
+            reversed_counts[(h, t)] += c
+        else:
+            reversed_counts[(t, h)] += c
+    counts = reversed_counts
+    for (t, h) in list(counts):
+        if t < h and (h, t) in counts:
+            m = min(counts[(t, h)], counts[(h, t)])
+            counts[(t, h)] -= m
+            counts[(h, t)] -= m
+    arrows = []
+    for (t, h), c in counts.items():
+        arrows.extend([(t, h)] * c)
+    return Quiver(q.n, tuple(arrows), q.frozen)
+
+
+def ref_mutate_seed(seed, v):
+    q, cluster = seed
+    if v in q.frozen:
+        raise FrozenVertex(f"cannot mutate frozen vertex {v}")
+    inc = poly_product(cluster[t - 1] for t, h in q.arrows if h == v)
+    out = poly_product(cluster[h - 1] for t, h in q.arrows if t == v)
+    cluster = list(cluster)
+    cluster[v - 1] = exact_divide(inc + out, cluster[v - 1])
+    return ref_mutate(q, v), tuple(cluster)
+
+
 def ref_walk_to_variable(start, q, a):
     if len(a) == q.n and a.count(-1) == 1 and a.count(0) == q.n - 1:
         return LaurentPoly.variable(a.index(-1) + 1)
     if any(x not in (0, 1) for x in a):
         raise NotAClusterVariableDVector(f"{a} is not a variable denominator vector")
     seq = variable_mutation_sequence(q, a)
-    return mutate_seed_sequence(initial_seed(start), seq).entry(seq[-1])
+    seed = (start, tuple(LaurentPoly.variable(v) for v in start.vertices))
+    for v in seq:
+        seed = ref_mutate_seed(seed, v)
+    return seed[1][seq[-1] - 1]
 
 
 # The broken lines with the path relabelled as a whole Quiver and every
@@ -435,6 +488,40 @@ def test_box_monomials_match_the_whole_quiver_reference(n, seed):
     for b in factors:
         want = want * ref_walk_to_variable(q, q, b)
     assert harness.expand_model(q, a, "mutation") == want
+
+
+@st.composite
+def quivers_with_multiplicities(draw):
+    """Up to 5 vertices, at most two parallel arrows per pair, some frozen."""
+    n = draw(st.integers(1, 5))
+    arrows = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            c = draw(st.integers(-2, 2))
+            arrows += [(i, j)] * c if c > 0 else [(j, i)] * -c
+    return Quiver(n, tuple(arrows), draw(st.frozensets(st.integers(1, n), max_size=2)))
+
+
+KRONECKER = Quiver(2, ((1, 2), (1, 2)))
+MARKOV = Quiver(3, ((1, 2), (1, 2), (2, 3), (2, 3), (3, 1), (3, 1)))
+FROZEN_TRIANGLE = Quiver(4, ((1, 2), (2, 3), (3, 1), (4, 1)), frozenset({4}))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(q=st.one_of(st.sampled_from([KRONECKER, MARKOV, FROZEN_TRIANGLE]),
+                   quivers_with_multiplicities()),
+       data=st.data())
+def test_matrix_mutation_matches_the_three_step_reference(q, data):
+    for v in data.draw(st.lists(st.integers(0, q.n + 1), max_size=8)):
+        try:
+            want = ref_mutate(q, v)
+        except ClusterKitError as exc:
+            with pytest.raises(type(exc)) as got:
+                mutate(q, v)
+            assert str(got.value) == str(exc)
+            continue
+        assert mutate(q, v) == want
+        q = want
 
 
 def line_view(line):
