@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .errors import (
     ExplosionGuard,
@@ -27,27 +28,32 @@ from .quiver import (Quiver, _mutate_rows, _signed_rows, mutate, path_order, req
                      require_type_a)
 
 
-def _term_order_key(m, support):
-    d = dict(m)
-    return (mono_degree(m), tuple(d.get(v, 0) for v in support))
-
-
 def _eliminate(p: LaurentPoly, d: LaurentPoly) -> dict:
     """Quotient terms of p by d from iterated leading-term elimination under
-    the graded order."""
+    the graded order (degree, then exponents over the variables of p and d).
+    A remainder term's key is computed once, as it enters a min-heap negated;
+    the lead is the first entry popped that is still in the remainder."""
     support = sorted(set(p.support()) | set(d.support()))
-    key = lambda m: _term_order_key(m, support)
-    lead_d = max(d.terms, key=key)
+
+    def entry(m):
+        e = dict(m)
+        return (-mono_degree(m), tuple(-e.get(v, 0) for v in support)), m
+
+    lead_d = min(map(entry, d.terms))[1]
     coeff_d = d.terms[lead_d]
     inv_lead_d = tuple((v, -e) for v, e in lead_d)
     quotient: dict = {}
     remainder = dict(p.terms)
+    heap = list(map(entry, remainder))
+    heapify(heap)
     cap = 16 * (len(p.terms) + len(d.terms) + 4)
     while remainder:
         cap -= 1
         if cap < 0:
             raise InexactDivision("leading-term elimination did not terminate")
-        lead_r = max(remainder, key=key)
+        lead_r = heappop(heap)[1]
+        while lead_r not in remainder:  # cancelled since it entered
+            lead_r = heappop(heap)[1]
         coeff_r = remainder[lead_r]
         if coeff_r % coeff_d:
             raise InexactDivision("leading coefficient not divisible")
@@ -58,6 +64,8 @@ def _eliminate(p: LaurentPoly, d: LaurentPoly) -> dict:
             mm = mono_mul(t, m)
             nc = remainder.get(mm, 0) - c * cd
             if nc:
+                if mm not in remainder:
+                    heappush(heap, entry(mm))
                 remainder[mm] = nc
             elif mm in remainder:
                 del remainder[mm]

@@ -10,17 +10,18 @@ Three routes to the same Laurent polynomial:
 * the specialization to a path quiver with triangles glued everywhere,
   whose witnesses are per-edge pairs.
 
-All enumeration is constraint propagation over binary variables rather than
-power-set filtering; the constraint graph of a type-A quiver is tree-like,
-so the search is near linear per witness.
+All enumeration runs one solver over binary variables, not power-set
+filtering: what each bit's 0 and 1 force is computed once per system, so no
+branch of the search fails and a witness costs a few ORs of masks.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, defaultdict, deque
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate
 import logging
 
 from .errors import (
@@ -131,65 +132,97 @@ def _overlaps(q: Quiver, a, support) -> dict[tuple[int, int], int]:
 # -- binary constraint solver ---------------------------------------------------
 
 
-def _enumerate_closed_assignments(nbits: int, implications):
-    """All 0-1 assignments closed under the given implications (x=1 forces
-    y=1), in lexicographic order with 0 < 1."""
-    fwd = defaultdict(list)
-    bwd = defaultdict(list)
+def _closures(nbits: int, implications) -> tuple[list[int], list[int]]:
+    """Per bit, the mask of the bits its 1 forces to 1 and the mask of those
+    its 0 forces to 0, the bit included.  They are built one strongly
+    connected component of the implication graph at a time (Tarjan 1972, on
+    an explicit stack).  Components finish sinks first, so a component's
+    forward mask is its bits ORed with the finished masks it points to; in
+    the reverse order, its backward mask takes those pointing to it."""
+    succ: list[list[int]] = [[] for _ in range(nbits)]
+    pred: list[list[int]] = [[] for _ in range(nbits)]
     for x, y in implications:
-        fwd[x].append(y)
-        bwd[y].append(x)
-    value = [-1] * nbits
-    trail: list[int] = []  # every assigned bit, in assignment order
+        succ[x].append(y)
+        pred[y].append(x)
+    order, low, comp = [-1] * nbits, [0] * nbits, [-1] * nbits
+    pending, comps, visited = [], [], 0  # bits of unfinished components; sinks first
+    for root in (r for r in range(nbits) if order[r] < 0):
+        order[root] = low[root] = visited = visited + 1
+        pending.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, rest = work[-1]
+            for w in rest:
+                if order[w] < 0:  # enter w; v's other successors wait in rest
+                    order[w] = low[w] = visited = visited + 1
+                    pending.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0 and order[w] < low[v]:  # w is pending: v's component
+                    low[v] = order[w]
+            else:  # v is finished; so is its component if v is the first of it
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == order[v]:  # pending is in visit order
+                    k = bisect_left(pending, order[v], key=order.__getitem__)
+                    comps.append(pending[k:])
+                    del pending[k:]
+                    for u in comps[-1]:
+                        comp[u] = len(comps) - 1
+    masks = []
+    for edges, ids in ((succ, range(len(comps))), (pred, range(len(comps) - 1, -1, -1))):
+        closed = [0] * len(comps)
+        for c in ids:
+            for u in comps[c]:
+                closed[c] |= 1 << u
+                for w in edges[u]:
+                    closed[c] |= closed[comp[w]]
+        masks.append([closed[c] for c in comp])
+    return masks[0], masks[1]
 
-    def propagate(idx: int, val: int) -> bool:
-        stack = [(idx, val)]
-        while stack:
-            x, v = stack.pop()
-            if value[x] == v:
-                continue
-            if value[x] != -1:
-                return False
-            value[x] = v
-            trail.append(x)
-            targets = fwd[x] if v == 1 else bwd[x]
-            for y in targets:
-                stack.append((y, v))
-        return True
 
-    # depth-first on an explicit stack of (trail length to go back to, bit,
-    # value); the first free bit is tried at 0 before 1
-    todo = [(0, -1, 0)]
+def _closed_masks(nbits: int, implications):
+    """All 0-1 assignments closed under the given implications (x=1 forces
+    y=1), each as the mask of its set bits, in lexicographic order of the
+    bits with 0 < 1.  Depth first on an explicit stack of (set bits, assigned
+    bits): the lowest free bit takes 0, with what its 0 forces, while 1, with
+    what its 1 forces, waits on the stack.  A free bit is forced by no
+    assigned bit, so neither branch can contradict one and none fails."""
+    fwd, bwd = _closures(nbits, implications)
+    full = (1 << nbits) - 1
+    todo = [(0, 0)]
     while todo:
-        mark, pos, v = todo.pop()
-        while len(trail) > mark:
-            value[trail.pop()] = -1
-        if pos >= 0 and not propagate(pos, v):
-            continue
-        pos += 1
-        while pos < nbits and value[pos] != -1:
-            pos += 1
-        if pos == nbits:
-            yield tuple(value)
-        else:
-            todo += [(len(trail), pos, 1), (len(trail), pos, 0)]
+        ones, done = todo.pop()
+        while done != full:
+            p = (~done & (done + 1)).bit_length() - 1
+            todo.append((ones | fwd[p], done | fwd[p]))
+            done |= bwd[p]
+        yield ones
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _enumerate_closed_assignments(nbits: int, implications):
+    """`_closed_masks` as 0-1 tuples, bit 0 first: the binary digits of the
+    mask below a leading 1 at bit nbits, reversed and read as bytes."""
+    top = 1 << nbits
+    for ones in _closed_masks(nbits, implications):
+        yield tuple(bin(ones | top)[:2:-1].encode().translate(_BITS))
 
 
 def _count(nbits: int, implications, *_) -> int:
     """The number of closed assignments; no witness is built."""
-    return sum(1 for _ in _enumerate_closed_assignments(nbits, implications))
+    return sum(1 for _ in _closed_masks(nbits, implications))
 
 
 def _tally(nbits: int, implications, runs) -> dict[tuple[int, ...], int]:
     """The number of closed assignments per tuple of set-bit counts in runs
-    of consecutive bits (their lengths, in bit order), each assignment packed
-    at C speed into one integer with a w-bit field per run."""
-    w = max(runs, default=0).bit_length()
-    weights = [1 << w * i for i, size in enumerate(runs) for _ in range(size)]
-    packed = Counter(sum(compress(weights, bits))
-                     for bits in _enumerate_closed_assignments(nbits, implications))
-    mask = (1 << w) - 1
-    return {tuple(key >> w * i & mask for i in range(len(runs))): c for key, c in packed.items()}
+    of consecutive bits (their lengths, in bit order)."""
+    spans = [(end - size, (1 << size) - 1) for size, end in zip(runs, accumulate(runs))]
+    return Counter(tuple((ones >> s & m).bit_count() for s, m in spans)
+                   for ones in _closed_masks(nbits, implications))
 
 
 # -- globally compatible sequences ----------------------------------------------

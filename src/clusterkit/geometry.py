@@ -12,7 +12,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, compress
+from itertools import combinations, compress, count
 from types import MappingProxyType
 
 from .errors import (
@@ -248,21 +248,9 @@ def _build_triangulation(q: Quiver) -> Triangulation:
     This is the type-A test of a connected quiver: it raises NotTypeA unless
     the triangulation it built induces exactly the quiver's arrows."""
     n = q.n
-    cycles = oriented_three_cycles(q)
-    in_cycle: set[tuple[int, int]] = set()
-    for (i, j, k) in cycles:
-        in_cycle.update({(i, j), (j, k), (k, i)})
-
-    next_boundary = [n]
-
-    def fresh() -> int:
-        next_boundary[0] += 1
-        return next_boundary[0]
-
-    triangles: list[tuple[int, int, int]] = []  # ccw side label triples
-    for (i, j, k) in cycles:
-        triangles.append((i, k, j))
-    for (tl, hd) in sorted(set(q.arrows) - in_cycle):
+    fresh = count(n + 1).__next__  # boundary labels
+    triangles = [(i, k, j) for (i, j, k) in oriented_three_cycles(q)]  # ccw side labels
+    for (tl, hd) in sorted(set(q.arrows) - q._cover.keys()):
         triangles.append((tl, fresh(), hd))
     side_count: dict[int, int] = {i: 0 for i in range(1, n + 1)}
     for tri in triangles:
@@ -282,67 +270,56 @@ def _build_triangulation(q: Quiver) -> Triangulation:
             if s <= n:
                 diag_sites.setdefault(s, []).append((ti, m))
 
-    # union-find over triangle corners; side m of a triangle joins its
-    # corners m and m+1 (mod 3) in ccw order
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def find(c):
-        parent.setdefault(c, c)
-        root = c
-        while parent[root] != root:
-            root = parent[root]
-        while parent[c] != root:
-            parent[c], c = root, parent[c]
-        return root
-
-    def union(c1, c2):
-        r1, r2 = find(c1), find(c2)
-        if r1 != r2:
-            parent[r1] = r2
-
-    # depth-first walk over the glued sides on an explicit stack: a side into
-    # an unseen triangle goes on to that triangle's two other sides, with the
-    # corner they share emitted between them, so corners come out in ccw order
-    emitted: list[tuple[int, int]] = []
-    seen_triangles = {0}
+    # depth-first walk over the glued sides on an explicit stack.  Corner m
+    # of a triangle gets an id (side m joins its corners m and m+1 in ccw
+    # order): triangle 0 has corners 0, 1, 2, and a triangle glued on side m
+    # of triangle ti takes ti's corners m+1 and m on its sides m2 and m2+1,
+    # with a fresh id for its apex.  A side into an unseen triangle goes on
+    # to that triangle's two other sides, with their shared apex emitted
+    # between them, so ids come out in ccw order: the polygon's corners.
+    corners: list[list[int] | None] = [None] * len(triangles)
+    corners[0], next_id = [0, 1, 2], 3
+    emitted: list[int] = []
     stack = [(kind, 0, m) for m in (2, 1, 0) for kind in ("side", "corner")]
     while stack:
         kind, ti, m = stack.pop()
         if kind == "corner":
-            emitted.append((ti, m))
+            emitted.append(corners[ti][m])
             continue
         label = triangles[ti][m]
         if label > n:
             continue
         (t2, m2) = next(site for site in diag_sites[label] if site[0] != ti)
-        if t2 in seen_triangles:
+        if corners[t2] is not None:
             raise NotTypeA("triangulation glue revisited a triangle")
-        seen_triangles.add(t2)
-        union((ti, (m + 1) % 3), (t2, m2))
-        union((ti, m), (t2, (m2 + 1) % 3))
+        glued = [next_id] * 3
+        glued[m2], glued[(m2 + 1) % 3] = corners[ti][(m + 1) % 3], corners[ti][m]
+        corners[t2] = glued
+        next_id += 1
         stack += [("side", t2, (m2 + 2) % 3), ("corner", t2, (m2 + 2) % 3),
                   ("side", t2, (m2 + 1) % 3)]
-    if len(seen_triangles) != len(triangles):
+    if None in corners:
         raise NotTypeA("triangulation does not glue into a disk")
-
-    position: dict[tuple[int, int], int] = {}
-    for pos, corner in enumerate(emitted):
-        position[find(corner)] = pos
     if len(emitted) != n + 3:
         raise NotTypeA("polygon walk emitted a wrong corner count")
+    position = [0] * next_id
+    for pos, c in enumerate(emitted):
+        position[c] = pos
 
     edges: dict[int, tuple[int, int]] = {}
-    for ti, tri in enumerate(triangles):
+    for tri, ids in zip(triangles, corners):
         for m, s in enumerate(tri):
-            u = position[find((ti, m))]
-            w = position[find((ti, (m + 1) % 3))]
+            u, w = position[ids[m]], position[ids[(m + 1) % 3]]
             pair = (min(u, w), max(u, w))
             if s in edges and edges[s] != pair:
                 raise NotTypeA("inconsistent gluing of a shared diagonal")
             edges[s] = pair
     t = Triangulation(n + 3, n, MappingProxyType(edges))
-    induced = quiver_of(t)
-    if tuple(sorted(induced.arrows)) != tuple(sorted((a, b) for a, b in q.arrows)):
+    # the faces are found again from the edge map alone, so the check below
+    # does not read the glued triangles back; they stay as `t._faces`
+    induced = sorted((a, b) for _, sides in t._faces[0]
+                     for a, b in _ccw_triangle_arrows(sides) if a <= n and b <= n)
+    if tuple(induced) != q.arrows:
         raise NotTypeA("constructed triangulation does not induce the quiver")
     return t
 

@@ -9,8 +9,10 @@ A connected quiver is of type A exactly when it is the quiver of a
 triangulation of the (n+3)-gon (Caldero-Chapoton-Schiffler, "Quivers with
 relations arising from clusters (A_n case)", 2006).  The type-A verdict is
 therefore "a triangulation realizing the quiver exists": it is decided by
-building that triangulation (`geometry._build_triangulation`), which checks
-that the triangulation it built induces the quiver.
+building that triangulation (`geometry._build_triangulation`), which glues
+the quiver's triangles by corner ids in one depth-first walk, then finds the
+faces of the edge map it built, once, and checks that they induce the quiver;
+the triangulation keeps those faces.
 
 Structure derived from the arrows (adjacency, oriented 3-cycles and the
 triangle of each arrow, the type-A verdict, the 3-cycle completion, the

@@ -269,27 +269,39 @@ def triangulation_tpaths(t: Triangulation, celq: CompletelyExtendedLinearQuiver)
     if t.vpoint is None or t.wpoint is None:
         raise NotInitialTriangulation("triangulation lacks distinguished corners")
     chord = (t.vpoint, t.wpoint)
-    crossing = {lbl for lbl, e in t.edges.items() if t.cross(e, chord)}
-    incident: dict[int, list[tuple[int, int]]] = {}  # corner -> (label, far corner)
+    sides: dict[int, list[tuple[int, int, bool]]] = {}  # corner -> (label, far, crosses)
     for lbl, (u, w) in sorted(t.edges.items()):
-        incident.setdefault(u, []).append((lbl, w))
-        incident.setdefault(w, []).append((lbl, u))
+        crosses = t.cross((u, w), chord)
+        sides.setdefault(u, []).append((lbl, w, crosses))
+        sides.setdefault(w, []).append((lbl, u, crosses))
 
+    # depth first over one shared label list; per corner reached, the stack
+    # holds its sides left to try and the last crossing so far
     out: list[TPath] = []
-    stack = [(t.vpoint, (), 0)]  # (corner reached, labels so far, last crossing)
+    labels: list[int] = []
+    used: set[int] = set()  # the sides (labels that do not cross) in labels
+    end, longest = t.wpoint, 2 * t.n + 1
+    stack = [(iter(sides[t.vpoint]), 0)]
     while stack:
-        corner, labels, last_cross = stack.pop()
+        rest, last_cross = stack[-1]
         even = len(labels) % 2 == 1  # the next label takes an even position
-        if corner == t.wpoint and even:
-            out.append(TPath(labels))
-        if len(labels) >= 2 * t.n + 1:
-            continue
-        for lbl, far in incident[corner]:
-            crosses = lbl in crossing
+        for lbl, far, crosses in rest:
             # crossings come in increasing order, so only a side can repeat
-            if (lbl <= last_cross) if crosses else (even or lbl in labels):
+            if (lbl <= last_cross) if crosses else (even or lbl in used):
                 continue
-            stack.append((far, labels + (lbl,), lbl if crosses else last_cross))
+            labels.append(lbl)
+            if not even and far == end:
+                out.append(TPath(tuple(labels)))
+            if len(labels) < longest:
+                if not crosses:
+                    used.add(lbl)
+                stack.append((iter(sides[far]), lbl if crosses else last_cross))
+                break
+            labels.pop()
+        else:  # every side is tried: step back
+            stack.pop()
+            if labels:
+                used.discard(labels.pop())
     return sorted(out, key=lambda p: p.labels)
 
 

@@ -272,14 +272,17 @@ def _counting(monkeypatch, module, name: str) -> list:
 
 
 def test_crosscheck_derives_structure_once(monkeypatch):
-    # building the triangulation is also the type-A verdict
+    # building the triangulation is also the type-A verdict; its faces are
+    # found once, by the build's own check, and kept
     cycles = _counting(monkeypatch, quiver, "_scan_three_cycles")
     triangulations = _counting(monkeypatch, geometry, "_build_triangulation")
+    faces = _counting(monkeypatch, geometry.Triangulation, "triangles")
     q = random_type_a_quiver(7, random.Random(3))
     report = harness.crosscheck(q, box=1)
     assert report.passed
     for seen in (cycles, triangulations):
         assert sum(1 for x in seen if x is q) == 1
+    assert sum(1 for t in faces if t is q._triangulation) == 1
     # the completed quiver shared by gcs and gcc is derived once as well
     completed, _ = three_cycle_completion(q)
     assert sum(1 for x in cycles if x is completed) <= 1

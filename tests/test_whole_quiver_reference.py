@@ -2,14 +2,16 @@
 whole-quiver code they replaced, kept here as the reference: the same
 witnesses in the same order, the same values and counts, the same principal
 lifts and the same broken lines; matrix mutation on signed rows against the
-three steps on the arrow multiset; and the completion read off the faces of
-the triangulation against the one that sorted the path's neighbours."""
+three steps on the arrow multiset; the completion read off the faces of the
+triangulation against the one that sorted the path's neighbours; and the
+type-A build that glues by corner ids against the union-find one."""
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 import random
+from types import MappingProxyType
 
 import pytest
 
@@ -32,6 +34,7 @@ from clusterkit.errors import (
     FrozenVertex,
     NotAClusterVariableDVector,
     NotLinearSubquiver,
+    NotTypeA,
     OddRankWithoutPrincipal,
     PositivityViolation,
     VertexOutOfRange,
@@ -55,6 +58,7 @@ from clusterkit.quiver import (
     Quiver,
     complete_extension,
     delta_of_path,
+    is_type_a,
     linear_full_subquivers,
     mutate,
     oriented_three_cycles,
@@ -664,3 +668,143 @@ def test_completion_from_the_faces_matches_the_neighbour_sort():
                 range(1, len(support) + 1))
             singles += len(support) == 1
     assert singles > 2000
+
+
+# The type-A build that glued triangle corners with a union-find over
+# (triangle, corner) keys and checked the quiver of what it built.
+
+
+def ref_build_triangulation(q):
+    n = q.n
+    cycles = oriented_three_cycles(q)
+    in_cycle = set()
+    for (i, j, k) in cycles:
+        in_cycle.update({(i, j), (j, k), (k, i)})
+    next_boundary = [n]
+
+    def fresh():
+        next_boundary[0] += 1
+        return next_boundary[0]
+
+    triangles = [(i, k, j) for (i, j, k) in cycles]
+    for (tl, hd) in sorted(set(q.arrows) - in_cycle):
+        triangles.append((tl, fresh(), hd))
+    side_count = {i: 0 for i in range(1, n + 1)}
+    for tri in triangles:
+        for s in tri:
+            if s <= n:
+                side_count[s] += 1
+    for i in range(1, n + 1):
+        while side_count[i] < 2:
+            triangles.append((i, fresh(), fresh()))
+            side_count[i] += 1
+    if len(triangles) != n + 1:
+        raise NotTypeA("triangle accounting failed; quiver is not type A")
+    diag_sites = {}
+    for ti, tri in enumerate(triangles):
+        for m, s in enumerate(tri):
+            if s <= n:
+                diag_sites.setdefault(s, []).append((ti, m))
+    parent = {}
+
+    def find(c):
+        parent.setdefault(c, c)
+        root = c
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
+        return root
+
+    def union(c1, c2):
+        r1, r2 = find(c1), find(c2)
+        if r1 != r2:
+            parent[r1] = r2
+
+    emitted = []
+    seen_triangles = {0}
+    stack = [(kind, 0, m) for m in (2, 1, 0) for kind in ("side", "corner")]
+    while stack:
+        kind, ti, m = stack.pop()
+        if kind == "corner":
+            emitted.append((ti, m))
+            continue
+        label = triangles[ti][m]
+        if label > n:
+            continue
+        (t2, m2) = next(site for site in diag_sites[label] if site[0] != ti)
+        if t2 in seen_triangles:
+            raise NotTypeA("triangulation glue revisited a triangle")
+        seen_triangles.add(t2)
+        union((ti, (m + 1) % 3), (t2, m2))
+        union((ti, m), (t2, (m2 + 1) % 3))
+        stack += [("side", t2, (m2 + 2) % 3), ("corner", t2, (m2 + 2) % 3),
+                  ("side", t2, (m2 + 1) % 3)]
+    if len(seen_triangles) != len(triangles):
+        raise NotTypeA("triangulation does not glue into a disk")
+    position = {}
+    for pos, corner in enumerate(emitted):
+        position[find(corner)] = pos
+    if len(emitted) != n + 3:
+        raise NotTypeA("polygon walk emitted a wrong corner count")
+    edges = {}
+    for ti, tri in enumerate(triangles):
+        for m, s in enumerate(tri):
+            u = position[find((ti, m))]
+            w = position[find((ti, (m + 1) % 3))]
+            pair = (min(u, w), max(u, w))
+            if s in edges and edges[s] != pair:
+                raise NotTypeA("inconsistent gluing of a shared diagonal")
+            edges[s] = pair
+    t = geometry.Triangulation(n + 3, n, MappingProxyType(edges))
+    if tuple(sorted(geometry.quiver_of(t).arrows)) != tuple(sorted(q.arrows)):
+        raise NotTypeA("constructed triangulation does not induce the quiver")
+    return t
+
+
+def build_outcome(build, q):
+    """The edge map of build(q) in key order, or its error's class and message."""
+    try:
+        return list(build(q).edges.items())
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+FOUR_CYCLE = Quiver(4, ((1, 2), (2, 3), (3, 4), (4, 1)))
+DISCONNECTED = Quiver(4, ((1, 2), (3, 4)))
+
+
+def test_gluing_by_corner_ids_matches_the_union_find_build():
+    """The same triangulation, edge-map key order included, on 400 random
+    type-A quivers n 1-14, with the kept faces equal to `triangles()`; on
+    quivers that are not type A (and random quivers n <= 6 with up to two
+    parallel arrows per pair) the same error class and message."""
+    rng = random.Random(1606)
+    for k in range(400):
+        q = harness.random_type_a_quiver(1 + k % 14, rng)
+        got, want = geometry._build_triangulation(q), ref_build_triangulation(q)
+        assert got == want and list(got.edges.items()) == list(want.edges.items()), q
+        faces, at = got._faces
+        assert faces == got.triangles()
+        assert at == {s: [ti for ti, (_, sides) in enumerate(faces) if s in sides]
+                      for s in got.edges}
+    others = [FOUR_CYCLE, KRONECKER, MARKOV, DISCONNECTED]
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        arrows = []
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                c = rng.choice((-2, -1, 0, 0, 0, 1, 2))
+                arrows += [(i, j)] * c if c > 0 else [(j, i)] * -c
+        others.append(Quiver(n, tuple(arrows)))
+    verdicts = Counter()
+    for q in others:
+        want = build_outcome(ref_build_triangulation, q)
+        assert build_outcome(geometry._build_triangulation, q) == want, q
+        verdicts[want[0] if isinstance(want, tuple) else "ok"] += 1
+    assert verdicts["NotTypeA"] > 100 and verdicts["ok"] > 20
+    for q in (FOUR_CYCLE, KRONECKER, MARKOV):
+        assert build_outcome(geometry._build_triangulation, q)[0] == "NotTypeA"
+        assert not is_type_a(Quiver(q.n, q.arrows))
+    with pytest.raises(ClusterKitError, match="^type-A test requires a connected quiver$"):
+        is_type_a(DISCONNECTED)
