@@ -18,7 +18,13 @@ from .quiver import (
     mutate,
 )
 
+# every model that `harness` can run, in crosscheck order; the command line
+# offers them without loading any model module
+MODELS = ("mutation", "gcs", "gcc", "linear-gcc", "gcs-variable", "matching", "tpath",
+          "broken-line")
+
 __all__ = [
+    "MODELS",
     "ClusterKitError",
     "LaurentPoly",
     "canonical_string",

@@ -11,10 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 
-from . import engine, geometry, harness, scattering, snake
+from . import MODELS
 from .errors import ClusterKitError, InvalidInput
 from .laurent import canonical_string, rational_string, to_json_dict
 from .quiver import Quiver, complete_extension, from_json, from_text
@@ -87,6 +86,7 @@ def _emit_value(value, fmt: str):
 def cmd_expand(args) -> int:
     q = _load_quiver(args.quiver)
     a = _parse_dvector(args.dvector, q.n)
+    from . import harness
     value = harness.expand_model(q, a, args.model)
     _emit_value(value, args.format)
     return 0
@@ -95,6 +95,7 @@ def cmd_expand(args) -> int:
 def cmd_count(args) -> int:
     q = _load_quiver(args.quiver)
     a = _parse_dvector(args.dvector, q.n)
+    from . import harness
     if args.list_witnesses:
         print(json.dumps(harness.list_witnesses(q, a, args.model)))
     else:
@@ -105,6 +106,7 @@ def cmd_count(args) -> int:
 def cmd_decompose(args) -> int:
     q = _load_quiver(args.quiver)
     a = _parse_dvector(args.dvector, q.n)
+    from . import geometry
     plus, neg = geometry.positive_split(q, a)
     for b in geometry.decompose(q, plus):
         print(json.dumps(list(b)))
@@ -116,6 +118,7 @@ def cmd_decompose(args) -> int:
 def cmd_pipelines(args) -> int:
     q = _load_quiver(args.quiver)
     a = _parse_dvector(args.dvector, q.n)
+    from . import geometry
     plus, _ = geometry.positive_split(q, a)
     ps = geometry.build_pipelines(q, plus)
     if args.svg:
@@ -131,6 +134,7 @@ def cmd_snake(args) -> int:
     a = _parse_dvector(args.dvector, q.n)
     if any(x not in (0, 1) for x in a):
         raise InvalidInput("snake diagrams are drawn per variable: use a 0-1 d-vector")
+    from . import geometry, snake
     comp = complete_extension(q, geometry.support_of(a))
     d = snake.build_snake(comp.celq)
     matchings = snake.enumerate_matchings(d)
@@ -145,6 +149,7 @@ def cmd_snake(args) -> int:
 def cmd_broken_lines(args) -> int:
     q = _load_quiver(args.quiver)
     support = _parse_subquiver(args.subquiver)
+    from . import scattering
     principal = True if args.principal else None
     rel = scattering.relabel_for_path(q, support)
     lines = scattering.broken_lines(q, support, principal=principal, rel=rel)
@@ -160,6 +165,9 @@ def cmd_broken_lines(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
+    import random
+
+    from . import harness
     if args.random is not None:
         rng = random.Random(args.seed)
         q = harness.random_type_a_quiver(args.random, rng)
@@ -178,6 +186,7 @@ def cmd_crosscheck(args) -> int:
 
 def cmd_enumerate_variables(args) -> int:
     q = _load_quiver(args.quiver)
+    from . import engine
     table = engine.enumerate_cluster_variables(q, max_seeds=args.max_seeds)
     out = {",".join(map(str, key)): canonical_string(value)
            for key, value in sorted(table.items())}
@@ -187,6 +196,7 @@ def cmd_enumerate_variables(args) -> int:
 
 def cmd_report_table(args) -> int:
     q = _load_quiver(args.quiver)
+    from . import harness
     sys.stdout.write(harness.report_table(q))
     return 0
 
@@ -205,12 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("expand", cmd_expand, "expand a cluster monomial")
-    p.add_argument("--model", default="mutation", choices=harness.MODELS)
+    p.add_argument("--model", default="mutation", choices=MODELS)
     p.add_argument("--dvector", required=True)
     p.add_argument("--format", default="text", choices=("text", "json"))
 
     p = command("count", cmd_count, "count or list combinatorial witnesses")
-    p.add_argument("--model", default="gcs", choices=harness.MODELS)
+    p.add_argument("--model", default="gcs", choices=MODELS)
     p.add_argument("--dvector", required=True)
     p.add_argument("--list-witnesses", action="store_true")
 

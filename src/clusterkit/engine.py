@@ -20,7 +20,6 @@ from .errors import (
     InexactDivision,
     InvalidInput,
     NotAClusterVariableDVector,
-    NotHomogeneous,
 )
 from .geometry import _require_nonnegative, require_in_w, support_of
 from .laurent import LaurentPoly, mono, mono_degree, mono_mul, poly_product
@@ -130,12 +129,6 @@ def mutate_seed(s: Seed, v: int) -> Seed:
     return Seed(mutate(s.quiver, v), tuple(cluster))
 
 
-def mutate_seed_sequence(s: Seed, vertices) -> Seed:
-    for v in vertices:
-        s = mutate_seed(s, v)
-    return s
-
-
 def _seed_key(s: Seed):
     """Canonical key insensitive to permuting the unfrozen positions."""
     unfrozen = s.quiver.unfrozen
@@ -150,13 +143,26 @@ def _seed_key(s: Seed):
     return (arrows, entries)
 
 
+def _refuse_double_arrow(q: Quiver):
+    """ExplosionGuard on a double arrow between unfrozen vertices: a cluster
+    algebra is of finite type exactly when no quiver of its mutation class
+    has one (Fomin & Zelevinsky 2003, Thm 1.8).  Arrows are sorted, so the
+    copies of an arrow are adjacent."""
+    for arrow, nxt in zip(q.arrows, q.arrows[1:]):
+        if arrow == nxt and q.frozen.isdisjoint(arrow):
+            raise ExplosionGuard(f"double arrow {arrow[0]} -> {arrow[1]} between "
+                                 "unfrozen vertices; input is infinite-type")
+
+
 def enumerate_seeds(q: Quiver, max_seeds: int = 100_000):
     """Breadth-first walk of the exchange graph with permutation-insensitive
-    seed deduplication.  Deterministic order; raises ExplosionGuard past the
-    bound (a sign the input is not of finite type)."""
+    seed deduplication.  Deterministic order; raises ExplosionGuard at the
+    first seed with a double arrow (the input is not of finite type) and
+    past the bound."""
     if max_seeds < 1:
         raise InvalidInput(f"max_seeds must be at least 1, got {max_seeds}")
     start = initial_seed(q)
+    _refuse_double_arrow(start.quiver)
     visited = {_seed_key(start)}
     queue = deque([start])
     while queue:
@@ -166,6 +172,7 @@ def enumerate_seeds(q: Quiver, max_seeds: int = 100_000):
             s2 = mutate_seed(s, v)
             k = _seed_key(s2)
             if k not in visited:
+                _refuse_double_arrow(s2.quiver)
                 if len(visited) >= max_seeds:
                     raise ExplosionGuard(
                         f"more than {max_seeds} seeds; input looks infinite-type")
@@ -278,31 +285,6 @@ def principal_lift(q: Quiver, a) -> LaurentPoly:
     if poly.substitute_one([v for v in poly.support() if v > q.n]) != plain:
         raise NotAClusterVariableDVector("principal lift does not specialize correctly")
     return poly
-
-
-def g_vector_by_multidegree(poly: LaurentPoly, b_matrix: list[list[int]]) -> tuple[int, ...]:
-    """Common multidegree of a principal-coefficient variable under
-    deg(x_i) = e_i and deg(x_{n+i}) = minus the i-th column of the exchange
-    matrix.  Disagreeing terms raise NotHomogeneous."""
-    n = len(b_matrix)
-    g = None
-    for m in poly.terms:
-        deg = [0] * n
-        for v, e in m:
-            if v <= n:
-                deg[v - 1] += e
-            else:
-                col = v - n - 1
-                for r in range(n):
-                    deg[r] -= e * b_matrix[r][col]
-        deg = tuple(deg)
-        if g is None:
-            g = deg
-        elif g != deg:
-            raise NotHomogeneous(f"terms have degrees {g} and {deg}")
-    if g is None:
-        raise NotHomogeneous("zero polynomial has no multidegree")
-    return g
 
 
 def g_vector_by_formula(qtilde: Quiver, linear_vertices) -> tuple[int, ...]:

@@ -22,7 +22,6 @@ from collections import Counter, defaultdict, deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import accumulate
-import logging
 
 from .errors import (
     AssumptionViolated,
@@ -36,8 +35,6 @@ from .quiver import (
     oriented_three_cycles,
     require_path,
 )
-
-log = logging.getLogger(__name__)
 
 
 # -- assumptions and distances -------------------------------------------------
@@ -79,7 +76,8 @@ def choose_base_vertex(q: Quiver) -> tuple[int, dict[int, int]]:
         try:
             return i0, base_vertex_distance(q, i0)
         except Unreachable as exc:
-            log.warning("base vertex %d rejected: %s", i0, exc)
+            import logging  # only here: a command that never warns skips loading it
+            logging.getLogger(__name__).warning("base vertex %d rejected: %s", i0, exc)
             last_exc = exc
     raise last_exc
 

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, compress, count
 from types import MappingProxyType
 
 from .errors import (
-    CrossingDiagonals,
     NegativeInput,
     NotInW,
     NotTypeA,
@@ -45,7 +43,10 @@ def sigma(x, y, z):
     d-vectors; a half-integer comes back as an exact Fraction.
     """
     num = _twice_sigma(x, y, z)
-    return num // 2 if num % 2 == 0 else Fraction(num, 2)
+    if num % 2 == 0:
+        return num // 2
+    from fractions import Fraction  # rare, so loaded only when needed
+    return Fraction(num, 2)
 
 
 def sigma_int(x, y, z) -> int:
@@ -344,9 +345,6 @@ class PipelineSet:
     pipelines: tuple[Pipeline, ...]
     pipes: tuple[tuple, ...] = field(default=(), compare=False, repr=False)
 
-    def b_vectors(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(p.b_vector for p in self.pipelines)
-
     def as_diagonal_multiset(self) -> list[tuple[int, int]]:
         return [p.endpoints for p in self.pipelines]
 
@@ -462,25 +460,6 @@ def _decompose(q: Quiver, a: tuple[int, ...], support: list[int]) -> tuple:
         return ((a, support),)
     return tuple((p.b_vector, sorted(i for i, _ in p.crossings))
                  for p in _pipelines(q, a, support).pipelines)
-
-
-def intersection_number(t: Triangulation, d: tuple[int, int], e: tuple[int, int]) -> int:
-    if tuple(sorted(d)) == tuple(sorted(e)):
-        return -1
-    return 1 if t.cross(d, e) else 0
-
-
-def d_vector_of(diagonal_multiset, t: Triangulation) -> tuple[int, ...]:
-    """d-vector of a multiset of pairwise non-crossing corner pairs: +1 per
-    crossing with diagonal i, -1 per coincidence with it."""
-    ds = [tuple(sorted(d)) for d in diagonal_multiset]
-    for p1, p2 in combinations(range(len(ds)), 2):
-        if t.cross(ds[p1], ds[p2]):
-            raise CrossingDiagonals(f"{ds[p1]} crosses {ds[p2]}")
-    return tuple(
-        sum(intersection_number(t, d, t.edges[i]) for d in ds)
-        for i in range(1, t.n + 1)
-    )
 
 
 # -- svg ----------------------------------------------------------------------

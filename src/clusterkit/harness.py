@@ -12,11 +12,12 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from importlib import import_module
 from itertools import product
-import random
 import time
+from typing import TYPE_CHECKING
 
-from . import engine, formulas, geometry, scattering, snake
+from . import MODELS, geometry
 from .errors import FrozenVertex, InvalidInput
 from .laurent import (
     LaurentPoly,
@@ -32,6 +33,11 @@ from .quiver import (
     linear_full_subquivers,
     three_cycle_completion,
 )
+
+if TYPE_CHECKING:  # the model modules load on first use, see `_model`
+    import random
+
+    from . import engine, formulas, scattering, snake
 
 # -- random type-A quivers ------------------------------------------------------
 
@@ -98,8 +104,10 @@ class _Model:
     variables and `dump` is one witness's JSON.  A value model (mutation,
     gcs, gcc) gives `value` instead of weights; its witness count is the
     coefficient sum of that value, or `count` when only a count is wanted.
-    All call unchecked cores: a request is checked once, in `_request`."""
+    All call unchecked cores: a request is checked once, in `_request`.
+    They find their code in `module`, which `_model` imports on first use."""
 
+    module: str
     per_variable: bool
     prepare: Callable
     witnesses: Callable | None = None
@@ -134,37 +142,37 @@ def _over_path(comp, value: LaurentPoly) -> LaurentPoly:
 
 
 _TABLE = {
-    "mutation": _Model(True, lambda q, b, support: (q, b, support),
+    "mutation": _Model("engine", True, lambda q, b, support: (q, b, support),
                        value=lambda ctx: engine._cluster_variable(*ctx)),
     # gcs and gcc sum their terms from the solver's bits; witnesses are listings
     "gcs": _Model(
-        False, _completed, witnesses=lambda ctx: formulas._gcs(*ctx[:4]),
+        "formulas", False, _completed, witnesses=lambda ctx: formulas._gcs(*ctx[:4]),
         count=lambda ctx: formulas._count(*formulas._gcs_system(*ctx[:4])),
         value=lambda ctx: affine_sum(*formulas._gcs_terms(*ctx[:5]), drop=ctx[5]),
         dump=lambda ctx, s: [list(bits) for bits in s]),
     "gcc": _Model(
-        False, _completed, witnesses=lambda ctx: formulas._gcc(*ctx[:4]),
+        "formulas", False, _completed, witnesses=lambda ctx: formulas._gcc(*ctx[:4]),
         count=lambda ctx: formulas._count(*formulas._gcc_system(*ctx[:4])),
         value=lambda ctx: affine_sum(*formulas._gcc_terms(*ctx[:5]), drop=ctx[5]),
         dump=lambda ctx, g: [{"arrow": list(arrow), "S1": sorted(s1), "S2": sorted(s2)}
                              for (arrow, s1, s2) in g.chosen]),
     "linear-gcc": _Model(
-        True, _neighbourhood,
+        "formulas", True, _neighbourhood,
         witnesses=lambda comp: formulas.enumerate_linear_gcc(comp.celq),
         weight=lambda comp, w: formulas.linear_gcc_weight(comp.celq, w), finish=_over_path,
         dump=lambda comp, w: {"pairs": [list(p) for p in w.pairs], "end_bit": w.end_bit}),
     "gcs-variable": _Model(
-        True, lambda q, b, support: (q, support),
+        "formulas", True, lambda q, b, support: (q, support),
         witnesses=lambda ctx: formulas.enumerate_variable_gcs(*ctx),
         weight=lambda ctx, s: formulas.variable_gcs_monomial(*ctx, s),
         dump=lambda ctx, s: list(s)),
     "matching": _Model(
-        True, _neighbourhood,
+        "snake", True, _neighbourhood,
         witnesses=lambda comp: snake.enumerate_matchings(snake.build_snake(comp.celq)),
         weight=lambda comp, gamma: snake.matching_weight(gamma), finish=_over_path,
         dump=lambda comp, gamma: [list(l) if isinstance(l, tuple) else l for l in gamma]),
     "tpath": _Model(
-        True, _neighbourhood,
+        "snake", True, _neighbourhood,
         witnesses=lambda comp: snake.triangulation_tpaths(
             geometry.triangulation_of(comp.celq), comp.celq),
         weight=lambda comp, p: p.value(), dump=lambda comp, p: list(p.labels),
@@ -172,22 +180,26 @@ _TABLE = {
     # the path is relabelled to 1..n once per distinct factor: the lines are
     # drawn in the relabelled coordinates and renamed back through its maps
     "broken-line": _Model(
-        True, lambda q, b, support: (q, support, scattering.relabel_for_path(q, support)),
+        "scattering", True,
+        lambda q, b, support: (q, support, scattering.relabel_for_path(q, support)),
         witnesses=lambda ctx: scattering.broken_lines(*ctx[:2], rel=ctx[2]),
         weight=lambda ctx, line: scattering.ambient_monomial(line),
         finish=lambda ctx, value: value.rename(ctx[2].to_old),
         dump=lambda ctx, line: scattering.line_json(line)),
 }
 
-MODELS = tuple(_TABLE)
-
 
 def _model(q: Quiver, name: str) -> _Model:
     """The table entry that runs `name` on q; gcc on a one-vertex quiver runs
-    as linear-gcc, because collections need two vertices."""
+    as linear-gcc, because collections need two vertices.  The first use of
+    an entry binds its module here, where the entry's functions look it up at
+    each call; later uses find it bound."""
     if name not in _TABLE:
         raise InvalidInput(f"unknown model {name!r}; choose from {MODELS}")
-    return _TABLE["linear-gcc" if name == "gcc" and q.n == 1 else name]
+    spec = _TABLE["linear-gcc" if name == "gcc" and q.n == 1 else name]
+    if spec.module not in globals():
+        globals()[spec.module] = import_module(f"{__package__}.{spec.module}")
+    return spec
 
 
 def _request(q: Quiver, a, in_w: bool = False):

@@ -333,10 +333,6 @@ def to_json_dict(p: LaurentPoly) -> dict:
     }
 
 
-def to_json(p: LaurentPoly) -> str:
-    return json.dumps(to_json_dict(p))
-
-
 def from_json_dict(d: dict) -> LaurentPoly:
     return LaurentPoly.from_terms(
         (mono({int(v): e for v, e in t["exp"].items()}), t["coef"])

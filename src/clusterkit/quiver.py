@@ -221,12 +221,6 @@ def mutate(q: Quiver, v: int) -> Quiver:
                              for _ in range(c)), q.frozen)
 
 
-def mutate_sequence(q: Quiver, vertices: list[int]) -> Quiver:
-    for v in vertices:
-        q = mutate(q, v)
-    return q
-
-
 # -- type-A recognition -------------------------------------------------------
 
 
@@ -539,9 +533,3 @@ def from_json(text: str) -> Quiver:
         return from_json_dict(json.loads(text))
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"bad quiver JSON: {exc}") from exc
-
-
-def exchange_matrix(q: Quiver) -> list[list[int]]:
-    """Skew-symmetric matrix b[i][j] = #(i->j) - #(j->i), 0-indexed lists."""
-    b = _signed_rows(q.vertices, q.arrows)
-    return [[b[i].get(j, 0) for j in q.vertices] for i in q.vertices]

@@ -198,14 +198,6 @@ def _direction(rel: PathRelabeling, s) -> dict[int, int]:
     return g
 
 
-def g_direction(rel: PathRelabeling, s) -> tuple[int, ...]:
-    """Direction vector of a marking: at each vertex, arrows arriving from
-    marked path vertices plus arrows leaving toward unmarked path vertices,
-    less one on the path itself or on a vertex completing a path triangle.
-    Only path vertices and their neighbours are evaluated; the rest are 0."""
-    return _dense(_direction(rel, s), rel.ambient.n)
-
-
 def _dense(m: dict[int, int], dim: int) -> tuple[int, ...]:
     out = [0] * dim
     for r, v in m.items():
@@ -284,10 +276,6 @@ def _validate(sc: _Scaled):
     for i in range(n, npr):
         if q[i] * b > a * q[0]:
             raise EndpointRejected(f"coordinate {i + 1} is not far below coordinate 1")
-
-
-def validate_endpoint(ep: Endpoint):
-    _validate(_scaled(ep))
 
 
 @lru_cache(maxsize=64)
@@ -475,18 +463,6 @@ def _certify(walls, points, base, band):
             if not ((2 * bk - ck) * b0 <= x <= ck * b0):
                 raise PositivityViolation(
                     f"coordinate {w} of point {ip} drifted out of its band")
-
-
-def certify_travel_bounds(line: BrokenLine, ep: Endpoint):
-    """Exact version of the approximation estimate: the wall-w_i coordinate
-    of every later point stays within the (1+eps)-power band around the
-    endpoint coordinate.  ep must be a valid endpoint."""
-    sc = _scaled(ep)
-    common = lcm(line.scale, sc.scale)
-    up, base_up = common // line.scale, common // sc.scale
-    points = [tuple(c * up for c in pt) for pt in line.points]
-    _certify(line.walls, points, tuple(c * base_up for c in sc.ints),
-             _powers(sc.num, sc.den, line.ell))
 
 
 def broken_line_from_gcs(qtilde: Quiver, linear_vertices, s,

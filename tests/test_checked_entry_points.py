@@ -50,7 +50,7 @@ def test_checked_entry_points_equal_the_cores_the_harness_calls(n, seed):
     q2, added = three_cycle_completion(q)
     a2 = plus + (0,) * len(added)
     for model, public in (("gcs", formulas.enumerate_gcs), ("gcc", formulas.enumerate_gcc)):
-        spec = harness._TABLE[model]
+        spec = harness._model(q, model)
         ctx = spec.prepare(q, plus, support)
         got = outcome(lambda: list(spec.witnesses(ctx)))
         assert got == outcome(lambda: list(public(q2, a2)))

@@ -4,6 +4,7 @@ import os
 from pathlib import Path
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -397,3 +398,55 @@ def test_crosscheck_random_zero_is_a_size_not_a_missing_option(three_cycle_file,
     assert want[0] == 2 and json.loads(want[2])["message"] == "quiver needs at least one vertex"
     assert run(capsys, "crosscheck", "--random", "0") == want
     assert run(capsys, "crosscheck", "--random", "0", "--quiver", three_cycle_file) == want
+
+
+# the clusterkit modules every command loads: the package and what it imports
+BASE = {"cli", "errors", "laurent", "quiver"}
+LOADED = """import sys
+from clusterkit import cli
+try:
+    cli.main(sys.argv[1:])
+finally:
+    print(*sorted(m for m in sys.modules if m.startswith("clusterkit.")), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["count", "--quiver", "{q}", "--dvector", "1,1,0,0", "--model", "gcs"],
+     {"formulas", "geometry", "harness"}),
+    (["decompose", "--quiver", "{q}", "--dvector", "2,1,0,-1"], {"geometry"}),
+    (["expand", "--quiver", "{q}", "--dvector", "1,1", "--model", "broken-line"], set()),
+    (["--help"], set()),
+    (["expand", "--help"], set()),
+    (["snake", "--quiver", "{q}", "--dvector", "1,1,1,0"], {"formulas", "geometry", "snake"}),
+])
+def test_a_fresh_command_loads_only_the_modules_it_runs(tmp_path, argv, extra):
+    """Each command imports only what it runs, in a new interpreter: a count
+    loads no model module but its own, and a d-vector of the wrong length
+    fails before any model module loads."""
+    path = tmp_path / "q.txt"
+    path.write_text(to_text(Quiver(4, ((1, 2), (2, 3), (3, 4)))))
+    src = str(Path(clusterkit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", LOADED,
+                           *(a.format(q=path) for a in argv)],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    loaded = proc.stderr.splitlines()[-1].split()
+    assert loaded == sorted(f"clusterkit.{m}" for m in BASE | extra)
+
+
+@pytest.mark.parametrize("arrows, doubled", [
+    (((1, 2), (1, 2)), "1 -> 2"),                                  # Kronecker
+    (((1, 2), (1, 2), (2, 3), (2, 3), (3, 1), (3, 1)), "1 -> 2"),  # Markov
+    (((4, 3), (4, 2), (2, 3), (3, 1)), "4 -> 3"),                  # once mutated at 2
+])
+def test_enumerate_variables_refuses_infinite_type_at_once(tmp_path, capsys, arrows, doubled):
+    path = tmp_path / "q.txt"
+    path.write_text(to_text(Quiver(max(map(max, arrows)), arrows)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "enumerate-variables", "--quiver", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    envelope = json.loads(err)
+    assert envelope["code"] == "ExplosionGuard"
+    assert envelope["message"].startswith(f"double arrow {doubled} ")

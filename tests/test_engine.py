@@ -11,10 +11,8 @@ from clusterkit.engine import (
     enumerate_seeds,
     exact_divide,
     g_vector_by_formula,
-    g_vector_by_multidegree,
     initial_seed,
     mutate_seed,
-    mutate_seed_sequence,
     principal_lift,
     principal_quiver,
     variable_mutation_sequence,
@@ -33,8 +31,9 @@ from clusterkit.errors import (
 )
 from clusterkit.harness import MODELS, crosscheck, expand_model, random_type_a_quiver
 from clusterkit.laurent import LaurentPoly, mono
-from clusterkit.quiver import Quiver, exchange_matrix, linear_full_subquivers
+from clusterkit.quiver import Quiver, linear_full_subquivers
 from conftest import path_quiver
+from reference import exchange_matrix, g_vector_by_multidegree, mutate_seed_sequence
 
 x = LaurentPoly.variable
 
@@ -123,6 +122,14 @@ def test_explosion_guard():
     markov = Quiver(3, ((1, 2), (1, 2), (2, 3), (2, 3), (3, 1), (3, 1)))
     with pytest.raises(ExplosionGuard):
         list(enumerate_seeds(markov, max_seeds=50))
+
+
+def test_finite_type_guard_reads_only_unfrozen_arrows():
+    """A double arrow to a frozen vertex keeps the type finite, and D4, which
+    is not type A, still gives its 16 variables."""
+    q = Quiver(3, ((1, 2), (1, 3), (1, 3)), frozenset({3}))
+    assert len(enumerate_cluster_variables(q)) == 5
+    assert len(enumerate_cluster_variables(Quiver(4, ((1, 2), (3, 2), (4, 2))))) == 16
 
 
 def test_cluster_variable_matches_bfs():

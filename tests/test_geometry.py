@@ -7,7 +7,6 @@ import pytest
 from clusterkit.errors import CrossingDiagonals, NegativeInput, NotInW, NotTypeA
 from clusterkit.geometry import (
     build_pipelines,
-    d_vector_of,
     decompose,
     pipelines_svg,
     positive_split,
@@ -27,6 +26,7 @@ from clusterkit.quiver import (
     Quiver,
 )
 from conftest import path_quiver
+from reference import b_vectors, d_vector_of
 
 
 def test_sigma_values():
@@ -269,7 +269,7 @@ def test_decompose_path_support_matches_pipelines():
         q = random_type_a_quiver(rng.randint(2, 12), rng)
         for support in linear_full_subquivers(q):
             b = tuple(1 if v in support else 0 for v in q.vertices)
-            expected = tuple(sorted(build_pipelines(q, b).b_vectors()))
+            expected = tuple(sorted(b_vectors(build_pipelines(q, b))))
             assert decompose(q, b) == expected == (b,)
 
 

@@ -93,6 +93,19 @@ def test_expand_rejects_bad_model(three_cycle):
         expand_model(three_cycle, (1, 1, 1), "gcs")
 
 
+def test_the_table_runs_every_model_and_imports_each_module_once(monkeypatch, three_cycle):
+    """The table's entries are the package's MODELS in order, and resolving
+    one imports its module on the first use only."""
+    assert tuple(harness._TABLE) == MODELS
+    imported = []
+    monkeypatch.setattr(harness, "import_module",
+                        lambda name: imported.append(name) or sys.modules[name])
+    monkeypatch.delattr(harness, "scattering", raising=False)
+    for _ in range(3):
+        assert harness._model(three_cycle, "broken-line") is harness._TABLE["broken-line"]
+    assert imported == ["clusterkit.scattering"] and harness.scattering is scattering
+
+
 def test_expand_negative_only(three_cycle):
     value = expand_model(three_cycle, (-2, 0, -1), "matching")
     assert value == LaurentPoly.monomial({1: 2, 3: 1})

@@ -17,8 +17,8 @@ from clusterkit.laurent import (
     sorted_terms,
     poly_sum,
     substitute_one,
-    to_json,
 )
+from reference import to_json
 
 x1 = LaurentPoly.variable(1)
 x2 = LaurentPoly.variable(2)

@@ -19,13 +19,11 @@ from clusterkit.quiver import (
     Quiver,
     complete_extension,
     delta_of_path,
-    exchange_matrix,
     from_json,
     from_text,
     is_type_a,
     linear_full_subquivers,
     mutate,
-    mutate_sequence,
     oriented_three_cycles,
     path_order,
     require_type_a,
@@ -34,6 +32,7 @@ from clusterkit.quiver import (
     to_text,
 )
 from conftest import path_quiver
+from reference import exchange_matrix, mutate_sequence
 
 
 def test_quiver_invariants():

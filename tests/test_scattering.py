@@ -22,7 +22,6 @@ from clusterkit.harness import random_type_a_quiver, witness_count
 from clusterkit.laurent import LaurentPoly
 from clusterkit.quiver import (
     Quiver,
-    exchange_matrix,
     linear_full_subquivers,
     oriented_three_cycles,
 )
@@ -32,16 +31,14 @@ from clusterkit.scattering import (
     broken_line_from_gcs,
     broken_line_svg,
     broken_lines,
-    certify_travel_bounds,
     default_endpoint,
-    g_direction,
     principal_broken_line,
     relabel_for_path,
     theta_from_broken_lines,
-    validate_endpoint,
     w_sequence,
 )
 from conftest import path_quiver
+from reference import certify_travel_bounds, exchange_matrix, g_direction, validate_endpoint
 
 
 def relabeled_quiver(rel):
