@@ -142,18 +142,10 @@ class Triangulation:
     vpoint: int | None = None
     wpoint: int | None = None
 
-    def in_open_arc(self, x: int, a: int, b: int) -> bool:
-        """Is corner x strictly inside the ccw arc from a to b?"""
-        m = self.size
-        return 0 < (x - a) % m < (b - a) % m
-
     def cross(self, d: tuple[int, int], e: tuple[int, int]) -> bool:
-        """Strict interior crossing of two corner pairs."""
-        a, b = d
-        c, f = e
-        if {a, b} & {c, f}:
-            return False
-        return self.in_open_arc(c, a, b) != self.in_open_arc(f, a, b)
+        """Strict interior crossing of two corner pairs: their ends alternate."""
+        (a, b), (c, f) = sorted(d), sorted(e)
+        return a < c < b < f or c < a < f < b
 
     @cached_property
     def _faces(self):
@@ -165,21 +157,27 @@ class Triangulation:
         return faces, at
 
     def triangles(self) -> list[tuple[tuple[int, int, int], tuple[int, int, int]]]:
-        """All triangular faces as (ccw corner triple, side labels).
+        """All triangular faces as (ccw corner triple, side labels), sorted.
 
         Corner triples are ascending (hence counterclockwise); side labels
-        are aligned so that side m joins corners m and m+1 (mod 3)."""
-        by_pair = {tuple(sorted(e)): lbl for lbl, e in self.edges.items()}
+        are aligned so that side m joins corners m and m+1 (mod 3).  An edge
+        (u, z) with z > u + 1 bounds one face inside it, whose apex is the
+        one corner strictly between u and z adjacent to both; an edge with
+        none or more raises NotTypeA, as the map is no triangulation."""
+        by_pair = {e: lbl for lbl, e in self.edges.items()}
         adj: dict[int, set[int]] = {}
-        for (u, w) in by_pair:
-            adj.setdefault(u, set()).add(w)
-            adj.setdefault(w, set()).add(u)
+        for (u, z) in by_pair:
+            adj.setdefault(u, set()).add(z)
+            adj.setdefault(z, set()).add(u)
         faces = []
-        for u in sorted(adj):
-            for w in sorted(x for x in adj[u] if x > u):
-                for z in sorted(x for x in adj[u] & adj[w] if x > w):
-                    sides = (by_pair[(u, w)], by_pair[(w, z)], by_pair[(u, z)])
-                    faces.append(((u, w, z), sides))
+        for (u, z), lbl in by_pair.items():
+            if z > u + 1:
+                apex = [w for w in adj[u] & adj[z] if u < w < z]
+                if len(apex) != 1:
+                    raise NotTypeA(f"edge {(u, z)} bounds {len(apex)} faces inside it")
+                w = apex[0]
+                faces.append(((u, w, z), (by_pair[(u, w)], by_pair[(w, z)], lbl)))
+        faces.sort()
         return faces
 
 
@@ -275,20 +273,17 @@ def _build_triangulation(q: Quiver) -> Triangulation:
     # of a triangle gets an id (side m joins its corners m and m+1 in ccw
     # order): triangle 0 has corners 0, 1, 2, and a triangle glued on side m
     # of triangle ti takes ti's corners m+1 and m on its sides m2 and m2+1,
-    # with a fresh id for its apex.  A side into an unseen triangle goes on
-    # to that triangle's two other sides, with their shared apex emitted
-    # between them, so ids come out in ccw order: the polygon's corners.
+    # with a fresh id for its apex.  A boundary side records the corner after
+    # its corner m counterclockwise: one walk from corner 0 numbers the polygon.
     corners: list[list[int] | None] = [None] * len(triangles)
     corners[0], next_id = [0, 1, 2], 3
-    emitted: list[int] = []
-    stack = [(kind, 0, m) for m in (2, 1, 0) for kind in ("side", "corner")]
+    after: dict[int, int] = {}
+    stack = [(0, 2), (0, 1), (0, 0)]
     while stack:
-        kind, ti, m = stack.pop()
-        if kind == "corner":
-            emitted.append(corners[ti][m])
-            continue
+        ti, m = stack.pop()
         label = triangles[ti][m]
         if label > n:
+            after[corners[ti][m]] = corners[ti][(m + 1) % 3]
             continue
         (t2, m2) = next(site for site in diag_sites[label] if site[0] != ti)
         if corners[t2] is not None:
@@ -297,24 +292,19 @@ def _build_triangulation(q: Quiver) -> Triangulation:
         glued[m2], glued[(m2 + 1) % 3] = corners[ti][(m + 1) % 3], corners[ti][m]
         corners[t2] = glued
         next_id += 1
-        stack += [("side", t2, (m2 + 2) % 3), ("corner", t2, (m2 + 2) % 3),
-                  ("side", t2, (m2 + 1) % 3)]
+        stack += [(t2, (m2 + 2) % 3), (t2, (m2 + 1) % 3)]
     if None in corners:
         raise NotTypeA("triangulation does not glue into a disk")
-    if len(emitted) != n + 3:
-        raise NotTypeA("polygon walk emitted a wrong corner count")
-    position = [0] * next_id
-    for pos, c in enumerate(emitted):
-        position[c] = pos
+    # a tree of glued triangles is a disk: one boundary cycle through all corners
+    position, c = [0] * next_id, 0
+    for pos in range(next_id):
+        position[c], c = pos, after[c]
 
     edges: dict[int, tuple[int, int]] = {}
     for tri, ids in zip(triangles, corners):
         for m, s in enumerate(tri):
             u, w = position[ids[m]], position[ids[(m + 1) % 3]]
-            pair = (min(u, w), max(u, w))
-            if s in edges and edges[s] != pair:
-                raise NotTypeA("inconsistent gluing of a shared diagonal")
-            edges[s] = pair
+            edges[s] = (u, w) if u < w else (w, u)
     t = Triangulation(n + 3, n, MappingProxyType(edges))
     # the faces are found again from the edge map alone, so the check below
     # does not read the glued triangles back; they stay as `t._faces`
@@ -374,20 +364,20 @@ def _pipelines(q: Quiver, a: tuple[int, ...], support) -> PipelineSet:
 
     pipes: list[tuple] = []
     for corners, sides in (faces[ti] for ti in sorted({ti for v in support for ti in at[v]})):
-        corner_of = {frozenset((sides[m], sides[(m + 1) % 3])): corners[(m + 1) % 3]
-                     for m in range(3)}
-        opposite = {sides[m]: corners[(m + 2) % 3] for m in range(3)}
+        # two sides meet at the corner opposite the third; only a side with
+        # more points than the other two together has points left over
+        opposite = {sides[m]: corners[m - 1] for m in range(3)}
         used: dict[int, set[int]] = {s: set() for s in sides}
-        for sx, sy in combinations(sorted(set(sides)), 2):
+        for sx, sy in combinations(sorted(sides), 2):
             sz = next(s for s in sides if s not in (sx, sy))
             s_val = sigma_int(count(sx), count(sy), count(sz))
-            common = corner_of[frozenset((sx, sy))]
+            common = opposite[sz]
             for r in range(1, s_val + 1):
                 rx, ry = rank_from(sx, common, r), rank_from(sy, common, r)
                 pipes.append((("pt", sx, rx), ("pt", sy, ry)))
                 used[sx].add(rx)
                 used[sy].add(ry)
-        for s in set(sides):
+        for s in sides:
             for r in range(1, count(s) + 1):
                 if r not in used[s]:
                     pipes.append((("pt", s, r), ("vx", opposite[s])))

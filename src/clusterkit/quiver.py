@@ -10,9 +10,9 @@ triangulation of the (n+3)-gon (Caldero-Chapoton-Schiffler, "Quivers with
 relations arising from clusters (A_n case)", 2006).  The type-A verdict is
 therefore "a triangulation realizing the quiver exists": it is decided by
 building that triangulation (`geometry._build_triangulation`), which glues
-the quiver's triangles by corner ids in one depth-first walk, then finds the
-faces of the edge map it built, once, and checks that they induce the quiver;
-the triangulation keeps those faces.
+the quiver's triangles by corner ids, numbers the corners by one walk round
+the boundary, then finds the faces of the edge map it built, once, and checks
+that they induce the quiver; the triangulation keeps those faces.
 
 Structure derived from the arrows (adjacency, oriented 3-cycles and the
 triangle of each arrow, the type-A verdict, the 3-cycle completion, the
@@ -170,6 +170,8 @@ class Quiver:
         return (t, h) in self._arrow_set
 
     def is_connected(self) -> bool:
+        if len(self._arrow_set) < self.n - 1:  # too few arrows to span n vertices
+            return False
         adj = self._adjacency[2]
         seen = {1}
         queue = deque([1])
@@ -520,10 +522,14 @@ def to_json_dict(q: Quiver) -> dict:
 
 
 def from_json_dict(d: dict) -> Quiver:
+    def num(x) -> int:  # a JSON integer; a float or a bool is not read as one
+        if type(x) is not int:
+            raise TypeError(f"expected an integer, got {x!r}")
+        return x
+
     try:
-        return Quiver(int(d["n"]),
-                      tuple((int(t), int(h)) for t, h in d["arrows"]),
-                      frozenset(int(v) for v in d.get("frozen", [])))
+        return Quiver(num(d["n"]), tuple((num(t), num(h)) for t, h in d["arrows"]),
+                      frozenset(num(v) for v in d.get("frozen", [])))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"bad quiver JSON: {exc}") from exc
 

@@ -284,8 +284,18 @@ _A3_TEXT = b"n 3 frozen none\n1 2\n2 3\n"
     (_A3_TEXT, ("pipelines", "--dvector", "1,1,0", "--svg", "{bad}"), "cannot write SVG"),
     (_A3_TEXT, ("snake", "--dvector", "1,1,0", "--svg", "{bad}"), "cannot write SVG"),
     (_A3_TEXT, ("broken-lines", "--subquiver", "1,2", "--svg", "{bad}"), "cannot write SVG"),
+    # JSON numbers that are not integers are refused, not truncated or cast
+    (b'{"n": 3.7, "arrows": [[1, 2.9], [2.2, 3]]}', ("expand", "--dvector", "1,1,1",
+                                                    "--model", "gcs"), "bad quiver JSON"),
+    (b'{"n": 3, "arrows": [[1, 2], [2, 3.0]]}', ("expand", "--dvector", "1,1,1"),
+     "bad quiver JSON"),
+    (b'{"n": 3, "arrows": [[1, 2], [2, 3]], "frozen": [true]}',
+     ("expand", "--dvector", "1,1,1"), "bad quiver JSON"),
+    (b'{"n": 3, "arrows": ["12", [2, 3]]}', ("expand", "--dvector", "1,1,1"),
+     "bad quiver JSON"),
 ], ids=["frozen-token", "empty-frozen-entry", "arrow-token", "not-utf8",
-        "pipelines-svg", "snake-svg", "broken-lines-svg"])
+        "pipelines-svg", "snake-svg", "broken-lines-svg", "json-float-n",
+        "json-float-arrow-end", "json-bool-frozen", "json-string-arrow"])
 def test_file_errors_are_invalid_input(tmp_path, capsys, quiver, argv, message):
     """Malformed or undecodable quiver files and unwritable SVG paths end in
     the error envelope with exit 2, never in a traceback."""
@@ -298,6 +308,21 @@ def test_file_errors_are_invalid_input(tmp_path, capsys, quiver, argv, message):
     envelope = json.loads(err)
     assert envelope["code"] == "InvalidInput" and message in envelope["message"]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["report-table", "crosscheck"])
+def test_huge_disconnected_quiver_is_refused_at_once(tmp_path, capsys, command):
+    """Two million vertices and one arrow: too few arrows to connect them,
+    so the refusal comes before any per-vertex work."""
+    path = tmp_path / "q.txt"
+    path.write_text("n 2000000 frozen none\n1 2\n")
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, command, "--quiver", str(path))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"code": "DisconnectedQuiver",
+                               "message": "type-A test requires a connected quiver",
+                               "context": {"command": command}}
 
 
 def test_crosscheck_json_timings(three_cycle_file, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from clusterkit.errors import CrossingDiagonals, NegativeInput, NotInW, NotTypeA
 from clusterkit.geometry import (
+    Triangulation,
     build_pipelines,
     decompose,
     pipelines_svg,
@@ -108,6 +109,36 @@ def test_triangulation_of_square():
     t = triangulation_of(celq)
     assert t.size == 4 and t.n == 1
     assert set(t.edges[1]) == {1, 3}
+
+
+def _boundary(size: int, first_label: int) -> dict[int, tuple[int, int]]:
+    edges = {first_label + k: (k, k + 1) for k in range(size - 1)}
+    edges[first_label + size - 1] = (0, size - 1)
+    return edges
+
+
+@pytest.mark.parametrize("size, diagonals", [
+    (4, {1: (0, 2), 2: (1, 3)}),             # a square with both diagonals
+    (5, {1: (0, 2)}),                        # a pentagon short of a diagonal
+    (6, {1: (0, 2), 2: (2, 4), 3: (1, 5)}),  # a hexagon with a crossing
+])
+def test_faces_of_an_edge_map_that_is_no_triangulation(size, diagonals):
+    """An edge whose span holds no apex, or more than one, is refused."""
+    n = size - 3
+    t = Triangulation(size, n, {**diagonals, **_boundary(size, size)})
+    with pytest.raises(NotTypeA):
+        t.triangles()
+
+
+def test_cross_reads_pairs_in_either_order():
+    t = Triangulation(6, 3, _boundary(6, 4))
+    for d in product(range(6), repeat=2):
+        for e in product(range(6), repeat=2):
+            if d[0] != d[1] and e[0] != e[1]:
+                want = t.cross(tuple(sorted(d)), tuple(sorted(e)))
+                assert t.cross(d, e) == t.cross(e, d) == want, (d, e)
+    assert t.cross((3, 0), (5, 1)) and not t.cross((0, 3), (3, 5))
+    assert not t.cross((4, 1), (2, 3))
 
 
 def test_triangulation_for_random_quivers():

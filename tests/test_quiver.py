@@ -80,6 +80,15 @@ def test_type_a_examples(three_cycle, eleven_complete):
         is_type_a(Quiver(2, ()))
 
 
+def test_too_few_arrows_to_connect_is_read_without_the_adjacency():
+    """n - 1 distinct arrows are needed to connect n vertices; parallel
+    arrows count once."""
+    huge = Quiver(2_000_000, ((1, 2),))
+    assert not huge.is_connected() and "_adjacency" not in huge.__dict__
+    assert not Quiver(3, ((1, 2), (1, 2))).is_connected()
+    assert Quiver(3, ((1, 2), (1, 2), (2, 3))).is_connected()
+
+
 def _path_mutation_class(n: int) -> set[tuple[tuple[int, int], ...]]:
     """Arrows of every quiver reached by mutation from some labelled
     orientation of the n-vertex path: the type-A_n quivers on 1..n."""

@@ -3,13 +3,17 @@ whole-quiver code they replaced, kept here as the reference: the same
 witnesses in the same order, the same values and counts, the same principal
 lifts and the same broken lines; matrix mutation on signed rows against the
 three steps on the arrow multiset; the completion read off the faces of the
-triangulation against the one that sorted the path's neighbours; and the
-type-A build that glues by corner ids against the union-find one."""
+triangulation against the one that sorted the path's neighbours; the
+type-A build that glues by corner ids against the union-find one; and the
+polygon geometry read by corner order (the build's boundary walk, faces by
+span, crossings by order, pipes without a corner map) against the code it
+replaced."""
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations, count, permutations
 import random
 from types import MappingProxyType
 
@@ -34,6 +38,7 @@ from clusterkit.errors import (
     FrozenVertex,
     NotAClusterVariableDVector,
     NotLinearSubquiver,
+    NotInW,
     NotTypeA,
     OddRankWithoutPrincipal,
     PositivityViolation,
@@ -808,3 +813,253 @@ def test_gluing_by_corner_ids_matches_the_union_find_build():
         assert not is_type_a(Quiver(q.n, q.arrows))
     with pytest.raises(ClusterKitError, match="^type-A test requires a connected quiver$"):
         is_type_a(DISCONNECTED)
+
+
+# The polygon geometry before it was read by corner order: the build emitted
+# corners from a stack tagged "side" or "corner", the faces came from a sort
+# per corner and per edge, crossings from modular arcs, and the pipes of a
+# face found the corner of two sides in a frozenset-keyed map.
+
+
+def ref_triangles(t):
+    by_pair = {tuple(sorted(e)): lbl for lbl, e in t.edges.items()}
+    adj = {}
+    for (u, w) in by_pair:
+        adj.setdefault(u, set()).add(w)
+        adj.setdefault(w, set()).add(u)
+    faces = []
+    for u in sorted(adj):
+        for w in sorted(x for x in adj[u] if x > u):
+            for z in sorted(x for x in adj[u] & adj[w] if x > w):
+                sides = (by_pair[(u, w)], by_pair[(w, z)], by_pair[(u, z)])
+                faces.append(((u, w, z), sides))
+    return faces
+
+
+def ref_cross(size, d, e):
+    in_open_arc = lambda x, a, b: 0 < (x - a) % size < (b - a) % size
+    a, b = d
+    c, f = e
+    if {a, b} & {c, f}:
+        return False
+    return in_open_arc(c, a, b) != in_open_arc(f, a, b)
+
+
+def ref_tagged_build(q):
+    n = q.n
+    fresh = count(n + 1).__next__
+    triangles = [(i, k, j) for (i, j, k) in oriented_three_cycles(q)]
+    for (tl, hd) in sorted(set(q.arrows) - q._cover.keys()):
+        triangles.append((tl, fresh(), hd))
+    side_count = {i: 0 for i in range(1, n + 1)}
+    for tri in triangles:
+        for s in tri:
+            if s <= n:
+                side_count[s] += 1
+    for i in range(1, n + 1):
+        while side_count[i] < 2:
+            triangles.append((i, fresh(), fresh()))
+            side_count[i] += 1
+    if len(triangles) != n + 1:
+        raise NotTypeA("triangle accounting failed; quiver is not type A")
+    diag_sites = {}
+    for ti, tri in enumerate(triangles):
+        for m, s in enumerate(tri):
+            if s <= n:
+                diag_sites.setdefault(s, []).append((ti, m))
+    corners = [None] * len(triangles)
+    corners[0], next_id = [0, 1, 2], 3
+    emitted = []
+    stack = [(kind, 0, m) for m in (2, 1, 0) for kind in ("side", "corner")]
+    while stack:
+        kind, ti, m = stack.pop()
+        if kind == "corner":
+            emitted.append(corners[ti][m])
+            continue
+        label = triangles[ti][m]
+        if label > n:
+            continue
+        (t2, m2) = next(site for site in diag_sites[label] if site[0] != ti)
+        if corners[t2] is not None:
+            raise NotTypeA("triangulation glue revisited a triangle")
+        glued = [next_id] * 3
+        glued[m2], glued[(m2 + 1) % 3] = corners[ti][(m + 1) % 3], corners[ti][m]
+        corners[t2] = glued
+        next_id += 1
+        stack += [("side", t2, (m2 + 2) % 3), ("corner", t2, (m2 + 2) % 3),
+                  ("side", t2, (m2 + 1) % 3)]
+    if None in corners:
+        raise NotTypeA("triangulation does not glue into a disk")
+    if len(emitted) != n + 3:
+        raise NotTypeA("polygon walk emitted a wrong corner count")
+    position = [0] * next_id
+    for pos, c in enumerate(emitted):
+        position[c] = pos
+    edges = {}
+    for tri, ids in zip(triangles, corners):
+        for m, s in enumerate(tri):
+            u, w = position[ids[m]], position[ids[(m + 1) % 3]]
+            pair = (min(u, w), max(u, w))
+            if s in edges and edges[s] != pair:
+                raise NotTypeA("inconsistent gluing of a shared diagonal")
+            edges[s] = pair
+    t = geometry.Triangulation(n + 3, n, MappingProxyType(edges))
+    induced = sorted((a, b) for _, sides in ref_triangles(t)
+                     for a, b in geometry._ccw_triangle_arrows(sides) if a <= n and b <= n)
+    if tuple(induced) != q.arrows:
+        raise NotTypeA("constructed triangulation does not induce the quiver")
+    return t
+
+
+def ref_pipelines(q, a, support):
+    t = q._triangulation
+    faces = ref_triangles(t)
+    at = {}
+    for ti, (_, sides) in enumerate(faces):
+        for s in sides:
+            at.setdefault(s, []).append(ti)
+    count = lambda label: a[label - 1] if label <= t.n else 0
+
+    def rank_from(label, corner, r):
+        u, w = t.edges[label]
+        return r if corner == u else count(label) + 1 - r
+
+    pipes = []
+    for corners, sides in (faces[ti] for ti in sorted({ti for v in support for ti in at[v]})):
+        corner_of = {frozenset((sides[m], sides[(m + 1) % 3])): corners[(m + 1) % 3]
+                     for m in range(3)}
+        opposite = {sides[m]: corners[(m + 2) % 3] for m in range(3)}
+        used = {s: set() for s in sides}
+        for sx, sy in combinations(sorted(set(sides)), 2):
+            sz = next(s for s in sides if s not in (sx, sy))
+            s_val = sigma_int(count(sx), count(sy), count(sz))
+            common = corner_of[frozenset((sx, sy))]
+            for r in range(1, s_val + 1):
+                rx, ry = rank_from(sx, common, r), rank_from(sy, common, r)
+                pipes.append((("pt", sx, rx), ("pt", sy, ry)))
+                used[sx].add(rx)
+                used[sy].add(ry)
+        for s in set(sides):
+            for r in range(1, count(s) + 1):
+                if r not in used[s]:
+                    pipes.append((("pt", s, r), ("vx", opposite[s])))
+
+    adjacency = {}
+    for p1, p2 in pipes:
+        adjacency.setdefault(p1, []).append(p2)
+        adjacency.setdefault(p2, []).append(p1)
+    for node, nb in adjacency.items():
+        if node[0] == "pt" and len(nb) != 2:
+            raise NotInW(f"marked point {node} lies on {len(nb)} pipes")
+    seen = set()
+    pipelines = []
+
+    def walk(cur, prev):
+        out = []
+        while cur[0] == "pt":
+            if cur in seen:
+                raise NotInW("pipes form a closed loop")
+            seen.add(cur)
+            out.append(cur)
+            nxt = next(x for x in adjacency[cur] if x != prev)
+            prev, cur = cur, nxt
+        out.append(cur)
+        return out
+
+    for node in sorted(adjacency):
+        if node[0] != "pt" or node in seen:
+            continue
+        seen.add(node)
+        first, second = adjacency[node]
+        chain = list(reversed(walk(first, node))) + [node] + walk(second, node)
+        left, right = chain[0], chain[-1]
+        inner = [c for c in chain if c[0] == "pt"]
+        diagonals = [c[1] for c in inner]
+        if len(set(diagonals)) != len(diagonals):
+            raise NotInW("a pipeline crosses a diagonal twice")
+        b = [0] * q.n
+        for i in diagonals:
+            b[i - 1] = 1
+        pipelines.append(geometry.Pipeline(
+            endpoints=(min(left[1], right[1]), max(left[1], right[1])),
+            crossings=tuple((c[1], c[2]) for c in inner),
+            b_vector=tuple(b),
+        ))
+    total = [0] * q.n
+    for p in pipelines:
+        for i, _ in p.crossings:
+            total[i - 1] += 1
+    if tuple(total) != a:
+        raise NotInW(f"pipeline supports sum to {tuple(total)}, expected {a}")
+    pipelines.sort(key=lambda p: (p.b_vector, p.endpoints, p.crossings))
+    return geometry.PipelineSet(q, t, a, tuple(pipelines), tuple(pipes))
+
+
+def geometry_outcome(build, q):
+    """The edge map of build(q) in key order and its faces in order, or the
+    class and message of the error the build raises."""
+    try:
+        t = build(q)
+    except ClusterKitError as exc:
+        return type(exc).__name__, str(exc)
+    return list(t.edges.items()), (t.triangles() if build is geometry._build_triangulation
+                                   else ref_triangles(t))
+
+
+def random_connected_quiver(n, rng):
+    while True:
+        arrows = [(i, j) if rng.random() < 0.5 else (j, i)
+                  for i, j in combinations(range(1, n + 1), 2) if rng.random() < 0.45]
+        q = Quiver(n, tuple(arrows))
+        if q.is_connected():
+            return q
+
+
+def test_corner_order_geometry_matches_the_tagged_walk():
+    """Edge maps, face lists (in order) and type-A verdicts of the boundary
+    walk and faces by span against the tagged walk and the sorted face scan:
+    on random type-A quivers n 1-300, and on random connected quivers n 2-8,
+    most of them not type A, with the same error class and message."""
+    rng = random.Random(1801)
+    for n in [1, 2, 3, 300] + [rng.randint(4, 300) for _ in range(120)]:
+        q = harness.random_type_a_quiver(n, rng)
+        got, want = (geometry_outcome(build, q)
+                     for build in (geometry._build_triangulation, ref_tagged_build))
+        assert got == want and isinstance(got[0], list), q
+        assert q._triangulation._faces[0] == want[1]
+    verdicts = Counter()
+    for _ in range(600):
+        q = random_connected_quiver(rng.randint(2, 8), rng)
+        want = geometry_outcome(ref_tagged_build, q)
+        assert geometry_outcome(geometry._build_triangulation, q) == want, q
+        ok = isinstance(want[0], list)
+        assert is_type_a(Quiver(q.n, q.arrows)) == ok, q
+        verdicts[ok] += 1
+    assert verdicts[False] > 300 and verdicts[True] > 50
+
+
+def test_cross_by_order_matches_the_modular_arcs():
+    """Every pair of corner pairs, either way round, on polygons of 4-9 corners."""
+    for size in range(4, 10):
+        t = geometry.Triangulation(size, size - 3, {})
+        pairs = list(permutations(range(size), 2))
+        for d in pairs:
+            for e in pairs:
+                assert t.cross(d, e) == ref_cross(size, d, e), (size, d, e)
+
+
+def test_pipes_without_a_corner_map_match_the_reference():
+    """Pipelines and pipes, order included, on random box-3 vectors in W of
+    random type-A quivers n 1-8."""
+    rng = random.Random(1802)
+    checked = 0
+    for k in range(600):
+        q = harness.random_type_a_quiver(1 + k % 8, rng)
+        a = tuple(rng.randint(0, 3) for _ in q.vertices)
+        if not geometry.satisfies_property_a(q, a):
+            continue
+        support = [v for v in q.vertices if a[v - 1]]
+        got, want = geometry._pipelines(q, a, support), ref_pipelines(q, a, support)
+        assert got == want and got.pipes == want.pipes, (q, a)
+        checked += 1
+    assert checked > 500
