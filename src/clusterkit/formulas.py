@@ -28,9 +28,10 @@ from .errors import (
     Unreachable,
 )
 from .geometry import _require_nonnegative, sigma_int
-from .laurent import LaurentPoly, affine_sum, mono
+from .laurent import LaurentPoly, affine_sum, bits, field_width, mono, unpack
 from .quiver import (
     CompletelyExtendedLinearQuiver,
+    CompletionResult,
     Quiver,
     oriented_three_cycles,
     require_path,
@@ -199,15 +200,10 @@ def _closed_masks(nbits: int, implications):
         yield ones
 
 
-_BITS = bytes.maketrans(b"01", b"\0\1")
-
-
 def _enumerate_closed_assignments(nbits: int, implications):
-    """`_closed_masks` as 0-1 tuples, bit 0 first: the binary digits of the
-    mask below a leading 1 at bit nbits, reversed and read as bytes."""
-    top = 1 << nbits
+    """`_closed_masks` as 0-1 tuples, bit 0 first."""
     for ones in _closed_masks(nbits, implications):
-        yield tuple(bin(ones | top)[:2:-1].encode().translate(_BITS))
+        yield tuple(bits(ones, nbits))
 
 
 def _count(nbits: int, implications, *_) -> int:
@@ -542,13 +538,11 @@ class LinearGCC:
     end_bit: int | None = None
 
 
-def enumerate_linear_gcc(celq: CompletelyExtendedLinearQuiver):
-    n = celq.n
-    if n == 1:
-        yield LinearGCC(1, (), 0)
-        yield LinearGCC(1, (), 1)
-        return
-    delta = celq.delta
+def _linear_gcc_walk(celq: CompletelyExtendedLinearQuiver, step, zero):
+    """Depth first over the witnesses of a path of n >= 2 vertices, in
+    lexicographic order of their pairs, yielding per witness zero plus
+    step(i, pair) over its pairs, edge i = 1..n-1."""
+    n, delta = celq.n, celq.delta
     allowed = ((0, 0), (0, 1), (1, 0))
 
     def ok(prev, cur, i):
@@ -562,17 +556,60 @@ def enumerate_linear_gcc(celq: CompletelyExtendedLinearQuiver):
             return prev[1] == cur[1]
         return prev[0] == cur[0]
 
-    # depth-first on an explicit stack of (edges kept, pair for the next edge)
-    pairs: list[tuple[int, int]] = []
-    todo = [(0, cur) for cur in reversed(allowed)]
+    steps = [{}] + [{p: step(i, p) for p in allowed} for i in range(1, n)]
+    # an explicit stack of (edge, its pair, the sum before it)
+    todo = [(1, cur, zero) for cur in reversed(allowed)]
     while todo:
-        k, cur = todo.pop()
-        del pairs[k:]
-        pairs.append(cur)
-        if k + 2 == n:
-            yield LinearGCC(n, tuple(pairs))
+        i, cur, acc = todo.pop()
+        acc += steps[i][cur]
+        if i + 1 == n:
+            yield acc
         else:
-            todo += [(k + 1, nxt) for nxt in reversed(allowed) if ok(cur, nxt, k + 2)]
+            todo += [(i + 1, nxt, acc) for nxt in reversed(allowed) if ok(cur, nxt, i + 1)]
+
+
+def enumerate_linear_gcc(celq: CompletelyExtendedLinearQuiver):
+    n = celq.n
+    if n == 1:
+        yield LinearGCC(1, (), 0)
+        yield LinearGCC(1, (), 1)
+        return
+    for pairs in _linear_gcc_walk(celq, lambda i, p: (p,), ()):
+        yield LinearGCC(n, pairs)
+
+
+def _linear_gcc_count(celq: CompletelyExtendedLinearQuiver) -> int:
+    """The number of witnesses of a path; no witness is built."""
+    return 2 if celq.n == 1 else sum(1 for _ in _linear_gcc_walk(celq, lambda i, p: 0, 0))
+
+
+def _linear_gcc_terms(comp: CompletionResult):
+    """The sum of `linear_gcc_weight` over the witnesses of a completed path,
+    divided by the path variables, in ambient variables, as
+    `laurent.affine_sum` input.  A witness is tallied by its edge-factor
+    choices: one field per canonical label, as wide as the n + 1 factors
+    need.  The pair at edge i settles y_i (x_{i+delta_i} if its vertical is
+    set, x_{i+1-delta_i} if its horizontal is, else the middle vertex), and
+    at the first and last edges also y_0 and y_n."""
+    celq, deltas = comp.celq, comp.unit_deltas(1)
+    n, delta = celq.n, celq.delta
+    width = field_width(n + 1)
+    shift = [0] + [1 << width * k if d else 0 for k, d in enumerate(deltas)]  # by label
+
+    def step(i, pair):
+        s1, s2 = pair
+        d = delta[i - 1]
+        x = shift[i + d if s2 else i + 1 - d if s1 else celq.mid(i)]
+        if i == 1:
+            x += shift[celq.start0 if pair[delta[0]] == 1 - delta[0] else celq.start1]
+        if i == n - 1:
+            x += shift[celq.end0 if pair[1 - delta[-1]] == delta[-1] else celq.end1]
+        return x
+    if n == 1:  # end bit 0, then end bit 1
+        tally = Counter((shift[celq.start1] + shift[celq.end1], shift[celq.start0] + shift[celq.end0]))
+    else:
+        tally = Counter(_linear_gcc_walk(celq, step, 0))
+    return dict.fromkeys(comp.base_order, -1), deltas, unpack(tally, width, len(deltas))
 
 
 def _linear_gcc_factors(celq: CompletelyExtendedLinearQuiver,
@@ -609,9 +646,9 @@ def linear_gcc_weight(celq: CompletelyExtendedLinearQuiver, w: LinearGCC) -> Lau
 # -- per-variable sequences on an ambient quiver --------------------------------------
 
 
-def enumerate_variable_gcs(qtilde: Quiver, linear_vertices):
-    """0-1 markings of the path vertices with no arrow inside the path going
-    from a marked to an unmarked vertex; bits are listed in path order."""
+def _variable_gcs_system(qtilde: Quiver, linear_vertices):
+    """The solver input for the markings of a path: the bit count (one bit
+    per path vertex, in path order), the implications and the path."""
     order = require_path(qtilde, linear_vertices)
     pos = {v: i for i, v in enumerate(order)}
     imps = []
@@ -620,7 +657,31 @@ def enumerate_variable_gcs(qtilde: Quiver, linear_vertices):
             imps.append((pos[a], pos[b]))
         else:
             imps.append((pos[b], pos[a]))
-    yield from _enumerate_closed_assignments(len(order), imps)
+    return len(order), imps, order
+
+
+def enumerate_variable_gcs(qtilde: Quiver, linear_vertices):
+    """0-1 markings of the path vertices with no arrow inside the path going
+    from a marked to an unmarked vertex; bits are listed in path order."""
+    yield from _enumerate_closed_assignments(*_variable_gcs_system(qtilde, linear_vertices)[:2])
+
+
+def _variable_gcs_terms(qtilde: Quiver, linear_vertices):
+    """The sum of `variable_gcs_monomial` over the markings as
+    `laurent.affine_sum` input: base is 1 on the tail of every arrow into
+    the path and -1 on the path and its K set, and a marked vertex adds 1 on
+    the heads of its arrows out and -1 on the tails of its arrows in.  A
+    marking is tallied by its mask from the solver: one bit per field."""
+    nbits, imps, order = _variable_gcs_system(qtilde, linear_vertices)
+    outs, ins, _ = qtilde._adjacency
+    base = Counter(t for v in order for t in ins[v])
+    base.subtract(set(order) | variable_gcs_k_set(qtilde, order))
+    deltas = []
+    for v in order:
+        e = Counter(outs[v])
+        e.subtract(ins[v])
+        deltas.append(mono(e))
+    return base, deltas, unpack(Counter(_closed_masks(nbits, imps)), 1, nbits)
 
 
 def variable_gcs_k_set(qtilde: Quiver, linear_vertices) -> set[int]:

@@ -23,7 +23,6 @@ from .laurent import (
     LaurentPoly,
     affine_sum,
     canonical_string,
-    poly_sum,
     rational_string,
     sorted_terms,
 )
@@ -94,28 +93,27 @@ def random_type_a_quiver(n: int, rng: random.Random) -> Quiver:
 
 @dataclass(frozen=True)
 class _Model:
-    """How one model turns a nonnegative d-vector into witnesses and a value.
+    """How one model turns a nonnegative d-vector into a value, a count and
+    witnesses.
 
     A per-variable model runs once on each distinct factor of `decompose`
     and the factors multiply, a repeated one as a power; the others run once
     on the whole vector.  `prepare(q, x, support)` makes the model's input,
-    `witnesses` enumerates it, `count` (if given) counts it, `weight` is one
-    witness's term, `finish` takes the sum of the terms back to the ambient
-    variables and `dump` is one witness's JSON.  A value model (mutation,
-    gcs, gcc) gives `value` instead of weights; its witness count is the
-    coefficient sum of that value, or `count` when only a count is wanted.
-    All call unchecked cores: a request is checked once, in `_request`.
-    They find their code in `module`, which `_model` imports on first use."""
+    `value` its Laurent polynomial in the ambient variables, `count` its
+    witness count (mutation's is the coefficient sum of its value),
+    `witnesses` lists them and `dump` is one witness's JSON.  Every
+    enumerating model sums its value from a tally of per-witness counts
+    over fixed deltas; only listings build witnesses.  All call unchecked
+    cores: a request is checked once, in `_request`.  They find their code
+    in `module`, which `_model` imports on first use."""
 
     module: str
     per_variable: bool
     prepare: Callable
+    value: Callable
+    count: Callable
     witnesses: Callable | None = None
-    count: Callable | None = None
-    weight: Callable | None = None
-    finish: Callable = lambda ctx, value: value
     dump: Callable | None = None
-    value: Callable | None = None
 
 
 def _completed(q: Quiver, plus, support):
@@ -134,16 +132,10 @@ def _completed(q: Quiver, plus, support):
 _neighbourhood = lambda q, b, support: complete_extension(q, support)
 
 
-def _over_path(comp, value: LaurentPoly) -> LaurentPoly:
-    """Divide a sum over the completed path by its path variables, then
-    return to the ambient labels."""
-    path = LaurentPoly.monomial({i: -1 for i in range(1, comp.celq.n + 1)})
-    return comp.substitution_then_rename(path * value)
-
-
 _TABLE = {
     "mutation": _Model("engine", True, lambda q, b, support: (q, b, support),
-                       value=lambda ctx: engine._cluster_variable(*ctx)),
+                       value=lambda ctx: engine._cluster_variable(*ctx),
+                       count=lambda ctx: engine._cluster_variable(*ctx).coefficient_sum()),
     # gcs and gcc sum their terms from the solver's bits; witnesses are listings
     "gcs": _Model(
         "formulas", False, _completed, witnesses=lambda ctx: formulas._gcs(*ctx[:4]),
@@ -159,32 +151,36 @@ _TABLE = {
     "linear-gcc": _Model(
         "formulas", True, _neighbourhood,
         witnesses=lambda comp: formulas.enumerate_linear_gcc(comp.celq),
-        weight=lambda comp, w: formulas.linear_gcc_weight(comp.celq, w), finish=_over_path,
+        count=lambda comp: formulas._linear_gcc_count(comp.celq),
+        value=lambda comp: affine_sum(*formulas._linear_gcc_terms(comp)),
         dump=lambda comp, w: {"pairs": [list(p) for p in w.pairs], "end_bit": w.end_bit}),
     "gcs-variable": _Model(
         "formulas", True, lambda q, b, support: (q, support),
         witnesses=lambda ctx: formulas.enumerate_variable_gcs(*ctx),
-        weight=lambda ctx, s: formulas.variable_gcs_monomial(*ctx, s),
+        count=lambda ctx: formulas._count(*formulas._variable_gcs_system(*ctx)),
+        value=lambda ctx: affine_sum(*formulas._variable_gcs_terms(*ctx)),
         dump=lambda ctx, s: list(s)),
     "matching": _Model(
         "snake", True, _neighbourhood,
         witnesses=lambda comp: snake.enumerate_matchings(snake.build_snake(comp.celq)),
-        weight=lambda comp, gamma: snake.matching_weight(gamma), finish=_over_path,
+        count=lambda comp: snake._matching_count(comp),
+        value=lambda comp: affine_sum(*snake._matching_terms(comp)),
         dump=lambda comp, gamma: [list(l) if isinstance(l, tuple) else l for l in gamma]),
     "tpath": _Model(
         "snake", True, _neighbourhood,
         witnesses=lambda comp: snake.triangulation_tpaths(
             geometry.triangulation_of(comp.celq), comp.celq),
-        weight=lambda comp, p: p.value(), dump=lambda comp, p: list(p.labels),
-        finish=lambda comp, value: comp.substitution_then_rename(value)),
+        count=lambda comp: snake._tpath_count(comp),
+        value=lambda comp: affine_sum(*snake._tpath_terms(comp)),
+        dump=lambda comp, p: list(p.labels)),
     # the path is relabelled to 1..n once per distinct factor: the lines are
-    # drawn in the relabelled coordinates and renamed back through its maps
+    # drawn in the relabelled coordinates and their sum renamed back
     "broken-line": _Model(
         "scattering", True,
         lambda q, b, support: (q, support, scattering.relabel_for_path(q, support)),
         witnesses=lambda ctx: scattering.broken_lines(*ctx[:2], rel=ctx[2]),
-        weight=lambda ctx, line: scattering.ambient_monomial(line),
-        finish=lambda ctx, value: value.rename(ctx[2].to_old),
+        count=lambda ctx: len(scattering.broken_lines(*ctx[:2], rel=ctx[2])),
+        value=lambda ctx: scattering.theta_from_broken_lines(*ctx[:2], rel=ctx[2]),
         dump=lambda ctx, line: scattering.line_json(line)),
 }
 
@@ -232,33 +228,30 @@ def _request(q: Quiver, a, in_w: bool = False):
 
 def _run(model: _Model, parts, want_value: bool) -> tuple[LaurentPoly | None, int]:
     """Value (None unless wanted) and witness count of one model on a checked
-    nonzero request, from one enumeration per distinct part: a repeated
-    part's value and count are raised to its multiplicity.  A count alone
-    never computes a weight."""
-    value, count = LaurentPoly.one(), 1
+    nonzero request, from one tally or count per distinct part: a repeated
+    part's value and count are raised to its multiplicity.  A value's count
+    is its coefficient sum; a count alone never computes a value."""
+    value, count = None, 1
     for _, ctx, k in parts(model):
-        if model.count is not None and not want_value:
-            c = model.count(ctx)
-        elif model.value is not None:
+        if want_value:
             part = model.value(ctx)
             c = part.coefficient_sum()
-        elif want_value:
-            terms = [model.weight(ctx, w) for w in model.witnesses(ctx)]
-            part, c = model.finish(ctx, poly_sum(terms)), len(terms)
+            part = part if k == 1 else part ** k
+            value = part if value is None else value * part
         else:
-            c = sum(1 for _ in model.witnesses(ctx))
+            c = model.count(ctx)
         count *= c ** k
-        if want_value:
-            value = value * (part if k == 1 else part ** k)
-    return (value if want_value else None), count
+    return value, count
 
 
 def expand_model(q: Quiver, a, model: str) -> LaurentPoly:
     """Cluster monomial with d-vector a, computed by the chosen model."""
     spec = _model(q, model)
     support, neg, parts = _request(q, a, in_w=True)
-    init = LaurentPoly.monomial(neg)
-    return _run(spec, parts, True)[0] * init if support else init
+    if not support:
+        return LaurentPoly.monomial(neg)
+    value = _run(spec, parts, True)[0]
+    return value * LaurentPoly.monomial(neg) if neg else value
 
 
 def witness_count(q: Quiver, a, model: str) -> int:
@@ -369,9 +362,8 @@ def _check_row(q: Quiver, a, models, with_timings: bool) -> RowResult:
     init = LaurentPoly.monomial(neg)
     for m in models:
         t0 = time.perf_counter()
-        value, counts[m] = (_run(_model(q, m), parts, True) if support
-                            else (LaurentPoly.one(), 1))
-        values[m] = value * init
+        value, counts[m] = _run(_model(q, m), parts, True) if support else (LaurentPoly.one(), 1)
+        values[m] = value * init if neg else value
         if with_timings:
             timings[m] = time.perf_counter() - t0
     forms = {}

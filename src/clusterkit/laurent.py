@@ -12,8 +12,9 @@ division needed by seed mutation lives in the engine module.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress
 import json
+from struct import Struct
 from typing import Iterable, Mapping, Sequence
 
 Monomial = tuple  # tuple[tuple[int, int], ...], sorted by variable index
@@ -344,26 +345,50 @@ def from_json(s: str) -> LaurentPoly:
     return from_json_dict(json.loads(s))
 
 
-def poly_sum(ps: Iterable[LaurentPoly]) -> LaurentPoly:
-    return LaurentPoly.from_terms(pair for p in ps for pair in p.terms.items())
-
-
 def affine_sum(base: Mapping[int, int], deltas: Sequence[Monomial],
-               tally: Mapping[tuple[int, ...], int], drop: Iterable[int] = ()) -> LaurentPoly:
+               tally: Mapping[Sequence[int], int], drop: Iterable[int] = ()) -> LaurentPoly:
     """Sum of c * x^base * deltas[0]^k_0 * deltas[1]^k_1 * ... over the
     items (k, c) of tally, with the variables in drop set to 1: one monomial
-    built per distinct k."""
+    built per distinct k, from its nonzero counts alone."""
     drop = set(drop)
     base = {v: e for v, e in base.items() if v not in drop}
+    fields = range(len(deltas))
     acc: dict[Monomial, int] = {}
     for key, c in tally.items():
         e = dict(base)
-        for k, delta in zip(key, deltas):
-            for v, d in delta if k else ():
+        for i in compress(fields, key):
+            k = key[i]
+            for v, d in deltas[i]:
                 e[v] = e.get(v, 0) + k * d
-        m = mono({v: x for v, x in e.items() if v not in drop})
+        m = mono({v: x for v, x in e.items() if v not in drop} if drop else e)
         acc[m] = acc.get(m, 0) + c
     return LaurentPoly(acc)
+
+
+_FORMAT = {8: "B", 16: "H", 32: "I", 64: "Q"}  # struct codes of the field widths
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def field_width(largest: int) -> int:
+    """The bits per field of a packed tally whose counts are at most
+    largest: 1 for bits, else the least of 8, 16, 32 and 64 that holds it,
+    so that `unpack` reads every field at C speed."""
+    return 1 if largest < 2 else max(8, 1 << (largest.bit_length() - 1).bit_length())
+
+
+def unpack(tally: Mapping[int, int], width: int, nfields: int) -> dict[Sequence[int], int]:
+    """A tally keyed by packed counts as `affine_sum` reads it: field i of
+    a key is its bits i*width .. (i+1)*width - 1, for a `field_width`."""
+    if width == 1:
+        return {bits(key, nfields): c for key, c in tally.items()}
+    fields = Struct(f"<{nfields}{_FORMAT[width]}")
+    return {fields.unpack(key.to_bytes(fields.size, "little")): c for key, c in tally.items()}
+
+
+def bits(mask: int, n: int) -> bytes:
+    """The n low bits of mask as bytes 0 and 1, bit 0 first: the binary
+    digits below a leading 1 at bit n, reversed."""
+    return bin(mask | 1 << n)[:2:-1].encode().translate(_BITS)
 
 
 def poly_product(ps: Iterable[LaurentPoly]) -> LaurentPoly:

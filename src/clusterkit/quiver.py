@@ -417,12 +417,12 @@ class CompletionResult:
     to_ambient: dict[int, int | None]     # canonical label -> ambient vertex (None = invented)
     invented: frozenset[int]              # canonical labels of invented vertices
 
-    def substitution_then_rename(self, poly):
-        """Express a polynomial over canonical labels in ambient variables:
-        invented vertices are set to 1, the rest renamed through the map."""
-        p = poly.substitute_one(self.invented)
-        mapping = {c: a for c, a in self.to_ambient.items() if a is not None}
-        return p.rename(mapping)
+    def unit_deltas(self, e: int) -> list[tuple[tuple[int, int], ...]]:
+        """Per canonical label 1..2n+3, its variable to the power e as a
+        monomial in ambient variables; empty for an invented vertex, which
+        is set to 1."""
+        return [((a, e),) if a is not None else ()
+                for a in map(self.to_ambient.get, range(1, 2 * self.celq.n + 4))]
 
 
 def complete_extension(q: Quiver, linear_vertices) -> CompletionResult:

@@ -37,7 +37,7 @@ from .errors import (
     PositivityViolation,
 )
 from .formulas import enumerate_variable_gcs
-from .laurent import LaurentPoly, canonical_string, poly_sum
+from .laurent import LaurentPoly, affine_sum, canonical_string, unpack
 from .quiver import Quiver, require_path
 
 
@@ -512,6 +512,21 @@ def line_json(line: BrokenLine) -> dict:
             "bends": [[str(c) for c in pt] for pt in line.bends]}
 
 
+def _line_terms(rel: PathRelabeling, lines):
+    """The sum of `ambient_monomial` over the lines, renamed back through
+    rel, as `laurent.affine_sum` input.  A final exponent is -1, 0 or 1 on
+    each path vertex and neighbour (`rel.local`) and set to one off them, so
+    a line is tallied by its final exponent: per coordinate one field for
+    +1 and one for -1, a bit each."""
+    deltas, shift = [], {}
+    for r, *_ in rel.local:
+        for e in (1, -1):
+            shift[r - 1, e] = 1 << len(deltas)
+            deltas.append(((rel.to_old[r], e),))
+    tally = Counter(sum(shift.get(item, 0) for item in line.moves[-1].items()) for line in lines)
+    return {}, deltas, unpack(tally, 1, len(deltas))
+
+
 def theta_from_broken_lines(qtilde: Quiver, linear_vertices,
                             endpoint: Endpoint | None = None,
                             lines: list[BrokenLine] | None = None, *,
@@ -524,7 +539,7 @@ def theta_from_broken_lines(qtilde: Quiver, linear_vertices,
         rel = relabel_for_path(qtilde, linear_vertices)
     if lines is None:
         lines = broken_lines(qtilde, linear_vertices, endpoint, rel=rel)
-    return poly_sum(ambient_monomial(line) for line in lines).rename(rel.to_old)
+    return affine_sum(*_line_terms(rel, lines))
 
 
 def broken_line_svg(line: BrokenLine, plane: tuple[int, int]) -> str:

@@ -18,10 +18,10 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InvalidInput, NotInitialTriangulation
-from .geometry import Triangulation
-from .laurent import LaurentPoly
+from .geometry import Triangulation, triangulation_of
+from .laurent import LaurentPoly, field_width, unpack
 from .formulas import LinearGCC
-from .quiver import CompletelyExtendedLinearQuiver
+from .quiver import CompletelyExtendedLinearQuiver, CompletionResult
 
 Label = object  # int (boundary/extension id) or ("d", diagonal, group)
 
@@ -127,51 +127,66 @@ def build_snake(celq: CompletelyExtendedLinearQuiver) -> SnakeDiagram:
     return SnakeDiagram(celq, tuple(tiles), edge_of_label, labels, tuple(groups))
 
 
+def _matching_walk(d: SnakeDiagram, step, zero):
+    """Depth first over the perfect matchings of d, yielding per matching
+    zero plus step(e) over its edges e.  The search state is the covered
+    vertex bits; the first uncovered vertex (the lowest zero bit) takes each
+    of its free edges in turn, in edge order."""
+    vertices = d.vertices()
+    index = {v: i for i, v in enumerate(vertices)}
+    incident: list[list[tuple[int, object]]] = [[] for _ in vertices]
+    # reversed, so that the children pushed in list order pop in edge order
+    for e in sorted(d.label_of_edge, key=lambda e: (index[e[0]], index[e[1]]), reverse=True):
+        bits, s = 1 << index[e[0]] | 1 << index[e[1]], step(e)
+        incident[index[e[0]]].append((bits, s))
+        incident[index[e[1]]].append((bits, s))
+    full = (1 << len(vertices)) - 1
+    stack = [(0, zero)]
+    while stack:
+        covered, acc = stack.pop()
+        if covered == full:
+            yield acc
+            continue
+        v = (~covered & (covered + 1)).bit_length() - 1
+        stack += [(covered | bits, acc + s) for bits, s in incident[v] if not covered & bits]
+
+
 def enumerate_matchings(d: SnakeDiagram):
     """All perfect matchings, each as the tuple (gamma_0..gamma_n) of chosen
     labels, one per parallelogram group."""
-    vertices = d.vertices()
-    index = {v: i for i, v in enumerate(vertices)}
-    edges = sorted(d.label_of_edge, key=lambda e: (index[e[0]], index[e[1]]))
-    incident: dict[int, list[tuple]] = {i: [] for i in range(len(vertices))}
-    for e in edges:
-        incident[index[e[0]]].append(e)
-        incident[index[e[1]]].append(e)
-
-    group_of = {}
-    for gi, grp in enumerate(d.pl_groups):
-        for lbl in grp:
-            group_of[lbl] = gi
-
-    # depth-first over (covered vertex bits, chosen edges as a linked list
-    # (edge, rest)); children are pushed in reverse so they pop in the order
-    # of incident[v], the first uncovered vertex (the lowest zero bit)
-    full = (1 << len(vertices)) - 1
+    group_of = {lbl: gi for gi, grp in enumerate(d.pl_groups) for lbl in grp}
     out = []
-    stack = [(0, None)]
-    while stack:
-        covered, chosen = stack.pop()
-        if covered == full:
-            gamma: list = [None] * len(d.pl_groups)
-            while chosen is not None:
-                e, chosen = chosen
-                lbl = d.label_of_edge[e]
-                gi = group_of[lbl]
-                if gamma[gi] is not None:
-                    raise InvalidInput("matching hits one group twice")
-                gamma[gi] = lbl
-            if any(g is None for g in gamma):
-                raise InvalidInput("matching misses a group")
-            out.append(tuple(gamma))
-            continue
-        v = (~covered & (covered + 1)).bit_length() - 1
-        for e in reversed(incident[v]):
-            i1, i2 = index[e[0]], index[e[1]]
-            if covered >> i1 & 1 or covered >> i2 & 1:
-                continue
-            stack.append((covered | 1 << i1 | 1 << i2, (e, chosen)))
+    for labels in _matching_walk(d, lambda e: (d.label_of_edge[e],), ()):
+        gamma: list = [None] * len(d.pl_groups)
+        for lbl in labels:
+            gi = group_of[lbl]
+            if gamma[gi] is not None:
+                raise InvalidInput("matching hits one group twice")
+            gamma[gi] = lbl
+        if any(g is None for g in gamma):
+            raise InvalidInput("matching misses a group")
+        out.append(tuple(gamma))
     text = {lbl: str(lbl) for lbl in d.label_of_edge.values()}  # each label's text, once
     return sorted(out, key=lambda g: [text[x] for x in g])
+
+
+def _matching_terms(comp: CompletionResult):
+    """The sum of `matching_weight` over the matchings of a completed path,
+    divided by the path variables, in ambient variables, as
+    `laurent.affine_sum` input.  A matching is tallied by its label
+    occurrences: one field per canonical label, as wide as the n + 1 edges
+    of a matching need."""
+    d = build_snake(comp.celq)
+    deltas = comp.unit_deltas(1)
+    width = field_width(d.n + 1)
+    shift = [1 << width * k if delta else 0 for k, delta in enumerate(deltas)]
+    tally = Counter(_matching_walk(d, lambda e: shift[label_variable(d.label_of_edge[e]) - 1], 0))
+    return dict.fromkeys(comp.base_order, -1), deltas, unpack(tally, width, len(deltas))
+
+
+def _matching_count(comp: CompletionResult) -> int:
+    """The number of matchings of a completed path; no matching is built."""
+    return sum(1 for _ in _matching_walk(build_snake(comp.celq), lambda e: 0, 0))
 
 
 def matching_weight(gamma) -> LaurentPoly:
@@ -262,47 +277,67 @@ def _edge_rank(celq: CompletelyExtendedLinearQuiver) -> dict[int, int]:
     return rank
 
 
-def triangulation_tpaths(t: Triangulation, celq: CompletelyExtendedLinearQuiver):
-    """All T-paths between the distinguished corners: distinct labels, odd
-    length, even steps crossing the connecting chord, crossings in diagonal
-    order."""
+def _tpath_walk(t: Triangulation, step, zero):
+    """Depth first over the T-paths between the distinguished corners:
+    distinct labels, odd length, even steps crossing the connecting chord,
+    crossings in diagonal order.  Yields per path zero plus step(label,
+    even) over its steps, where even says if the step's position is even."""
     if t.vpoint is None or t.wpoint is None:
         raise NotInitialTriangulation("triangulation lacks distinguished corners")
     chord = (t.vpoint, t.wpoint)
-    sides: dict[int, list[tuple[int, int, bool]]] = {}  # corner -> (label, far, crosses)
+    sides: dict[int, list] = {}  # corner -> (label, far, crosses, odd step, even step)
     for lbl, (u, w) in sorted(t.edges.items()):
-        crosses = t.cross((u, w), chord)
-        sides.setdefault(u, []).append((lbl, w, crosses))
-        sides.setdefault(w, []).append((lbl, u, crosses))
+        crosses, steps = t.cross((u, w), chord), (step(lbl, False), step(lbl, True))
+        sides.setdefault(u, []).append((lbl, w, crosses, *steps))
+        sides.setdefault(w, []).append((lbl, u, crosses, *steps))
 
-    # depth first over one shared label list; per corner reached, the stack
-    # holds its sides left to try and the last crossing so far
-    out: list[TPath] = []
-    labels: list[int] = []
-    used: set[int] = set()  # the sides (labels that do not cross) in labels
+    # depth first; per corner reached, the stack holds its sides left to
+    # try, the last crossing so far, the sum and the label that reached it
+    used: set[int] = set()  # the sides (labels that do not cross) on the path
     end, longest = t.wpoint, 2 * t.n + 1
-    stack = [(iter(sides[t.vpoint]), 0)]
+    stack = [(iter(sides[t.vpoint]), 0, zero, None)]
     while stack:
-        rest, last_cross = stack[-1]
-        even = len(labels) % 2 == 1  # the next label takes an even position
-        for lbl, far, crosses in rest:
+        rest, last_cross, acc, _ = stack[-1]
+        even = len(stack) % 2 == 0  # the next label takes an even position
+        for lbl, far, crosses, odd_step, even_step in rest:
             # crossings come in increasing order, so only a side can repeat
             if (lbl <= last_cross) if crosses else (even or lbl in used):
                 continue
-            labels.append(lbl)
+            nxt = acc + (even_step if even else odd_step)
             if not even and far == end:
-                out.append(TPath(tuple(labels)))
-            if len(labels) < longest:
+                yield nxt
+            if len(stack) < longest:
                 if not crosses:
                     used.add(lbl)
-                stack.append((iter(sides[far]), lbl if crosses else last_cross))
+                stack.append((iter(sides[far]), lbl if crosses else last_cross, nxt, lbl))
                 break
-            labels.pop()
         else:  # every side is tried: step back
-            stack.pop()
-            if labels:
-                used.discard(labels.pop())
-    return sorted(out, key=lambda p: p.labels)
+            used.discard(stack.pop()[3])
+
+
+def triangulation_tpaths(t: Triangulation, celq: CompletelyExtendedLinearQuiver):
+    """All T-paths between the distinguished corners, in label order."""
+    return sorted(map(TPath, _tpath_walk(t, lambda lbl, even: (lbl,), ())),
+                  key=lambda p: p.labels)
+
+
+def _tpath_terms(comp: CompletionResult):
+    """The sum of `TPath.value` over the T-paths of a completed path's
+    triangulation, in ambient variables, as `laurent.affine_sum` input.  A
+    path is tallied by its labels at odd positions (one field per canonical
+    label) and at even ones (one more field each), as wide as the 2n + 1
+    steps of a path need."""
+    t = triangulation_of(comp.celq)
+    deltas = comp.unit_deltas(1) + comp.unit_deltas(-1)
+    width, half = field_width(2 * t.n + 1), len(deltas) // 2
+    shift = [1 << width * k if delta else 0 for k, delta in enumerate(deltas)]
+    tally = Counter(_tpath_walk(t, lambda lbl, even: shift[lbl - 1 + half * even], 0))
+    return {}, deltas, unpack(tally, width, len(deltas))
+
+
+def _tpath_count(comp: CompletionResult) -> int:
+    """The number of T-paths of a completed path; no path is built."""
+    return sum(1 for _ in _tpath_walk(triangulation_of(comp.celq), lambda lbl, even: 0, 0))
 
 
 # -- folding between matchings and complete T-paths ---------------------------------

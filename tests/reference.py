@@ -3,7 +3,8 @@
 No command and no model needs these, so they live next to the tests that
 pin them: exchange matrices, mutation sequences, g-vectors by multidegree,
 endpoint and travel-bound checks, marking directions and d-vectors of
-diagonals, each built on the program's own primitives.
+diagonals, sums of per-witness terms and their renaming to the ambient
+labels, each built on the program's own primitives.
 """
 
 from __future__ import annotations
@@ -17,7 +18,18 @@ from clusterkit.engine import Seed, mutate_seed
 from clusterkit.errors import CrossingDiagonals, NotHomogeneous
 from clusterkit.geometry import PipelineSet, Triangulation
 from clusterkit.laurent import LaurentPoly, to_json_dict
-from clusterkit.quiver import Quiver, _signed_rows, mutate
+from clusterkit.quiver import CompletionResult, Quiver, _signed_rows, mutate
+
+
+def poly_sum(ps) -> LaurentPoly:
+    return LaurentPoly.from_terms(pair for p in ps for pair in p.terms.items())
+
+
+def substitution_then_rename(comp: CompletionResult, poly: LaurentPoly) -> LaurentPoly:
+    """Express a polynomial over canonical labels in ambient variables:
+    invented vertices are set to 1, the rest renamed through the map."""
+    p = poly.substitute_one(comp.invented)
+    return p.rename({c: a for c, a in comp.to_ambient.items() if a is not None})
 
 
 def mutate_sequence(q: Quiver, vertices: list[int]) -> Quiver:

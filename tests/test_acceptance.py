@@ -15,7 +15,7 @@ from clusterkit.quiver import (
     linear_full_subquivers,
 )
 from conftest import path_quiver
-from reference import certify_travel_bounds, d_vector_of
+from reference import certify_travel_bounds, d_vector_of, substitution_then_rename
 
 x = LaurentPoly.variable
 
@@ -71,7 +71,7 @@ def test_criterion_1_three_cycle_monomial():
             comp = complete_extension(q, [i + 1 for i, bit in enumerate(b) if bit])
             table = engine.enumerate_cluster_variables(comp.celq.quiver())
             lifted = table[(1,) * comp.celq.n]
-            oracle_parts.append(comp.substitution_then_rename(lifted))
+            oracle_parts.append(substitution_then_rename(comp, lifted))
         assert poly_product(oracle_parts) == expected
         assert formulas.formula_gcs(q, a) == expected
         assert harness.expand_model(q, a, "gcc") == expected

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from clusterkit import engine, formulas, geometry, harness
 from clusterkit.errors import ClusterKitError
-from clusterkit.laurent import poly_sum
 from clusterkit.quiver import Quiver, three_cycle_completion
+from reference import poly_sum
 
 
 def outcome(f):

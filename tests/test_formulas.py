@@ -26,7 +26,7 @@ from clusterkit.formulas import (
 from clusterkit import harness
 from clusterkit.geometry import decompose, satisfies_property_a, sigma
 from clusterkit.harness import expand_model, random_type_a_quiver
-from clusterkit.laurent import LaurentPoly, poly_product, poly_sum
+from clusterkit.laurent import LaurentPoly, poly_product
 from clusterkit.quiver import (
     CompletelyExtendedLinearQuiver,
     LinearQuiver,
@@ -37,6 +37,7 @@ from clusterkit.quiver import (
     three_cycle_completion,
 )
 from conftest import whole_path_value
+from reference import poly_sum, substitution_then_rename
 
 x = LaurentPoly.variable
 
@@ -241,7 +242,7 @@ def test_formula_gcs_variable_matches_completion_route():
             b = tuple(1 if v + 1 in set(sup) else 0 for v in range(q.n))
             direct = expand_model(q, b, "gcs-variable")
             comp = complete_extension(q, list(sup))
-            routed = comp.substitution_then_rename(whole_path_value(comp.celq, "linear-gcc"))
+            routed = substitution_then_rename(comp, whole_path_value(comp.celq, "linear-gcc"))
             assert direct == routed == cluster_variable(q, b)
 
 

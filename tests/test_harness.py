@@ -180,12 +180,15 @@ def test_parity_error_classes_per_entry_point(three_cycle):
 
 
 # what the harness calls per model: the unchecked cores behind the checked
-# public functions (gcs and gcc tally their terms from the solver), and the
-# public enumerators that take no d-vector
-ENUMERATORS = ((formulas, "_gcs_terms"), (formulas, "_gcc_terms"),
-               (formulas, "enumerate_linear_gcc"), (formulas, "enumerate_variable_gcs"),
-               (snake, "enumerate_matchings"), (snake, "triangulation_tpaths"),
-               (scattering, "broken_lines"), (engine, "_cluster_variable"))
+# public functions.  Every value is one tally core (mutation's is its walk),
+# and every count of an enumerating model but broken-line, which builds its
+# lines, one count core that builds no witness.
+TALLIES = ((formulas, "_gcs_terms"), (formulas, "_gcc_terms"),
+           (formulas, "_linear_gcc_terms"), (formulas, "_variable_gcs_terms"),
+           (snake, "_matching_terms"), (snake, "_tpath_terms"),
+           (scattering, "_line_terms"), (engine, "_cluster_variable"))
+COUNTS = ((formulas, "_count"), (formulas, "_linear_gcc_count"),
+          (snake, "_matching_count"), (snake, "_tpath_count"))
 
 
 def _count_calls(monkeypatch, targets) -> dict:
@@ -202,10 +205,10 @@ def _count_calls(monkeypatch, targets) -> dict:
 
 def test_crosscheck_enumerates_each_model_once_per_row(monkeypatch):
     q = random_type_a_quiver(6, random.Random(4242))
-    calls = _count_calls(monkeypatch, ENUMERATORS)
+    calls = _count_calls(monkeypatch, TALLIES + COUNTS)
     report = crosscheck(q)
     assert report.passed and len(report.rows) == 21
-    assert calls == {name: 21 for _, name in ENUMERATORS}
+    assert calls == {**{name: 21 for _, name in TALLIES}, **{name: 0 for _, name in COUNTS}}
 
 
 def test_passing_row_renders_its_value_once(monkeypatch, seven_table):
@@ -266,15 +269,15 @@ def test_a_repeated_factor_is_enumerated_once_per_model(monkeypatch, seven_mixed
     factor = (1, 1, 0, 0, 1, 0, 0)
     assert geometry.decompose(seven_mixed, a) == (factor, factor)
     want = expand_model(seven_mixed, factor, "mutation")
-    calls = _count_calls(monkeypatch, ENUMERATORS)
+    calls = _count_calls(monkeypatch, TALLIES + COUNTS)
     for model in MODELS:
         calls.update(dict.fromkeys(calls, 0))
         assert expand_model(seven_mixed, a, model) == want ** 2, model
         assert witness_count(seven_mixed, a, model) == want.coefficient_sum() ** 2, model
         assert max(calls.values()) <= 2, (model, calls)
-    calls = _count_calls(monkeypatch, ((snake, "enumerate_matchings"),))
+    calls = _count_calls(monkeypatch, ((snake, "_matching_count"), (snake, "enumerate_matchings")))
     assert witness_count(seven_mixed, a, "matching") == want.coefficient_sum() ** 2
-    assert calls == {"enumerate_matchings": 1}
+    assert calls == {"_matching_count": 1, "enumerate_matchings": 0}
     listing = list_witnesses(seven_mixed, a, "matching")
     assert listing == list_witnesses(seven_mixed, factor, "matching") * 2
 
@@ -312,9 +315,12 @@ def test_rows_agree_with_separate_calls_and_listings():
 
 
 def test_fail_row_names_the_dissenting_model(monkeypatch, seven_table, tmp_path, capsys):
-    original = snake.matching_weight
-    monkeypatch.setattr(snake, "matching_weight",
-                        lambda gamma: original(gamma) + LaurentPoly.variable(4))
+    original = snake._matching_terms
+
+    def faulty(comp):  # every matching's term gains a factor x4
+        base, deltas, tally = original(comp)
+        return {**base, 4: base.get(4, 0) + 1}, deltas, tally
+    monkeypatch.setattr(snake, "_matching_terms", faulty)
     models = ("mutation", "gcs", "matching")
     report = crosscheck(seven_table, models)
     assert not report.passed
@@ -341,8 +347,13 @@ def test_fail_row_names_the_dissenting_model(monkeypatch, seven_table, tmp_path,
 
 
 def test_fail_row_reports_a_count_dissent(monkeypatch, three_cycle):
-    original = snake.triangulation_tpaths
-    monkeypatch.setattr(snake, "triangulation_tpaths", lambda t, celq: original(t, celq)[:-1])
+    original = snake._tpath_terms
+
+    def dropped(comp):  # one T-path fewer in the tally
+        base, deltas, tally = original(comp)
+        key = max(tally)
+        return base, deltas, {**tally, key: tally[key] - 1}
+    monkeypatch.setattr(snake, "_tpath_terms", dropped)
     report = crosscheck(three_cycle, ("mutation", "tpath", "gcs"))
     for r in report.rows:
         (d,) = r.dissent

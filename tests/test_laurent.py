@@ -15,10 +15,9 @@ from clusterkit.laurent import (
     poly_product,
     rational_string,
     sorted_terms,
-    poly_sum,
     substitute_one,
 )
-from reference import to_json
+from reference import poly_sum, to_json
 
 x1 = LaurentPoly.variable(1)
 x2 = LaurentPoly.variable(2)

@@ -29,6 +29,7 @@ from clusterkit.snake import (
     unfold,
 )
 from conftest import whole_path_value
+from reference import substitution_then_rename
 
 
 def celq_of(delta) -> CompletelyExtendedLinearQuiver:
@@ -207,7 +208,7 @@ def test_beta_weights_from_table_quiver(seven_table):
     prefix = LaurentPoly.monomial({i: -1 for i in range(1, celq.n + 1)})
     got = set()
     for gamma in enumerate_matchings(d):
-        value = comp.substitution_then_rename(prefix * matching_weight(gamma))
+        value = substitution_then_rename(comp, prefix * matching_weight(gamma))
         got.add(tuple(sorted(value.terms)))
     base = {1: -1, 2: -1, 3: -1}
     expected_numerators = [

@@ -55,7 +55,7 @@ from clusterkit.formulas import (
     enumerate_variable_gcs,
 )
 from clusterkit.geometry import sigma_int
-from clusterkit.laurent import LaurentPoly, poly_product, poly_sum
+from clusterkit.laurent import LaurentPoly, poly_product
 from clusterkit.quiver import (
     CompletelyExtendedLinearQuiver,
     CompletionResult,
@@ -71,6 +71,7 @@ from clusterkit.quiver import (
     require_type_a,
     three_cycle_completion,
 )
+from reference import poly_sum
 
 # -- the whole-quiver reference ---------------------------------------------------
 
