@@ -11,7 +11,6 @@ input.  The walk to one cluster variable mutates signed rows in place.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .errors import (
@@ -91,13 +90,16 @@ def exact_divide(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     return q
 
 
-@dataclass(frozen=True)
 class Seed:
     """A quiver together with one Laurent polynomial per vertex.  Frozen
     positions hold coefficient variables that never change."""
 
-    quiver: Quiver
-    cluster: tuple[LaurentPoly, ...]
+    def __init__(self, quiver: Quiver, cluster: tuple[LaurentPoly, ...]):
+        self.quiver, self.cluster = quiver, cluster
+
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and (
+            (self.quiver, self.cluster) == (other.quiver, other.cluster))
 
     def entry(self, v: int) -> LaurentPoly:
         return self.cluster[v - 1]
@@ -262,14 +264,15 @@ def cluster_variable(q: Quiver, a) -> LaurentPoly:
     if not set(a) <= {0, 1}:
         raise NotAClusterVariableDVector(f"{a} is not a variable denominator vector")
     a = require_in_w(q, a)
-    return _cluster_variable(q, a, support_of(a))
+    return _cluster_variable(q, a, _mutation_sequence(q, a, support_of(a)))
 
 
-def _cluster_variable(q: Quiver, a: tuple, support: list[int]) -> LaurentPoly:
-    """`cluster_variable` of a checked 0-1 vector with its support: the walk,
-    certified to have the d-vector 1 on the support and 0 off it."""
-    poly = _walk(q, _mutation_sequence(q, a, support))
-    if {v: -e for v, e in poly.min_exponents().items() if e} != dict.fromkeys(support, 1):
+def _cluster_variable(q: Quiver, a: tuple, order: list[int]) -> LaurentPoly:
+    """`cluster_variable` of a checked 0-1 vector with the path order of its
+    support: the walk along it, certified to have the d-vector 1 on the
+    support and 0 off it."""
+    poly = _walk(q, order)
+    if {v: -e for v, e in poly.min_exponents().items() if e} != dict.fromkeys(order, 1):
         raise NotAClusterVariableDVector(f"mutation walk missed the target {a}")
     return poly
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter, defaultdict, deque
 from collections.abc import Mapping
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import (
@@ -329,16 +328,17 @@ def formula_gcs(q: Quiver, a, i0: int | None = None) -> LaurentPoly:
 # -- maximal lattice paths -------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class DyckPath:
     """Maximal lattice path from (0,0) to (a1,a2) weakly below the diagonal,
     with corner-first edge labels."""
 
-    a1: int
-    a2: int
-    steps: tuple[str, ...]            # 'H'/'V'
-    h_step_of_label: tuple[int, ...]  # label r (1-based) -> step index
-    v_step_of_label: tuple[int, ...]
+    def __init__(self, a1: int, a2: int, steps: tuple[str, ...],
+                 h_step_of_label: tuple[int, ...], v_step_of_label: tuple[int, ...]):
+        self.a1 = a1
+        self.a2 = a2
+        self.steps = steps                      # 'H'/'V'
+        self.h_step_of_label = h_step_of_label  # label r (1-based) -> step index
+        self.v_step_of_label = v_step_of_label
 
     @property
     def corners(self) -> int:
@@ -368,13 +368,18 @@ def maximal_dyck_path(a1: int, a2: int) -> DyckPath:
 # -- globally compatible collections ----------------------------------------------
 
 
-@dataclass(frozen=True)
 class GCCollection:
     """Per-arrow horizontal/vertical edge subsets, recorded by corner-first
     label (1-based)."""
 
-    chosen: tuple[tuple[tuple[int, int], frozenset, frozenset], ...]
-    # ((arrow, S1 labels, S2 labels), ...) sorted by arrow
+    def __init__(self, chosen: tuple[tuple[tuple[int, int], frozenset, frozenset], ...]):
+        self.chosen = chosen  # ((arrow, S1 labels, S2 labels), ...) sorted by arrow
+
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and self.chosen == other.chosen
+
+    def __hash__(self):
+        return hash(self.chosen)
 
     def sets(self, arrow):
         for (a, s1, s2) in self.chosen:
@@ -528,14 +533,18 @@ def gcc_to_gcs(q: Quiver, a, gcc: GCCollection, i0: int | None = None):
 # -- the path-quiver specialization -------------------------------------------------
 
 
-@dataclass(frozen=True)
 class LinearGCC:
     """Witness of the path-quiver formula: one (horizontal, vertical) bit
     pair per internal edge; a single end bit in the one-vertex case."""
 
-    n: int
-    pairs: tuple[tuple[int, int], ...]
-    end_bit: int | None = None
+    def __init__(self, n: int, pairs: tuple[tuple[int, int], ...], end_bit: int | None = None):
+        self.n = n
+        self.pairs = pairs
+        self.end_bit = end_bit
+
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and (
+            (self.n, self.pairs, self.end_bit) == (other.n, other.pairs, other.end_bit))
 
 
 def _linear_gcc_walk(celq: CompletelyExtendedLinearQuiver, step, zero):

@@ -9,7 +9,6 @@ predicates (crossing, ranks of marked points) are pure index arithmetic.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, compress, count
 from types import MappingProxyType
@@ -128,7 +127,6 @@ def positive_split(q: Quiver, a) -> tuple[tuple[int, ...], tuple[int, ...]]:
 # -- triangulations ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Triangulation:
     """Labeled triangulation of a convex polygon.
 
@@ -136,11 +134,18 @@ class Triangulation:
     labels boundary edges.  vpoint/wpoint are the distinguished corners of the
     staircase construction (present only when built from a path quiver)."""
 
-    size: int
-    n: int
-    edges: Mapping[int, tuple[int, int]]
-    vpoint: int | None = None
-    wpoint: int | None = None
+    def __init__(self, size: int, n: int, edges: Mapping[int, tuple[int, int]],
+                 vpoint: int | None = None, wpoint: int | None = None):
+        self.size = size
+        self.n = n
+        self.edges = edges
+        self.vpoint = vpoint
+        self.wpoint = wpoint
+
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and (
+            (self.size, self.n, self.edges, self.vpoint, self.wpoint)
+            == (other.size, other.n, other.edges, other.vpoint, other.wpoint))
 
     def cross(self, d: tuple[int, int], e: tuple[int, int]) -> bool:
         """Strict interior crossing of two corner pairs: their ends alternate."""
@@ -318,22 +323,34 @@ def _build_triangulation(q: Quiver) -> Triangulation:
 # -- pipelines ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Pipeline:
     """One pseudo-diagonal assembled from pipes through marked points."""
 
-    endpoints: tuple[int, int]                    # polygon corners
-    crossings: tuple[tuple[int, int], ...]        # ordered (diagonal, rank)
-    b_vector: tuple[int, ...]
+    def __init__(self, endpoints: tuple[int, int], crossings: tuple[tuple[int, int], ...],
+                 b_vector: tuple[int, ...]):
+        self.endpoints = endpoints        # polygon corners
+        self.crossings = crossings        # ordered (diagonal, rank)
+        self.b_vector = b_vector
+
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and (
+            (self.endpoints, self.crossings, self.b_vector)
+            == (other.endpoints, other.crossings, other.b_vector))
 
 
-@dataclass(frozen=True)
 class PipelineSet:
-    quiver: Quiver
-    triangulation: Triangulation
-    a: tuple[int, ...]
-    pipelines: tuple[Pipeline, ...]
-    pipes: tuple[tuple, ...] = field(default=(), compare=False, repr=False)
+    """The pipelines of a d-vector; the pipes they run through are no part
+    of its value."""
+
+    def __init__(self, quiver: Quiver, triangulation: Triangulation, a: tuple[int, ...],
+                 pipelines: tuple[Pipeline, ...], pipes: tuple[tuple, ...] = ()):
+        self.quiver, self.triangulation, self.a = quiver, triangulation, a
+        self.pipelines, self.pipes = pipelines, pipes
+
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and (
+            (self.quiver, self.triangulation, self.a, self.pipelines)
+            == (other.quiver, other.triangulation, other.a, other.pipelines))
 
     def as_diagonal_multiset(self) -> list[tuple[int, int]]:
         return [p.endpoints for p in self.pipelines]
@@ -443,13 +460,19 @@ def decompose(q: Quiver, a) -> tuple[tuple[int, ...], ...]:
 
 def _decompose(q: Quiver, a: tuple[int, ...], support: list[int]) -> tuple:
     """`decompose` of a checked vector with its support, as sorted (factor,
-    its support) pairs: O(support) on a path, else the (sorted) pipelines."""
+    the path order of its support) pairs: O(support) on a path, else the
+    (sorted) pipelines.  A pipeline crosses its diagonals in path order:
+    consecutive crossings share a face, and a pipeline crossing no diagonal
+    twice meets no face twice, so no other two crossed diagonals share one."""
     if not support:
         return ()
-    if all(a[v - 1] == 1 for v in support) and path_order(q, support) is not None:
-        return ((a, support),)
-    return tuple((p.b_vector, sorted(i for i, _ in p.crossings))
-                 for p in _pipelines(q, a, support).pipelines)
+    if all(a[v - 1] == 1 for v in support) and (order := path_order(q, support)) is not None:
+        return ((a, order),)
+    out = []
+    for p in _pipelines(q, a, support).pipelines:
+        order = [i for i, _ in p.crossings]  # from the smaller end, as `path_order`
+        out.append((p.b_vector, order if order[0] < order[-1] else order[::-1]))
+    return tuple(out)
 
 
 # -- svg ----------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from importlib import import_module
 from itertools import product
 import time
@@ -91,29 +90,27 @@ def random_type_a_quiver(n: int, rng: random.Random) -> Quiver:
 # -- the model table -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class _Model:
     """How one model turns a nonnegative d-vector into a value, a count and
     witnesses.
 
     A per-variable model runs once on each distinct factor of `decompose`
     and the factors multiply, a repeated one as a power; the others run once
-    on the whole vector.  `prepare(q, x, support)` makes the model's input,
-    `value` its Laurent polynomial in the ambient variables, `count` its
-    witness count (mutation's is the coefficient sum of its value),
-    `witnesses` lists them and `dump` is one witness's JSON.  Every
-    enumerating model sums its value from a tally of per-witness counts
-    over fixed deltas; only listings build witnesses.  All call unchecked
-    cores: a request is checked once, in `_request`.  They find their code
-    in `module`, which `_model` imports on first use."""
+    on the whole vector.  `prepare(q, x, support)` makes the model's input
+    (a factor's support comes in path order, computed once), `value` its
+    Laurent polynomial in the ambient variables, `count` its witness count
+    (mutation's is the coefficient sum of its value), `witnesses` lists
+    them and `dump` is one witness's JSON.  Every enumerating model sums
+    its value from a tally of per-witness counts over fixed deltas; only
+    listings build witnesses.  All call unchecked cores: a request is
+    checked once, in `_request`.  They find their code in `module`, which
+    `_model` imports on first use."""
 
-    module: str
-    per_variable: bool
-    prepare: Callable
-    value: Callable
-    count: Callable
-    witnesses: Callable | None = None
-    dump: Callable | None = None
+    def __init__(self, module: str, per_variable: bool, prepare: Callable, value: Callable,
+                 count: Callable, witnesses: Callable | None = None,
+                 dump: Callable | None = None):
+        self.module, self.per_variable, self.prepare = module, per_variable, prepare
+        self.value, self.count, self.witnesses, self.dump = value, count, witnesses, dump
 
 
 def _completed(q: Quiver, plus, support):
@@ -129,11 +126,11 @@ def _completed(q: Quiver, plus, support):
 
 
 # linear-gcc, matching and tpath: one prepare, so a crosscheck row builds it once
-_neighbourhood = lambda q, b, support: complete_extension(q, support)
+_neighbourhood = lambda q, b, order: complete_extension(q, order, ordered=True)
 
 
 _TABLE = {
-    "mutation": _Model("engine", True, lambda q, b, support: (q, b, support),
+    "mutation": _Model("engine", True, lambda q, b, order: (q, b, order),
                        value=lambda ctx: engine._cluster_variable(*ctx),
                        count=lambda ctx: engine._cluster_variable(*ctx).coefficient_sum()),
     # gcs and gcc sum their terms from the solver's bits; witnesses are listings
@@ -214,11 +211,11 @@ def _request(q: Quiver, a, in_w: bool = False):
 
     def parts(model: _Model):
         if model.per_variable and not factors:  # equal factors are adjacent
-            for x, sup in geometry._decompose(q, plus, support):
+            for x, order in geometry._decompose(q, plus, support):
                 if factors and factors[-1][0] == x:
                     factors[-1][2] += 1
                 else:
-                    factors.append([x, sup, 1])
+                    factors.append([x, order, 1])
         for x, sup, k in factors if model.per_variable else [(plus, support, 1)]:
             if (key := (model.prepare, tuple(sup))) not in prepared:
                 prepared[key] = model.prepare(q, x, sup)
@@ -281,22 +278,22 @@ def list_witnesses(q: Quiver, a, model: str) -> list:
 # -- cross-checking ------------------------------------------------------------------
 
 
-@dataclass
 class RowResult:
-    dvector: tuple[int, ...]
-    counts: dict[str, int]
-    value: str
-    verdict: str
-    timings: dict[str, float] = field(default_factory=dict)
-    # FAIL rows: each model whose value or count differs from the majority
-    dissent: list[dict] = field(default_factory=list)
+    def __init__(self, dvector: tuple[int, ...], counts: dict[str, int], value: str,
+                 verdict: str, timings: dict[str, float] | None = None,
+                 dissent: list[dict] | None = None):
+        self.dvector = dvector
+        self.counts = counts
+        self.value = value
+        self.verdict = verdict
+        self.timings = {} if timings is None else timings
+        # FAIL rows: each model whose value or count differs from the majority
+        self.dissent = [] if dissent is None else dissent
 
 
-@dataclass
 class CrossCheckReport:
-    quiver: Quiver
-    models: tuple[str, ...]
-    rows: list[RowResult]
+    def __init__(self, quiver: Quiver, models: tuple[str, ...], rows: list[RowResult]):
+        self.quiver, self.models, self.rows = quiver, models, rows
 
     @property
     def passed(self) -> bool:

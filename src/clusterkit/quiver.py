@@ -25,7 +25,6 @@ the public accessors hand out fresh lists and sets built from them.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
 import json
 import re
@@ -41,17 +40,19 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
 class Quiver:
-    n: int
-    arrows: tuple[tuple[int, int], ...]
-    frozen: frozenset[int] = field(default_factory=frozenset)
+    """Immutable: the cached derived structure below depends on that."""
+
+    def __init__(self, n: int, arrows: tuple[tuple[int, int], ...],
+                 frozen: frozenset[int] = frozenset()):
+        self.__dict__.update(n=n, arrows=arrows, frozen=frozen)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Check the fields, sorting the arrows and freezing the frozen set."""
         if self.n < 1:
             raise InvalidInput("quiver needs at least one vertex")
-        object.__setattr__(self, "arrows", tuple(sorted(self.arrows)))
-        object.__setattr__(self, "frozen", frozenset(self.frozen))
+        self.__dict__.update(arrows=tuple(sorted(self.arrows)), frozen=frozenset(self.frozen))
         pairs = set()
         for t, h in self.arrows:
             if not (1 <= t <= self.n and 1 <= h <= self.n):
@@ -65,6 +66,22 @@ class Quiver:
         for v in self.frozen:
             if not (1 <= v <= self.n):
                 raise VertexOutOfRange(f"frozen vertex {v} outside [1,{self.n}]")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and (
+            (self.n, self.arrows, self.frozen) == (other.n, other.arrows, other.frozen))
+
+    def __hash__(self):
+        return hash((self.n, self.arrows, self.frozen))
+
+    def __repr__(self):
+        return f"Quiver(n={self.n!r}, arrows={self.arrows!r}, frozen={self.frozen!r})"
 
     # -- basic views ---------------------------------------------------------
 
@@ -332,18 +349,19 @@ def delta_of_path(q: Quiver, order: list[int]) -> tuple[int, ...]:
 # -- linear / completely extended linear quivers --------------------------------
 
 
-@dataclass(frozen=True)
 class LinearQuiver:
     """A path quiver on n vertices described by its direction sequence."""
 
-    n: int
-    delta: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.n < 1 or len(self.delta) != self.n - 1:
+    def __init__(self, n: int, delta: tuple[int, ...]):
+        if n < 1 or len(delta) != n - 1:
             raise InvalidInput("delta sequence must have length n-1")
-        if any(d not in (0, 1) for d in self.delta):
+        if any(d not in (0, 1) for d in delta):
             raise InvalidInput("delta entries must be 0 or 1")
+        self.n = n
+        self.delta = delta
+
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and (self.n, self.delta) == (other.n, other.delta)
 
     def quiver(self) -> Quiver:
         arrows = []
@@ -352,7 +370,6 @@ class LinearQuiver:
         return Quiver(self.n, tuple(arrows))
 
 
-@dataclass(frozen=True)
 class CompletelyExtendedLinearQuiver:
     """A path quiver with a triangle glued to every edge and to both ends.
 
@@ -362,7 +379,11 @@ class CompletelyExtendedLinearQuiver:
     frozen in the stored quiver.
     """
 
-    base: LinearQuiver
+    def __init__(self, base: LinearQuiver):
+        self.base = base
+
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and self.base == other.base
 
     @property
     def n(self) -> int:
@@ -408,14 +429,20 @@ class CompletelyExtendedLinearQuiver:
         return Quiver(2 * n + 3, tuple(arrows), frozenset(self.extension_vertices))
 
 
-@dataclass(frozen=True)
 class CompletionResult:
     """Outcome of completing a linear full subquiver inside an ambient quiver."""
 
-    celq: CompletelyExtendedLinearQuiver
-    base_order: tuple[int, ...]           # ambient vertices of the path, v_1..v_n
-    to_ambient: dict[int, int | None]     # canonical label -> ambient vertex (None = invented)
-    invented: frozenset[int]              # canonical labels of invented vertices
+    def __init__(self, celq: CompletelyExtendedLinearQuiver, base_order: tuple[int, ...],
+                 to_ambient: dict[int, int | None], invented: frozenset[int]):
+        self.celq = celq
+        self.base_order = base_order      # ambient vertices of the path, v_1..v_n
+        self.to_ambient = to_ambient      # canonical label -> ambient vertex (None = invented)
+        self.invented = invented          # canonical labels of invented vertices
+
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and (
+            (self.celq, self.base_order, self.to_ambient, self.invented)
+            == (other.celq, other.base_order, other.to_ambient, other.invented))
 
     def unit_deltas(self, e: int) -> list[tuple[tuple[int, int], ...]]:
         """Per canonical label 1..2n+3, its variable to the power e as a
@@ -425,7 +452,7 @@ class CompletionResult:
                 for a in map(self.to_ambient.get, range(1, 2 * self.celq.n + 4))]
 
 
-def complete_extension(q: Quiver, linear_vertices) -> CompletionResult:
+def complete_extension(q: Quiver, linear_vertices, ordered: bool = False) -> CompletionResult:
     """Restrict the ambient quiver to the neighborhood of a linear full
     subquiver and attach the missing triangles, producing a canonically
     labeled completely extended linear quiver plus the relabeling map.
@@ -435,9 +462,11 @@ def complete_extension(q: Quiver, linear_vertices) -> CompletionResult:
     face.  A one-vertex path starts at a face whose other sides are both
     diagonals if there is one, else at the face of the smaller neighbour.
     A diagonal side is its ambient vertex, a boundary side an invented one;
-    at an end the side the path vertex has an arrow to takes the out-slot."""
+    at an end the side the path vertex has an arrow to takes the out-slot.
+    With `ordered`, linear_vertices is taken unchecked as the path order
+    that `path_order` gives."""
     require_type_a(q)
-    order = require_path(q, linear_vertices)
+    order = linear_vertices if ordered else require_path(q, linear_vertices)
     celq = CompletelyExtendedLinearQuiver(LinearQuiver(len(order), delta_of_path(q, order)))
     faces, at = q._triangulation._faces
     ambient = lambda side: side if side <= q.n else None

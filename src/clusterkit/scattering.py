@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
@@ -44,17 +43,18 @@ from .quiver import Quiver, require_path
 # -- relabeling so the path occupies 1..n ----------------------------------------
 
 
-@dataclass(frozen=True)
 class PathRelabeling:
     """The path's vertices renumbered 1..n in path order, the other vertices
     n+1.. in their own order.  No relabelled quiver is built: every view a
     line reads comes from the ambient quiver's cached adjacency through the
     maps, once per relabelling, and covers only the path and its neighbours."""
 
-    ambient: Quiver
-    order: tuple[int, ...]       # the path in ambient labels
-    to_new: Mapping[int, int]
-    to_old: Mapping[int, int]
+    def __init__(self, ambient: Quiver, order: tuple[int, ...], to_new: Mapping[int, int],
+                 to_old: Mapping[int, int]):
+        self.ambient = ambient
+        self.order = order       # the path in ambient labels
+        self.to_new = to_new
+        self.to_old = to_old
 
     @property
     def n(self) -> int:
@@ -146,12 +146,13 @@ def adjustable_positions(rel: PathRelabeling, s) -> list[int]:
             if s[r - 1] == 0 and all(s[j - 1] != 0 for j in down)]
 
 
-@dataclass(frozen=True)
 class WSequence:
-    s: tuple[int, ...]
-    ell: int
-    walls: tuple[int, ...]                 # w_1..w_ell
-    chain: tuple[tuple[int, ...], ...]     # s^(0)..s^(ell)
+    def __init__(self, s: tuple[int, ...], ell: int, walls: tuple[int, ...],
+                 chain: tuple[tuple[int, ...], ...]):
+        self.s = s
+        self.ell = ell
+        self.walls = walls      # w_1..w_ell
+        self.chain = chain      # s^(0)..s^(ell)
 
 
 def w_sequence(rel: PathRelabeling, s) -> WSequence:
@@ -208,25 +209,22 @@ def _dense(m: dict[int, int], dim: int) -> tuple[int, ...]:
 # -- endpoints ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Endpoint:
-    coords: tuple[Fraction, ...]
-    eps: Fraction
-    n: int        # path length (ordered block)
-    nprime: int   # ambient rank; len(coords) is nprime or 2*nprime
+    def __init__(self, coords: tuple[Fraction, ...], eps: Fraction, n: int, nprime: int):
+        self.coords = coords
+        self.eps = eps
+        self.n = n              # path length (ordered block)
+        self.nprime = nprime    # ambient rank; len(coords) is nprime or 2*nprime
 
 
-@dataclass(frozen=True)
 class _Scaled:
     """An endpoint as integers: coordinate i is ints[i] / scale with scale
     positive, and eps is num / den with den positive."""
 
-    scale: int
-    ints: tuple[int, ...]
-    num: int
-    den: int
-    n: int
-    nprime: int
+    def __init__(self, scale: int, ints: tuple[int, ...], num: int, den: int, n: int,
+                 nprime: int):
+        self.scale, self.ints, self.num, self.den = scale, ints, num, den
+        self.n, self.nprime = n, nprime
 
     @cached_property
     def band(self) -> tuple[tuple[int, int], ...]:
@@ -297,20 +295,22 @@ def default_endpoint(n: int, nprime: int, principal: bool = False) -> Endpoint:
 # -- broken lines ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class BrokenLine:
     """One line, kept sparse: each direction by its nonzero coordinates and
     each bend by its travel parameter, so its points are the endpoint moved
     back along the directions.  The dense vectors are views, built on first
     read."""
 
-    s: tuple[int, ...]
-    walls: tuple[int, ...]                       # wall indices, bend order
-    moves: tuple[dict[int, int], ...]            # m_0..m_ell by 0-based coordinate
-    principal: bool
-    scale: int                                   # common denominator of every point
-    base: tuple[int, ...]                        # the endpoint, times scale
-    lams: tuple[int, ...]                        # travel parameter per bend, times scale
+    def __init__(self, s: tuple[int, ...], walls: tuple[int, ...],
+                 moves: tuple[dict[int, int], ...], principal: bool, scale: int,
+                 base: tuple[int, ...], lams: tuple[int, ...]):
+        self.s = s
+        self.walls = walls              # wall indices, bend order
+        self.moves = moves              # m_0..m_ell by 0-based coordinate
+        self.principal = principal
+        self.scale = scale              # common denominator of every point
+        self.base = base                # the endpoint, times scale
+        self.lams = lams                # travel parameter per bend, times scale
 
     @property
     def ell(self) -> int:

@@ -15,13 +15,15 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import InvalidInput, NotInitialTriangulation
 from .geometry import Triangulation, triangulation_of
 from .laurent import LaurentPoly, field_width, unpack
-from .formulas import LinearGCC
 from .quiver import CompletelyExtendedLinearQuiver, CompletionResult
+
+if TYPE_CHECKING:
+    from .formulas import LinearGCC
 
 Label = object  # int (boundary/extension id) or ("d", diagonal, group)
 
@@ -34,13 +36,14 @@ def label_variable(label) -> int:
     return label[1] if _is_diag(label) else label
 
 
-@dataclass(frozen=True)
 class SnakeDiagram:
-    celq: CompletelyExtendedLinearQuiver
-    tiles: tuple[tuple[int, int], ...]             # lower-left corner per tile
-    edge_of_label: dict
-    label_of_edge: dict
-    pl_groups: tuple[tuple, ...]                   # labels per parallelogram group
+    def __init__(self, celq: CompletelyExtendedLinearQuiver, tiles: tuple[tuple[int, int], ...],
+                 edge_of_label: dict, label_of_edge: dict, pl_groups: tuple[tuple, ...]):
+        self.celq = celq
+        self.tiles = tiles                  # lower-left corner per tile
+        self.edge_of_label = edge_of_label
+        self.label_of_edge = label_of_edge
+        self.pl_groups = pl_groups          # labels per parallelogram group
 
     @property
     def n(self) -> int:
@@ -198,6 +201,8 @@ def matching_weight(gamma) -> LaurentPoly:
 
 
 def psi_matching_to_gcc(d: SnakeDiagram, gamma) -> LinearGCC:
+    from .formulas import LinearGCC  # only the witness bijections read formulas
+
     celq = d.celq
     n = celq.n
     if n == 1:
@@ -253,9 +258,9 @@ def psi_gcc_to_matching(d: SnakeDiagram, w: LinearGCC):
 # -- T-paths -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TPath:
-    labels: tuple[int, ...]
+    def __init__(self, labels: tuple[int, ...]):
+        self.labels = labels
 
     def value(self) -> LaurentPoly:
         expo: dict[int, int] = {}
@@ -343,12 +348,15 @@ def _tpath_count(comp: CompletionResult) -> int:
 # -- folding between matchings and complete T-paths ---------------------------------
 
 
-@dataclass(frozen=True)
 class CompleteTPath:
     """Label sequence of length 2n+1 whose even positions run through the
     diagonals in order; labels may repeat in adjacent pairs."""
 
-    labels: tuple[int, ...]
+    def __init__(self, labels: tuple[int, ...]):
+        self.labels = labels
+
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and self.labels == other.labels
 
     def value(self) -> LaurentPoly:
         return TPath(self.labels).value()

@@ -439,11 +439,13 @@ finally:
 @pytest.mark.parametrize("argv, extra", [
     (["count", "--quiver", "{q}", "--dvector", "1,1,0,0", "--model", "gcs"],
      {"formulas", "geometry", "harness"}),
+    (["count", "--quiver", "{q}", "--dvector", "0,1,1,0", "--model", "matching"],
+     {"geometry", "harness", "snake"}),
     (["decompose", "--quiver", "{q}", "--dvector", "2,1,0,-1"], {"geometry"}),
     (["expand", "--quiver", "{q}", "--dvector", "1,1", "--model", "broken-line"], set()),
     (["--help"], set()),
     (["expand", "--help"], set()),
-    (["snake", "--quiver", "{q}", "--dvector", "1,1,1,0"], {"formulas", "geometry", "snake"}),
+    (["snake", "--quiver", "{q}", "--dvector", "1,1,1,0"], {"geometry", "snake"}),
 ])
 def test_a_fresh_command_loads_only_the_modules_it_runs(tmp_path, argv, extra):
     """Each command imports only what it runs, in a new interpreter: a count

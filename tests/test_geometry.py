@@ -304,6 +304,29 @@ def test_decompose_path_support_matches_pipelines():
             assert decompose(q, b) == expected == (b,)
 
 
+def test_decompose_orders_each_factor_along_its_path():
+    """Each factor comes with its support in the order `path_order` gives,
+    also when that order is read off a pipeline's crossings."""
+    from clusterkit import geometry
+    from clusterkit.quiver import path_order
+
+    rng = random.Random(2020)
+    pipelined = 0
+    for _ in range(40):
+        q = random_type_a_quiver(rng.randint(2, 8), rng)
+        for _ in range(30):
+            try:
+                a, support = geometry._require_nonnegative(
+                    q, [rng.choice((0, 0, 1, 2)) for _ in q.vertices], "test")
+            except NotInW:
+                continue
+            parts = geometry._decompose(q, a, support)
+            pipelined += len(parts) > 1
+            for b, order in parts:
+                assert order == path_order(q, support_of(b))
+    assert pipelined > 100
+
+
 def test_triangulation_of_a_long_path_needs_no_recursion():
     q = path_quiver(1500)
     t = triangulation_for(q)

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from clusterkit import cli, engine, formulas, geometry, harness, scattering, snake
+from clusterkit import cli, engine, formulas, geometry, harness, quiver, scattering, snake
 from clusterkit.errors import FrozenVertex, InvalidInput, NotInW, PositivePartNotInW
 from clusterkit.harness import (
     MODELS,
@@ -577,6 +577,17 @@ def test_crosscheck_completes_each_neighbourhood_once_per_row(monkeypatch):
     assert report.passed
     factors = [len(set(geometry.decompose(q, r.dvector))) for r in report.rows]
     assert max(factors) > 1 and calls == {"complete_extension": sum(factors)}
+
+
+def test_crosscheck_orders_each_path_once_per_row(monkeypatch):
+    """mutation, linear-gcc, matching and tpath take a factor's path order
+    from `decompose`: one `path_order` per row whose vector is 0-1 (the
+    path shortcut), none for a row that is decomposed into pipelines."""
+    q = random_type_a_quiver(6, random.Random(4242))
+    calls = _count_calls(monkeypatch, [(m, "path_order") for m in (geometry, engine, quiver)])
+    report = crosscheck(q, models=("mutation", "linear-gcc", "matching", "tpath"), box=2)
+    assert report.passed and len(report.rows) > 20
+    assert calls == {"path_order": sum(set(r.dvector) <= {0, 1} for r in report.rows)}
 
 
 def test_broken_line_requests_touch_only_their_neighbourhood(monkeypatch):
