@@ -243,8 +243,8 @@ def _walk(start: Quiver, seq: list[int]) -> LaurentPoly:
     frozen = [v for v in seq if v in start.frozen]
     if frozen:
         raise FrozenVertex(f"cannot mutate frozen vertex {frozen[0]}")
-    outs, _, nbr = start._adjacency
-    local = sorted(set(seq).union(*(nbr[v] for v in seq)))
+    outs, ins = start._adjacency
+    local = sorted(set(seq).union(*(outs[v] for v in seq), *(ins[v] for v in seq)))
     b = _signed_rows(local, ((t, h) for t in local for h in outs[t]))
     entries: dict[int, LaurentPoly] = {}
     for v in seq:

@@ -18,23 +18,14 @@ branch of the search fails and a witness costs a few ORs of masks.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict
 from collections.abc import Mapping
 from itertools import accumulate
 
-from .errors import (
-    AssumptionViolated,
-    Unreachable,
-)
+from .errors import AssumptionViolated, Unreachable
 from .geometry import _require_nonnegative, sigma_int
 from .laurent import LaurentPoly, affine_sum, bits, field_width, mono, unpack
-from .quiver import (
-    CompletelyExtendedLinearQuiver,
-    CompletionResult,
-    Quiver,
-    oriented_three_cycles,
-    require_path,
-)
+from .quiver import CompletelyExtendedLinearQuiver, CompletionResult, Quiver, require_path
 
 
 # -- assumptions and distances -------------------------------------------------
@@ -52,27 +43,26 @@ def three_cycle_cover(q: Quiver) -> Mapping[tuple[int, int], tuple[int, int, int
 
 def base_vertex_distance(q: Quiver, i0: int) -> dict[int, int]:
     """Length of the shortest directed path from i0 to every vertex."""
+    outs = q._adjacency[0]
     dist = {i0: 0}
-    queue = deque([i0])
-    while queue:
-        v = queue.popleft()
-        for h in q.arrows_out(v):
+    queue = [i0] if 1 <= i0 <= q.n else []
+    for v in queue:  # breadth first: the list grows behind the loop
+        d = dist[v] + 1
+        for h in outs[v]:
             if h not in dist:
-                dist[h] = dist[v] + 1
+                dist[h] = d
                 queue.append(h)
-    missing = [v for v in q.vertices if v not in dist]
-    if missing:
+    if len(queue) < q.n:
+        missing = [v for v in q.vertices if v not in dist]
         raise Unreachable(f"vertices {missing} unreachable from base vertex {i0}")
     return dist
 
 
 def choose_base_vertex(q: Quiver) -> tuple[int, dict[int, int]]:
     """First degree-2 vertex from which all vertices are reachable."""
-    candidates = [v for v in q.vertices if q.degree(v) == 2]
-    if not candidates:
-        raise AssumptionViolated("no degree-2 vertex available as base")
-    last_exc = None
-    for i0 in candidates:
+    outs, ins = q._adjacency
+    last_exc = AssumptionViolated("no degree-2 vertex available as base")
+    for i0 in (v for v in q.vertices if len(outs[v]) + len(ins[v]) == 2):
         try:
             return i0, base_vertex_distance(q, i0)
         except Unreachable as exc:
@@ -83,14 +73,13 @@ def choose_base_vertex(q: Quiver) -> tuple[int, dict[int, int]]:
 
 
 def _gateway_labels(cycle, dist) -> tuple[int, int, int]:
-    """Rotate an oriented triangle so distances increase along it."""
+    """Rotate an oriented triangle so distances increase along it: the
+    first rotation from a vertex of least distance."""
     i, j, k = cycle
-    rotations = [(i, j, k), (j, k, i), (k, i, j)]
-    rotations.sort(key=lambda r: dist[r[0]])
-    g, p, qq = rotations[0]
+    di, dj, dk = dist[i], dist[j], dist[k]
+    g, p, qq = (i, j, k) if di <= dj and di <= dk else (j, k, i) if dj <= dk else (k, i, j)
     if not (dist[g] < dist[p] < dist[qq]):
-        raise AssumptionViolated(
-            f"triangle {cycle} has non-distinct distances {[dist[v] for v in cycle]}")
+        raise AssumptionViolated(f"triangle {cycle} has non-distinct distances {[di, dj, dk]}")
     return g, p, qq
 
 
@@ -98,9 +87,9 @@ def gateway_rotations(q: Quiver, dist) -> dict[tuple[int, int], tuple[int, int, 
     """The gateway rotation of every oriented triangle, keyed by its first
     arrow; raises unless every triangle has distinct distances."""
     out = {}
-    for cycle in oriented_three_cycles(q):
+    for cycle in q._three_cycles:
         g, p, qq = _gateway_labels(cycle, dist)
-        out[(g, p)] = (g, p, qq)
+        out[g, p] = g, p, qq
     return out
 
 
@@ -273,7 +262,7 @@ def _gcs_terms(q: Quiver, a, support, ov, base, i0: int | None = None):
     """The sum of `gcs_weight` over the sequences as `laurent.affine_sum`
     input: base plus a_v on the tails of the arrows into each support vertex
     v, each set bit of v adding 1 on their heads and -1 on those tails."""
-    outs, ins, _ = q._adjacency
+    outs, ins = q._adjacency
     shifted, deltas = dict(base), []
     for v in support:
         for t in ins[v]:
@@ -307,7 +296,7 @@ def gcs_weight(q: Quiver, a, s, base) -> LaurentPoly:
     the tail and the tail's one count on the head.  Only arrows at the
     support add anything."""
     e = dict(base)
-    outs, ins, _ = q._adjacency
+    outs, ins = q._adjacency
     for v in base:
         k = a[v - 1]
         if k:
@@ -391,7 +380,7 @@ class GCCollection:
 def _empty_collection(q: Quiver):
     """Every distinct arrow in sorted order with two empty sets, and each
     arrow's position in that tuple."""
-    arrows = sorted(q._arrow_set)
+    arrows = dict.fromkeys(q.arrows)  # sorted already
     none = frozenset()
     return tuple((e, none, none) for e in arrows), {e: k for k, e in enumerate(arrows)}
 
@@ -412,7 +401,7 @@ def _gcc_system(q: Quiver, a, support, ov):
         raise AssumptionViolated("collections need at least two vertices")
     cover = three_cycle_cover(q)
     place = q._gcc_template[1]
-    outs, ins, _ = q._adjacency
+    outs, ins = q._adjacency
     leaving = sorted((v, h) for v in support for h in outs[v])  # the arrows with bits
     index: dict[tuple[tuple[int, int], int], int] = {}
     for e in leaving:
@@ -682,7 +671,7 @@ def _variable_gcs_terms(qtilde: Quiver, linear_vertices):
     the heads of its arrows out and -1 on the tails of its arrows in.  A
     marking is tallied by its mask from the solver: one bit per field."""
     nbits, imps, order = _variable_gcs_system(qtilde, linear_vertices)
-    outs, ins, _ = qtilde._adjacency
+    outs, ins = qtilde._adjacency
     base = Counter(t for v in order for t in ins[v])
     base.subtract(set(order) | variable_gcs_k_set(qtilde, order))
     deltas = []

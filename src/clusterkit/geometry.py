@@ -8,24 +8,13 @@ predicates (crossing, ranks of marked points) are pure index arithmetic.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Mapping
-from functools import cached_property
-from itertools import combinations, compress, count
+from itertools import chain, combinations, compress, count
 from types import MappingProxyType
 
-from .errors import (
-    NegativeInput,
-    NotInW,
-    NotTypeA,
-    PositivePartNotInW,
-)
-from .quiver import (
-    CompletelyExtendedLinearQuiver,
-    Quiver,
-    oriented_three_cycles,
-    path_order,
-    require_type_a,
-)
+from .errors import NegativeInput, NotInW, NotTypeA, PositivePartNotInW
+from .quiver import CompletelyExtendedLinearQuiver, Quiver, _derived, path_order, require_type_a
 
 
 def _twice_sigma(x, y, z) -> int:
@@ -152,7 +141,7 @@ class Triangulation:
         (a, b), (c, f) = sorted(d), sorted(e)
         return a < c < b < f or c < a < f < b
 
-    @cached_property
+    @_derived
     def _faces(self):
         """`triangles()`, built once, and the faces on each side label."""
         faces, at = self.triangles(), {}
@@ -170,18 +159,18 @@ class Triangulation:
         one corner strictly between u and z adjacent to both; an edge with
         none or more raises NotTypeA, as the map is no triangulation."""
         by_pair = {e: lbl for lbl, e in self.edges.items()}
-        adj: dict[int, set[int]] = {}
+        up, down = defaultdict(set), defaultdict(set)  # neighbours above, below
         for (u, z) in by_pair:
-            adj.setdefault(u, set()).add(z)
-            adj.setdefault(z, set()).add(u)
+            up[u].add(z)
+            down[z].add(u)
         faces = []
         for (u, z), lbl in by_pair.items():
             if z > u + 1:
-                apex = [w for w in adj[u] & adj[z] if u < w < z]
+                apex = up[u] & down[z]
                 if len(apex) != 1:
                     raise NotTypeA(f"edge {(u, z)} bounds {len(apex)} faces inside it")
-                w = apex[0]
-                faces.append(((u, w, z), (by_pair[(u, w)], by_pair[(w, z)], lbl)))
+                w = apex.pop()
+                faces.append(((u, w, z), (by_pair[u, w], by_pair[w, z], lbl)))
         faces.sort()
         return faces
 
@@ -251,71 +240,64 @@ def _build_triangulation(q: Quiver) -> Triangulation:
 
     This is the type-A test of a connected quiver: it raises NotTypeA unless
     the triangulation it built induces exactly the quiver's arrows."""
-    n = q.n
+    n, cover = q.n, q._cover
     fresh = count(n + 1).__next__  # boundary labels
-    triangles = [(i, k, j) for (i, j, k) in oriented_three_cycles(q)]  # ccw side labels
-    for (tl, hd) in sorted(set(q.arrows) - q._cover.keys()):
-        triangles.append((tl, fresh(), hd))
-    side_count: dict[int, int] = {i: 0 for i in range(1, n + 1)}
-    for tri in triangles:
-        for s in tri:
-            if s <= n:
-                side_count[s] += 1
-    for i in range(1, n + 1):
-        while side_count[i] < 2:
-            triangles.append((i, fresh(), fresh()))
-            side_count[i] += 1
-    if len(triangles) != n + 1:
+    triangles = [(i, k, j) for (i, j, k) in q._three_cycles]  # ccw side labels
+    triangles += [(t, fresh(), h) for t, h in dict.fromkeys(a for a in q.arrows if a not in cover)]
+    # side m of triangle ti is site 3 ti + m, and diagonal s's first two sites
+    # are site[2 s] and site[2 s + 1], all the glue reads: no triangle holds
+    # a label twice, so the site glued to another is the first one outside it
+    side, site = list(chain.from_iterable(triangles)), [-1] * (2 * n + 2)
+    for x, s in enumerate(side):
+        if s <= n and site[2 * s + 1] < 0:
+            site[2 * s + (site[2 * s] >= 0)] = x
+    for k in [k for k in range(2, 2 * n + 2) if site[k] < 0]:  # caps: two sites each
+        site[k] = len(side)
+        side += (k // 2, fresh(), fresh())
+    if len(side) != 3 * (n + 1):
         raise NotTypeA("triangle accounting failed; quiver is not type A")
-
-    diag_sites: dict[int, list[tuple[int, int]]] = {}
-    for ti, tri in enumerate(triangles):
-        for m, s in enumerate(tri):
-            if s <= n:
-                diag_sites.setdefault(s, []).append((ti, m))
 
     # depth-first walk over the glued sides on an explicit stack.  Corner m
     # of a triangle gets an id (side m joins its corners m and m+1 in ccw
-    # order): triangle 0 has corners 0, 1, 2, and a triangle glued on side m
-    # of triangle ti takes ti's corners m+1 and m on its sides m2 and m2+1,
-    # with a fresh id for its apex.  A boundary side records the corner after
-    # its corner m counterclockwise: one walk from corner 0 numbers the polygon.
-    corners: list[list[int] | None] = [None] * len(triangles)
-    corners[0], next_id = [0, 1, 2], 3
-    after: dict[int, int] = {}
-    stack = [(0, 2), (0, 1), (0, 0)]
+    # order, site `nxt[x]` after site x): triangle 0 has corners 0, 1, 2, and
+    # a triangle glued on site x takes x's corners m+1 and m on its sides m2
+    # and m2+1, with a fresh id for its apex.  A boundary side records the
+    # corner after its corner m counterclockwise: one walk from corner 0
+    # numbers the polygon.
+    nxt = list(range(1, len(side) + 1))
+    nxt[2::3] = range(0, len(side), 3)
+    corner = [-1] * len(side)
+    corner[:3], next_id = (0, 1, 2), 3
+    after = [0] * (n + 3)
+    stack = [2, 1, 0]
     while stack:
-        ti, m = stack.pop()
-        label = triangles[ti][m]
-        if label > n:
-            after[corners[ti][m]] = corners[ti][(m + 1) % 3]
+        x = stack.pop()
+        s = side[x]
+        if s > n:
+            after[corner[x]] = corner[nxt[x]]
             continue
-        (t2, m2) = next(site for site in diag_sites[label] if site[0] != ti)
-        if corners[t2] is not None:
+        y = site[2 * s] if site[2 * s] // 3 != x // 3 else site[2 * s + 1]
+        if corner[y] >= 0:
             raise NotTypeA("triangulation glue revisited a triangle")
-        glued = [next_id] * 3
-        glued[m2], glued[(m2 + 1) % 3] = corners[ti][(m + 1) % 3], corners[ti][m]
-        corners[t2] = glued
+        y1 = nxt[y]
+        corner[y], corner[y1], corner[nxt[y1]] = corner[nxt[x]], corner[x], next_id
         next_id += 1
-        stack += [(t2, (m2 + 2) % 3), (t2, (m2 + 1) % 3)]
-    if None in corners:
+        stack += (nxt[y1], y1)
+    if -1 in corner:
         raise NotTypeA("triangulation does not glue into a disk")
     # a tree of glued triangles is a disk: one boundary cycle through all corners
     position, c = [0] * next_id, 0
     for pos in range(next_id):
         position[c], c = pos, after[c]
-
-    edges: dict[int, tuple[int, int]] = {}
-    for tri, ids in zip(triangles, corners):
-        for m, s in enumerate(tri):
-            u, w = position[ids[m]], position[ids[(m + 1) % 3]]
-            edges[s] = (u, w) if u < w else (w, u)
-    t = Triangulation(n + 3, n, MappingProxyType(edges))
+    ends = list(map(position.__getitem__, corner))
+    pairs = [(u, w) if u < w else (w, u) for u, w in zip(ends, map(ends.__getitem__, nxt))]
+    t = Triangulation(n + 3, n, MappingProxyType(dict(zip(side, pairs))))
     # the faces are found again from the edge map alone, so the check below
-    # does not read the glued triangles back; they stay as `t._faces`
-    induced = sorted((a, b) for _, sides in t._faces[0]
-                     for a, b in _ccw_triangle_arrows(sides) if a <= n and b <= n)
-    if tuple(induced) != q.arrows:
+    # does not read the glued triangles back; they stay as `t._faces`.  No
+    # two faces share two sides, so no arrow is induced twice
+    induced = [(a, b) for _, sides in t._faces[0]
+               for a, b in _ccw_triangle_arrows(sides) if a <= n and b <= n]
+    if len(induced) != len(q.arrows) or not q._arrow_set.issuperset(induced):
         raise NotTypeA("constructed triangulation does not induce the quiver")
     return t
 

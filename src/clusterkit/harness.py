@@ -14,7 +14,6 @@ from collections.abc import Callable
 from importlib import import_module
 from itertools import product
 import time
-from typing import TYPE_CHECKING
 
 from . import MODELS, geometry
 from .errors import FrozenVertex, InvalidInput
@@ -32,6 +31,7 @@ from .quiver import (
     three_cycle_completion,
 )
 
+TYPE_CHECKING = False  # as typing's; importing typing costs a cold command
 if TYPE_CHECKING:  # the model modules load on first use, see `_model`
     import random
 

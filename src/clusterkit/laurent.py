@@ -12,10 +12,10 @@ division needed by seed mutation lives in the engine module.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, compress
 import json
 from struct import Struct
-from typing import Iterable, Mapping, Sequence
 
 Monomial = tuple  # tuple[tuple[int, int], ...], sorted by variable index
 

@@ -24,20 +24,43 @@ the public accessors hand out fresh lists and sets built from them.
 
 from __future__ import annotations
 
-from collections import deque
-from functools import cached_property
+import gc
 import json
 import re
+import sys
 from types import MappingProxyType
 
-from .errors import (
-    DisconnectedQuiver,
-    FrozenVertex,
-    InvalidInput,
-    NotLinearSubquiver,
-    NotTypeA,
-    VertexOutOfRange,
-)
+from .errors import (DisconnectedQuiver, FrozenVertex, InvalidInput, NotLinearSubquiver,
+                     NotTypeA, VertexOutOfRange)
+
+
+class _derived:
+    """`functools.cached_property` without the lock that 3.11 takes on every
+    first access, building with the cyclic collector paused: a whole-quiver
+    pass allocates O(n) containers and no cycles, and every full collection
+    midway would scan them all again."""
+
+    def __init__(self, build):
+        self.build, self.name, self.__doc__ = build, build.__name__, build.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        paused = gc.isenabled()
+        gc.disable()
+        try:
+            value = obj.__dict__[self.name] = self.build(obj)
+        finally:
+            if paused:
+                gc.enable()
+        return value
+
+
+def _sibling(name: str):
+    """geometry, formulas or engine: they import this module, so it imports
+    them on the first use of a structure they build."""
+    name = f"{__package__}.{name}"
+    return sys.modules.get(name) or __import__(name) and sys.modules[name]
 
 
 class Quiver:
@@ -95,58 +118,52 @@ class Quiver:
 
     # -- derived structure, built on first use ---------------------------------
 
-    @cached_property
+    @_derived
     def _arrow_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.arrows)
 
-    @cached_property
+    @_derived
     def _adjacency(self):
-        """(out, in, neighbor) maps: vertex -> heads, tails (tuples in arrow
-        order, with multiplicity) and the frozenset of adjacent vertices."""
-        outs: dict[int, list[int]] = {v: [] for v in self.vertices}
-        ins: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for t, h in self.arrows:
+        """(out, in): per vertex (index 0 is unused), the heads and the tails
+        of its arrows, in arrow order with multiplicity."""
+        outs, ins = [()] * (self.n + 1), [()] * (self.n + 1)
+        for t, h in self.arrows:  # a list only at a vertex with arrows
+            outs[t], ins[h] = outs[t] or [], ins[h] or []
             outs[t].append(h)
             ins[h].append(t)
-        return (MappingProxyType({v: tuple(hs) for v, hs in outs.items()}),
-                MappingProxyType({v: tuple(ts) for v, ts in ins.items()}),
-                MappingProxyType({v: frozenset(outs[v]) | frozenset(ins[v])
-                                  for v in self.vertices}))
+        return tuple(map(tuple, outs)), tuple(map(tuple, ins))
 
-    @cached_property
+    @_derived
     def _three_cycles(self) -> tuple[tuple[int, int, int], ...]:
         return _scan_three_cycles(self)
 
-    @cached_property
+    @_derived
     def _cover(self):
         """Arrow -> the rotation (tail, head, third) of its oriented
         triangle, for every arrow that lies in one."""
         cover = {}
-        for (i, j, k) in self._three_cycles:
-            cover.update({(i, j): (i, j, k), (j, k): (j, k, i), (k, i): (k, i, j)})
+        for cycle in self._three_cycles:
+            i, j, k = cycle
+            cover[i, j], cover[j, k], cover[k, i] = cycle, (j, k, i), (k, i, j)
         return MappingProxyType(cover)
 
-    @cached_property
+    @_derived
     def _base_gateways(self):
         """Gateway rotation of every oriented triangle from the default base
         vertex; a failed choice raises again on every access."""
-        from .formulas import choose_base_vertex, gateway_rotations  # local import to avoid a cycle
+        formulas = _sibling("formulas")
+        return formulas.gateway_rotations(self, formulas.choose_base_vertex(self)[1]) \
+            if self.arrows else {}
 
-        return gateway_rotations(self, choose_base_vertex(self)[1]) if self.arrows else {}
-
-    @cached_property
+    @_derived
     def _gcc_template(self):
-        from .formulas import _empty_collection  # local import to avoid a cycle
+        return _sibling("formulas")._empty_collection(self)
 
-        return _empty_collection(self)
-
-    @cached_property
+    @_derived
     def _principal(self) -> "Quiver":
-        from .engine import principal_quiver  # local import to avoid a cycle
+        return _sibling("engine").principal_quiver(self)
 
-        return principal_quiver(self)
-
-    @cached_property
+    @_derived
     def _type_a(self) -> bool:
         """Whether the realizing triangulation builds.  Cached, so a failed
         build is attempted once; `_triangulation` itself caches no error."""
@@ -158,30 +175,29 @@ class Quiver:
             return False
         return True
 
-    @cached_property
+    @_derived
     def _completion(self) -> tuple["Quiver", tuple[int, ...]]:
         return _complete_three_cycles(self)
 
-    @cached_property
+    @_derived
     def _triangulation(self):
-        from .geometry import _build_triangulation  # local import to avoid a cycle
-
-        return _build_triangulation(self)
+        return _sibling("geometry")._build_triangulation(self)
 
     # -- adjacency ---------------------------------------------------------------
 
     def arrows_out(self, v: int) -> list[int]:
-        return list(self._adjacency[0].get(v, ()))
+        return list(self._adjacency[0][v]) if 1 <= v <= self.n else []
 
     def arrows_in(self, v: int) -> list[int]:
-        return list(self._adjacency[1].get(v, ()))
+        return list(self._adjacency[1][v]) if 1 <= v <= self.n else []
 
     def neighbors(self, v: int) -> set[int]:
-        return set(self._adjacency[2].get(v, ()))
+        outs, ins = self._adjacency
+        return set(outs[v]).union(ins[v]) if 1 <= v <= self.n else set()
 
     def degree(self, v: int) -> int:
-        outs, ins, _ = self._adjacency
-        return len(outs.get(v, ())) + len(ins.get(v, ()))
+        outs, ins = self._adjacency
+        return len(outs[v]) + len(ins[v]) if 1 <= v <= self.n else 0
 
     def has_arrow(self, t: int, h: int) -> bool:
         return (t, h) in self._arrow_set
@@ -189,15 +205,15 @@ class Quiver:
     def is_connected(self) -> bool:
         if len(self._arrow_set) < self.n - 1:  # too few arrows to span n vertices
             return False
-        adj = self._adjacency[2]
+        outs, ins = self._adjacency
         seen = {1}
-        queue = deque([1])
-        while queue:
-            v = queue.popleft()
-            for u in adj[v]:
+        stack = [1]
+        while stack:
+            v = stack.pop()
+            for u in (*outs[v], *ins[v]):
                 if u not in seen:
                     seen.add(u)
-                    queue.append(u)
+                    stack.append(u)
         return len(seen) == self.n
 
 
@@ -244,15 +260,11 @@ def mutate(q: Quiver, v: int) -> Quiver:
 
 
 def _scan_three_cycles(q: Quiver) -> tuple[tuple[int, int, int], ...]:
-    arrow_set = q._arrow_set
-    outs = q._adjacency[0]
-    cycles = set()
-    for (i, j) in arrow_set:
-        for k in outs[j]:
-            if (k, i) in arrow_set:
-                rot = min(((i, j, k), (j, k, i), (k, i, j)))
-                cycles.add(rot)
-    return tuple(sorted(cycles))
+    """Each triangle once, from the arrow out of its smallest vertex, so in
+    sorted order; a parallel arrow finds it again."""
+    arrow_set, outs = q._arrow_set, q._adjacency[0]
+    return tuple(dict.fromkeys((i, j, k) for i, j in q.arrows if i < j
+                               for k in outs[j] if i < k and (k, i) in arrow_set))
 
 
 def oriented_three_cycles(q: Quiver) -> list[tuple[int, int, int]]:
@@ -280,13 +292,12 @@ def path_order(q: Quiver, vertices) -> list[int] | None:
     vertices in path order starting from the smaller endpoint; otherwise
     None.  For the support of a cluster variable this is the order in which
     its arc crosses the diagonals (read from one end), since consecutive
-    crossed diagonals share a triangle.  Reads only the cached neighbour
-    sets of the given vertices."""
+    crossed diagonals share a triangle.  Reads only the arrows at the given
+    vertices."""
     vs = set(vertices)
-    nbr = q._adjacency[2]
-    if not vs or not vs <= nbr.keys():
+    if not vs or not all(0 < v <= q.n for v in vs):
         return None
-    adj = {v: nbr[v] & vs for v in vs}
+    adj = {v: q.neighbors(v) & vs for v in vs}
     if len(vs) == 1:
         return list(vs)
     ends = sorted(v for v in vs if len(adj[v]) == 1)
@@ -318,7 +329,7 @@ def linear_full_subquivers(q: Quiver) -> list[tuple[int, ...]]:
     path (one or more vertices).  These index the non-initial cluster
     variables of a type-A quiver."""
     require_type_a(q)
-    adj = q._adjacency[2]
+    adj = [set(hs).union(ts) for hs, ts in zip(*q._adjacency)]
     found: set[tuple[int, ...]] = set()
     stack = [(v,) for v in q.vertices]  # paths still to extend at their last vertex
     while stack:
@@ -494,15 +505,20 @@ def complete_extension(q: Quiver, linear_vertices, ordered: bool = False) -> Com
 
 
 def _complete_three_cycles(q: Quiver) -> tuple[Quiver, tuple[int, ...]]:
-    missing = [a for a in q.arrows if a not in q._cover]
-    arrows = list(q.arrows)
-    added = []
-    label = q.n
-    for (t, h) in sorted(set(missing)):
-        label += 1
-        arrows += [(h, label), (label, t)]
-        added.append(label)
-    return Quiver(label, tuple(arrows), q.frozen | frozenset(added)), tuple(added)
+    """Added vertex v for the uncovered arrow t -> h brings the arrows
+    h -> v -> t, which need no check, and the one triangle through v, so
+    the quiver's triangles are not scanned again; q itself if none is added."""
+    missing = tuple(dict.fromkeys(a for a in q.arrows if a not in q._cover))  # sorted
+    added = range(q.n + 1, q.n + 1 + len(missing))
+    if not added:
+        return q, ()
+    into = sorted(q.arrows + tuple((h, v) for (_, h), v in zip(missing, added)))
+    cycles = sorted(q._three_cycles + tuple((t, h, v) if t < h else (h, v, t)
+                                            for (t, h), v in zip(missing, added)))
+    completed = object.__new__(Quiver)  # the fields as `__post_init__` leaves them
+    completed.__dict__.update(n=added[-1], frozen=q.frozen.union(added), _three_cycles=tuple(
+        cycles), arrows=(*into, *((v, t) for (t, _), v in zip(missing, added))))
+    return completed, tuple(added)
 
 
 def three_cycle_completion(q: Quiver) -> tuple[Quiver, list[int]]:

@@ -68,11 +68,12 @@ class PathRelabeling:
         0-based positions in a marking.  The offset is -1 on the path and on
         a triangle closer: an off-path x with h -> x -> t for an arrow t -> h
         of the path, i.e. an oriented 3-cycle through two path vertices."""
-        outs, ins, nbr = self.ambient._adjacency
+        outs, ins = self.ambient._adjacency
         pos = {v: i for i, v in enumerate(self.order)}
         closers = {x for t in self.order for h in outs[t] if h in pos
                    for x in outs[h] if x not in pos and t in outs[x]}
-        near = set(self.order).union(*(nbr[v] for v in self.order))
+        near = set(self.order).union(*(outs[v] for v in self.order),
+                                     *(ins[v] for v in self.order))
         return tuple(sorted((self.to_new[u], tuple(pos[t] for t in ins[u] if t in pos),
                              tuple(pos[h] for h in outs[u] if h in pos),
                              -1 if u in pos or u in closers else 0)
@@ -91,7 +92,7 @@ class PathRelabeling:
     def columns(self) -> tuple[dict[int, int], ...]:
         """Per path position w (index w - 1), the wall's exchange-matrix
         column #(r -> w) - #(w -> r) by 0-based coordinate, zeros left out."""
-        outs, ins, _ = self.ambient._adjacency
+        outs, ins = self.ambient._adjacency
         cols = []
         for v in self.order:
             col = Counter(self.to_new[t] - 1 for t in ins[v])

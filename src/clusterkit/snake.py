@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from typing import TYPE_CHECKING
 
 from .errors import InvalidInput, NotInitialTriangulation
 from .geometry import Triangulation, triangulation_of
 from .laurent import LaurentPoly, field_width, unpack
 from .quiver import CompletelyExtendedLinearQuiver, CompletionResult
 
+TYPE_CHECKING = False  # as typing's; importing typing costs a cold command
 if TYPE_CHECKING:
     from .formulas import LinearGCC
 

@@ -296,6 +296,20 @@ def test_crosscheck_derives_structure_once(monkeypatch):
     assert sum(1 for x in cycles if x is completed) <= 1
 
 
+def test_a_fresh_gcs_and_gcc_request_scan_three_cycles_once(monkeypatch):
+    """The completion is derived from the quiver: its triangles are the
+    quiver's and one per added vertex, and its arrows are not checked again."""
+    cycles = _counting(monkeypatch, quiver, "_scan_three_cycles")
+    checked = _counting(monkeypatch, Quiver, "__post_init__")
+    q = Quiver(5, ((1, 2), (2, 3), (3, 1), (3, 4), (5, 4)))
+    assert harness.expand_model(q, (1, 1, 0, 0, 0), "gcs") == harness.expand_model(
+        q, (1, 1, 0, 0, 0), "gcc")
+    assert harness.witness_count(q, (0, 0, 1, 1, 0), "gcs") == harness.witness_count(
+        q, (0, 0, 1, 1, 0), "gcc") == 3
+    assert three_cycle_completion(q)[1] == [6, 7]
+    assert cycles == [q] and checked == [q]
+
+
 def test_failed_type_a_build_is_attempted_once(monkeypatch):
     builds = _counting(monkeypatch, geometry, "_build_triangulation")
     four_cycle = Quiver(4, ((1, 2), (2, 3), (3, 4), (4, 1)))

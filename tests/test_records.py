@@ -208,13 +208,13 @@ def test_seeds_compare_by_their_fields():
     assert engine.mutate_seed(s, 1) != s
 
 
-# -- a cold command loads neither dataclasses nor inspect ------------------------------
+# -- a cold command loads neither dataclasses nor inspect, nor typing ------------------
 
 
 PROBE = """import sys
 from clusterkit import cli
 codes = [cli.main(argv.split("|")) for argv in sys.argv[1:]]
-print(*codes, "dataclasses" in sys.modules, "inspect" in sys.modules, file=sys.stderr)
+print(*codes, *(m in sys.modules for m in ("dataclasses", "inspect", "typing")), file=sys.stderr)
 """
 MODELS = clusterkit.MODELS
 LISTABLE = ("gcs", "gcc", "matching", "tpath")
@@ -232,16 +232,35 @@ KINDS = {
 }
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_a_cold_command_loads_neither_dataclasses_nor_inspect(tmp_path, kind):
-    """Each command kind of the benchmark's cli workload, every model of it
-    in one new interpreter."""
+def cold_run(tmp_path, kind, *flags):
+    """Every command of one kind of the benchmark's cli workload in one new
+    interpreter (`python *flags`): whether each exit code is the expected
+    one, and whether dataclasses, inspect and typing were loaded."""
     q = Quiver(4, ((1, 2), (3, 2), (3, 4)))
     (tmp_path / "q.txt").write_text(to_text(q))
     (tmp_path / "q.json").write_text(json.dumps(to_json_dict(q)))
     argv = [a.format(q=tmp_path / "q.txt", j=tmp_path / "q.json") for a in KINDS[kind]]
     src = str(Path(clusterkit.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True,
+    proc = subprocess.run([sys.executable, *flags, "-c", PROBE, *argv], capture_output=True,
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
-    code = "2" if kind == "invalid" else "0"
-    assert proc.stderr.splitlines()[-1].split() == [code] * len(argv) + ["False", "False"]
+    *codes, dataclasses, inspect, typing = proc.stderr.splitlines()[-1].split()
+    expected = "2" if kind == "invalid" else "0"
+    return codes == [expected] * len(argv), {"dataclasses": dataclasses == "True",
+                                             "inspect": inspect == "True",
+                                             "typing": typing == "True"}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_cold_command_loads_neither_dataclasses_nor_inspect(tmp_path, kind):
+    """Each command kind of the benchmark's cli workload, every model of it
+    in one new interpreter."""
+    ok, loaded = cold_run(tmp_path, kind)
+    assert ok and not loaded["dataclasses"] and not loaded["inspect"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_cold_command_without_site_loads_no_typing(tmp_path, kind):
+    """The same commands under `python -S`: no clusterkit module imports
+    typing, which a host's site-packages `.pth` files may load anyway."""
+    ok, loaded = cold_run(tmp_path, kind, "-S")
+    assert ok and not loaded["typing"]
