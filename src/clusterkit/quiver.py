@@ -19,7 +19,9 @@ triangle of each arrow, the type-A verdict, the 3-cycle completion, the
 realizing triangulation, the principal extension, and the base-vertex
 labelling and empty collection that the gcs/gcc formulas start from) is
 computed lazily, at most once per instance, and kept as immutable values;
-the public accessors hand out fresh lists and sets built from them.
+the public accessors hand out fresh lists and sets built from them.  The
+completion is derived from the quiver's checked arrows and 3-cycles, not
+checked or scanned again.
 """
 
 from __future__ import annotations
@@ -60,7 +62,9 @@ def _sibling(name: str):
     """geometry, formulas or engine: they import this module, so it imports
     them on the first use of a structure they build."""
     name = f"{__package__}.{name}"
-    return sys.modules.get(name) or __import__(name) and sys.modules[name]
+    if name not in sys.modules:
+        __import__(name)
+    return sys.modules[name]
 
 
 class Quiver:
@@ -75,14 +79,14 @@ class Quiver:
         """Check the fields, sorting the arrows and freezing the frozen set."""
         if self.n < 1:
             raise InvalidInput("quiver needs at least one vertex")
-        self.__dict__.update(arrows=tuple(sorted(self.arrows)), frozen=frozenset(self.frozen))
-        pairs = set()
-        for t, h in self.arrows:
-            if not (1 <= t <= self.n and 1 <= h <= self.n):
-                raise VertexOutOfRange(f"arrow ({t},{h}) outside [1,{self.n}]")
+        n, arrows = self.n, tuple(sorted(self.arrows))
+        self.__dict__.update(arrows=arrows, frozen=frozenset(self.frozen))
+        for t, h in arrows:
+            if not (1 <= t <= n and 1 <= h <= n):
+                raise VertexOutOfRange(f"arrow ({t},{h}) outside [1,{n}]")
             if t == h:
                 raise InvalidInput(f"loop at vertex {t}")
-            pairs.add((t, h))
+        pairs = set(arrows)
         for t, h in pairs:
             if (h, t) in pairs:
                 raise InvalidInput(f"2-cycle between {t} and {h}")
@@ -516,8 +520,9 @@ def _complete_three_cycles(q: Quiver) -> tuple[Quiver, tuple[int, ...]]:
     cycles = sorted(q._three_cycles + tuple((t, h, v) if t < h else (h, v, t)
                                             for (t, h), v in zip(missing, added)))
     completed = object.__new__(Quiver)  # the fields as `__post_init__` leaves them
-    completed.__dict__.update(n=added[-1], frozen=q.frozen.union(added), _three_cycles=tuple(
-        cycles), arrows=(*into, *((v, t) for (t, _), v in zip(missing, added))))
+    completed.__dict__.update(
+        n=added[-1], arrows=(*into, *((v, t) for (t, _), v in zip(missing, added))),
+        frozen=q.frozen.union(added), _three_cycles=tuple(cycles))
     return completed, tuple(added)
 
 
@@ -540,7 +545,7 @@ def to_text(q: Quiver) -> str:
 
 
 def from_text(text: str) -> Quiver:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines:
         raise InvalidInput("empty quiver file")
     m = re.fullmatch(r"n\s+(\d+)\s+frozen\s+(\S+)", lines[0])
