@@ -251,7 +251,7 @@ def _build_triangulation(q: Quiver) -> Triangulation:
     for x, s in enumerate(side):
         if s <= n and site[2 * s + 1] < 0:
             site[2 * s + (site[2 * s] >= 0)] = x
-    for k in [k for k in range(2, 2 * n + 2) if site[k] < 0]:  # caps: two sites each
+    for k in [k for k in range(2, 2 * n + 2) if site[k] < 0]:  # a cap per missing site
         site[k] = len(side)
         side += (k // 2, fresh(), fresh())
     if len(side) != 3 * (n + 1):
