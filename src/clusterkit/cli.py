@@ -122,7 +122,8 @@ def cmd_pipelines(args) -> int:
     plus, _ = geometry.positive_split(q, a)
     ps = geometry.build_pipelines(q, plus)
     if args.svg:
-        _write_svg(args.svg, geometry.pipelines_svg(ps))
+        from . import svg
+        _write_svg(args.svg, svg.pipelines_svg(ps))
     for p in ps.pipelines:
         print(json.dumps({"b": list(p.b_vector), "endpoints": list(p.endpoints),
                           "crossings": [list(c) for c in p.crossings]}))
@@ -139,8 +140,9 @@ def cmd_snake(args) -> int:
     d = snake.build_snake(comp.celq)
     matchings = snake.enumerate_matchings(d)
     if args.svg:
+        from . import svg
         gamma = _pick(matchings, args.matching, "--matching") if matchings else None
-        _write_svg(args.svg, snake.snake_svg(d, gamma))
+        _write_svg(args.svg, svg.snake_svg(d, gamma))
     print(f"tiles: {list(d.tiles)}")
     print(f"matchings: {len(matchings)}")
     return 0
@@ -154,9 +156,10 @@ def cmd_broken_lines(args) -> int:
     rel = scattering.relabel_for_path(q, support)
     lines = scattering.broken_lines(q, support, principal=principal, rel=rel)
     if args.svg:
+        from . import svg
         chosen = _pick(lines, args.line, "--line")
         plane = _parse_plane(args.plane, len(chosen.endpoint))
-        _write_svg(args.svg, scattering.broken_line_svg(chosen, plane))
+        _write_svg(args.svg, svg.broken_line_svg(chosen, plane))
     for line in lines:
         print(json.dumps(scattering.line_json(line)))
     theta = scattering.theta_from_broken_lines(q, support, lines=lines, rel=rel)

@@ -370,12 +370,6 @@ class GCCollection:
     def __hash__(self):
         return hash(self.chosen)
 
-    def sets(self, arrow):
-        for (a, s1, s2) in self.chosen:
-            if a == arrow:
-                return s1, s2
-        raise KeyError(arrow)
-
 
 def _empty_collection(q: Quiver):
     """Every distinct arrow in sorted order with two empty sets, and each
@@ -470,53 +464,6 @@ def gcc_weight(gcc: GCCollection, base) -> LaurentPoly:
         e[i] = e.get(i, 0) + len(s2)
         e[j] = e.get(j, 0) + len(s1)
     return LaurentPoly.monomial(e)
-
-
-# -- bijection between sequences and collections -----------------------------------
-
-
-def gcs_to_gcc(q: Quiver, a, s, i0: int | None = None) -> GCCollection:
-    """Translate a globally compatible sequence into a collection, triangle
-    by triangle: along each oriented triangle labeled by increasing distance
-    the horizontals copy the tail's bits (reversed past the first arrow) and
-    the verticals negate the head's bits."""
-    a = tuple(a)
-    chosen = {}
-    for (g, p, qq) in _gateways(q, i0).values():
-        ag, ap, aq = a[g - 1], a[p - 1], a[qq - 1]
-        sg, sp, sq = s[g - 1], s[p - 1], s[qq - 1]
-        chosen[(g, p)] = (
-            frozenset(r for r in range(1, ag + 1) if sg[r - 1] == 1),
-            frozenset(r for r in range(1, ap + 1) if sp[r - 1] == 0),
-        )
-        chosen[(p, qq)] = (
-            frozenset(r for r in range(1, ap + 1) if sp[ap - r] == 1),
-            frozenset(r for r in range(1, aq + 1) if sq[r - 1] == 0),
-        )
-        chosen[(qq, g)] = (
-            frozenset(r for r in range(1, aq + 1) if sq[aq - r] == 1),
-            frozenset(r for r in range(1, ag + 1) if sg[ag - r] == 0),
-        )
-    return GCCollection(tuple((e, *chosen[e]) for e in sorted(chosen)))
-
-
-def gcc_to_gcs(q: Quiver, a, gcc: GCCollection, i0: int | None = None):
-    """Inverse translation; each vertex's sequence is read off any incident
-    arrow."""
-    a = tuple(a)
-    gateways = _gateways(q, i0)
-    three_cycle_cover(q)
-    s: dict[int, tuple[int, ...]] = {}
-    for (g, p, qq) in gateways.values():
-        ag, ap, aq = a[g - 1], a[p - 1], a[qq - 1]
-        s1_gp, s2_gp = gcc.sets((g, p))
-        s1_pq, s2_pq = gcc.sets((p, qq))
-        s.setdefault(g, tuple(1 if r in s1_gp else 0 for r in range(1, ag + 1)))
-        s.setdefault(p, tuple(0 if r in s2_gp else 1 for r in range(1, ap + 1)))
-        s.setdefault(qq, tuple(0 if r in s2_pq else 1 for r in range(1, aq + 1)))
-    for v in q.vertices:
-        s.setdefault(v, tuple())
-    return tuple(s[v] for v in q.vertices)
 
 
 # -- the path-quiver specialization -------------------------------------------------

@@ -455,51 +455,3 @@ def _decompose(q: Quiver, a: tuple[int, ...], support: list[int]) -> tuple:
         order = [i for i, _ in p.crossings]  # from the smaller end, as `path_order`
         out.append((p.b_vector, order if order[0] < order[-1] else order[::-1]))
     return tuple(out)
-
-
-# -- svg ----------------------------------------------------------------------
-
-
-def _polygon_xy(size: int, corner: int, radius: float = 200.0):
-    import math
-
-    ang = math.pi / 2 + 2 * math.pi * corner / size
-    return radius * math.cos(ang) + 250, 250 - radius * math.sin(ang)
-
-
-def pipelines_svg(ps: PipelineSet) -> str:
-    """Cosmetic drawing of a pipeline set on a regular polygon layout."""
-    t = ps.triangulation
-    count = {lbl: (ps.a[lbl - 1] if lbl <= t.n else 0) for lbl in t.edges}
-
-    def point_xy(label: int, rank: int):
-        (u, w) = t.edges[label]
-        x1, y1 = _polygon_xy(t.size, u)
-        x2, y2 = _polygon_xy(t.size, w)
-        f = rank / (count[label] + 1)
-        return x1 + f * (x2 - x1), y1 + f * (y2 - y1)
-
-    def node_xy(node):
-        return point_xy(node[1], node[2]) if node[0] == "pt" else _polygon_xy(t.size, node[1])
-
-    parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="500" height="500">']
-    for lbl, (u, w) in sorted(t.edges.items()):
-        x1, y1 = _polygon_xy(t.size, u)
-        x2, y2 = _polygon_xy(t.size, w)
-        color = "#888" if lbl > t.n else "#000"
-        parts.append(f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
-                     f'stroke="{color}" stroke-width="1"/>')
-        if lbl <= t.n:
-            parts.append(f'<text x="{(x1 + x2) / 2:.1f}" y="{(y1 + y2) / 2:.1f}" '
-                         f'font-size="12">{lbl}</text>')
-    for p1, p2 in ps.pipes:
-        x1, y1 = node_xy(p1)
-        x2, y2 = node_xy(p2)
-        parts.append(f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
-                     f'stroke="#d22" stroke-width="1.5"/>')
-    for lbl in range(1, t.n + 1):
-        for r in range(1, count[lbl] + 1):
-            x, y = point_xy(lbl, r)
-            parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="2.5" fill="#d22"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"

@@ -1,6 +1,6 @@
 """Explicit broken lines for the cluster variables of a type-A quiver.
 
-Every witness marking of the path subquiver maps to one broken line: the
+`broken_lines` builds one line per witness marking of the path subquiver: a
 line starts in the direction opposite to the g-vector and bends once on the
 coordinate wall of each unmarked position, walls visited in the order given
 by repeatedly flipping the smallest adjustable position.  The endpoint obeys
@@ -466,21 +466,6 @@ def _certify(walls, points, base, band):
                     f"coordinate {w} of point {ip} drifted out of its band")
 
 
-def broken_line_from_gcs(qtilde: Quiver, linear_vertices, s,
-                         endpoint: Endpoint | None = None) -> BrokenLine:
-    """Broken line of one marking in the even-rank case."""
-    rel = relabel_for_path(qtilde, linear_vertices)
-    return _build(rel, s, _request(rel, endpoint, False), False)
-
-
-def principal_broken_line(qtilde: Quiver, linear_vertices, s,
-                          endpoint: Endpoint | None = None) -> BrokenLine:
-    """Broken line of one marking over the doubled coordinates; restricting
-    the final monomial to the first block recovers the plain witness term."""
-    rel = relabel_for_path(qtilde, linear_vertices)
-    return _build(rel, s, _request(rel, endpoint, True), True)
-
-
 def broken_lines(qtilde: Quiver, linear_vertices, endpoint: Endpoint | None = None,
                  principal: bool | None = None, *,
                  rel: PathRelabeling | None = None) -> list[BrokenLine]:
@@ -541,34 +526,3 @@ def theta_from_broken_lines(qtilde: Quiver, linear_vertices,
     if lines is None:
         lines = broken_lines(qtilde, linear_vertices, endpoint, rel=rel)
     return affine_sum(*_line_terms(rel, lines))
-
-
-def broken_line_svg(line: BrokenLine, plane: tuple[int, int]) -> str:
-    """Projection of the trajectory onto two coordinates (cosmetic)."""
-    i, j = plane
-    pts = [line.endpoint] + list(reversed(line.bends))
-    m0 = line.directions[0]
-    start = pts[-1]
-    tail = tuple(start[r] - 3 * m0[r] for r in range(len(start)))
-    chain = [tail] + list(reversed(pts))
-    xs = [float(p[i - 1]) for p in chain]
-    ys = [float(p[j - 1]) for p in chain]
-    span = max(max(map(abs, xs)), max(map(abs, ys)), 1e-9)
-    scale = 200 / span
-
-    def xy(k):
-        return 250 + xs[k] * scale, 250 - ys[k] * scale
-
-    parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="500" height="500">',
-             '<line x1="0" y1="250" x2="500" y2="250" stroke="#ccc"/>',
-             '<line x1="250" y1="0" x2="250" y2="500" stroke="#ccc"/>']
-    for k in range(len(chain) - 1):
-        x1, y1 = xy(k)
-        x2, y2 = xy(k + 1)
-        parts.append(f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
-                     f'stroke="#d22" stroke-width="2"/>')
-    for k in range(1, len(chain)):
-        x, y = xy(k)
-        parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="3" fill="#000"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"

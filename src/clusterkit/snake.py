@@ -13,17 +13,12 @@ between them in increasing order.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 
 from .errors import InvalidInput, NotInitialTriangulation
 from .geometry import Triangulation, triangulation_of
 from .laurent import LaurentPoly, field_width, unpack
 from .quiver import CompletelyExtendedLinearQuiver, CompletionResult
-
-TYPE_CHECKING = False  # as typing's; importing typing costs a cold command
-if TYPE_CHECKING:
-    from .formulas import LinearGCC
 
 Label = object  # int (boundary/extension id) or ("d", diagonal, group)
 
@@ -197,64 +192,6 @@ def matching_weight(gamma) -> LaurentPoly:
     return LaurentPoly.monomial(Counter(label_variable(lbl) for lbl in gamma))
 
 
-# -- matchings <-> path-quiver witnesses ------------------------------------------
-
-
-def psi_matching_to_gcc(d: SnakeDiagram, gamma) -> LinearGCC:
-    from .formulas import LinearGCC  # only the witness bijections read formulas
-
-    celq = d.celq
-    n = celq.n
-    if n == 1:
-        bit = 1 if gamma[0] == celq.start0 else 0
-        expected_end = celq.end0 if bit == 1 else celq.end1
-        if gamma[1] != expected_end:
-            raise InvalidInput("matching end edges are inconsistent")
-        return LinearGCC(1, (), bit)
-    pairs = []
-    for i in range(1, n):
-        delta_i = celq.delta[i - 1]
-        lbl = gamma[i]
-        if lbl == ("d", i, i):
-            pairs.append((delta_i, 1 - delta_i))
-        elif lbl == ("d", i + 1, i):
-            pairs.append((1 - delta_i, delta_i))
-        elif lbl == celq.mid(i):
-            pairs.append((0, 0))
-        else:
-            raise InvalidInput(f"unexpected edge {lbl} in group {i}")
-    return LinearGCC(n, tuple(pairs))
-
-
-def psi_gcc_to_matching(d: SnakeDiagram, w: LinearGCC):
-    celq = d.celq
-    n = celq.n
-    if n == 1:
-        if w.end_bit == 1:
-            return (celq.start0, celq.end0)
-        return (celq.start1, celq.end1)
-    gamma: list = []
-    delta = celq.delta
-    d1 = delta[0]
-    first = w.pairs[0][d1]
-    gamma.append(celq.start0 if first == 1 - d1 else celq.start1)
-    for i in range(1, n):
-        s1, s2 = w.pairs[i - 1]
-        di = delta[i - 1]
-        if (s1, s2) == (di, 1 - di):
-            gamma.append(("d", i, i))
-        elif (s1, s2) == (1 - di, di):
-            gamma.append(("d", i + 1, i))
-        elif (s1, s2) == (0, 0):
-            gamma.append(celq.mid(i))
-        else:
-            raise InvalidInput(f"invalid witness pair {(s1, s2)}")
-    dn = delta[n - 2]
-    last = w.pairs[n - 2][1 - dn]
-    gamma.append(celq.end0 if last == dn else celq.end1)
-    return tuple(gamma)
-
-
 # -- T-paths -----------------------------------------------------------------------
 
 
@@ -267,19 +204,6 @@ class TPath:
         for pos, lbl in enumerate(self.labels, start=1):
             expo[lbl] = expo.get(lbl, 0) + (1 if pos % 2 else -1)
         return LaurentPoly.monomial(expo)
-
-
-def _edge_rank(celq: CompletelyExtendedLinearQuiver) -> dict[int, int]:
-    """Total order of triangulation labels along the staircase."""
-    n = celq.n
-    rank = {celq.start0: 0, celq.start1: 1}
-    for j in range(1, n + 1):
-        rank[j] = 2 * j
-        if j < n:
-            rank[celq.mid(j)] = 2 * j + 1
-    rank[celq.end0] = 2 * n + 1
-    rank[celq.end1] = 2 * n + 2
-    return rank
 
 
 def _tpath_walk(t: Triangulation, step, zero):
@@ -343,123 +267,3 @@ def _tpath_terms(comp: CompletionResult):
 def _tpath_count(comp: CompletionResult) -> int:
     """The number of T-paths of a completed path; no path is built."""
     return sum(1 for _ in _tpath_walk(triangulation_of(comp.celq), lambda lbl, even: 0, 0))
-
-
-# -- folding between matchings and complete T-paths ---------------------------------
-
-
-class CompleteTPath:
-    """Label sequence of length 2n+1 whose even positions run through the
-    diagonals in order; labels may repeat in adjacent pairs."""
-
-    def __init__(self, labels: tuple[int, ...]):
-        self.labels = labels
-
-    def __eq__(self, other):
-        return self.__class__ is other.__class__ and self.labels == other.labels
-
-    def value(self) -> LaurentPoly:
-        return TPath(self.labels).value()
-
-
-def fold(d: SnakeDiagram, gamma) -> CompleteTPath:
-    """Project a matching to its complete T-path: diagonals interleave the
-    projected group representatives."""
-    n = d.n
-    labels: list[int] = []
-    for j in range(n + 1):
-        labels.append(label_variable(gamma[j]))
-        if j < n:
-            labels.append(j + 1)
-    return CompleteTPath(tuple(labels))
-
-
-def unfold(d: SnakeDiagram, theta: CompleteTPath):
-    """Inverse projection: each odd entry lifts into the unique matching edge
-    of its group."""
-    celq = d.celq
-    n = d.n
-    L = theta.labels
-    if len(L) != 2 * n + 1:
-        raise InvalidInput(f"complete path needs length {2 * n + 1}")
-    gamma: list = []
-    first = L[0]
-    if first not in (celq.start0, celq.start1):
-        raise InvalidInput(f"bad first edge {first}")
-    gamma.append(first)
-    for j in range(1, n):
-        lbl = L[2 * j]
-        if lbl == j:
-            gamma.append(("d", j, j))
-        elif lbl == j + 1:
-            gamma.append(("d", j + 1, j))
-        elif lbl == celq.mid(j):
-            gamma.append(celq.mid(j))
-        else:
-            raise InvalidInput(f"entry {lbl} cannot lie in group {j}")
-    last = L[2 * n]
-    if last not in (celq.end0, celq.end1):
-        raise InvalidInput(f"bad last edge {last}")
-    gamma.append(last)
-    return tuple(gamma)
-
-
-def complete_path(celq: CompletelyExtendedLinearQuiver, alpha: TPath) -> CompleteTPath:
-    """Insert doubled diagonals so every diagonal sits at its even slot while
-    keeping the label sequence nondecreasing."""
-    rank = _edge_rank(celq)
-    labels = list(alpha.labels)
-    for j in range(1, celq.n + 1):
-        if len(labels) < 2 * j or labels[2 * j - 1] != j:
-            ranks = [rank[x] for x in labels]
-            at = bisect_left(ranks, rank[j])
-            labels[at:at] = [j, j]
-    theta = CompleteTPath(tuple(labels))
-    for j in range(1, celq.n + 1):
-        if theta.labels[2 * j - 1] != j:
-            raise InvalidInput("completion failed to align the diagonals")
-    return theta
-
-
-def reduce_path(theta: CompleteTPath) -> TPath:
-    """Cancel doubled labels pairwise (each pair contributes weight one); a
-    label appearing an odd number of times keeps one copy."""
-    counts: dict[int, int] = {}
-    for lbl in theta.labels:
-        counts[lbl] = counts.get(lbl, 0) + 1
-    out = []
-    emitted: dict[int, int] = {}
-    for lbl in theta.labels:
-        seen = emitted.get(lbl, 0)
-        if seen < counts[lbl] % 2:
-            out.append(lbl)
-        emitted[lbl] = seen + 1
-    return TPath(tuple(out))
-
-
-# -- svg ------------------------------------------------------------------------------
-
-
-def snake_svg(d: SnakeDiagram, gamma=None) -> str:
-    """Grid drawing of the diagram, optionally highlighting one matching."""
-    scale, pad = 60, 30
-    maxy = max(y for _, y in d.tiles) + 1
-
-    def xy(v):
-        return pad + v[0] * scale, pad + (maxy - v[1]) * scale
-
-    chosen_edges = set()
-    if gamma is not None:
-        chosen_edges = {d.edge_of_label[lbl] for lbl in gamma}
-    parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="600" height="400">']
-    for e, lbl in sorted(d.label_of_edge.items(), key=lambda kv: str(kv)):
-        (x1, y1), (x2, y2) = xy(e[0]), xy(e[1])
-        width = 4 if e in chosen_edges else 1
-        color = "#d22" if e in chosen_edges else "#000"
-        parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-                     f'stroke="{color}" stroke-width="{width}"/>')
-        name = f"x{label_variable(lbl)}"
-        parts.append(f'<text x="{(x1 + x2) / 2 + 3}" y="{(y1 + y2) / 2 - 3}" '
-                     f'font-size="11">{name}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"

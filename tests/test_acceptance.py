@@ -7,7 +7,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
-from clusterkit import engine, formulas, geometry, harness, scattering, snake
+from clusterkit import bijections, engine, formulas, geometry, harness, scattering, snake
 from clusterkit.laurent import LaurentPoly, canonical_string, poly_product
 from clusterkit.quiver import (
     Quiver,
@@ -147,7 +147,7 @@ def test_criterion_4_broken_line_example():
         rel = scattering.relabel_for_path(q, sup)
         ws = scattering.w_sequence(rel, (0, 0, 0))
         assert ws.walls == (2, 3, 1)
-        line = scattering.broken_line_from_gcs(q, sup, (0, 0, 0))
+        line = bijections.broken_line_from_gcs(q, sup, (0, 0, 0))
         assert line.directions[1] == (-1, -1, -1, 1)
         assert line.directions[2] == (-1, 0, -1, 1)
         assert line.directions[3] == (-1, 1, -1, 0)
@@ -194,23 +194,23 @@ def test_criterion_6_bijection_suites():
                 witnesses = list(formulas.enumerate_linear_gcc(celq))
                 assert len(matchings) == len(witnesses)
                 for gamma in matchings:
-                    w = snake.psi_matching_to_gcc(d, gamma)
-                    assert snake.psi_gcc_to_matching(d, w) == gamma
+                    w = bijections.psi_matching_to_gcc(d, gamma)
+                    assert bijections.psi_gcc_to_matching(d, w) == gamma
                 for w in witnesses:
-                    gamma = snake.psi_gcc_to_matching(d, w)
-                    assert snake.psi_matching_to_gcc(d, gamma) == w
+                    gamma = bijections.psi_gcc_to_matching(d, w)
+                    assert bijections.psi_matching_to_gcc(d, gamma) == w
                     assert formulas.linear_gcc_weight(celq, w) == snake.matching_weight(gamma)
                 if n > 5:
                     continue
                 t = geometry.triangulation_of(celq)
                 for gamma in matchings:
-                    theta = snake.fold(d, gamma)
-                    assert snake.unfold(d, theta) == gamma
+                    theta = bijections.fold(d, gamma)
+                    assert bijections.unfold(d, theta) == gamma
                 for alpha in snake.triangulation_tpaths(t, celq):
-                    theta = snake.complete_path(celq, alpha)
-                    assert snake.reduce_path(theta).labels == alpha.labels
+                    theta = bijections.complete_path(celq, alpha)
+                    assert bijections.reduce_path(theta).labels == alpha.labels
                     assert theta.value() == alpha.value()
-                    assert snake.fold(d, snake.unfold(d, theta)) == theta
+                    assert bijections.fold(d, bijections.unfold(d, theta)) == theta
         # bit-sequence <-> collection translation on quivers with triangles
         cases = [(THREE_CYCLE, (2, 2, 2)), (THREE_CYCLE, (3, 2, 1)),
                  (THREE_CYCLE, (2, 4, 2))]
@@ -221,9 +221,9 @@ def test_criterion_6_bijection_suites():
             gcc_list = list(formulas.enumerate_gcc(q, a))
             base = formulas.term_base(q, a)
             for s in formulas.enumerate_gcs(q, a):
-                g = formulas.gcs_to_gcc(q, a, s)
+                g = bijections.gcs_to_gcc(q, a, s)
                 assert g in gcc_list
-                assert formulas.gcc_to_gcs(q, a, g) == s
+                assert bijections.gcc_to_gcs(q, a, g) == s
                 assert formulas.gcs_weight(q, a, s, base) == formulas.gcc_weight(g, base)
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import os
 from pathlib import Path
+import re
 import subprocess
 import sys
 import time
@@ -293,9 +294,15 @@ _A3_TEXT = b"n 3 frozen none\n1 2\n2 3\n"
      ("expand", "--dvector", "1,1,1"), "bad quiver JSON"),
     (b'{"n": 3, "arrows": ["12", [2, 3]]}', ("expand", "--dvector", "1,1,1"),
      "bad quiver JSON"),
+    (b"", ("expand", "--dvector", "1"), "empty quiver file"),
+    (b"\n  \n", ("count", "--dvector", "1"), "empty quiver file"),
+    (b"n3 frozen none\n1 2\n", ("expand", "--dvector", "1,0,0"),
+     "bad header line: 'n3 frozen none'"),
+    (b"1 2\n2 3\n", ("decompose", "--dvector", "1,0,0"), "bad header line: '1 2'"),
 ], ids=["frozen-token", "empty-frozen-entry", "arrow-token", "not-utf8",
         "pipelines-svg", "snake-svg", "broken-lines-svg", "json-float-n",
-        "json-float-arrow-end", "json-bool-frozen", "json-string-arrow"])
+        "json-float-arrow-end", "json-bool-frozen", "json-string-arrow",
+        "empty-file", "blank-file", "header-without-space", "header-missing"])
 def test_file_errors_are_invalid_input(tmp_path, capsys, quiver, argv, message):
     """Malformed or undecodable quiver files and unwritable SVG paths end in
     the error envelope with exit 2, never in a traceback."""
@@ -338,6 +345,33 @@ def test_crosscheck_json_timings(three_cycle_file, capsys):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert all("timings" not in row for row in json.loads(out)["rows"])
+
+
+def test_crosscheck_text_timings(three_cycle_file, capsys):
+    """`--timings` in text adds one line of per-model times under each row
+    and changes nothing else."""
+    argv = ("crosscheck", "--quiver", three_cycle_file, "--models", "mutation,gcs")
+    code, out, err = run(capsys, *argv, "--timings")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    times = [ln for ln in lines if ln.startswith("      ")]
+    assert len(times) == 6 and all(
+        re.fullmatch(r" {6}mutation:\d+\.\dms gcs:\d+\.\dms", ln) for ln in times)
+    assert all(lines[k - 1].startswith("PASS  d=") for k, ln in enumerate(lines) if ln in times)
+    assert run(capsys, *argv) == (0, "".join(ln + "\n" for ln in lines if ln not in times), "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("snake", "--quiver", "{q}", "--dvector", "1,2,0"),
+     "snake diagrams are drawn per variable: use a 0-1 d-vector"),
+    (("snake", "--quiver", "{q}", "--dvector", "-1,0,0"),
+     "snake diagrams are drawn per variable: use a 0-1 d-vector"),
+    (("crosscheck",), "crosscheck needs --quiver or --random N"),
+], ids=["snake-two", "snake-negative", "crosscheck-no-quiver"])
+def test_refused_options_print_one_envelope(three_cycle_file, capsys, argv, message):
+    """Exit 2, nothing on stdout, and the whole envelope on stderr."""
+    assert run(capsys, *(a.format(q=three_cycle_file) for a in argv)) == (2, "", json.dumps(
+        {"code": "InvalidInput", "message": message, "context": {"command": argv[0]}}) + "\n")
 
 
 def test_snake_matching_out_of_range(table_quiver_file, tmp_path, capsys):
@@ -446,6 +480,15 @@ finally:
     (["--help"], set()),
     (["expand", "--help"], set()),
     (["snake", "--quiver", "{q}", "--dvector", "1,1,1,0"], {"geometry", "snake"}),
+    # the bijections load for no command, and the drawings only under --svg
+    (["count", "--quiver", "{q}", "--dvector", "0,1,1,0", "--model", "matching",
+      "--list-witnesses"], {"geometry", "harness", "snake"}),
+    (["broken-lines", "--quiver", "{q}", "--subquiver", "2,3"],
+     {"geometry", "formulas", "scattering"}),
+    (["pipelines", "--quiver", "{q}", "--dvector", "1,1,0,0", "--svg", "{svg}"],
+     {"geometry", "svg"}),
+    (["snake", "--quiver", "{q}", "--dvector", "1,1,1,0", "--svg", "{svg}"],
+     {"geometry", "snake", "svg"}),
 ])
 def test_a_fresh_command_loads_only_the_modules_it_runs(tmp_path, argv, extra):
     """Each command imports only what it runs, in a new interpreter: a count
@@ -455,7 +498,7 @@ def test_a_fresh_command_loads_only_the_modules_it_runs(tmp_path, argv, extra):
     path.write_text(to_text(Quiver(4, ((1, 2), (2, 3), (3, 4)))))
     src = str(Path(clusterkit.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", LOADED,
-                           *(a.format(q=path) for a in argv)],
+                           *(a.format(q=path, svg=tmp_path / "out.svg") for a in argv)],
                           capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=src))
     loaded = proc.stderr.splitlines()[-1].split()

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from clusterkit.bijections import gcc_to_gcs, gcs_to_gcc
 from clusterkit.engine import cluster_variable
 from clusterkit.errors import AssumptionViolated, NotInW, Unreachable
 from clusterkit.formulas import (
@@ -13,9 +14,7 @@ from clusterkit.formulas import (
     enumerate_linear_gcc,
     enumerate_variable_gcs,
     formula_gcs,
-    gcc_to_gcs,
     gcc_weight,
-    gcs_to_gcc,
     gcs_weight,
     linear_gcc_weight,
     maximal_dyck_path,

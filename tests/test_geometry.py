@@ -9,7 +9,6 @@ from clusterkit.geometry import (
     Triangulation,
     build_pipelines,
     decompose,
-    pipelines_svg,
     positive_split,
     quiver_of,
     require_in_w,
@@ -26,6 +25,7 @@ from clusterkit.quiver import (
     LinearQuiver,
     Quiver,
 )
+from clusterkit.svg import pipelines_svg
 from conftest import path_quiver
 from reference import b_vectors, d_vector_of
 

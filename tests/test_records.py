@@ -18,7 +18,7 @@ import sys
 import pytest
 
 import clusterkit
-from clusterkit import engine, formulas, geometry, harness, quiver, scattering, snake
+from clusterkit import bijections, engine, formulas, geometry, harness, quiver, scattering, snake
 from clusterkit.errors import InvalidInput, VertexOutOfRange
 from clusterkit.laurent import LaurentPoly
 from clusterkit.quiver import (
@@ -63,7 +63,7 @@ RECORDS = [
     (scattering.BrokenLine, ("s", "walls", "moves", "principal", "scale", "base", "lams"), {}),
     (snake.SnakeDiagram, ("celq", "tiles", "edge_of_label", "label_of_edge", "pl_groups"), {}),
     (snake.TPath, ("labels",), {}),
-    (snake.CompleteTPath, ("labels",), {}),
+    (bijections.CompleteTPath, ("labels",), {}),
 ]
 NAMES = [cls.__name__ for cls, _, _ in RECORDS]
 
@@ -195,8 +195,8 @@ def test_witness_records_compare_by_their_fields():
     assert g != formulas.GCCollection((((1, 2), frozenset(), frozenset({1})),))
     assert formulas.LinearGCC(2, ((0, 1),)) == formulas.LinearGCC(2, ((0, 1),), None)
     assert formulas.LinearGCC(1, (), 0) != formulas.LinearGCC(1, (), 1)
-    assert snake.CompleteTPath((1, 2, 3)) == snake.CompleteTPath((1, 2, 3))
-    assert snake.CompleteTPath((1, 2, 3)) != snake.CompleteTPath((3, 2, 1))
+    assert bijections.CompleteTPath((1, 2, 3)) == bijections.CompleteTPath((1, 2, 3))
+    assert bijections.CompleteTPath((1, 2, 3)) != bijections.CompleteTPath((3, 2, 1))
 
 
 def test_seeds_compare_by_their_fields():

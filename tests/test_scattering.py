@@ -5,6 +5,7 @@ import time
 import pytest
 
 from clusterkit import scattering
+from clusterkit.bijections import broken_line_from_gcs, principal_broken_line
 from clusterkit.engine import cluster_variable, g_vector_by_formula
 from clusterkit.errors import (
     ClusterKitError,
@@ -28,15 +29,13 @@ from clusterkit.quiver import (
 from clusterkit.scattering import (
     Endpoint,
     adjustable_positions,
-    broken_line_from_gcs,
-    broken_line_svg,
     broken_lines,
     default_endpoint,
-    principal_broken_line,
     relabel_for_path,
     theta_from_broken_lines,
     w_sequence,
 )
+from clusterkit.svg import broken_line_svg
 from conftest import path_quiver
 from reference import certify_travel_bounds, exchange_matrix, g_direction, validate_endpoint
 

@@ -1,6 +1,16 @@
 import random
 from itertools import product
 
+from clusterkit.bijections import (
+    CompleteTPath,
+    _edge_rank,
+    complete_path,
+    fold,
+    psi_gcc_to_matching,
+    psi_matching_to_gcc,
+    reduce_path,
+    unfold,
+)
 from clusterkit.engine import enumerate_cluster_variables
 from clusterkit.errors import InvalidInput
 from clusterkit.formulas import enumerate_linear_gcc, linear_gcc_weight
@@ -14,20 +24,13 @@ from clusterkit.quiver import (
     linear_full_subquivers,
 )
 from clusterkit.snake import (
-    CompleteTPath,
     TPath,
     build_snake,
-    complete_path,
     enumerate_matchings,
-    fold,
     matching_weight,
-    psi_gcc_to_matching,
-    psi_matching_to_gcc,
-    reduce_path,
-    snake_svg,
     triangulation_tpaths,
-    unfold,
 )
+from clusterkit.svg import snake_svg
 from conftest import whole_path_value
 from reference import substitution_then_rename
 
@@ -235,8 +238,6 @@ def test_complete_tpath_is_nondecreasing():
     rng = random.Random(9)
     for celq in all_celqs(5):
         t = triangulation_of(celq)
-        from clusterkit.snake import _edge_rank
-
         rank = _edge_rank(celq)
         for alpha in triangulation_tpaths(t, celq):
             theta = complete_path(celq, alpha)
