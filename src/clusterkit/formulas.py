@@ -23,7 +23,7 @@ from collections.abc import Mapping
 from itertools import accumulate
 
 from .errors import AssumptionViolated, Unreachable
-from .geometry import _require_nonnegative, sigma_int
+from .geometry import _overlap, _require_nonnegative
 from .laurent import LaurentPoly, affine_sum, bits, field_width, mono, unpack
 from .quiver import CompletelyExtendedLinearQuiver, CompletionResult, Quiver, require_path
 
@@ -110,9 +110,9 @@ def _overlaps(q: Quiver, a, support) -> dict[tuple[int, int], int]:
             if (v, h) in cover and (v, h) not in ov:
                 i, j, k = cover[(v, h)]
                 x, y, z = a[i - 1], a[j - 1], a[k - 1]
-                ov[(i, j)] = sigma_int(x, y, z)
-                ov[(j, k)] = sigma_int(y, z, x)
-                ov[(k, i)] = sigma_int(z, x, y)
+                ov[(i, j)] = _overlap(x, y, z)
+                ov[(j, k)] = _overlap(y, z, x)
+                ov[(k, i)] = _overlap(z, x, y)
     return ov
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Mapping
-from itertools import chain, combinations, compress, count
+from itertools import chain, combinations, compress, count, repeat
 from types import MappingProxyType
 
 from .errors import NegativeInput, NotInW, NotTypeA, PositivePartNotInW
@@ -350,87 +350,104 @@ def build_pipelines(q: Quiver, a) -> PipelineSet:
 
 def _pipelines(q: Quiver, a: tuple[int, ...], support) -> PipelineSet:
     """`build_pipelines` on a checked nonnegative vector with its support:
-    only the faces at the support hold marked points, and only they are read."""
-    t = q._triangulation
-    faces, at = t._faces
-    count = lambda label: a[label - 1] if label <= t.n else 0
+    the strands with their ids read back as marked points ("pt", s, r) and
+    corners ("vx", c)."""
+    strands, pipes = _strands(q, a, support)
+    node = [("pt", s, r) for s in support for r in range(1, a[s - 1] + 1)]
+    tag = lambda x: node[x] if x >= 0 else ("vx", -1 - x)
+    pipelines = sorted((Pipeline(tuple(sorted((-1 - ids[0], -1 - ids[-1]))),
+                                 tuple(node[x][1:] for x in ids[1:-1]), b)
+                        for b, _, ids in strands),
+                       key=lambda p: (p.b_vector, p.endpoints, p.crossings))
+    return PipelineSet(q, q._triangulation, a, tuple(pipelines),
+                       tuple((tag(x), tag(y)) for x, y in pipes))
 
-    def rank_from(label: int, corner: int, r: int) -> int:
-        """Canonical rank (counted from the smaller corner) of the r-th
-        marked point counted from the given corner."""
-        u, w = t.edges[label]
-        return r if corner == u else count(label) + 1 - r
 
-    pipes: list[tuple] = []
-    for corners, sides in (faces[ti] for ti in sorted({ti for v in support for ti in at[v]})):
-        # two sides meet at the corner opposite the third; only a side with
-        # more points than the other two together has points left over
-        opposite = {sides[m]: corners[m - 1] for m in range(3)}
-        used: dict[int, set[int]] = {s: set() for s in sides}
-        for sx, sy in combinations(sorted(sides), 2):
-            sz = next(s for s in sides if s not in (sx, sy))
-            s_val = sigma_int(count(sx), count(sy), count(sz))
-            common = opposite[sz]
-            for r in range(1, s_val + 1):
-                rx, ry = rank_from(sx, common, r), rank_from(sy, common, r)
-                pipes.append((("pt", sx, rx), ("pt", sy, ry)))
-                used[sx].add(rx)
-                used[sy].add(ry)
-        for s in sides:
-            for r in range(1, count(s) + 1):
-                if r not in used[s]:
-                    pipes.append((("pt", s, r), ("vx", opposite[s])))
+def _overlap(x: int, y: int, z: int) -> int:
+    """`sigma_int` of nonnegative counts, 0 without the parity question when
+    x = 0, y = 0 or z >= x + y, where sigma is exactly 0."""
+    return 0 if not x or not y or z >= x + y else sigma_int(x, y, z)
 
-    adjacency: dict[tuple, list[tuple]] = {}
-    for p1, p2 in pipes:
-        adjacency.setdefault(p1, []).append(p2)
-        adjacency.setdefault(p2, []).append(p1)
-    for node, nb in adjacency.items():
-        if node[0] == "pt" and len(nb) != 2:
-            raise NotInW(f"marked point {node} lies on {len(nb)} pipes")
 
-    seen: set[tuple] = set()
-    pipelines = []
+def _strands(q: Quiver, a: tuple[int, ...], support) -> tuple[list, list]:
+    """The pipelines of a checked nonnegative vector on integer ids, as
+    (b-vector, diagonals crossed in order, ids from corner to corner) in the
+    order of their least point, and the pipes as id pairs in laying order.
 
-    def walk(cur, prev):
-        out = []
-        while cur[0] == "pt":
-            if cur in seen:
-                raise NotInW("pipes form a closed loop")
-            seen.add(cur)
-            out.append(cur)
-            nxt = next(x for x in adjacency[cur] if x != prev)
-            prev, cur = cur, nxt
-        out.append(cur)
-        return out
+    Marked point r of diagonal s is `first[s] + r - 1` (the support is in
+    order, so ids follow (label, rank)) and corner c is `-1 - c`.  Only the
+    faces at the support hold points.  In a face, two sides with points
+    meeting at a corner join sigma of them rank by rank from it, pairs in
+    label order; a side's leftover points, the ranks between those its two
+    pairs take, run to the opposite corner.  Point p's two pipe ends are
+    `nb[2 p]` and `nb[2 p + 1]`, in pipe order, so a chain keeps its
+    direction."""
+    n, (faces, at) = q.n, q._triangulation._faces
+    first, label = {}, []
+    for s in support:
+        first[s] = len(label)
+        label += [s] * a[s - 1]
+    pipes = []
+    for ti in sorted({ti for v in support for ti in at[v]}):
+        corners, sides = faces[ti]
+        counts = [a[s - 1] if s <= n else 0 for s in sides]
+        used = [0] * 6  # side m's ranks taken from its smaller corner (2 m) and its larger
+        live = [m for m in (0, 1, 2) if counts[m]]
+        for mx, my in combinations(sorted(live, key=sides.__getitem__), 2):
+            mz = 3 - mx - my
+            if not (k := _overlap(counts[mx], counts[my], counts[mz])):
+                continue
+            common, runs = corners[mz - 1], []  # the corner opposite the third side
+            for m in (mx, my):  # side m joins corners m and m + 1, the smaller m & 1
+                f, up = first[sides[m]], common == corners[m & 1]
+                used[2 * m + (not up)] = k
+                runs.append(range(f, f + k) if up else
+                            range(f + counts[m] - 1, f + counts[m] - 1 - k, -1))
+            pipes += zip(*runs)
+        for m in live:
+            f = first[sides[m]]
+            pipes += zip(range(f + used[2 * m], f + counts[m] - used[2 * m + 1]),
+                         repeat(-1 - corners[m - 1]))
+    size = len(label)
+    nb, deg = [0] * (2 * size), bytearray(size)
+    for p, x in pipes:  # a third end overwrites the second; deg still counts it
+        nb[2 * p + (deg[p] > 0)] = x
+        deg[p] += 1
+        if x >= 0:
+            nb[2 * x + (deg[x] > 0)] = p
+            deg[x] += 1
+    if deg.count(2) != size:
+        p = next(p for p in range(size) if deg[p] != 2)
+        raise NotInW(f"marked point {('pt', label[p], p - first[label[p]] + 1)} "
+                     f"lies on {deg[p]} pipes")
 
-    for node in sorted(adjacency):
-        if node[0] != "pt" or node in seen:
+    seen, strands, total = bytearray(size), [], [0] * n
+    for p in range(size):
+        if seen[p]:
             continue
-        seen.add(node)
-        first, second = adjacency[node]
-        chain = list(reversed(walk(first, node))) + [node] + walk(second, node)
-        left, right = chain[0], chain[-1]
-        inner = [c for c in chain if c[0] == "pt"]
-        diagonals = [c[1] for c in inner]
-        if len(set(diagonals)) != len(diagonals):
-            raise NotInW("a pipeline crosses a diagonal twice")
-        b = [0] * q.n
-        for i in diagonals:
-            b[i - 1] = 1
-        pipelines.append(Pipeline(
-            endpoints=(min(left[1], right[1]), max(left[1], right[1])),
-            crossings=tuple((c[1], c[2]) for c in inner),
-            b_vector=tuple(b),
-        ))
-    total = [0] * q.n
-    for p in pipelines:
-        for i, _ in p.crossings:
-            total[i - 1] += 1
+        seen[p] = 1
+        ids = [p]
+        for end in (1, 0):  # out past p's second pipe, turn, out past its first, turn
+            prev, cur = p, nb[2 * p + end]
+            while cur >= 0:
+                if seen[cur]:
+                    raise NotInW("pipes form a closed loop")
+                seen[cur] = 1
+                ids.append(cur)
+                prev, cur = cur, nb[2 * cur] if nb[2 * cur] != prev else nb[2 * cur + 1]
+            ids.append(cur)
+            ids.reverse()
+        labels = [label[x] for x in ids[1:-1]]
+        b = [0] * n
+        for s in labels:
+            if b[s - 1]:
+                raise NotInW("a pipeline crosses a diagonal twice")
+            b[s - 1] = 1
+            total[s - 1] += 1
+        strands.append((tuple(b), labels, ids))
     if tuple(total) != a:
         raise NotInW(f"pipeline supports sum to {tuple(total)}, expected {a}")
-    pipelines.sort(key=lambda p: (p.b_vector, p.endpoints, p.crossings))
-    return PipelineSet(q, t, a, tuple(pipelines), tuple(pipes))
+    return strands, pipes
 
 
 def decompose(q: Quiver, a) -> tuple[tuple[int, ...], ...]:
@@ -443,15 +460,13 @@ def decompose(q: Quiver, a) -> tuple[tuple[int, ...], ...]:
 def _decompose(q: Quiver, a: tuple[int, ...], support: list[int]) -> tuple:
     """`decompose` of a checked vector with its support, as sorted (factor,
     the path order of its support) pairs: O(support) on a path, else the
-    (sorted) pipelines.  A pipeline crosses its diagonals in path order:
-    consecutive crossings share a face, and a pipeline crossing no diagonal
-    twice meets no face twice, so no other two crossed diagonals share one."""
+    strands.  A pipeline crosses its diagonals in path order: consecutive
+    crossings share a face, and a pipeline crossing no diagonal twice meets
+    no face twice, so no other two crossed diagonals share one."""
     if not support:
         return ()
     if all(a[v - 1] == 1 for v in support) and (order := path_order(q, support)) is not None:
         return ((a, order),)
-    out = []
-    for p in _pipelines(q, a, support).pipelines:
-        order = [i for i, _ in p.crossings]  # from the smaller end, as `path_order`
-        out.append((p.b_vector, order if order[0] < order[-1] else order[::-1]))
-    return tuple(out)
+    # equal b-vectors are one arc, crossed in one order
+    return tuple(sorted((b, order if order[0] < order[-1] else order[::-1])  # as `path_order`
+                        for b, order, _ in _strands(q, a, support)[0]))

@@ -274,3 +274,21 @@ def test_mutation_builds_no_pipelines(monkeypatch):
             assert cluster_variable(q, b).denominator_vector(q.n) == b
             principal_lift(q, b)
         assert crosscheck(q, ("mutation", "gcs", "matching")).passed
+
+
+def test_decompose_builds_no_pipeline_records(monkeypatch):
+    """A multiple of an arc is decomposed on integer strands: no `Pipeline`
+    or `PipelineSet` is built.  `build_pipelines` still names the ends of
+    its pipes as marked points ("pt", s, r) and corners ("vx", c)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("_decompose built a pipeline record")
+    q, a = Quiver(4, ((1, 2), (3, 2), (3, 4))), (0, 3, 3, 0)
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "Pipeline", refuse)
+        m.setattr(geometry, "PipelineSet", refuse)
+        assert geometry._decompose(q, a, [2, 3]) == (((0, 1, 1, 0), [2, 3]),) * 3
+        assert geometry.decompose(q, (2, 2, 2, 0)) == ((1, 1, 1, 0),) * 2
+    nodes = {node for pipe in geometry.build_pipelines(q, a).pipes for node in pipe}
+    assert {(node[0], len(node)) for node in nodes} == {("pt", 3), ("vx", 2)}
+    assert {node[1:] for node in nodes if node[0] == "pt"} == {(s, r) for s in (2, 3)
+                                                               for r in (1, 2, 3)}

@@ -461,7 +461,7 @@ def test_short_arc_requests_touch_only_their_neighbourhood(monkeypatch):
     monkeypatch.setattr(formulas, "choose_base_vertex", counted("base", formulas.choose_base_vertex))
     monkeypatch.setattr(formulas, "gateway_rotations",
                         counted("gateways", formulas.gateway_rotations))
-    monkeypatch.setattr(formulas, "sigma_int", counted("sigma", formulas.sigma_int))
+    monkeypatch.setattr(formulas, "_overlap", counted("sigma", formulas._overlap))
     signed_rows, exchange = engine._signed_rows, engine._exchange
 
     def recorded_rows(vertices, arrows):

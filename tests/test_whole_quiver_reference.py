@@ -7,14 +7,15 @@ triangulation against the one that sorted the path's neighbours; the
 type-A build that glues by corner ids against the union-find one; and the
 polygon geometry read by corner order (the build's boundary walk, faces by
 span, crossings by order, pipes without a corner map) against the code it
-replaced; and the one-pass derivation of each quiver's structure against the
-whole-quiver passes that rebuilt the completion."""
+replaced; the one-pass derivation of each quiver's structure against the
+whole-quiver passes that rebuilt the completion; and the pipelines on
+integer strands against the tuple-keyed marked points they replaced."""
 
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, count, permutations
+from itertools import combinations, count, groupby, permutations
 import random
 from types import MappingProxyType
 
@@ -71,6 +72,7 @@ from clusterkit.quiver import (
     linear_full_subquivers,
     mutate,
     oriented_three_cycles,
+    path_order,
     require_path,
     require_type_a,
     three_cycle_completion,
@@ -1068,6 +1070,69 @@ def test_pipes_without_a_corner_map_match_the_reference():
         assert got == want and got.pipes == want.pipes, (q, a)
         checked += 1
     assert checked > 500
+
+
+def ref_decompose(q, a, support):
+    """`_decompose` on the tuple-keyed pipelines: the 0-1 path shortcut, else
+    each sorted pipeline's b-vector and crossings from the smaller end."""
+    if not support:
+        return ()
+    if all(a[v - 1] == 1 for v in support) and (order := path_order(q, support)) is not None:
+        return ((a, order),)
+    out = []
+    for p in ref_pipelines(q, a, support).pipelines:
+        order = [i for i, _ in p.crossings]
+        out.append((p.b_vector, order if order[0] < order[-1] else order[::-1]))
+    return tuple(out)
+
+
+def compatible_arc_sum(q, rng):
+    """Up to four pairwise noncrossing polygon diagonals outside the
+    triangulation, each with a multiplicity up to 5: the sum of their
+    crossing vectors is the d-vector of a cluster monomial."""
+    t = q._triangulation
+    arcs = [d for d in combinations(range(t.size), 2)
+            if d not in t.edges.values() and any(t.cross(d, t.edges[s]) for s in q.vertices)]
+    chosen = []
+    for d in rng.sample(arcs, len(arcs)):
+        if len(chosen) == rng.randint(1, 4):
+            break
+        if all(not t.cross(d, e) for e in chosen):
+            chosen.append(d)
+    a = [0] * q.n
+    for d in chosen:
+        k = rng.randint(1, 5)
+        for s in q.vertices:
+            a[s - 1] += k * t.cross(d, t.edges[s])
+    return tuple(a)
+
+
+def test_strands_match_the_tuple_keyed_pipelines():
+    """The integer strands against the tuple-keyed pipelines on random
+    type-A quivers n 1-12, for sums of up to four compatible arcs with
+    multiplicities up to 5 and for box-3 vectors in W: `_decompose`'s
+    factors and path orders, `_pipelines`' pipelines, crossings and pipe
+    order, and the factors with multiplicities a request groups."""
+    rng = random.Random(2301)
+    mutation = harness._TABLE["mutation"]  # prepares (q, factor, path order) as it is
+    shapes = Counter()
+    for k in range(700):
+        q = harness.random_type_a_quiver(1 + k % 12, rng)
+        a = (compatible_arc_sum(q, rng) if k % 3 else
+             tuple(rng.randint(0, 3) for _ in q.vertices))
+        if not geometry.satisfies_property_a(q, a):
+            continue
+        support = geometry.support_of(a)
+        want = ref_decompose(q, a, support)
+        assert geometry._decompose(q, a, support) == want, (q, a)
+        got, ref = geometry._pipelines(q, a, support), ref_pipelines(q, a, support)
+        assert got == ref and got.pipes == ref.pipes, (q, a)
+        grouped = [(x, list(order), len(list(run)))
+                   for (x, order), run in groupby(want, key=lambda f: (f[0], tuple(f[1])))]
+        parts = harness._request(q, a)[2](mutation)
+        assert [(x, ctx[2], m) for x, ctx, m in parts] == grouped, (q, a)
+        shapes[len(want) > len(grouped), k % 3 > 0] += 1  # (a factor repeats, an arc sum)
+    assert shapes[True, True] > 300 and shapes[True, False] > 100 and sum(shapes.values()) > 600
 
 
 # The whole-quiver derivation before it became one pass: the 3-cycles found by
