@@ -284,7 +284,7 @@ def principal_lift(q: Quiver, a) -> LaurentPoly:
     a = tuple(a)
     if -1 in a:  # minus a unit vector
         return plain
-    poly = _walk(q._principal, _mutation_sequence(q, a, support_of(a)))
+    poly = _walk(principal_quiver(q), _mutation_sequence(q, a, support_of(a)))
     if poly.substitute_one([v for v in poly.support() if v > q.n]) != plain:
         raise NotAClusterVariableDVector("principal lift does not specialize correctly")
     return poly

@@ -314,46 +314,6 @@ def formula_gcs(q: Quiver, a, i0: int | None = None) -> LaurentPoly:
     return affine_sum(*_gcs_terms(q, a, support, ov, _term_base(q, a, support, ov), i0))
 
 
-# -- maximal lattice paths -------------------------------------------------------
-
-
-class DyckPath:
-    """Maximal lattice path from (0,0) to (a1,a2) weakly below the diagonal,
-    with corner-first edge labels."""
-
-    def __init__(self, a1: int, a2: int, steps: tuple[str, ...],
-                 h_step_of_label: tuple[int, ...], v_step_of_label: tuple[int, ...]):
-        self.a1 = a1
-        self.a2 = a2
-        self.steps = steps                      # 'H'/'V'
-        self.h_step_of_label = h_step_of_label  # label r (1-based) -> step index
-        self.v_step_of_label = v_step_of_label
-
-    @property
-    def corners(self) -> int:
-        return min(self.a1, self.a2)
-
-
-def maximal_dyck_path(a1: int, a2: int) -> DyckPath:
-    steps: list[str] = []
-    h = 0
-    for x in range(1, a1 + 1):
-        steps.append("H")
-        target = (a2 * x) // a1
-        steps.extend("V" * (target - h))
-        h = target
-    if a1 == 0:
-        steps.extend("V" * a2)
-    h_steps = [i for i, s in enumerate(steps) if s == "H"]
-    v_steps = [i for i, s in enumerate(steps) if s == "V"]
-    corner_h = [i for i in h_steps if i + 1 < len(steps) and steps[i + 1] == "V"]
-    corner_v = [i + 1 for i in corner_h]
-    rest_h = [i for i in h_steps if i not in set(corner_h)]
-    rest_v = [i for i in v_steps if i not in set(corner_v)]
-    return DyckPath(a1, a2, tuple(steps),
-                    tuple(corner_h + rest_h), tuple(corner_v + rest_v))
-
-
 # -- globally compatible collections ----------------------------------------------
 
 
@@ -382,19 +342,18 @@ def _empty_collection(q: Quiver):
 def enumerate_gcc(q: Quiver, a):
     """All globally compatible collections for the vector a.  Only arrows
     meeting the support of a carry bits or labels; each collection fills
-    them in on the quiver's empty collection."""
+    them in on the quiver's empty collection, built once per listing."""
     yield from _gcc(q, *_checked(q, a))
 
 
 def _gcc_system(q: Quiver, a, support, ov):
     """The solver input for the collections of a checked vector: the bit
-    count, the implications, per arrow meeting the support its place in the
-    empty collection and the bits of its horizontals and verticals, and the
-    arrows out of the support (whose horizontals are the bits, in order)."""
+    count, the implications, per arrow meeting the support the bits of its
+    horizontals and verticals, and the arrows out of the support (whose
+    horizontals are the bits, in order)."""
     if q.n == 1:
         raise AssumptionViolated("collections need at least two vertices")
     cover = three_cycle_cover(q)
-    place = q._gcc_template[1]
     outs, ins = q._adjacency
     leaving = sorted((v, h) for v in support for h in outs[v])  # the arrows with bits
     index: dict[tuple[tuple[int, int], int], int] = {}
@@ -424,7 +383,7 @@ def _gcc_system(q: Quiver, a, support, ov):
     fill = []
     for e in leaving + [(t, v) for v in support for t in ins[v] if not a[t - 1]]:
         i, j, _ = cover[e]
-        fill.append((place[e], e, [(r, index[(e, r)]) for r in range(1, a[i - 1] + 1)],
+        fill.append((e, [(r, index[(e, r)]) for r in range(1, a[i - 1] + 1)],
                      [(r, s2_source(e, r)) for r in range(1, a[j - 1] + 1)]))
     return len(index), imps, fill, leaving
 
@@ -432,12 +391,12 @@ def _gcc_system(q: Quiver, a, support, ov):
 def _gcc(q: Quiver, a, support, ov):
     """`enumerate_gcc` of a checked vector with its support and overlaps."""
     nbits, imps, fill, _ = _gcc_system(q, a, support, ov)
-    template = q._gcc_template[0]
+    template, place = _empty_collection(q)
     for bits in _enumerate_closed_assignments(nbits, imps):
         chosen = list(template)
-        for k, e, horizontal, vertical in fill:
-            chosen[k] = (e, frozenset(r for r, x in horizontal if bits[x]),
-                         frozenset(r for r, x in vertical if not bits[x]))
+        for e, horizontal, vertical in fill:
+            chosen[place[e]] = (e, frozenset(r for r, x in horizontal if bits[x]),
+                                frozenset(r for r, x in vertical if not bits[x]))
         yield GCCollection(tuple(chosen))
 
 

@@ -210,19 +210,12 @@ def _ccw_triangle_arrows(sides: tuple[int, int, int]) -> list[tuple[int, int]]:
     return [(s0, s2), (s2, s1), (s1, s0)]
 
 
-def quiver_of(t: Triangulation, include_boundary: bool = False) -> Quiver:
-    """Quiver induced by a triangulation: one vertex per diagonal (or per
-    edge when include_boundary), arrows by counterclockwise rotation inside
-    each triangle."""
-    keep = (lambda lbl: True) if include_boundary else (lambda lbl: lbl <= t.n)
-    arrows = []
-    for _, sides in t.triangles():
-        for (a, b) in _ccw_triangle_arrows(sides):
-            if keep(a) and keep(b):
-                arrows.append((a, b))
-    nverts = 2 * t.n + 3 if include_boundary else t.n
-    frozen = frozenset(range(t.n + 1, 2 * t.n + 4)) if include_boundary else frozenset()
-    return Quiver(nverts, tuple(arrows), frozen)
+def quiver_of(t: Triangulation) -> Quiver:
+    """Quiver induced by a triangulation: one vertex per diagonal, arrows by
+    counterclockwise rotation inside each triangle."""
+    arrows = [(a, b) for _, sides in t.triangles() for a, b in _ccw_triangle_arrows(sides)
+              if a <= t.n and b <= t.n]
+    return Quiver(t.n, tuple(arrows))
 
 
 def triangulation_for(q: Quiver) -> Triangulation:

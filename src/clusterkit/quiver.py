@@ -16,12 +16,11 @@ that they induce the quiver; the triangulation keeps those faces.
 
 Structure derived from the arrows (adjacency, oriented 3-cycles and the
 triangle of each arrow, the type-A verdict, the 3-cycle completion, the
-realizing triangulation, the principal extension, and the base-vertex
-labelling and empty collection that the gcs/gcc formulas start from) is
-computed lazily, at most once per instance, and kept as immutable values;
-the public accessors hand out fresh lists and sets built from them.  The
-completion is derived from the quiver's checked arrows and 3-cycles, not
-checked or scanned again.
+realizing triangulation, and the base-vertex labelling that the gcs/gcc
+formulas start from) is computed lazily, at most once per instance, and
+kept as immutable values; the public accessors hand out fresh lists and
+sets built from them.  The completion is derived from the quiver's checked
+arrows and 3-cycles, not checked or scanned again.
 """
 
 from __future__ import annotations
@@ -37,10 +36,11 @@ from .errors import (DisconnectedQuiver, FrozenVertex, InvalidInput, NotLinearSu
 
 
 class _derived:
-    """`functools.cached_property` without the lock that 3.11 takes on every
-    first access, building with the cyclic collector paused: a whole-quiver
-    pass allocates O(n) containers and no cycles, and every full collection
-    midway would scan them all again."""
+    """The package's one lazy-value descriptor: a cached property, as in
+    `functools` but without the lock that 3.11 takes on every first access,
+    building with the cyclic collector paused.  A whole-quiver pass, or a
+    dense view of a broken line, allocates O(n) containers and no cycles,
+    and every full collection midway would scan them all again."""
 
     def __init__(self, build):
         self.build, self.name, self.__doc__ = build, build.__name__, build.__doc__
@@ -59,8 +59,8 @@ class _derived:
 
 
 def _sibling(name: str):
-    """geometry, formulas or engine: they import this module, so it imports
-    them on the first use of a structure they build."""
+    """geometry or formulas: they import this module, so it imports them on
+    the first use of a structure they build."""
     name = f"{__package__}.{name}"
     if name not in sys.modules:
         __import__(name)
@@ -158,14 +158,6 @@ class Quiver:
         formulas = _sibling("formulas")
         return formulas.gateway_rotations(self, formulas.choose_base_vertex(self)[1]) \
             if self.arrows else {}
-
-    @_derived
-    def _gcc_template(self):
-        return _sibling("formulas")._empty_collection(self)
-
-    @_derived
-    def _principal(self) -> "Quiver":
-        return _sibling("engine").principal_quiver(self)
 
     @_derived
     def _type_a(self) -> bool:

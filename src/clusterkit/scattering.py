@@ -12,7 +12,7 @@ parameter is a coordinate and every direction is an integer vector, every
 bend point is an integer vector over the same scale.  A direction is nonzero
 only on the path and its neighbours, so a bend touches only those
 coordinates, and a line is built from the path's neighbourhood alone: the
-relabelling is a pair of maps over the ambient quiver, and the default
+relabelling is a pair of dicts over that neighbourhood, and the default
 endpoint is made once per shape.  Dense directions and points, and the
 bend points, travels and endpoint as `Fraction`s, are built when read.
 
@@ -22,10 +22,10 @@ coefficients, whose extra block simply records the walls crossed so far.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
-from collections.abc import Mapping
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from heapq import heappop, heappush
 from math import lcm
 
@@ -37,7 +37,7 @@ from .errors import (
 )
 from .formulas import enumerate_variable_gcs
 from .laurent import LaurentPoly, affine_sum, canonical_string, unpack
-from .quiver import Quiver, require_path
+from .quiver import Quiver, _derived, require_path
 
 
 # -- relabeling so the path occupies 1..n ----------------------------------------
@@ -45,12 +45,13 @@ from .quiver import Quiver, require_path
 
 class PathRelabeling:
     """The path's vertices renumbered 1..n in path order, the other vertices
-    n+1.. in their own order.  No relabelled quiver is built: every view a
-    line reads comes from the ambient quiver's cached adjacency through the
-    maps, once per relabelling, and covers only the path and its neighbours."""
+    n+1.. in their own order, with both maps over the path and its
+    neighbours alone.  No relabelled quiver is built: every view a line
+    reads comes from the ambient quiver's cached adjacency through the maps,
+    once per relabelling."""
 
-    def __init__(self, ambient: Quiver, order: tuple[int, ...], to_new: Mapping[int, int],
-                 to_old: Mapping[int, int]):
+    def __init__(self, ambient: Quiver, order: tuple[int, ...], to_new: dict[int, int],
+                 to_old: dict[int, int]):
         self.ambient = ambient
         self.order = order       # the path in ambient labels
         self.to_new = to_new
@@ -60,7 +61,7 @@ class PathRelabeling:
     def n(self) -> int:
         return len(self.order)
 
-    @cached_property
+    @_derived
     def local(self) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...], int], ...]:
         """(vertex, path tails of its arrows in, path heads of its arrows out,
         offset) for every path vertex and neighbour in increasing order: the
@@ -72,14 +73,12 @@ class PathRelabeling:
         pos = {v: i for i, v in enumerate(self.order)}
         closers = {x for t in self.order for h in outs[t] if h in pos
                    for x in outs[h] if x not in pos and t in outs[x]}
-        near = set(self.order).union(*(outs[v] for v in self.order),
-                                     *(ins[v] for v in self.order))
-        return tuple(sorted((self.to_new[u], tuple(pos[t] for t in ins[u] if t in pos),
-                             tuple(pos[h] for h in outs[u] if h in pos),
-                             -1 if u in pos or u in closers else 0)
-                            for u in near))
+        return tuple((r, tuple(pos[t] for t in ins[u] if t in pos),
+                      tuple(pos[h] for h in outs[u] if h in pos),
+                      -1 if u in pos or u in closers else 0)
+                     for r, u in sorted(self.to_old.items()))
 
-    @cached_property
+    @_derived
     def downstream(self) -> tuple[tuple[int, ...], ...]:
         """Per path position r (index r - 1), the path neighbours r has an
         arrow to: an unmarked one keeps r from flipping."""
@@ -88,7 +87,7 @@ class PathRelabeling:
                            if 1 <= j <= len(order) and order[j - 1] in outs[order[r - 1]])
                      for r in range(1, len(order) + 1))
 
-    @cached_property
+    @_derived
     def columns(self) -> tuple[dict[int, int], ...]:
         """Per path position w (index w - 1), the wall's exchange-matrix
         column #(r -> w) - #(w -> r) by 0-based coordinate, zeros left out."""
@@ -101,40 +100,17 @@ class PathRelabeling:
         return tuple(cols)
 
 
-class _PathFirst(Mapping):
-    """The renumbering of 1..n that puts the path first, in path order, and
-    the other vertices after it in their own order: old label -> new label
-    (forward) or new -> old.  Only the path is stored: it is built in
-    O(path), a lookup takes O(path), and it equals the dict it stands for."""
-
-    def __init__(self, order: tuple[int, ...], n: int, forward: bool):
-        self._order, self._labels, self._forward = order, range(1, n + 1), forward
-
-    def __getitem__(self, v: int) -> int:
-        if v not in self._labels:
-            raise KeyError(v)
-        k = len(self._order)
-        if self._forward:  # off the path: after it, less the path vertices below v
-            return self._order.index(v) + 1 if v in self._order else k + v - sum(
-                p < v for p in self._order)
-        if v <= k:
-            return self._order[v - 1]
-        v -= k  # the v-th vertex off the path
-        for p in sorted(self._order):
-            v += p <= v
-        return v
-
-    def __iter__(self):
-        return iter(self._labels)
-
-    def __len__(self) -> int:
-        return len(self._labels)
-
-
 def relabel_for_path(qtilde: Quiver, linear_vertices) -> PathRelabeling:
+    """The renumbering that puts the path first, in path order, and the other
+    vertices after it in their own order, stored over the path and its
+    neighbours only: the vertices a line reads."""
     order = tuple(require_path(qtilde, linear_vertices))
-    return PathRelabeling(qtilde, order, _PathFirst(order, qtilde.n, True),
-                          _PathFirst(order, qtilde.n, False))
+    outs, ins = qtilde._adjacency
+    to_new, path = {v: r for r, v in enumerate(order, 1)}, sorted(order)
+    for v in sorted(set().union(*(outs[v] for v in order), *(ins[v] for v in order))
+                    - to_new.keys()):  # after the path, less the path vertices below v
+        to_new[v] = len(order) + v - bisect_left(path, v)
+    return PathRelabeling(qtilde, order, to_new, {new: old for old, new in to_new.items()})
 
 
 # -- adjustable positions and the wall order --------------------------------------
@@ -227,7 +203,7 @@ class _Scaled:
         self.scale, self.ints, self.num, self.den = scale, ints, num, den
         self.n, self.nprime = n, nprime
 
-    @cached_property
+    @_derived
     def band(self) -> tuple[tuple[int, int], ...]:
         """(den^k, (den + num)^k) for k = 0..n: the (1+eps)^k band of the
         travel certificate as a pair of integers."""
@@ -317,11 +293,11 @@ class BrokenLine:
     def ell(self) -> int:
         return len(self.walls)
 
-    @cached_property
+    @_derived
     def directions(self) -> tuple[tuple[int, ...], ...]:    # lifted if principal
         return tuple(_dense(m, len(self.base)) for m in self.moves)
 
-    @cached_property
+    @_derived
     def points(self) -> tuple[tuple[int, ...], ...]:        # Q_1..Q_ell, endpoint; times scale
         point, out = list(self.base), [self.base]
         for i in range(self.ell, 0, -1):
@@ -330,15 +306,15 @@ class BrokenLine:
             out.append(tuple(point))
         return tuple(reversed(out))
 
-    @cached_property
+    @_derived
     def bends(self) -> tuple[tuple[Fraction, ...], ...]:     # Q_1..Q_ell
         return tuple(tuple(Fraction(c, self.scale) for c in pt) for pt in self.points[:-1])
 
-    @cached_property
+    @_derived
     def endpoint(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.scale) for c in self.base)
 
-    @cached_property
+    @_derived
     def travels(self) -> tuple[Fraction, ...]:
         """The positive travel parameter per bend: the wall coordinate of the
         point before it."""

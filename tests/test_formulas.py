@@ -17,7 +17,6 @@ from clusterkit.formulas import (
     gcc_weight,
     gcs_weight,
     linear_gcc_weight,
-    maximal_dyck_path,
     term_base,
     variable_gcs_k_set,
     variable_gcs_monomial,
@@ -92,19 +91,6 @@ def test_formula_gcs_base_vertex_independent(three_cycle, eleven_complete):
 def test_formula_gcs_refuses_uncovered_edge(a2):
     with pytest.raises(AssumptionViolated):
         formula_gcs(a2, (1, 1))
-
-
-def test_maximal_dyck_path_labels():
-    d = maximal_dyck_path(6, 4)
-    assert d.steps == ("H", "H", "V", "H", "V", "H", "H", "V", "H", "V")
-    assert d.corners == 4
-    # corner horizontals first (step indices), then the rest left to right
-    assert d.h_step_of_label == (1, 3, 6, 8, 0, 5)
-    assert d.v_step_of_label == (2, 4, 7, 9)
-    tiny = maximal_dyck_path(1, 1)
-    assert tiny.steps == ("H", "V") and tiny.corners == 1
-    flat = maximal_dyck_path(3, 0)
-    assert flat.steps == ("H", "H", "H") and flat.corners == 0
 
 
 def test_enumerate_gcc_three_cycle(three_cycle):

@@ -99,7 +99,10 @@ def test_triangulation_of_round_trip():
             celq = CompletelyExtendedLinearQuiver(LinearQuiver(n, delta))
             t = triangulation_of(celq)
             assert quiver_of(t) == LinearQuiver(n, delta).quiver()
-            induced = quiver_of(t, include_boundary=True)
+            # every edge a vertex, boundary edges frozen, arrows by ccw rotation
+            arrows = [arrow for _, (s0, s1, s2) in t.triangles()
+                      for arrow in ((s0, s2), (s2, s1), (s1, s0))]
+            induced = Quiver(2 * t.n + 3, tuple(arrows), frozenset(range(t.n + 1, 2 * t.n + 4)))
             assert set(induced.arrows) == set(celq.quiver().arrows)
             assert induced.frozen == celq.quiver().frozen
 

@@ -592,9 +592,10 @@ def test_crosscheck_orders_each_path_once_per_row(monkeypatch):
 
 def test_broken_line_requests_touch_only_their_neighbourhood(monkeypatch):
     """On a 1,000-vertex quiver, short-arc broken-line requests build no
-    Quiver (the path is relabelled through maps over the ambient one),
-    evaluate directions only on the path and its neighbours, and check the
-    default endpoint at most once per (path length, principal)."""
+    Quiver (the path is relabelled through maps over the ambient one, which
+    hold the path and its neighbours alone), evaluate directions only there,
+    and check the default endpoint at most once per (path length,
+    principal)."""
     rng = random.Random(1001)
     q = random_type_a_quiver(1000, rng)
     geometry.decompose(q, (1,) + (0,) * 999)  # the once-per-quiver checks
@@ -603,6 +604,9 @@ def test_broken_line_requests_touch_only_their_neighbourhood(monkeypatch):
     post_init = Quiver.__post_init__
     monkeypatch.setattr(Quiver, "__post_init__", lambda p: built.append(p.n) or post_init(p))
     direction, validate = scattering._direction, scattering._validate
+    relabel, rels = scattering.relabel_for_path, []
+    monkeypatch.setattr(scattering, "relabel_for_path",
+                        lambda *args: rels.append(relabel(*args)) or rels[-1])
 
     def counted_direction(rel, s):
         outside.extend(rel.to_old[r] for r, *_ in rel.local if rel.to_old[r] not in near)
@@ -616,8 +620,10 @@ def test_broken_line_requests_touch_only_their_neighbourhood(monkeypatch):
         b = tuple(int(v in support) for v in q.vertices)
         near.clear()
         near.update(support.union(*(q.neighbors(v) for v in support)))
+        rels.clear()
         count = witness_count(q, b, "broken-line")
         assert expand_model(q, b, "broken-line").coefficient_sum() == count
         assert len(scattering.broken_lines(q, support, principal=True)) == count
+        assert len(rels) == 3 and all(rel.to_new.keys() == near for rel in rels)
     assert built == [] and outside == []
     assert len(validated) == len(set(validated)) == 8

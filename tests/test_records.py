@@ -53,7 +53,6 @@ RECORDS = [
      {"timings": {}, "dissent": []}),
     (harness.CrossCheckReport, ("quiver", "models", "rows"), {}),
     (engine.Seed, ("quiver", "cluster"), {}),
-    (formulas.DyckPath, ("a1", "a2", "steps", "h_step_of_label", "v_step_of_label"), {}),
     (formulas.GCCollection, ("chosen",), {}),
     (formulas.LinearGCC, ("n", "pairs", "end_bit"), {"end_bit": None}),
     (scattering.PathRelabeling, ("ambient", "order", "to_new", "to_old"), {}),

@@ -41,10 +41,14 @@ from reference import certify_travel_bounds, exchange_matrix, g_direction, valid
 
 
 def relabeled_quiver(rel):
-    """The ambient quiver under the path relabelling (the library reads the
-    relabelling through its maps and never builds this quiver)."""
+    """The ambient quiver under the path relabelling: the path first, in path
+    order, the other vertices after it in their own order (the library maps
+    only the path and its neighbours and never builds this quiver)."""
     q = rel.ambient
-    return Quiver(q.n, tuple((rel.to_new[t], rel.to_new[h]) for t, h in q.arrows))
+    to_new = {v: r for r, v in enumerate(rel.order, 1)}
+    to_new.update((v, r) for r, v in enumerate(
+        (v for v in q.vertices if v not in to_new), rel.n + 1))
+    return Quiver(q.n, tuple((to_new[t], to_new[h]) for t, h in q.arrows))
 
 
 def test_adjustable_positions(four_with_triangle):

@@ -24,7 +24,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from clusterkit import geometry, harness, scattering
+from clusterkit import formulas, geometry, harness, scattering
 from clusterkit.engine import (
     cluster_variable,
     exact_divide,
@@ -492,6 +492,31 @@ def test_short_arcs_match_the_whole_quiver_reference(n, seed, size):
     assert harness.witness_count(q, b, "mutation") == want.coefficient_sum()
 
 
+def test_gcc_values_and_counts_build_no_empty_collection(monkeypatch):
+    """gcc values and counts read only the arrows meeting the support: on a
+    fresh quiver they build no empty collection over the completion's
+    arrows, and a listing builds it once and fills it in as the reference
+    does."""
+    built = []
+    empty = formulas._empty_collection
+    monkeypatch.setattr(formulas, "_empty_collection", lambda q2: built.append(q2) or empty(q2))
+    rng = random.Random(24)
+    for n in (3, 8, 40):
+        q = geometry.quiver_of(harness.random_triangulation(n, rng))
+        support = random_path(q, rng, 3)
+        a = tuple(2 * int(v in support) for v in q.vertices)
+        harness.expand_model(q, a, "gcc")
+        harness.witness_count(q, a, "gcc")
+        assert built == []
+        listing = harness.list_witnesses(q, a, "gcc")
+        q2, added = three_cycle_completion(q)
+        assert built == [q2]
+        assert listing == [
+            [{"arrow": list(e), "S1": sorted(s1), "S2": sorted(s2)} for (e, s1, s2) in g.chosen]
+            for g in ref_enumerate_gcc(q2, a + (0,) * len(added))]
+        built.clear()
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(n=st.integers(2, 6), seed=st.integers(0, 2 ** 32))
 def test_box_monomials_match_the_whole_quiver_reference(n, seed):
@@ -571,7 +596,10 @@ def test_sparse_broken_lines_match_the_dense_reference(n, seed, size):
     q = geometry.quiver_of(harness.random_triangulation(n, rng))
     support = random_path(q, rng, size)
     rel, ref = scattering.relabel_for_path(q, support), ref_relabel_for_path(q, support)
-    assert (rel.to_new, rel.to_old) == (ref.to_new, ref.to_old)
+    near = set(support).union(*(q.neighbors(v) for v in support))
+    assert rel.to_new.keys() == near == set(rel.to_old.values())
+    assert rel.to_new == {v: ref.to_new[v] for v in rel.to_new}
+    assert rel.to_old == {r: ref.to_old[r] for r in rel.to_old}
     markings = list(enumerate_variable_gcs(q, support))
     for principal in (False, True):
         valid = valid_endpoint(rng, rel.n, q.n, principal)
