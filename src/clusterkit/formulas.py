@@ -550,33 +550,34 @@ def linear_gcc_weight(celq: CompletelyExtendedLinearQuiver, w: LinearGCC) -> Lau
 # -- per-variable sequences on an ambient quiver --------------------------------------
 
 
-def _variable_gcs_system(qtilde: Quiver, linear_vertices):
-    """The solver input for the markings of a path: the bit count (one bit
-    per path vertex, in path order), the implications and the path."""
-    order = require_path(qtilde, linear_vertices)
-    pos = {v: i for i, v in enumerate(order)}
-    imps = []
-    for a, b in zip(order, order[1:]):
-        if qtilde.has_arrow(a, b):
-            imps.append((pos[a], pos[b]))
-        else:
-            imps.append((pos[b], pos[a]))
-    return len(order), imps, order
+def _variable_gcs_system(qtilde: Quiver, order):
+    """The solver input for the markings of a path given in path order: the
+    bit count (one bit per path vertex, in path order) and the implications,
+    one per path edge, from its tail's bit to its head's."""
+    imps = [(i, i + 1) if qtilde.has_arrow(a, b) else (i + 1, i)
+            for i, (a, b) in enumerate(zip(order, order[1:]))]
+    return len(order), imps
+
+
+def _variable_gcs(qtilde: Quiver, order):
+    """The markings of a path given in path order (`enumerate_variable_gcs`)."""
+    return _enumerate_closed_assignments(*_variable_gcs_system(qtilde, order))
 
 
 def enumerate_variable_gcs(qtilde: Quiver, linear_vertices):
     """0-1 markings of the path vertices with no arrow inside the path going
     from a marked to an unmarked vertex; bits are listed in path order."""
-    yield from _enumerate_closed_assignments(*_variable_gcs_system(qtilde, linear_vertices)[:2])
+    yield from _variable_gcs(qtilde, require_path(qtilde, linear_vertices))
 
 
-def _variable_gcs_terms(qtilde: Quiver, linear_vertices):
-    """The sum of `variable_gcs_monomial` over the markings as
-    `laurent.affine_sum` input: base is 1 on the tail of every arrow into
-    the path and -1 on the path and its K set, and a marked vertex adds 1 on
-    the heads of its arrows out and -1 on the tails of its arrows in.  A
-    marking is tallied by its mask from the solver: one bit per field."""
-    nbits, imps, order = _variable_gcs_system(qtilde, linear_vertices)
+def _variable_gcs_terms(qtilde: Quiver, order):
+    """The sum of `variable_gcs_monomial` over the markings of a path given
+    in path order, as `laurent.affine_sum` input: base is 1 on the tail of
+    every arrow into the path and -1 on the path and its K set, and a marked
+    vertex adds 1 on the heads of its arrows out and -1 on the tails of its
+    arrows in.  A marking is tallied by its mask from the solver: one bit
+    per field."""
+    nbits, imps = _variable_gcs_system(qtilde, order)
     outs, ins = qtilde._adjacency
     base = Counter(t for v in order for t in ins[v])
     base.subtract(set(order) | variable_gcs_k_set(qtilde, order))

@@ -152,8 +152,8 @@ _TABLE = {
         value=lambda comp: affine_sum(*formulas._linear_gcc_terms(comp)),
         dump=lambda comp, w: {"pairs": [list(p) for p in w.pairs], "end_bit": w.end_bit}),
     "gcs-variable": _Model(
-        "formulas", True, lambda q, b, support: (q, support),
-        witnesses=lambda ctx: formulas.enumerate_variable_gcs(*ctx),
+        "formulas", True, lambda q, b, order: (q, order),
+        witnesses=lambda ctx: formulas._variable_gcs(*ctx),
         count=lambda ctx: formulas._count(*formulas._variable_gcs_system(*ctx)),
         value=lambda ctx: affine_sum(*formulas._variable_gcs_terms(*ctx)),
         dump=lambda ctx, s: list(s)),

@@ -35,7 +35,7 @@ from .errors import (
     OddRankWithoutPrincipal,
     PositivityViolation,
 )
-from .formulas import enumerate_variable_gcs
+from .formulas import _variable_gcs
 from .laurent import LaurentPoly, affine_sum, canonical_string, unpack
 from .quiver import Quiver, _derived, require_path
 
@@ -446,15 +446,15 @@ def broken_lines(qtilde: Quiver, linear_vertices, endpoint: Endpoint | None = No
                  principal: bool | None = None, *,
                  rel: PathRelabeling | None = None) -> list[BrokenLine]:
     """One broken line per witness marking; odd rank automatically routed
-    through the principal construction.  The path is relabeled once, or not
-    at all when its relabeling `rel` is passed; the endpoint is checked once."""
+    through the principal construction.  The path is relabeled (and so
+    checked) once, or not at all when its relabeling `rel` is passed; the
+    markings are read in `rel.order` and the endpoint is checked once."""
     if rel is None:
         rel = relabel_for_path(qtilde, linear_vertices)
     if principal is None:
         principal = rel.ambient.n % 2 == 1
     sc = _request(rel, endpoint, principal)
-    return [_build(rel, s, sc, principal)
-            for s in enumerate_variable_gcs(qtilde, linear_vertices)]
+    return [_build(rel, s, sc, principal) for s in _variable_gcs(qtilde, rel.order)]
 
 
 def ambient_monomial(line: BrokenLine) -> LaurentPoly:
@@ -468,10 +468,13 @@ def ambient_monomial(line: BrokenLine) -> LaurentPoly:
 
 
 def line_json(line: BrokenLine) -> dict:
-    """JSON-ready summary of one broken line."""
+    """JSON-ready summary of one broken line; each distinct coordinate of
+    its bend points is written over the line's scale once."""
+    points = line.points[:-1]
+    text = {c: str(Fraction(c, line.scale)) for c in set().union(*points)}
     return {"s": list(line.s), "walls": list(line.walls),
             "monomial": canonical_string(line.final_monomial()),
-            "bends": [[str(c) for c in pt] for pt in line.bends]}
+            "bends": [[text[c] for c in pt] for pt in points]}
 
 
 def _line_terms(rel: PathRelabeling, lines):

@@ -23,12 +23,8 @@ from .quiver import CompletelyExtendedLinearQuiver, CompletionResult
 Label = object  # int (boundary/extension id) or ("d", diagonal, group)
 
 
-def _is_diag(label) -> bool:
-    return isinstance(label, tuple) and label[0] == "d"
-
-
 def label_variable(label) -> int:
-    return label[1] if _is_diag(label) else label
+    return label[1] if isinstance(label, tuple) else label
 
 
 class SnakeDiagram:
@@ -51,76 +47,37 @@ class SnakeDiagram:
         return sorted(vs)
 
 
-def _tile_edges(x: int, y: int) -> dict[str, tuple]:
-    return {
-        "bottom": ((x, y), (x + 1, y)),
-        "top": ((x, y + 1), (x + 1, y + 1)),
-        "left": ((x, y), (x, y + 1)),
-        "right": ((x + 1, y), (x + 1, y + 1)),
-    }
-
-
 def build_snake(celq: CompletelyExtendedLinearQuiver) -> SnakeDiagram:
     """Tile placement and edge labeling for the diagram of a completed path
-    quiver."""
-    n = celq.n
-    delta = celq.delta
-    dirs: list[str] = []
+    quiver, in one pass over the tiles.  Each tile goes right or up from the
+    one before, turning where consecutive delta entries agree; the side the
+    two share gets mid(i), and the other side of the old tile and the far
+    side of the new one get the two diagonal weights of group i."""
+    n, delta = celq.n, celq.delta
+    first = (celq.start0, celq.start1) if n == 1 or delta[0] == 0 else (celq.start1, celq.start0)
+    labels = {((0, 0), (1, 0)): first[0], ((0, 0), (0, 1)): first[1]}
+    groups, tiles, x, y, right = [first], [(0, 0)], 0, 0, True
     for i in range(1, n):
-        if i == 1:
-            dirs.append("R")
+        if i > 1 and delta[i - 2] == delta[i - 1]:
+            right = not right
+        side, top = ((x + 1, y), (x + 1, y + 1)), ((x, y + 1), (x + 1, y + 1))
+        group = (celq.mid(i), ("d", i + 1, i), ("d", i, i))
+        if right:
+            labels[side], labels[top] = group[:2]
+            x += 1
+            labels[(x, y), (x + 1, y)] = group[2]
         else:
-            same = delta[i - 2] != delta[i - 1]
-            dirs.append(dirs[-1] if same else ("U" if dirs[-1] == "R" else "R"))
-    tiles = [(0, 0)]
-    for d in dirs:
-        x, y = tiles[-1]
-        tiles.append((x + 1, y) if d == "R" else (x, y + 1))
-
-    labels: dict[tuple, object] = {}
-
-    def put(edge, label):
-        if edge in labels and labels[edge] != label:
-            raise InvalidInput(f"edge {edge} double-labeled")
-        labels[edge] = label
-
-    first = _tile_edges(*tiles[0])
-    if n == 1:
-        put(first["bottom"], celq.start0)
-        put(first["left"], celq.start1)
-        put(first["top"], celq.end0)
-        put(first["right"], celq.end1)
-    else:
-        put(first["bottom"], celq.start0 if delta[0] == 0 else celq.start1)
-        put(first["left"], celq.start1 if delta[0] == 0 else celq.start0)
-        for i in range(1, n):
-            e_prev = _tile_edges(*tiles[i - 1])
-            e_next = _tile_edges(*tiles[i])
-            if dirs[i - 1] == "R":
-                put(e_prev["right"], celq.mid(i))
-                put(e_prev["top"], ("d", i + 1, i))
-                put(e_next["bottom"], ("d", i, i))
-            else:
-                put(e_prev["top"], celq.mid(i))
-                put(e_prev["right"], ("d", i + 1, i))
-                put(e_next["left"], ("d", i, i))
-        last = _tile_edges(*tiles[-1])
-        dn = delta[n - 2]
-        if dirs[-1] == "R":
-            put(last["right"], celq.end0 if dn == 0 else celq.end1)
-            put(last["top"], celq.end1 if dn == 0 else celq.end0)
-        else:
-            put(last["right"], celq.end1 if dn == 0 else celq.end0)
-            put(last["top"], celq.end0 if dn == 0 else celq.end1)
-
-    groups: list[tuple] = []
-    tile1 = _tile_edges(*tiles[0])
-    groups.append((labels[tile1["bottom"]], labels[tile1["left"]]))
-    for i in range(1, n):
-        groups.append((celq.mid(i), ("d", i + 1, i), ("d", i, i)))
-    tlast = _tile_edges(*tiles[-1])
-    groups.append((labels[tlast["top"]], labels[tlast["right"]]))
-
+            labels[top], labels[side] = group[:2]
+            y += 1
+            labels[(x, y), (x, y + 1)] = group[2]
+        groups.append(group)
+        tiles.append((x, y))
+    # the last tile's (top, right): end1 on top after a step right with delta 0
+    # or up with delta 1
+    side, top = ((x + 1, y), (x + 1, y + 1)), ((x, y + 1), (x + 1, y + 1))
+    last = (celq.end1, celq.end0) if n > 1 and right == (delta[-1] == 0) else (celq.end0, celq.end1)
+    labels[side], labels[top] = last[1], last[0]
+    groups.append(last)
     edge_of_label = {lbl: e for e, lbl in labels.items()}
     return SnakeDiagram(celq, tuple(tiles), edge_of_label, labels, tuple(groups))
 
@@ -129,12 +86,12 @@ def _matching_walk(d: SnakeDiagram, step, zero):
     """Depth first over the perfect matchings of d, yielding per matching
     zero plus step(e) over its edges e.  The search state is the covered
     vertex bits; the first uncovered vertex (the lowest zero bit) takes each
-    of its free edges in turn, in edge order."""
+    of its free edges in turn.  The yield order is not fixed: every caller
+    sums, counts or sorts what it yields."""
     vertices = d.vertices()
     index = {v: i for i, v in enumerate(vertices)}
     incident: list[list[tuple[int, object]]] = [[] for _ in vertices]
-    # reversed, so that the children pushed in list order pop in edge order
-    for e in sorted(d.label_of_edge, key=lambda e: (index[e[0]], index[e[1]]), reverse=True):
+    for e in d.label_of_edge:
         bits, s = 1 << index[e[0]] | 1 << index[e[1]], step(e)
         incident[index[e[0]]].append((bits, s))
         incident[index[e[1]]].append((bits, s))

@@ -580,14 +580,23 @@ def test_crosscheck_completes_each_neighbourhood_once_per_row(monkeypatch):
 
 
 def test_crosscheck_orders_each_path_once_per_row(monkeypatch):
-    """mutation, linear-gcc, matching and tpath take a factor's path order
-    from `decompose`: one `path_order` per row whose vector is 0-1 (the
-    path shortcut), none for a row that is decomposed into pipelines."""
+    """mutation, linear-gcc, matching, tpath and gcs-variable take a factor's
+    path order from `decompose`: one `path_order` per row whose vector is 0-1
+    (the path shortcut), none for a row that is decomposed into pipelines.
+    broken-line reads it from its relabelling, whose public entry checks the
+    path again: one more call per relabelling."""
     q = random_type_a_quiver(6, random.Random(4242))
     calls = _count_calls(monkeypatch, [(m, "path_order") for m in (geometry, engine, quiver)])
-    report = crosscheck(q, models=("mutation", "linear-gcc", "matching", "tpath"), box=2)
+    report = crosscheck(q, models=("mutation", "linear-gcc", "matching", "tpath",
+                                   "gcs-variable"), box=2)
     assert report.passed and len(report.rows) > 20
-    assert calls == {"path_order": sum(set(r.dvector) <= {0, 1} for r in report.rows)}
+    rows = sum(set(r.dvector) <= {0, 1} for r in report.rows)
+    assert calls == {"path_order": rows}
+    relabellings = _count_calls(monkeypatch, [(scattering, "relabel_for_path")])
+    calls["path_order"] = 0
+    assert crosscheck(q, models=("broken-line",), box=2).passed
+    assert relabellings["relabel_for_path"] > rows
+    assert calls == {"path_order": rows + relabellings["relabel_for_path"]}
 
 
 def test_broken_line_requests_touch_only_their_neighbourhood(monkeypatch):
