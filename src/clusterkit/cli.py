@@ -152,18 +152,16 @@ def cmd_broken_lines(args) -> int:
     q = _load_quiver(args.quiver)
     support = _parse_subquiver(args.subquiver)
     from . import scattering
-    principal = True if args.principal else None
     rel = scattering.relabel_for_path(q, support)
-    lines = scattering.broken_lines(q, support, principal=principal, rel=rel)
+    lines = scattering._lines(rel, principal=args.principal or None)
     if args.svg:
         from . import svg
         chosen = _pick(lines, args.line, "--line")
-        plane = _parse_plane(args.plane, len(chosen.endpoint))
+        plane = _parse_plane(args.plane, len(chosen.base))
         _write_svg(args.svg, svg.broken_line_svg(chosen, plane))
     for line in lines:
         print(json.dumps(scattering.line_json(line)))
-    theta = scattering.theta_from_broken_lines(q, support, lines=lines, rel=rel)
-    print("theta " + rational_string(theta))
+    print("theta " + rational_string(scattering._theta(rel, lines)))
     return 0
 
 

@@ -24,12 +24,7 @@ from .laurent import (
     rational_string,
     sorted_terms,
 )
-from .quiver import (
-    Quiver,
-    complete_extension,
-    linear_full_subquivers,
-    three_cycle_completion,
-)
+from .quiver import Quiver, _complete, linear_full_subquivers, three_cycle_completion
 
 TYPE_CHECKING = False  # as typing's; importing typing costs a cold command
 if TYPE_CHECKING:  # the model modules load on first use, see `_model`
@@ -126,7 +121,7 @@ def _completed(q: Quiver, plus, support):
 
 
 # linear-gcc, matching and tpath: one prepare, so a crosscheck row builds it once
-_neighbourhood = lambda q, b, order: complete_extension(q, order, ordered=True)
+_neighbourhood = lambda q, b, order: _complete(q, order)
 
 
 _TABLE = {
@@ -170,15 +165,15 @@ _TABLE = {
         count=lambda comp: snake._tpath_count(comp),
         value=lambda comp: affine_sum(*snake._tpath_terms(comp)),
         dump=lambda comp, p: list(p.labels)),
-    # the path is relabelled to 1..n once per distinct factor: the lines are
-    # drawn in the relabelled coordinates and their sum renamed back
+    # the input is the relabelling of the factor's path, in `decompose`'s
+    # order, to 1..n: the lines are drawn in the relabelled coordinates and
+    # their sum renamed back
     "broken-line": _Model(
-        "scattering", True,
-        lambda q, b, support: (q, support, scattering.relabel_for_path(q, support)),
-        witnesses=lambda ctx: scattering.broken_lines(*ctx[:2], rel=ctx[2]),
-        count=lambda ctx: len(scattering.broken_lines(*ctx[:2], rel=ctx[2])),
-        value=lambda ctx: scattering.theta_from_broken_lines(*ctx[:2], rel=ctx[2]),
-        dump=lambda ctx, line: scattering.line_json(line)),
+        "scattering", True, lambda q, b, order: scattering._relabel(q, order),
+        witnesses=lambda rel: scattering._lines(rel),
+        count=lambda rel: len(scattering._lines(rel)),
+        value=lambda rel: scattering._theta(rel, scattering._lines(rel)),
+        dump=lambda rel, line: scattering.line_json(line)),
 }
 
 

@@ -311,12 +311,15 @@ def path_order(q: Quiver, vertices) -> list[int] | None:
 
 
 def require_path(q: Quiver, vertices) -> list[int]:
-    """The path order of the vertices; raises NotLinearSubquiver unless
-    their full subquiver is a path."""
+    """The path order of the vertices: the one check of every per-variable
+    entry.  Raises NotLinearSubquiver unless their full subquiver is a
+    path, then FrozenVertex (as mutation would) at the smallest frozen one."""
     vs = set(vertices)
     order = path_order(q, vs)
     if order is None:
         raise NotLinearSubquiver(f"{sorted(vs)} does not induce a path")
+    if not q.frozen.isdisjoint(vs):
+        raise FrozenVertex(f"cannot mutate frozen vertex {min(q.frozen & vs)}")
     return order
 
 
@@ -459,21 +462,23 @@ class CompletionResult:
                 for a in map(self.to_ambient.get, range(1, 2 * self.celq.n + 4))]
 
 
-def complete_extension(q: Quiver, linear_vertices, ordered: bool = False) -> CompletionResult:
+def complete_extension(q: Quiver, linear_vertices) -> CompletionResult:
     """Restrict the ambient quiver to the neighborhood of a linear full
     subquiver and attach the missing triangles, producing a canonically
-    labeled completely extended linear quiver plus the relabeling map.
-
-    The triangles are faces of the realizing triangulation: over each path
-    edge the face its two vertices bound, at each end the end vertex's other
-    face.  A one-vertex path starts at a face whose other sides are both
-    diagonals if there is one, else at the face of the smaller neighbour.
-    A diagonal side is its ambient vertex, a boundary side an invented one;
-    at an end the side the path vertex has an arrow to takes the out-slot.
-    With `ordered`, linear_vertices is taken unchecked as the path order
-    that `path_order` gives."""
+    labeled completely extended linear quiver plus the relabeling map."""
     require_type_a(q)
-    order = linear_vertices if ordered else require_path(q, linear_vertices)
+    return _complete(q, require_path(q, linear_vertices))
+
+
+def _complete(q: Quiver, order) -> CompletionResult:
+    """`complete_extension` of a type-A quiver and a path given in the order
+    `path_order` gives.  The triangles are faces of the realizing
+    triangulation: over each path edge the face its two vertices bound, at
+    each end the end vertex's other face.  A one-vertex path starts at a
+    face whose other sides are both diagonals if there is one, else at the
+    face of the smaller neighbour.  A diagonal side is its ambient vertex, a
+    boundary side an invented one; at an end the side the path vertex has
+    an arrow to takes the out-slot."""
     celq = CompletelyExtendedLinearQuiver(LinearQuiver(len(order), delta_of_path(q, order)))
     faces, at = q._triangulation._faces
     ambient = lambda side: side if side <= q.n else None

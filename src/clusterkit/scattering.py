@@ -104,8 +104,12 @@ def relabel_for_path(qtilde: Quiver, linear_vertices) -> PathRelabeling:
     """The renumbering that puts the path first, in path order, and the other
     vertices after it in their own order, stored over the path and its
     neighbours only: the vertices a line reads."""
-    order = tuple(require_path(qtilde, linear_vertices))
-    outs, ins = qtilde._adjacency
+    return _relabel(qtilde, require_path(qtilde, linear_vertices))
+
+
+def _relabel(qtilde: Quiver, order) -> PathRelabeling:
+    """`relabel_for_path` of a path given in the order `path_order` gives."""
+    order, (outs, ins) = tuple(order), qtilde._adjacency
     to_new, path = {v: r for r, v in enumerate(order, 1)}, sorted(order)
     for v in sorted(set().union(*(outs[v] for v in order), *(ins[v] for v in order))
                     - to_new.keys()):  # after the path, less the path vertices below v
@@ -443,18 +447,20 @@ def _certify(walls, points, base, band):
 
 
 def broken_lines(qtilde: Quiver, linear_vertices, endpoint: Endpoint | None = None,
-                 principal: bool | None = None, *,
-                 rel: PathRelabeling | None = None) -> list[BrokenLine]:
+                 principal: bool | None = None) -> list[BrokenLine]:
     """One broken line per witness marking; odd rank automatically routed
-    through the principal construction.  The path is relabeled (and so
-    checked) once, or not at all when its relabeling `rel` is passed; the
-    markings are read in `rel.order` and the endpoint is checked once."""
-    if rel is None:
-        rel = relabel_for_path(qtilde, linear_vertices)
+    through the principal construction."""
+    return _lines(relabel_for_path(qtilde, linear_vertices), endpoint, principal)
+
+
+def _lines(rel: PathRelabeling, endpoint: Endpoint | None = None,
+           principal: bool | None = None) -> list[BrokenLine]:
+    """`broken_lines` of a relabelling: the markings are read in `rel.order`
+    and the endpoint is checked once."""
     if principal is None:
         principal = rel.ambient.n % 2 == 1
     sc = _request(rel, endpoint, principal)
-    return [_build(rel, s, sc, principal) for s in _variable_gcs(qtilde, rel.order)]
+    return [_build(rel, s, sc, principal) for s in _variable_gcs(rel.ambient, rel.order)]
 
 
 def ambient_monomial(line: BrokenLine) -> LaurentPoly:
@@ -477,31 +483,24 @@ def line_json(line: BrokenLine) -> dict:
             "bends": [[text[c] for c in pt] for pt in points]}
 
 
-def _line_terms(rel: PathRelabeling, lines):
+def theta_from_broken_lines(qtilde: Quiver, linear_vertices,
+                            endpoint: Endpoint | None = None) -> LaurentPoly:
+    """Sum of the final monomials over all broken lines of the path
+    subquiver, expressed in the ambient variables; equals the cluster
+    variable of the path subquiver."""
+    rel = relabel_for_path(qtilde, linear_vertices)
+    return _theta(rel, _lines(rel, endpoint))
+
+
+def _theta(rel: PathRelabeling, lines) -> LaurentPoly:
     """The sum of `ambient_monomial` over the lines, renamed back through
-    rel, as `laurent.affine_sum` input.  A final exponent is -1, 0 or 1 on
-    each path vertex and neighbour (`rel.local`) and set to one off them, so
-    a line is tallied by its final exponent: per coordinate one field for
-    +1 and one for -1, a bit each."""
+    rel.  A final exponent is -1, 0 or 1 on each path vertex and neighbour
+    (`rel.local`) and set to one off them, so a line is tallied by its final
+    exponent: per coordinate one field for +1 and one for -1, a bit each."""
     deltas, shift = [], {}
     for r, *_ in rel.local:
         for e in (1, -1):
             shift[r - 1, e] = 1 << len(deltas)
             deltas.append(((rel.to_old[r], e),))
     tally = Counter(sum(shift.get(item, 0) for item in line.moves[-1].items()) for line in lines)
-    return {}, deltas, unpack(tally, 1, len(deltas))
-
-
-def theta_from_broken_lines(qtilde: Quiver, linear_vertices,
-                            endpoint: Endpoint | None = None,
-                            lines: list[BrokenLine] | None = None, *,
-                            rel: PathRelabeling | None = None) -> LaurentPoly:
-    """Sum of the final monomials over all broken lines of the path
-    subquiver (the given ones, else built here), expressed in the ambient
-    variables; equals the cluster variable of the path subquiver.  The path
-    is relabeled once, or not at all when `rel` is passed."""
-    if rel is None:
-        rel = relabel_for_path(qtilde, linear_vertices)
-    if lines is None:
-        lines = broken_lines(qtilde, linear_vertices, endpoint, rel=rel)
-    return affine_sum(*_line_terms(rel, lines))
+    return affine_sum({}, deltas, unpack(tally, 1, len(deltas)))

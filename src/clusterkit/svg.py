@@ -78,15 +78,11 @@ def snake_svg(d, gamma=None) -> str:
 
 
 def broken_line_svg(line, plane: tuple[int, int]) -> str:
-    """A `scattering.BrokenLine` projected onto two coordinates."""
-    i, j = plane
-    pts = [line.endpoint] + list(reversed(line.bends))
-    m0 = line.directions[0]
-    start = pts[-1]
-    tail = tuple(start[r] - 3 * m0[r] for r in range(len(start)))
-    chain = [tail] + list(reversed(pts))
-    xs = [float(p[i - 1]) for p in chain]
-    ys = [float(p[j - 1]) for p in chain]
+    """A `scattering.BrokenLine` projected onto two coordinates: its tail
+    along the first direction, then its points, each read over its scale."""
+    den, m0, first = line.scale, line.moves[0], line.points[0]
+    xs, ys = ([c / den for c in (first[r] - 3 * den * m0.get(r, 0), *(p[r] for p in line.points))]
+              for r in (plane[0] - 1, plane[1] - 1))
     span = max(max(map(abs, xs)), max(map(abs, ys)), 1e-9)
     scale = 200 / span
 
@@ -94,8 +90,8 @@ def broken_line_svg(line, plane: tuple[int, int]) -> str:
         return 250 + xs[k] * scale, 250 - ys[k] * scale
 
     parts = [_line(0, 250, 500, 250, "#ccc", spec=""), _line(250, 0, 250, 500, "#ccc", spec="")]
-    for k in range(len(chain) - 1):
+    for k in range(len(xs) - 1):
         parts.append(_line(*xy(k), *xy(k + 1), "#d22", 2))
-    for k in range(1, len(chain)):
+    for k in range(1, len(xs)):
         parts.append(_circle(*xy(k), 3, "#000"))
     return _document(parts)

@@ -2,6 +2,7 @@ import json
 import math
 import os
 from pathlib import Path
+import random
 import re
 import subprocess
 import sys
@@ -10,8 +11,9 @@ import time
 import pytest
 
 import clusterkit
-from clusterkit import scattering
+from clusterkit import MODELS, scattering
 from clusterkit.cli import main
+from clusterkit.harness import random_type_a_quiver
 from clusterkit.quiver import Quiver, to_text, to_json_dict
 
 
@@ -189,6 +191,27 @@ def test_broken_lines_relabels_the_path_once(tmp_path, capsys, monkeypatch, prin
                        "--subquiver", "1,2,3", "--svg", str(tmp_path / "l.svg"), *principal)
     assert code == 0 and out.splitlines()[-1].startswith("theta ")
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("snake", "--dvector", "{support}"),
+    ("snake", "--dvector", "{support}", "--svg", "{svg}"),
+    ("broken-lines", "--subquiver", "{vertices}"),
+    ("broken-lines", "--subquiver", "{vertices}", "--svg", "{svg}"),
+], ids=["snake", "snake-svg", "broken-lines", "broken-lines-svg"])
+def test_a_frozen_support_is_refused_as_mutation_refuses_it(tmp_path, capsys, argv):
+    """The path check refuses a frozen vertex before anything is drawn; the
+    same command on the unfrozen arc still runs."""
+    path, svg = tmp_path / "frozen.txt", tmp_path / "out.svg"
+    path.write_text("n 3 frozen 1\n1 2\n2 3\n")
+    for support, vertices, want in (("1,1,0", "1,2", 2), ("0,1,1", "2,3", 0)):
+        code, out, err = run(capsys, argv[0], "--quiver", str(path), *(
+            a.format(support=support, vertices=vertices, svg=svg) for a in argv[1:]))
+        assert code == want and svg.exists() == (want == 0 and "--svg" in argv)
+        if want:
+            assert (out, err) == ("", json.dumps(
+                {"code": "FrozenVertex", "message": "cannot mutate frozen vertex 1",
+                 "context": {"command": argv[0]}}) + "\n")
 
 
 def test_crosscheck_pass_and_determinism(capsys):
@@ -520,3 +543,121 @@ def test_enumerate_variables_refuses_infinite_type_at_once(tmp_path, capsys, arr
     envelope = json.loads(err)
     assert envelope["code"] == "ExplosionGuard"
     assert envelope["message"].startswith(f"double arrow {doubled} ")
+
+
+# -- the error contract on seeded random commands ----------------------------------
+
+
+def _fuzz_quiver(rng: random.Random) -> Quiver:
+    """n 1-6: a random type-A quiver or random arrows (often not type A, or
+    not connected), now and then with a repeated arrow; each vertex is
+    frozen with probability 0.1."""
+    n = rng.randint(1, 6)
+    if rng.random() < 0.6:
+        arrows = list(random_type_a_quiver(n, rng).arrows)
+    else:
+        arrows = [(i, j) if rng.random() < 0.5 else (j, i)
+                  for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < 0.45]
+    if arrows and rng.random() < 0.1:
+        arrows.append(rng.choice(arrows))
+    return Quiver(n, tuple(arrows), frozenset(v for v in range(1, n + 1) if rng.random() < 0.1))
+
+
+def _fuzz_argv(rng: random.Random, n: int, svg: str) -> list[str]:
+    """One command of a random kind on a quiver with n vertices, with random
+    options and edge values: wrong lengths, negative and out-of-range
+    entries, bad planes and indices, negative boxes and seed budgets."""
+    def dvector():
+        m = n if rng.random() < 0.9 else max(n + rng.choice((-1, 1)), 1)
+        return ",".join(str(rng.choice((0, 0, 1, 1, -1, 2))) for _ in range(m))
+    command = rng.choice(("expand", "count", "decompose", "pipelines", "snake", "broken-lines",
+                          "crosscheck", "enumerate-variables", "report-table"))
+    argv = [command]
+    if command in ("expand", "count", "decompose", "pipelines"):
+        argv.append("--dvector=" + dvector())
+        if command in ("expand", "count"):
+            argv += ["--model", rng.choice(MODELS)]
+        if command == "expand":
+            argv += ["--format", rng.choice(("text", "json"))]
+        if command == "count" and rng.random() < 0.3:
+            argv.append("--list-witnesses")
+        if command == "pipelines" and rng.random() < 0.3:
+            argv += ["--svg", svg]
+    elif command == "snake":
+        argv.append("--dvector=" + (dvector() if rng.random() < 0.2
+                                    else ",".join(str(rng.randint(0, 1)) for _ in range(n))))
+        if rng.random() < 0.4:
+            argv += ["--svg", svg, "--matching", str(rng.choice((0, 1, 2, 99, -1)))]
+    elif command == "broken-lines":
+        vertices = rng.sample(range(1, n + 1), rng.randint(1, min(n, 3)))
+        if rng.random() < 0.1:
+            vertices.append(rng.choice((0, n + 1, vertices[0])))
+        argv.append("--subquiver=" + ",".join(map(str, vertices)))
+        if rng.random() < 0.3:
+            argv.append("--principal")
+        if rng.random() < 0.4:
+            argv += ["--svg", svg, "--line", str(rng.choice((0, 1, 99, -1))), "--plane",
+                     rng.choice(("1,2", "2,1", "1,1", "0,1", "1,99", "1,2,3"))]
+    elif command == "crosscheck":
+        if rng.random() < 0.2:
+            argv += ["--random", str(rng.randint(-1, 5)), "--seed", str(rng.randint(0, 9))]
+        argv += ["--format", rng.choice(("text", "json"))]
+        if rng.random() < 0.4:
+            argv += ["--models", ",".join(rng.choices(MODELS, k=rng.randint(1, 3)))]
+        if n <= 3 and rng.random() < 0.3:
+            argv += ["--box", str(rng.choice((-1, 1, 2)))]
+        if rng.random() < 0.3:
+            argv.append("--timings")
+    elif command == "enumerate-variables" and (n > 4 or rng.random() < 0.5):
+        argv += ["--max-seeds", str(rng.choice((-1, 0, 5, 200)))]
+    return argv
+
+
+def _frozen_support(argv: list[str], q: Quiver) -> bool:
+    """Whether expand, count, snake or broken-lines is asked for a support
+    with a frozen vertex: a positive entry of the d-vector, or a subquiver
+    vertex."""
+    if argv[0] not in ("expand", "count", "snake", "broken-lines"):
+        return False
+    for arg in argv:
+        if arg.startswith("--dvector="):
+            return any(x > 0 and v in q.frozen
+                       for v, x in enumerate(map(int, arg[10:].split(",")), 1))
+        if arg.startswith("--subquiver="):
+            return not q.frozen.isdisjoint(map(int, arg[12:].split(",")))
+    return False
+
+
+def test_seeded_commands_keep_the_error_contract(tmp_path, capsys):
+    """400 seeded commands of all nine kinds and every model, run
+    in-process: each exits 0, 1 (a crosscheck that fails) or 2 within 3 s,
+    and exit 2 prints one envelope and nothing on stdout, with no
+    traceback.  expand, count, snake and broken-lines never succeed on a
+    frozen support."""
+    rng = random.Random(26)
+    exits, frozen, models = {}, set(), set()
+    for _ in range(400):
+        q = _fuzz_quiver(rng)
+        path = tmp_path / rng.choice(("q.txt", "q.json"))
+        path.write_text(to_text(q) if path.suffix == ".txt" else json.dumps(to_json_dict(q)))
+        argv = _fuzz_argv(rng, q.n, str(tmp_path / "out.svg"))
+        if "--random" not in argv:
+            argv[1:1] = ["--quiver", str(path)]
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 3, argv
+        assert code in (0, 2) or (code, argv[0]) == (1, "crosscheck"), argv
+        assert "Traceback" not in err, argv
+        if code == 2:
+            envelope = json.loads(err)
+            assert list(envelope) == ["code", "message", "context"], argv
+            assert envelope["context"] == {"command": argv[0]} and out == "", argv
+        if _frozen_support(argv, q):
+            assert code != 0, (argv, q)
+            frozen.add(argv[0])
+        exits.setdefault(argv[0], set()).add(code)
+        if "--model" in argv:
+            models.add(argv[argv.index("--model") + 1])
+    assert len(exits) == 9 and all({0, 2} <= codes for codes in exits.values()), exits
+    assert models == set(MODELS)
+    assert frozen == {"expand", "count", "snake", "broken-lines"}

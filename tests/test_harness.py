@@ -186,7 +186,7 @@ def test_parity_error_classes_per_entry_point(three_cycle):
 TALLIES = ((formulas, "_gcs_terms"), (formulas, "_gcc_terms"),
            (formulas, "_linear_gcc_terms"), (formulas, "_variable_gcs_terms"),
            (snake, "_matching_terms"), (snake, "_tpath_terms"),
-           (scattering, "_line_terms"), (engine, "_cluster_variable"))
+           (scattering, "_theta"), (engine, "_cluster_variable"))
 COUNTS = ((formulas, "_count"), (formulas, "_linear_gcc_count"),
           (snake, "_matching_count"), (snake, "_tpath_count"))
 
@@ -237,8 +237,8 @@ def test_witness_count_computes_no_weight(monkeypatch, seven_mixed):
 def test_broken_line_relabels_each_factor_once(monkeypatch, seven_mixed):
     """Two copies of one factor make one relabelling per request."""
     calls = []
-    original = scattering.relabel_for_path
-    monkeypatch.setattr(scattering, "relabel_for_path",
+    original = scattering._relabel
+    monkeypatch.setattr(scattering, "_relabel",
                         lambda *args: calls.append(args) or original(*args))
     a = (2, 2, 0, 0, 2, 0, 0)
     factors = geometry.decompose(seven_mixed, a)
@@ -470,7 +470,7 @@ def test_short_arc_requests_touch_only_their_neighbourhood(monkeypatch):
         return b
     monkeypatch.setattr(engine, "_signed_rows", recorded_rows)
     monkeypatch.setattr(engine, "_exchange", lambda *args: exchanges.append(1) or exchange(*args))
-    relabel = scattering.relabel_for_path
+    relabel = scattering._relabel
 
     def local_relabel(*args):
         with monkeypatch.context() as m:
@@ -482,7 +482,7 @@ def test_short_arc_requests_touch_only_their_neighbourhood(monkeypatch):
             finally:
                 tracemalloc.stop()
         return rel
-    monkeypatch.setattr(scattering, "relabel_for_path", local_relabel)
+    monkeypatch.setattr(scattering, "_relabel", local_relabel)
     for k in range(20):
         support = _random_path(q, rng, k % 4 + 1)
         b = tuple(int(v in support) for v in q.vertices)
@@ -569,22 +569,21 @@ def test_crosscheck_completes_each_neighbourhood_once_per_row(monkeypatch):
     """linear-gcc, matching and tpath share one completed neighbourhood per
     row and factor, and nothing is kept across rows."""
     q = random_type_a_quiver(6, random.Random(4242))
-    calls = _count_calls(monkeypatch, ((harness, "complete_extension"),))
+    calls = _count_calls(monkeypatch, ((harness, "_complete"),))
     report = crosscheck(q, models=("linear-gcc", "matching", "tpath"))
-    assert report.passed and calls == {"complete_extension": len(report.rows)}
-    calls["complete_extension"] = 0
+    assert report.passed and calls == {"_complete": len(report.rows)}
+    calls["_complete"] = 0
     report = crosscheck(q, models=("mutation", "matching", "tpath"), box=2)
     assert report.passed
     factors = [len(set(geometry.decompose(q, r.dvector))) for r in report.rows]
-    assert max(factors) > 1 and calls == {"complete_extension": sum(factors)}
+    assert max(factors) > 1 and calls == {"_complete": sum(factors)}
 
 
 def test_crosscheck_orders_each_path_once_per_row(monkeypatch):
-    """mutation, linear-gcc, matching, tpath and gcs-variable take a factor's
-    path order from `decompose`: one `path_order` per row whose vector is 0-1
-    (the path shortcut), none for a row that is decomposed into pipelines.
-    broken-line reads it from its relabelling, whose public entry checks the
-    path again: one more call per relabelling."""
+    """Every per-variable model takes a factor's path order from `decompose`:
+    one `path_order` per row whose vector is 0-1 (the path shortcut), none
+    for a row that is decomposed into pipelines.  broken-line relabels each
+    factor in that order, and checks no path again."""
     q = random_type_a_quiver(6, random.Random(4242))
     calls = _count_calls(monkeypatch, [(m, "path_order") for m in (geometry, engine, quiver)])
     report = crosscheck(q, models=("mutation", "linear-gcc", "matching", "tpath",
@@ -592,11 +591,11 @@ def test_crosscheck_orders_each_path_once_per_row(monkeypatch):
     assert report.passed and len(report.rows) > 20
     rows = sum(set(r.dvector) <= {0, 1} for r in report.rows)
     assert calls == {"path_order": rows}
-    relabellings = _count_calls(monkeypatch, [(scattering, "relabel_for_path")])
+    relabellings = _count_calls(monkeypatch, [(scattering, "_relabel")])
     calls["path_order"] = 0
     assert crosscheck(q, models=("broken-line",), box=2).passed
-    assert relabellings["relabel_for_path"] > rows
-    assert calls == {"path_order": rows + relabellings["relabel_for_path"]}
+    assert relabellings["_relabel"] > rows
+    assert calls == {"path_order": rows}
 
 
 def test_broken_line_requests_touch_only_their_neighbourhood(monkeypatch):
@@ -613,8 +612,8 @@ def test_broken_line_requests_touch_only_their_neighbourhood(monkeypatch):
     post_init = Quiver.__post_init__
     monkeypatch.setattr(Quiver, "__post_init__", lambda p: built.append(p.n) or post_init(p))
     direction, validate = scattering._direction, scattering._validate
-    relabel, rels = scattering.relabel_for_path, []
-    monkeypatch.setattr(scattering, "relabel_for_path",
+    relabel, rels = scattering._relabel, []
+    monkeypatch.setattr(scattering, "_relabel",
                         lambda *args: rels.append(relabel(*args)) or rels[-1])
 
     def counted_direction(rel, s):
