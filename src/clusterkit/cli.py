@@ -14,9 +14,9 @@ import os
 import sys
 
 from . import MODELS
-from .errors import ClusterKitError, InvalidInput
+from .errors import ClusterKitError, CoordinateOutOfRange, InvalidInput, PositivityViolation
 from .laurent import canonical_string, rational_string, to_json_dict
-from .quiver import Quiver, complete_extension, from_json, from_text
+from .quiver import Quiver, complete_extension, from_json, from_text, require_type_a
 
 
 def _load_quiver(path: str) -> Quiver:
@@ -153,7 +153,11 @@ def cmd_broken_lines(args) -> int:
     support = _parse_subquiver(args.subquiver)
     from . import scattering
     rel = scattering.relabel_for_path(q, support)
-    lines = scattering._lines(rel, principal=args.principal or None)
+    try:
+        lines = scattering._lines(rel, principal=args.principal or None)
+    except (CoordinateOutOfRange, PositivityViolation):
+        require_type_a(q)  # outside type A the input is at fault, not the lines
+        raise
     if args.svg:
         from . import svg
         chosen = _pick(lines, args.line, "--line")

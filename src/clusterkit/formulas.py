@@ -12,7 +12,8 @@ Three routes to the same Laurent polynomial:
 
 All enumeration runs one solver over binary variables, not power-set
 filtering: what each bit's 0 and 1 force is computed once per system, so no
-branch of the search fails and a witness costs a few ORs of masks.
+branch of the search fails and a witness costs a few ORs of masks.  Counts
+and values skip it where the constraints form fences (paths; `_fences`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from collections.abc import Mapping
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .errors import AssumptionViolated, Unreachable
 from .geometry import _overlap, _require_nonnegative
@@ -194,17 +195,70 @@ def _enumerate_closed_assignments(nbits: int, implications):
         yield tuple(bits(ones, nbits))
 
 
+def _fences(nbits: int, implications):
+    """The implication graph as fences, or None.  Bits that imply each other
+    merge into one node; if every node then meets at most two others and lies
+    on no cycle, each connected piece is a path from one end, as (node's bits,
+    step) per node: step 1 where the node before forces this one, -1 where
+    this one forces it, 0 at the first node."""
+    pairs = set(implications)
+    node, members = list(range(nbits)), [[b] for b in range(nbits)]
+    for x, y in pairs:
+        a, b = node[x], node[y]
+        if a != b and (y, x) in pairs:
+            for u in members[b]:
+                node[u] = a
+            members[a] += members[b]
+    arcs = {(node[x], node[y]) for x, y in pairs if node[x] != node[y]}
+    links = [[] for _ in range(nbits)]  # per node: (neighbour, step)
+    for a, b in arcs:
+        if (b, a) in arcs or len(links[a]) > 1 or len(links[b]) > 1:
+            return None  # two nodes forcing each other, or a third neighbour
+        links[a].append((b, 1))
+        links[b].append((a, -1))
+    paths, seen = [], set()
+    for a in range(nbits):
+        if node[a] == a and a not in seen and len(links[a]) < 2:  # a path's first end
+            path, prev, step = [], -1, 0
+            while a >= 0:
+                seen.add(a)
+                path.append((members[a], step))
+                prev, (a, step) = a, ([n for n in links[a] if n[0] != prev] or [(-1, 0)])[0]
+            paths.append(path)
+    return paths if len(seen) == len(set(node)) else None  # a node not seen lies on a cycle
+
+
 def _count(nbits: int, implications, *_) -> int:
-    """The number of closed assignments; no witness is built."""
-    return sum(1 for _ in _closed_masks(nbits, implications))
+    """The number of closed assignments, by transfer on fences; no witness is built."""
+    paths = _fences(nbits, implications)
+    if paths is None:
+        return sum(1 for _ in _closed_masks(nbits, implications))
+    c0, c1 = 1, 0  # assignments so far with the last node at 0, at 1
+    for _, step in chain(*paths):
+        both = c0 + c1
+        c0, c1 = c0 if step > 0 else both, c1 if step < 0 else both
+    return c0 + c1
 
 
 def _tally(nbits: int, implications, runs) -> dict[tuple[int, ...], int]:
     """The number of closed assignments per tuple of set-bit counts in runs
-    of consecutive bits (their lengths, in bit order)."""
-    spans = [(end - size, (1 << size) - 1) for size, end in zip(runs, accumulate(runs))]
-    return Counter(tuple((ones >> s & m).bit_count() for s, m in spans)
-                   for ones in _closed_masks(nbits, implications))
+    of consecutive bits (their lengths, in bit order).  On fences, `_count`'s
+    transfer of tallies keyed by the counts packed one field per run."""
+    paths = _fences(nbits, implications)
+    if paths is None:
+        spans = [(end - size, (1 << size) - 1) for size, end in zip(runs, accumulate(runs))]
+        return Counter(tuple((ones >> s & m).bit_count() for s, m in spans)
+                       for ones in _closed_masks(nbits, implications))
+    width = field_width(max(runs, default=0))
+    shift = [1 << width * k for k, size in enumerate(runs) for _ in range(size)]
+    c0, c1 = {0: 1}, {}
+    for node, step in chain(*paths):
+        both = c0.copy() if step > 0 else c0  # step 1: a 0 here needs a 0 before
+        for k, c in c1.items():
+            both[k] = both.get(k, 0) + c
+        w = sum(shift[b] for b in node)
+        c1 = {k + w: c for k, c in (c1 if step < 0 else both).items()}
+    return unpack({k: c0.get(k, 0) + c1.get(k, 0) for k in c0.keys() | c1.keys()}, width, len(runs))
 
 
 # -- globally compatible sequences ----------------------------------------------

@@ -4,6 +4,7 @@ import os
 from pathlib import Path
 import random
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -447,6 +448,35 @@ def test_broken_lines_rejects_a_repeated_vertex(tmp_path, capsys):
     assert envelope["code"] == "InvalidInput" and "repeats a vertex" in envelope["message"]
 
 
+@pytest.mark.parametrize("arrows", ["1 2\n3 1\n3 2\n", "1 2\n1 2\n3 1\n"],
+                         ids=["acyclic-triangle", "double-arrow"])
+@pytest.mark.parametrize("svg", [False, True], ids=["text", "svg"])
+def test_broken_lines_off_type_a_says_not_type_a(tmp_path, capsys, arrows, svg):
+    """Lines on these infinite-type quivers fail their certificates
+    (CoordinateOutOfRange, PositivityViolation); the command names the
+    input instead, as expand --model broken-line does, and draws nothing."""
+    path, drawn = tmp_path / "q.txt", tmp_path / "l.svg"
+    path.write_text("n 3 frozen none\n" + arrows)
+    code, out, err = run(capsys, "broken-lines", "--quiver", str(path), "--subquiver", "1,2",
+                         *(["--svg", str(drawn)] if svg else []))
+    assert code == 2 and out == "" and not drawn.exists()
+    assert json.loads(err) == {"code": "NotTypeA", "message": "operation requires a type-A quiver",
+                               "context": {"command": "broken-lines"}}
+    code, _, err = run(capsys, "expand", "--quiver", str(path), "--model", "broken-line",
+                       "--dvector", "1,1,0")
+    assert code == 2 and json.loads(err)["code"] == "NotTypeA"
+
+
+@pytest.mark.parametrize("arrows", ["1 2\n3 2\n4 2\n", "1 2\n2 3\n3 4\n4 1\n"], ids=["D4", "4-cycle"])
+def test_broken_lines_still_draws_lines_where_they_certify(tmp_path, capsys, arrows):
+    """The path check asks for no type-A quiver: on D4 and the oriented
+    4-cycle the lines of an arc certify, and the command prints them."""
+    path = tmp_path / "q.txt"
+    path.write_text("n 4 frozen none\n" + arrows)
+    code, out, err = run(capsys, "broken-lines", "--quiver", str(path), "--subquiver", "1,2")
+    assert code == 0 and err == "" and out.splitlines()[-1].startswith("theta ")
+
+
 def test_count_matching_on_the_1100_vertex_path(tmp_path, capsys):
     n = 1100
     path = tmp_path / "path.txt"
@@ -454,6 +484,46 @@ def test_count_matching_on_the_1100_vertex_path(tmp_path, capsys):
     code, out, err = run(capsys, "count", "--quiver", str(path), "--model", "matching",
                          "--dvector", ",".join(["1"] * n))
     assert (code, out, err) == (0, "1101\n", "")
+
+
+def timed(capsys, *argv):
+    """One in-process command that must succeed quietly within 2 s: gcs and
+    gcc count and sum by transfer, never walking their witnesses.  A timer
+    stops a command that overruns, which by enumeration would run for days."""
+    def overrun(*_):
+        pytest.fail(f"{argv} took over 2 s")
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0 and err == "", argv
+    return out
+
+
+@pytest.mark.parametrize("model", ["gcs", "gcc"])
+def test_a2_forty_times_the_first_arc(tmp_path, capsys, model):
+    """(40, 0) on A2 has 2^40 witnesses and 41 terms, the binomials of 40."""
+    path = tmp_path / "a2.txt"
+    path.write_text("n 2 frozen none\n1 2\n")
+    args = ("--quiver", str(path), "--model", model, "--dvector", "40,0")
+    assert timed(capsys, "count", *args) == f"{2 ** 40}\n"
+    value = timed(capsys, "expand", *args)
+    assert value == timed(capsys, "expand", *args[:3], "gcs", *args[4:])
+    assert value.count(" + ") == 40 and f" + {math.comb(40, 20)}*x2^20 + " in value
+
+
+@pytest.mark.parametrize("model", ["gcs", "gcc", "gcs-variable"])
+def test_the_zig_zag_60_counts_its_fibonacci_witnesses(tmp_path, capsys, model):
+    n = 60
+    path = tmp_path / "zigzag.txt"
+    path.write_text(to_text(Quiver(n, tuple((i, i + 1) if i % 2 else (i + 1, i)
+                                            for i in range(1, n)))))
+    out = timed(capsys, "count", "--quiver", str(path), "--model", model,
+                "--dvector", ",".join(["1"] * n))
+    assert out == "4052739537881\n"  # F(62)
 
 
 def test_closed_stdout_exits_quietly():
