@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heapify, heappop, heappush
+from itertools import chain
 
 from .errors import (
     ExplosionGuard,
@@ -21,44 +22,50 @@ from .errors import (
     NotAClusterVariableDVector,
 )
 from .geometry import _require_nonnegative, require_in_w, support_of
-from .laurent import LaurentPoly, mono, mono_degree, mono_mul, poly_product
+from .laurent import LaurentPoly, _times, mono_degree, mono_mul
 from .quiver import (Quiver, _mutate_rows, _signed_rows, mutate, path_order, require_path,
                      require_type_a)
 
 
-def _eliminate(p: LaurentPoly, d: LaurentPoly) -> dict:
-    """Quotient terms of p by d from iterated leading-term elimination under
-    the graded order (degree, then exponents over the variables of p and d).
-    A remainder term's key is computed once, as it enters a min-heap negated;
-    the lead is the first entry popped that is still in the remainder."""
-    support = sorted(set(p.support()) | set(d.support()))
+def _eliminate(p: dict, d: dict) -> dict:
+    """Quotient terms of p by d (term dicts) from iterated leading-term
+    elimination under the graded order (degree, then exponents over the
+    variables of p and d).  A remainder term's key is computed once, as it
+    enters a min-heap negated; the lead is the first entry popped that is
+    still in the remainder.  In each variable, the extreme parts of a product
+    never cancel, so a term of an exact quotient has its exponent between the
+    least exponents' difference and the greatest's; a candidate outside that
+    box proves the division inexact, and the box bounds the steps."""
+    support = sorted({v for m in chain(p, d) for v, _ in m})
 
     def entry(m):
         e = dict(m)
         return (-mono_degree(m), tuple(-e.get(v, 0) for v in support)), m
 
-    lead_d = min(map(entry, d.terms))[1]
-    coeff_d = d.terms[lead_d]
+    def columns(entries):  # per variable, the negated exponents of the terms
+        return zip(*(key[1] for key, _ in entries))
+
+    heap, ds = list(map(entry, p)), list(map(entry, d))
+    box = [(max(cd) - max(cp), min(cd) - min(cp)) for cp, cd in zip(columns(heap), columns(ds))]
+    (_, neg_d), lead_d = min(ds)
+    coeff_d = d[lead_d]
     inv_lead_d = tuple((v, -e) for v, e in lead_d)
     quotient: dict = {}
-    remainder = dict(p.terms)
-    heap = list(map(entry, remainder))
+    remainder = dict(p)
     heapify(heap)
-    cap = 16 * (len(p.terms) + len(d.terms) + 4)
     while remainder:
-        cap -= 1
-        if cap < 0:
-            raise InexactDivision("leading-term elimination did not terminate")
-        lead_r = heappop(heap)[1]
+        (_, neg_r), lead_r = heappop(heap)
         while lead_r not in remainder:  # cancelled since it entered
-            lead_r = heappop(heap)[1]
+            (_, neg_r), lead_r = heappop(heap)
         coeff_r = remainder[lead_r]
         if coeff_r % coeff_d:
             raise InexactDivision("leading coefficient not divisible")
+        if any(not lo <= b - a <= hi for a, b, (lo, hi) in zip(neg_r, neg_d, box)):
+            raise InexactDivision("quotient term outside the exponent box of an exact quotient")
         t = mono_mul(lead_r, inv_lead_d)
         c = coeff_r // coeff_d
-        quotient[t] = quotient.get(t, 0) + c
-        for m, cd in d.terms.items():
+        quotient[t] = c
+        for m, cd in d.items():
             mm = mono_mul(t, m)
             nc = remainder.get(mm, 0) - c * cd
             if nc:
@@ -70,24 +77,29 @@ def _eliminate(p: LaurentPoly, d: LaurentPoly) -> dict:
     return quotient
 
 
-def exact_divide(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
-    """Certified exact division in the Laurent ring: by a one-term divisor
+def _divide(p: dict, d: dict) -> dict:
+    """The certified exact quotient of term dicts: by a one-term divisor
     c*m in one pass (every coefficient divided by c, every monomial times
     1/m), by a longer one through leading-term elimination.  The quotient is
     multiplied back and compared with the numerator."""
-    if d.is_zero():
+    if not d:
         raise InexactDivision("division by zero")
-    if len(d.terms) == 1:
-        ((m_d, c_d),) = d.terms.items()
-        if any(c % c_d for c in p.terms.values()):
+    if len(d) == 1:
+        ((m_d, c_d),) = d.items()
+        if any(c % c_d for c in p.values()):
             raise InexactDivision("coefficient not divisible by the monomial divisor")
         inv = tuple((v, -e) for v, e in m_d)
-        q = LaurentPoly._of({mono_mul(m, inv): c // c_d for m, c in p.terms.items()})
+        q = {mono_mul(m, inv): c // c_d for m, c in p.items()}
     else:
-        q = LaurentPoly(_eliminate(p, d))
-    if q * d != p:
+        q = _eliminate(p, d)
+    if _times(q, d) != p:
         raise InexactDivision("quotient verification failed")
     return q
+
+
+def exact_divide(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
+    """Certified exact division in the Laurent ring (`_divide`)."""
+    return LaurentPoly._of(_divide(p.terms, d.terms))
 
 
 class Seed:
@@ -109,17 +121,29 @@ def initial_seed(q: Quiver) -> Seed:
     return Seed(q, tuple(LaurentPoly.variable(i) for i in q.vertices))
 
 
-def _exchange(row: dict[int, int], entries: dict, old: LaurentPoly) -> LaurentPoly:
-    """The exchange relation at a vertex v with signed row `row`.  A vertex
-    missing from entries still holds its initial variable; each side gathers
-    those into one monomial, so only the other entries are multiplied."""
-    sides = []
-    for sign in (-1, 1):  # arrows into v, then arrows out of v
-        arrows = [(u, sign * c) for u, c in row.items() if sign * c > 0]
-        initial = LaurentPoly._of({mono({u: k for u, k in arrows if u not in entries}): 1})
-        sides.append(poly_product([initial, *(entries[u] for u, k in arrows
-                                              if u in entries for _ in range(k))]))
-    return exact_divide(sides[0] + sides[1], old)
+def _exchange(row: dict[int, int], entries: dict, old: dict) -> dict:
+    """The exchange relation at a vertex v with signed row `row`, on term
+    dicts.  A vertex missing from entries still holds its initial variable;
+    each side gathers those into one monomial, so only the other entries are
+    multiplied."""
+    gathered, factors = ([], []), ([], [])  # arrows into v (c < 0), then out of v
+    for u, c in row.items():
+        if u in entries:
+            factors[c > 0].extend([entries[u]] * abs(c))
+        elif c:
+            gathered[c > 0].append((u, abs(c)))
+    total: dict = {}
+    for initial, exchanged in zip(gathered, factors):
+        side = {tuple(sorted(initial)): 1}
+        for f in exchanged:
+            side = _times(side, f)
+        for m, c in side.items():
+            nc = total.get(m, 0) + c
+            if nc:
+                total[m] = nc
+            else:
+                del total[m]
+    return _divide(total, old)
 
 
 def mutate_seed(s: Seed, v: int) -> Seed:
@@ -127,7 +151,8 @@ def mutate_seed(s: Seed, v: int) -> Seed:
         raise FrozenVertex(f"cannot mutate frozen vertex {v}")
     row = _signed_rows(s.quiver.vertices, s.quiver.arrows).get(v, {})
     cluster = list(s.cluster)
-    cluster[v - 1] = _exchange(row, dict(enumerate(s.cluster, 1)), s.entry(v))
+    entries = {u: p.terms for u, p in enumerate(s.cluster, 1)}
+    cluster[v - 1] = LaurentPoly._of(_exchange(row, entries, entries[v]))
     return Seed(mutate(s.quiver, v), tuple(cluster))
 
 
@@ -246,11 +271,11 @@ def _walk(start: Quiver, seq: list[int]) -> LaurentPoly:
     outs, ins = start._adjacency
     local = sorted(set(seq).union(*(outs[v] for v in seq), *(ins[v] for v in seq)))
     b = _signed_rows(local, ((t, h) for t in local for h in outs[t]))
-    entries: dict[int, LaurentPoly] = {}
+    entries: dict[int, dict] = {}
     for v in seq:
-        entries[v] = _exchange(b[v], entries, entries.get(v, LaurentPoly.variable(v)))
+        entries[v] = _exchange(b[v], entries, entries.get(v) or {((v, 1),): 1})
         _mutate_rows(b, v)
-    return entries[seq[-1]]
+    return LaurentPoly._of(entries[seq[-1]])
 
 
 def cluster_variable(q: Quiver, a) -> LaurentPoly:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, compress
 import json
+from operator import itemgetter
 from struct import Struct
 
 Monomial = tuple  # tuple[tuple[int, int], ...], sorted by variable index
@@ -60,6 +61,26 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 def mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
+
+
+def _times(a: dict, b: dict) -> dict:
+    """The product of two term dicts (monomial -> nonzero coefficient) as a
+    new term dict.  A one-term factor's products cannot collide or cancel."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        ((m1, c1),) = a.items()
+        return {mono_mul(m1, m2): c1 * c2 for m2, c2 in b.items()}
+    acc: dict[Monomial, int] = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = mono_mul(m1, m2)
+            nc = acc.get(m, 0) + c1 * c2
+            if nc:
+                acc[m] = nc
+            elif m in acc:
+                del acc[m]
+    return acc
 
 
 class LaurentPoly:
@@ -131,23 +152,7 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not self.terms or not other.terms:
-            return _ZERO
-        if len(self.terms) > len(other.terms):
-            self, other = other, self
-        if len(self.terms) == 1:  # its products cannot collide or cancel
-            ((m1, c1),) = self.terms.items()
-            return LaurentPoly._of({mono_mul(m1, m2): c1 * c2 for m2, c2 in other.terms.items()})
-        acc: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                nc = acc.get(m, 0) + c1 * c2
-                if nc:
-                    acc[m] = nc
-                elif m in acc:
-                    del acc[m]
-        return LaurentPoly._of(acc)
+        return LaurentPoly._of(_times(self.terms, other.terms))
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
@@ -263,21 +268,20 @@ def rename(p: LaurentPoly, mapping: Mapping[int, int]) -> LaurentPoly:
 # -- deterministic rendering -----------------------------------------------
 
 
-def _sort_key(p: LaurentPoly):
-    vs = p.support()
-
-    def key(m: Monomial):
-        d = dict(m)
-        vec = tuple(d.get(v, 0) for v in vs)
-        # ascending total degree, then descending lexicographic exponent vector
-        return (mono_degree(m), tuple(-e for e in vec))
-
-    return key
-
-
 def sorted_terms(p: LaurentPoly) -> list[tuple[Monomial, int]]:
-    key = _sort_key(p)
-    return sorted(p.terms.items(), key=lambda mc: key(mc[0]))
+    """The terms by ascending total degree, then descending exponent vector
+    over the support, lexicographically."""
+    index = {v: i for i, v in enumerate(p.support())}
+    dense = [0] * len(index)
+
+    def key(term):
+        vec, degree = dense.copy(), 0
+        for v, e in term[0]:
+            vec[index[v]] = -e
+            degree += e
+        return degree, vec
+
+    return sorted(p.terms.items(), key=key)
 
 
 def _mono_string(m: Monomial) -> str:
@@ -352,15 +356,19 @@ def affine_sum(base: Mapping[int, int], deltas: Sequence[Monomial],
     built per distinct k, from its nonzero counts alone."""
     drop = set(drop)
     base = {v: e for v, e in base.items() if v not in drop}
-    fields = range(len(deltas))
+    if drop:
+        deltas = [tuple(pair for pair in m if pair[0] not in drop) for m in deltas]
+    fields, nonzero = range(len(deltas)), itemgetter(1)
     acc: dict[Monomial, int] = {}
     for key, c in tally.items():
-        e = dict(base)
+        e = base.copy()
         for i in compress(fields, key):
             k = key[i]
             for v, d in deltas[i]:
                 e[v] = e.get(v, 0) + k * d
-        m = mono({v: x for v, x in e.items() if v not in drop} if drop else e)
+        m = tuple(sorted(filter(nonzero, e.items())))
+        if m and m[0][0] < 1:
+            raise ValueError(f"variable index must be positive, got {m[0][0]}")
         acc[m] = acc.get(m, 0) + c
     return LaurentPoly(acc)
 

@@ -4,21 +4,26 @@ No command and no model needs these, so they live next to the tests that
 pin them: exchange matrices, mutation sequences, g-vectors by multidegree,
 endpoint and travel-bound checks, marking directions and d-vectors of
 diagonals, sums of per-witness terms and their renaming to the ambient
-labels, each built on the program's own primitives.
+labels, each built on the program's own primitives.  The assembly kernels
+on `LaurentPoly` values (exchange, certified division, walk, affine sum and
+the rendering order) are kept as the program had them before they moved to
+term dicts.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from heapq import heapify, heappop, heappush
+from itertools import combinations, compress
 import json
 from math import lcm
 
 from clusterkit import scattering
 from clusterkit.engine import Seed, mutate_seed
-from clusterkit.errors import CrossingDiagonals, NotHomogeneous
+from clusterkit.errors import CrossingDiagonals, FrozenVertex, InexactDivision, NotHomogeneous
 from clusterkit.geometry import PipelineSet, Triangulation
-from clusterkit.laurent import LaurentPoly, to_json_dict
-from clusterkit.quiver import CompletionResult, Quiver, _signed_rows, mutate
+from clusterkit.laurent import (LaurentPoly, Monomial, mono, mono_degree, mono_mul, poly_product,
+                                to_json_dict)
+from clusterkit.quiver import CompletionResult, Quiver, _mutate_rows, _signed_rows, mutate
 
 
 def poly_sum(ps) -> LaurentPoly:
@@ -124,3 +129,136 @@ def d_vector_of(diagonal_multiset, t: Triangulation) -> tuple[int, ...]:
         sum(intersection_number(t, d, t.edges[i]) for d in ds)
         for i in range(1, t.n + 1)
     )
+
+
+# -- assembly on LaurentPoly values ------------------------------------------
+
+
+def eliminate(p: LaurentPoly, d: LaurentPoly) -> dict:
+    """Quotient terms of p by d from leading-term elimination, with a step
+    cap of 16 * (|p| + |d| + 4): it refuses exact divisions whose quotient
+    is longer than that, so draw short quotients."""
+    support = sorted(set(p.support()) | set(d.support()))
+
+    def entry(m):
+        e = dict(m)
+        return (-mono_degree(m), tuple(-e.get(v, 0) for v in support)), m
+
+    lead_d = min(map(entry, d.terms))[1]
+    coeff_d = d.terms[lead_d]
+    inv_lead_d = tuple((v, -e) for v, e in lead_d)
+    quotient: dict = {}
+    remainder = dict(p.terms)
+    heap = list(map(entry, remainder))
+    heapify(heap)
+    cap = 16 * (len(p.terms) + len(d.terms) + 4)
+    while remainder:
+        cap -= 1
+        if cap < 0:
+            raise InexactDivision("leading-term elimination did not terminate")
+        lead_r = heappop(heap)[1]
+        while lead_r not in remainder:
+            lead_r = heappop(heap)[1]
+        coeff_r = remainder[lead_r]
+        if coeff_r % coeff_d:
+            raise InexactDivision("leading coefficient not divisible")
+        t = mono_mul(lead_r, inv_lead_d)
+        c = coeff_r // coeff_d
+        quotient[t] = quotient.get(t, 0) + c
+        for m, cd in d.terms.items():
+            mm = mono_mul(t, m)
+            nc = remainder.get(mm, 0) - c * cd
+            if nc:
+                if mm not in remainder:
+                    heappush(heap, entry(mm))
+                remainder[mm] = nc
+            elif mm in remainder:
+                del remainder[mm]
+    return quotient
+
+
+def exact_divide(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
+    """Certified exact division: one pass by a one-term divisor, `eliminate`
+    by a longer one, and the quotient multiplied back."""
+    if d.is_zero():
+        raise InexactDivision("division by zero")
+    if len(d.terms) == 1:
+        ((m_d, c_d),) = d.terms.items()
+        if any(c % c_d for c in p.terms.values()):
+            raise InexactDivision("coefficient not divisible by the monomial divisor")
+        inv = tuple((v, -e) for v, e in m_d)
+        q = LaurentPoly._of({mono_mul(m, inv): c // c_d for m, c in p.terms.items()})
+    else:
+        q = LaurentPoly(eliminate(p, d))
+    if q * d != p:
+        raise InexactDivision("quotient verification failed")
+    return q
+
+
+def exchange(row: dict[int, int], entries: dict, old: LaurentPoly) -> LaurentPoly:
+    """The exchange relation at a vertex with signed row `row`; a vertex
+    missing from entries holds its initial variable."""
+    sides = []
+    for sign in (-1, 1):
+        arrows = [(u, sign * c) for u, c in row.items() if sign * c > 0]
+        initial = LaurentPoly._of({mono({u: k for u, k in arrows if u not in entries}): 1})
+        sides.append(poly_product([initial, *(entries[u] for u, k in arrows
+                                              if u in entries for _ in range(k))]))
+    return exact_divide(sides[0] + sides[1], old)
+
+
+def exchanged_entry(s: Seed, v: int) -> LaurentPoly:
+    """The entry that mutating seed s at v puts at v."""
+    row = _signed_rows(s.quiver.vertices, s.quiver.arrows).get(v, {})
+    return exchange(row, dict(enumerate(s.cluster, 1)), s.entry(v))
+
+
+def walk(start: Quiver, seq: list[int]) -> LaurentPoly:
+    """The entry left at the last vertex of seq by mutating along it, on the
+    signed rows of the seq's vertices and their neighbours."""
+    frozen = [v for v in seq if v in start.frozen]
+    if frozen:
+        raise FrozenVertex(f"cannot mutate frozen vertex {frozen[0]}")
+    outs, ins = start._adjacency
+    local = sorted(set(seq).union(*(outs[v] for v in seq), *(ins[v] for v in seq)))
+    b = _signed_rows(local, ((t, h) for t in local for h in outs[t]))
+    entries: dict[int, LaurentPoly] = {}
+    for v in seq:
+        entries[v] = exchange(b[v], entries, entries.get(v, LaurentPoly.variable(v)))
+        _mutate_rows(b, v)
+    return entries[seq[-1]]
+
+
+def affine_sum(base, deltas, tally, drop=()) -> LaurentPoly:
+    """Sum of c * x^base * deltas[0]^k_0 * ... over the items (k, c) of
+    tally, with the variables in drop set to 1."""
+    drop = set(drop)
+    base = {v: e for v, e in base.items() if v not in drop}
+    fields = range(len(deltas))
+    acc: dict[Monomial, int] = {}
+    for key, c in tally.items():
+        e = dict(base)
+        for i in compress(fields, key):
+            k = key[i]
+            for v, d in deltas[i]:
+                e[v] = e.get(v, 0) + k * d
+        m = mono({v: x for v, x in e.items() if v not in drop} if drop else e)
+        acc[m] = acc.get(m, 0) + c
+    return LaurentPoly(acc)
+
+
+def sort_key(p: LaurentPoly):
+    vs = p.support()
+
+    def key(m: Monomial):
+        d = dict(m)
+        vec = tuple(d.get(v, 0) for v in vs)
+        # ascending total degree, then descending lexicographic exponent vector
+        return (mono_degree(m), tuple(-e for e in vec))
+
+    return key
+
+
+def sorted_terms(p: LaurentPoly) -> list[tuple[Monomial, int]]:
+    key = sort_key(p)
+    return sorted(p.terms.items(), key=lambda mc: key(mc[0]))
