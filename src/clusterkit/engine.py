@@ -23,8 +23,7 @@ from .errors import (
 )
 from .geometry import _require_nonnegative, require_in_w, support_of
 from .laurent import LaurentPoly, _times, mono_degree, mono_mul
-from .quiver import (Quiver, _mutate_rows, _signed_rows, mutate, path_order, require_path,
-                     require_type_a)
+from .quiver import Quiver, _mutate_rows, _signed_rows, mutate, path_order, require_type_a
 
 
 def _eliminate(p: dict, d: dict) -> dict:
@@ -300,36 +299,3 @@ def _cluster_variable(q: Quiver, a: tuple, order: list[int]) -> LaurentPoly:
     if {v: -e for v, e in poly.min_exponents().items() if e} != dict.fromkeys(order, 1):
         raise NotAClusterVariableDVector(f"mutation walk missed the target {a}")
     return poly
-
-
-def principal_lift(q: Quiver, a) -> LaurentPoly:
-    """The corresponding cluster variable with principal coefficients (over
-    2n variables; setting the top n to 1 recovers the plain variable)."""
-    plain = cluster_variable(q, a)
-    a = tuple(a)
-    if -1 in a:  # minus a unit vector
-        return plain
-    poly = _walk(principal_quiver(q), _mutation_sequence(q, a, support_of(a)))
-    if poly.substitute_one([v for v in poly.support() if v > q.n]) != plain:
-        raise NotAClusterVariableDVector("principal lift does not specialize correctly")
-    return poly
-
-
-def g_vector_by_formula(qtilde: Quiver, linear_vertices) -> tuple[int, ...]:
-    """Degree formula for the g-vector of the variable indexed by a linear
-    full subquiver: on a path vertex, incoming-from-path arrows minus one;
-    off the path, 1 exactly when the vertex only receives one arrow from the
-    path and sends none back."""
-    vs = set(linear_vertices)
-    require_path(qtilde, vs)
-    g = []
-    for r in qtilde.vertices:
-        deg_in = sum(1 for t in qtilde.arrows_in(r) if t in vs)
-        deg_out = sum(1 for h in qtilde.arrows_out(r) if h in vs)
-        if r in vs:
-            g.append(deg_in - 1)
-        elif (deg_out, deg_in) == (0, 1):
-            g.append(1)
-        else:
-            g.append(0)
-    return tuple(g)

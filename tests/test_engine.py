@@ -10,10 +10,8 @@ from clusterkit.engine import (
     enumerate_cluster_variables,
     enumerate_seeds,
     exact_divide,
-    g_vector_by_formula,
     initial_seed,
     mutate_seed,
-    principal_lift,
     principal_quiver,
     variable_mutation_sequence,
 )
@@ -33,7 +31,8 @@ from clusterkit.harness import MODELS, crosscheck, expand_model, random_type_a_q
 from clusterkit.laurent import LaurentPoly, mono
 from clusterkit.quiver import Quiver, linear_full_subquivers
 from conftest import path_quiver
-from reference import exchange_matrix, g_vector_by_multidegree, mutate_seed_sequence
+from reference import (exchange_matrix, g_vector_by_formula, g_vector_by_multidegree,
+                       mutate_seed_sequence, principal_lift)
 
 x = LaurentPoly.variable
 

@@ -232,7 +232,7 @@ def test_formula_gcs_variable_matches_completion_route():
 
 
 def test_all_ones_marking_gives_g_vector(four_with_triangle):
-    from clusterkit.engine import g_vector_by_formula
+    from reference import g_vector_by_formula
 
     mono = variable_gcs_monomial(four_with_triangle, [1, 2, 3], (1, 1, 1))
     g = g_vector_by_formula(four_with_triangle, [1, 2, 3])

@@ -29,7 +29,6 @@ from clusterkit import formulas, geometry, harness, scattering
 from clusterkit.engine import (
     cluster_variable,
     exact_divide,
-    principal_lift,
     principal_quiver,
     variable_mutation_sequence,
 )
@@ -80,7 +79,7 @@ from clusterkit.quiver import (
     three_cycle_completion,
 )
 from clusterkit.snake import SnakeDiagram, build_snake
-from reference import poly_sum
+from reference import poly_sum, principal_lift
 
 # -- the whole-quiver reference ---------------------------------------------------
 
