@@ -8,15 +8,7 @@ sums; a differential harness certifies exact agreement.
 
 from .errors import ClusterKitError
 from .laurent import LaurentPoly, canonical_string, rational_string
-from .quiver import (
-    CompletelyExtendedLinearQuiver,
-    LinearQuiver,
-    Quiver,
-    complete_extension,
-    is_type_a,
-    linear_full_subquivers,
-    mutate,
-)
+from .quiver import Quiver, is_type_a, linear_full_subquivers, mutate
 
 # every model that `harness` can run, in crosscheck order; the command line
 # offers them without loading any model module
@@ -39,3 +31,14 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# the completed paths, which only some models and commands run
+_COMPLETION = ("LinearQuiver", "CompletelyExtendedLinearQuiver", "complete_extension")
+
+
+def __getattr__(name: str):
+    """A name of `completion`, which loads on the first such access."""
+    if name not in _COMPLETION:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import completion
+    return getattr(completion, name)

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
+from .completion import CompletelyExtendedLinearQuiver
 from .errors import InvalidInput
 from .formulas import GCCollection, LinearGCC, _gateways, three_cycle_cover
 from .laurent import LaurentPoly
-from .quiver import CompletelyExtendedLinearQuiver, Quiver
+from .quiver import Quiver
 from .scattering import BrokenLine, Endpoint, _build, _request, relabel_for_path
 from .snake import SnakeDiagram, TPath, label_variable
 

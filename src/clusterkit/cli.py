@@ -16,7 +16,7 @@ import sys
 from . import MODELS
 from .errors import ClusterKitError, CoordinateOutOfRange, InvalidInput, PositivityViolation
 from .laurent import canonical_string, rational_string, to_json_dict
-from .quiver import Quiver, complete_extension, from_json, from_text, require_type_a
+from .quiver import Quiver, from_json, from_text, require_type_a
 
 
 def _load_quiver(path: str) -> Quiver:
@@ -76,6 +76,14 @@ def _parse_plane(text: str, dim: int) -> tuple[int, int]:
     return plane
 
 
+def _print_in_full():
+    """Lift CPython's limit on int-to-str digits (3.10.7+, 3.11+; 4,300 by
+    default) once a command's input is parsed, which stays under it, so an
+    exact result prints in full; `main` puts the limit back."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+
+
 def _emit_value(value, fmt: str):
     if fmt == "json":
         print(json.dumps(to_json_dict(value)))
@@ -86,6 +94,7 @@ def _emit_value(value, fmt: str):
 def cmd_expand(args) -> int:
     q = _load_quiver(args.quiver)
     a = _parse_dvector(args.dvector, q.n)
+    _print_in_full()
     from . import harness
     value = harness.expand_model(q, a, args.model)
     _emit_value(value, args.format)
@@ -95,6 +104,7 @@ def cmd_expand(args) -> int:
 def cmd_count(args) -> int:
     q = _load_quiver(args.quiver)
     a = _parse_dvector(args.dvector, q.n)
+    _print_in_full()
     from . import harness
     if args.list_witnesses:
         print(json.dumps(harness.list_witnesses(q, a, args.model)))
@@ -135,8 +145,8 @@ def cmd_snake(args) -> int:
     a = _parse_dvector(args.dvector, q.n)
     if any(x not in (0, 1) for x in a):
         raise InvalidInput("snake diagrams are drawn per variable: use a 0-1 d-vector")
-    from . import geometry, snake
-    comp = complete_extension(q, geometry.support_of(a))
+    from . import completion, geometry, snake
+    comp = completion.complete_extension(q, geometry.support_of(a))
     d = snake.build_snake(comp.celq)
     matchings = snake.enumerate_matchings(d)
     if args.svg:
@@ -181,6 +191,7 @@ def cmd_crosscheck(args) -> int:
             raise InvalidInput("crosscheck needs --quiver or --random N")
         q = _load_quiver(args.quiver)
     models = args.models.split(",") if args.models else None
+    _print_in_full()
     report = harness.crosscheck(q, models, box=args.box, with_timings=args.timings)
     if args.format == "json":
         print(json.dumps(report.to_json_dict()))
@@ -191,6 +202,7 @@ def cmd_crosscheck(args) -> int:
 
 def cmd_enumerate_variables(args) -> int:
     q = _load_quiver(args.quiver)
+    _print_in_full()
     from . import engine
     table = engine.enumerate_cluster_variables(q, max_seeds=args.max_seeds)
     out = {",".join(map(str, key)): canonical_string(value)
@@ -201,67 +213,65 @@ def cmd_enumerate_variables(args) -> int:
 
 def cmd_report_table(args) -> int:
     q = _load_quiver(args.quiver)
+    _print_in_full()
     from . import harness
     sys.stdout.write(harness.report_table(q))
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+FORMATS = ("text", "json")
+
+# name: (handler, summary, whether --quiver is required, the other arguments)
+COMMANDS = {
+    "expand": (cmd_expand, "expand a cluster monomial", True, [
+        ("--model", {"default": "mutation", "choices": MODELS}),
+        ("--dvector", {"required": True}),
+        ("--format", {"default": "text", "choices": FORMATS})]),
+    "count": (cmd_count, "count or list combinatorial witnesses", True, [
+        ("--model", {"default": "gcs", "choices": MODELS}),
+        ("--dvector", {"required": True}),
+        ("--list-witnesses", {"action": "store_true"})]),
+    "decompose": (cmd_decompose, "split a d-vector into variable d-vectors", True, [
+        ("--dvector", {"required": True})]),
+    "pipelines": (cmd_pipelines, "print or draw the pipeline construction", True, [
+        ("--dvector", {"required": True}), ("--svg", {})]),
+    "snake": (cmd_snake, "snake diagram of one cluster variable", True, [
+        ("--dvector", {"required": True}), ("--svg", {}),
+        ("--matching", {"type": int, "default": 0})]),
+    "broken-lines": (cmd_broken_lines, "broken lines of one cluster variable", True, [
+        ("--subquiver", {"required": True, "help": "path vertices, comma-separated"}),
+        ("--principal", {"action": "store_true"}), ("--svg", {}),
+        ("--plane", {"default": "1,2"}), ("--line", {"type": int, "default": 0})]),
+    "crosscheck": (cmd_crosscheck, "compare all models on all variables", False, [
+        ("--random", {"type": int, "help": "random type-A quiver on N vertices"}),
+        ("--seed", {"type": int, "default": 0}), ("--models", {}),
+        ("--box", {"type": int, "default": 0,
+                   "help": "also sweep monomial d-vectors in [0,B]^n"}),
+        ("--timings", {"action": "store_true"}),
+        ("--format", {"default": "text", "choices": FORMATS})]),
+    "enumerate-variables": (cmd_enumerate_variables, "dump the full variable table", True, [
+        ("--max-seeds", {"type": int, "default": 100_000})]),
+    "report-table": (cmd_report_table, "markdown table of all variables", True, []),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the one named: it parses that
+    command as the full parser does, and its messages are the same, since
+    the list of commands in its usage is spelled out as argparse spells it."""
     parser = argparse.ArgumentParser(
         prog="clusterkit",
         description="Cluster variables of type-A quivers via five cross-checked "
                     "combinatorial models.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, func, summary: str, quiver_required: bool = True):
-        p = sub.add_parser(name, help=summary)
-        p.add_argument("--quiver", required=quiver_required, help="quiver file (text or JSON)")
-        p.set_defaults(func=func)
-        return p
-
-    p = command("expand", cmd_expand, "expand a cluster monomial")
-    p.add_argument("--model", default="mutation", choices=MODELS)
-    p.add_argument("--dvector", required=True)
-    p.add_argument("--format", default="text", choices=("text", "json"))
-
-    p = command("count", cmd_count, "count or list combinatorial witnesses")
-    p.add_argument("--model", default="gcs", choices=MODELS)
-    p.add_argument("--dvector", required=True)
-    p.add_argument("--list-witnesses", action="store_true")
-
-    p = command("decompose", cmd_decompose, "split a d-vector into variable d-vectors")
-    p.add_argument("--dvector", required=True)
-
-    p = command("pipelines", cmd_pipelines, "print or draw the pipeline construction")
-    p.add_argument("--dvector", required=True)
-    p.add_argument("--svg")
-
-    p = command("snake", cmd_snake, "snake diagram of one cluster variable")
-    p.add_argument("--dvector", required=True)
-    p.add_argument("--svg")
-    p.add_argument("--matching", type=int, default=0)
-
-    p = command("broken-lines", cmd_broken_lines, "broken lines of one cluster variable")
-    p.add_argument("--subquiver", required=True, help="path vertices, comma-separated")
-    p.add_argument("--principal", action="store_true")
-    p.add_argument("--svg")
-    p.add_argument("--plane", default="1,2")
-    p.add_argument("--line", type=int, default=0)
-
-    p = command("crosscheck", cmd_crosscheck, "compare all models on all variables",
-                quiver_required=False)
-    p.add_argument("--random", type=int, help="random type-A quiver on N vertices")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--models")
-    p.add_argument("--box", type=int, default=0,
-                   help="also sweep monomial d-vectors in [0,B]^n")
-    p.add_argument("--timings", action="store_true")
-    p.add_argument("--format", default="text", choices=("text", "json"))
-
-    p = command("enumerate-variables", cmd_enumerate_variables, "dump the full variable table")
-    p.add_argument("--max-seeds", type=int, default=100_000)
-
-    command("report-table", cmd_report_table, "markdown table of all variables")
+    listed = {} if command is None else {"metavar": "{" + ",".join(COMMANDS) + "}"}
+    sub = parser.add_subparsers(dest="command", required=True, **listed)
+    for name, (func, summary, quiver_required, arguments) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=summary)
+            p.add_argument("--quiver", required=quiver_required, help="quiver file (text or JSON)")
+            for flag, options in arguments:
+                p.add_argument(flag, **options)
+            p.set_defaults(func=func)
     return parser
 
 
@@ -280,8 +290,11 @@ def _join_dvector(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_dvector(sys.argv[1:] if argv is None else list(argv)))
+    argv = _join_dvector(sys.argv[1:] if argv is None else list(argv))
+    # a command named first takes every argument after it: only its parser is built
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+    args = parser.parse_args(argv)
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -298,6 +311,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

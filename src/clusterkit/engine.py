@@ -15,6 +15,7 @@ from heapq import heapify, heappop, heappush
 from itertools import chain
 
 from .errors import (
+    DisconnectedQuiver,
     ExplosionGuard,
     FrozenVertex,
     InexactDivision,
@@ -23,7 +24,8 @@ from .errors import (
 )
 from .geometry import _require_nonnegative, require_in_w, support_of
 from .laurent import LaurentPoly, _times, mono_degree, mono_mul
-from .quiver import Quiver, _mutate_rows, _signed_rows, mutate, path_order, require_type_a
+from .quiver import (Quiver, _mutate_rows, _signed_rows, is_type_a, linear_full_subquivers,
+                     mutate, path_order, require_type_a)
 
 
 def _eliminate(p: dict, d: dict) -> dict:
@@ -210,7 +212,32 @@ def enumerate_cluster_variables(
     q: Quiver, max_seeds: int = 100_000
 ) -> dict[tuple[int, ...], LaurentPoly]:
     """Every cluster variable keyed by its denominator vector (in the
-    unfrozen initial variables; initial variables get minus a unit vector)."""
+    unfrozen initial variables; initial variables get minus a unit vector).
+    On a type-A quiver they are read off the arcs: each unfrozen initial
+    variable, and the walk to the variable of every linear full subquiver
+    that avoids the frozen vertices, whose arcs cross no frozen diagonal
+    (Fomin, Shapiro & Thurston 2008).  Any other quiver walks the exchange
+    graph (`_seed_table`), at most max_seeds seeds."""
+    if max_seeds < 1:
+        raise InvalidInput(f"max_seeds must be at least 1, got {max_seeds}")
+    try:
+        type_a = is_type_a(q)
+    except DisconnectedQuiver:
+        type_a = False
+    if not type_a:
+        return _seed_table(q, max_seeds)
+    unfrozen = q.unfrozen
+    out = {tuple(-(u == v) for u in unfrozen): LaurentPoly.variable(v) for v in unfrozen}
+    for support in linear_full_subquivers(q):
+        if q.frozen.isdisjoint(support):
+            a = tuple(int(v in support) for v in q.vertices)
+            out[tuple(a[u - 1] for u in unfrozen)] = _cluster_variable(
+                q, a, path_order(q, support))
+    return out
+
+
+def _seed_table(q: Quiver, max_seeds: int = 100_000) -> dict[tuple[int, ...], LaurentPoly]:
+    """`enumerate_cluster_variables` from every seed of the exchange graph."""
     unfrozen = q.unfrozen
     out: dict[tuple[int, ...], LaurentPoly] = {}
     for s in enumerate_seeds(q, max_seeds):

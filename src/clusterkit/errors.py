@@ -41,10 +41,6 @@ class PositivePartNotInW(ClusterKitError):
     pass
 
 
-class CrossingDiagonals(ClusterKitError):
-    pass
-
-
 class InexactDivision(ClusterKitError):
     """Exchange-relation division left a remainder; indicates a bug, never bad input."""
 
@@ -54,10 +50,6 @@ class ExplosionGuard(ClusterKitError):
 
 
 class NotAClusterVariableDVector(ClusterKitError):
-    pass
-
-
-class NotHomogeneous(ClusterKitError):
     pass
 
 

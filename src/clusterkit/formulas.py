@@ -26,7 +26,11 @@ from itertools import accumulate, chain
 from .errors import AssumptionViolated, Unreachable
 from .geometry import _overlap, _require_nonnegative
 from .laurent import LaurentPoly, affine_sum, bits, field_width, mono, unpack
-from .quiver import CompletelyExtendedLinearQuiver, CompletionResult, Quiver, require_path
+from .quiver import Quiver, require_path
+
+TYPE_CHECKING = False  # as typing's; the completed paths load with their models
+if TYPE_CHECKING:
+    from .completion import CompletelyExtendedLinearQuiver, CompletionResult
 
 
 # -- assumptions and distances -------------------------------------------------

@@ -11,10 +11,11 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Mapping
 from itertools import chain, combinations, compress, count, repeat
+import sys
 from types import MappingProxyType
 
-from .errors import NegativeInput, NotInW, NotTypeA, PositivePartNotInW
-from .quiver import CompletelyExtendedLinearQuiver, Quiver, _derived, path_order, require_type_a
+from .errors import InvalidInput, NegativeInput, NotInW, NotTypeA, PositivePartNotInW
+from .quiver import Quiver, _derived, path_order, require_type_a
 
 
 def _twice_sigma(x, y, z) -> int:
@@ -91,8 +92,9 @@ def _positive_part(q: Quiver, a, in_w: bool = False):
     """The nonnegative part of a, its support and the negated negative
     entries by vertex, past one check: `require_in_w` if in_w (a is in W
     exactly when that part is, since the parity test reads only triangles
-    with three positive entries), else `positive_split`'s on the part.
-    O(support) past the check and `support_of`."""
+    with three positive entries), else `positive_split`'s on the part.  An
+    entry above sys.maxsize is refused last, before any model sizes a list
+    by it.  O(support) past the check and `support_of`."""
     a = require_in_w(q, a) if in_w else tuple(a)
     plus, support = a, support_of(a)
     neg = {v: -a[v - 1] for v in support if a[v - 1] < 0}
@@ -103,6 +105,9 @@ def _positive_part(q: Quiver, a, in_w: bool = False):
         plus, support = tuple(plus), [v for v in support if v not in neg]
     if not in_w and not satisfies_property_a(q, plus):
         raise PositivePartNotInW(f"positive part {plus} violates the parity condition")
+    if max(plus, default=0) > sys.maxsize:
+        v = next(v for v in support if plus[v - 1] > sys.maxsize)
+        raise InvalidInput(f"d-vector entry at vertex {v} exceeds sys.maxsize ({sys.maxsize})")
     return plus, support, neg
 
 
@@ -173,33 +178,6 @@ class Triangulation:
                 faces.append(((u, w, z), (by_pair[u, w], by_pair[w, z], lbl)))
         faces.sort()
         return faces
-
-
-def triangulation_of(celq: CompletelyExtendedLinearQuiver) -> Triangulation:
-    """Staircase triangulation realizing a completely extended linear quiver.
-
-    The first diagonal closes the triangle at the distinguished corner; each
-    following one pivots counterclockwise when the path arrow points forward
-    and clockwise otherwise.  Boundary labels reuse the quiver's extension
-    vertex ids."""
-    n = celq.n
-    m = n + 3
-    edges: dict[int, tuple[int, int]] = {}
-    edges[celq.start0] = (0, 1)
-    edges[celq.start1] = (0, m - 1)
-    p, qpos = 1, m - 1
-    edges[1] = (p, qpos)
-    for i, d in enumerate(celq.delta, start=1):
-        if d == 0:
-            edges[celq.mid(i)] = (p, p + 1)
-            p += 1
-        else:
-            edges[celq.mid(i)] = (qpos - 1, qpos)
-            qpos -= 1
-        edges[i + 1] = (p, qpos)
-    edges[celq.end1] = (p, p + 1)
-    edges[celq.end0] = (p + 1, qpos)
-    return Triangulation(m, n, edges, vpoint=0, wpoint=p + 1)
 
 
 def _ccw_triangle_arrows(sides: tuple[int, int, int]) -> list[tuple[int, int]]:

@@ -1,86 +1,40 @@
-"""Model dispatch and the differential cross-check harness.
+"""Model dispatch: the model table and the three requests on it.
 
 Every expansion request is normalized the same way: split off negative
 entries as initial-variable factors, decompose the rest into per-variable
-0-1 vectors where the model needs it, and compare everything as exact
-Laurent polynomials.  Random inputs are sampled as uniform triangulations of
-a polygon, which yields type-A quivers by construction.
+0-1 vectors where the model needs it, and run the model on each distinct
+part.  The differential cross-check (`crosscheck`, `report_table`, random
+type-A quivers and their records) lives in `differential`; its names are
+read here too, and load that module on first access.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable
 from importlib import import_module
-from itertools import product
-import time
 
 from . import MODELS, geometry
 from .errors import FrozenVertex, InvalidInput
-from .laurent import (
-    LaurentPoly,
-    affine_sum,
-    canonical_string,
-    rational_string,
-    sorted_terms,
-)
-from .quiver import Quiver, _complete, linear_full_subquivers, three_cycle_completion
+from .laurent import LaurentPoly, affine_sum
+from .quiver import Quiver, three_cycle_completion
 
 TYPE_CHECKING = False  # as typing's; importing typing costs a cold command
 if TYPE_CHECKING:  # the model modules load on first use, see `_model`
-    import random
-
     from . import engine, formulas, scattering, snake
 
-# -- random type-A quivers ------------------------------------------------------
+# the names of `differential` that are read here as well
+_DIFFERENTIAL = frozenset((
+    "random_triangulation", "random_type_a_quiver", "RowResult", "CrossCheckReport",
+    "crosscheck", "report_table", "_random_diagonals", "_scope_dvectors",
+    "_first_difference", "_check_row"))
 
 
-def _random_diagonals(m: int, rng: random.Random) -> list[tuple[int, int]]:
-    """Uniformly triangulate the m-gon: the region cut off by a chord (i, j)
-    takes apex z with weight C(z-i-1)·C(j-z-1) (Catalan numbers), and the
-    two sub-regions are drawn depth-first, (i, z) before (z, j)."""
-    catalan = [1]
-    for k in range(m):
-        catalan.append(catalan[-1] * 2 * (2 * k + 1) // (k + 2))
-    diags: list[tuple[int, int]] = []
-    stack = [(0, m - 1)]
-    while stack:
-        i, j = stack.pop()
-        if j - i < 2:
-            continue
-        weights = [catalan[z - i - 1] * catalan[j - z - 1] for z in range(i + 1, j)]
-        pick = rng.randrange(sum(weights))
-        z = i + 1
-        for w in weights:
-            if pick < w:
-                break
-            pick -= w
-            z += 1
-        if z - i >= 2:
-            diags.append((i, z))
-        if j - z >= 2:
-            diags.append((z, j))
-        stack += [(z, j), (i, z)]
-    return diags
-
-
-def random_triangulation(n: int, rng: random.Random) -> geometry.Triangulation:
-    """Uniformly random triangulation of the (n+3)-gon; diagonals labeled in
-    sorted corner-pair order."""
-    m = n + 3
-    diags = sorted(_random_diagonals(m, rng))
-    edges = {i + 1: d for i, d in enumerate(diags)}
-    label = n
-    for k in range(m - 1):
-        label += 1
-        edges[label] = (k, k + 1)
-    edges[label + 1] = (0, m - 1)
-    return geometry.Triangulation(m, n, edges)
-
-
-def random_type_a_quiver(n: int, rng: random.Random) -> Quiver:
-    return geometry.quiver_of(random_triangulation(n, rng))
-
+def __getattr__(name: str):
+    """A name of `differential`, which loads on the first such access."""
+    if name not in _DIFFERENTIAL:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import differential
+    return getattr(differential, name)
 
 # -- the model table -------------------------------------------------------------
 
@@ -121,8 +75,11 @@ def _completed(q: Quiver, plus, support):
     return q2, a, support, ov, base, [v for v in base if v > q.n]
 
 
-# linear-gcc, matching and tpath: one prepare, so a crosscheck row builds it once
-_neighbourhood = lambda q, b, order: _complete(q, order)
+def _neighbourhood(q: Quiver, b, order):
+    """linear-gcc, matching and tpath: one prepare, so a crosscheck row
+    builds it once.  The completed paths load with the first of them."""
+    from .completion import _complete
+    return _complete(q, order)
 
 
 _TABLE = {
@@ -162,7 +119,7 @@ _TABLE = {
     "tpath": _Model(
         "snake", True, _neighbourhood,
         witnesses=lambda comp: snake.triangulation_tpaths(
-            geometry.triangulation_of(comp.celq), comp.celq),
+            snake.triangulation_of(comp.celq), comp.celq),
         count=lambda comp: snake._tpath_count(comp),
         value=lambda comp: affine_sum(*snake._tpath_terms(comp)),
         dump=lambda comp, p: list(p.labels)),
@@ -271,133 +228,3 @@ def list_witnesses(q: Quiver, a, model: str) -> list:
     return out
 
 
-# -- cross-checking ------------------------------------------------------------------
-
-
-class RowResult:
-    def __init__(self, dvector: tuple[int, ...], counts: dict[str, int], value: str,
-                 verdict: str, timings: dict[str, float] | None = None,
-                 dissent: list[dict] | None = None):
-        self.dvector = dvector
-        self.counts = counts
-        self.value = value
-        self.verdict = verdict
-        self.timings = {} if timings is None else timings
-        # FAIL rows: each model whose value or count differs from the majority
-        self.dissent = [] if dissent is None else dissent
-
-
-class CrossCheckReport:
-    def __init__(self, quiver: Quiver, models: tuple[str, ...], rows: list[RowResult]):
-        self.quiver, self.models, self.rows = quiver, models, rows
-
-    @property
-    def passed(self) -> bool:
-        return all(r.verdict == "PASS" for r in self.rows)
-
-    def render_text(self, timings: bool = False) -> str:
-        lines = [f"crosscheck on quiver with {self.quiver.n} vertices, "
-                 f"models: {', '.join(self.models)}"]
-        for r in self.rows:
-            counts = " ".join(f"{m}={r.counts[m]}" for m in self.models)
-            lines.append(f"{r.verdict}  d={','.join(map(str, r.dvector))}  "
-                         f"[{counts}]  {r.value}")
-            if r.verdict == "FAIL":  # "none": all agree, a coefficient is not positive
-                lines.append("      dissent: " + ("; ".join(", ".join(
-                    f"{k}={v}" for k, v in d.items()) for d in r.dissent) or "none"))
-            if timings and r.timings:
-                lines.append("      " + " ".join(
-                    f"{m}:{r.timings[m] * 1000:.1f}ms" for m in self.models))
-        lines.append("RESULT " + ("PASS" if self.passed else "FAIL"))
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        """JSON-ready report; rows carry per-model timings in ms only when
-        the report was built with timings, and FAIL rows their dissent."""
-        rows = []
-        for r in self.rows:
-            row = {"dvector": list(r.dvector), "counts": r.counts,
-                   "value": r.value, "verdict": r.verdict}
-            if r.verdict == "FAIL":
-                row["dissent"] = r.dissent
-            if r.timings:
-                row["timings"] = {m: round(r.timings[m] * 1000, 3) for m in self.models}
-            rows.append(row)
-        return {"models": list(self.models), "passed": self.passed, "rows": rows}
-
-
-def _scope_dvectors(q: Quiver, box: int) -> list[tuple[int, ...]]:
-    """The cluster variables and, with a box, the box monomials with an entry
-    above 1; supports through a frozen vertex index no cluster variable."""
-    scope = sorted({tuple(int(v in support) for v in q.vertices)
-                    for support in linear_full_subquivers(q)
-                    if q.frozen.isdisjoint(support)}, key=lambda b: (sum(b), b))
-    if box > 0:
-        scope += [a for a in product(range(box + 1), repeat=q.n)
-                  if any(x > 1 for x in a) and not any(a[v - 1] for v in q.frozen)
-                  and geometry.satisfies_property_a(q, a)]
-    return scope
-
-
-def _first_difference(got: LaurentPoly, want: LaurentPoly) -> tuple[str | None, str | None]:
-    """Each value's term at the first monomial, in canonical order, whose
-    coefficients differ (None where a value has no such term)."""
-    m, _ = sorted_terms(got - want)[0]
-    term = lambda p: canonical_string(LaurentPoly({m: p.terms[m]})) if m in p.terms else None
-    return term(got), term(want)
-
-
-def _check_row(q: Quiver, a, models, with_timings: bool) -> RowResult:
-    """One crosscheck row: one check and one decomposition of a, and one
-    prepared input per support and way of preparing, for all the models."""
-    values, counts, timings = {}, {}, {}
-    support, neg, parts = _request(q, a, in_w=True)
-    init = LaurentPoly.monomial(neg)
-    for m in models:
-        t0 = time.perf_counter()
-        value, counts[m] = _run(_model(q, m), parts, True) if support else (LaurentPoly.one(), 1)
-        values[m] = value * init if neg else value
-        if with_timings:
-            timings[m] = time.perf_counter() - t0
-    forms = {}
-    for m, v in values.items():  # one rendering per distinct value
-        forms[m] = next((forms[k] for k in forms if values[k] == v), None) or canonical_string(v)
-    # the majority value and count; a tie goes to the model listed first
-    form = Counter(forms.values()).most_common(1)[0][0]
-    count = Counter(counts.values()).most_common(1)[0][0]
-    majority = next(values[m] for m in forms if forms[m] == form)
-    dissent = []
-    for m in forms:
-        if forms[m] != form or counts[m] != count:
-            entry = {"model": m, "count": counts[m], "majority_count": count}
-            if forms[m] != form:
-                entry["term"], entry["majority_term"] = _first_difference(values[m], majority)
-            dissent.append(entry)
-    positive = all(c > 0 for v in values.values() for c in v.terms.values())
-    verdict = "PASS" if positive and not dissent else "FAIL"
-    return RowResult(tuple(a), counts, form, verdict, timings, dissent)
-
-
-def crosscheck(q: Quiver, models=None, box: int = 0,
-               with_timings: bool = False) -> CrossCheckReport:
-    """Run the selected models on every d-vector in scope and compare their
-    canonical forms and witness counts."""
-    models = tuple(models) if models else MODELS
-    for m in models:
-        if m not in MODELS:
-            raise InvalidInput(f"unknown model {m!r}")
-    if len(set(models)) != len(models):
-        raise InvalidInput(f"models listed twice: {', '.join(models)}")
-    if box < 0:
-        raise InvalidInput(f"box must be nonnegative, got {box}")
-    rows = [_check_row(q, a, models, with_timings) for a in _scope_dvectors(q, box)]
-    return CrossCheckReport(q, models, rows)
-
-
-def report_table(q: Quiver) -> str:
-    """Markdown table of every cluster-variable d-vector and its expansion."""
-    rows = ["| d-vector | cluster variable |", "| --- | --- |"]
-    for a in _scope_dvectors(q, 0):
-        value = expand_model(q, a, "mutation")
-        rows.append(f"| ({','.join(map(str, a))}) | {rational_string(value)} |")
-    return "\n".join(rows) + "\n"

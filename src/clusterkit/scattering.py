@@ -12,15 +12,17 @@ are its path to the all-ones root.  The marking rule and the wall-step
 checks run once per node and edge, and a line walks its points back on one
 mutable vector, exactly, in integers over one scale per request.  A line
 reads only the path and its neighbours, where a direction can be nonzero.
-Dense vectors and `Fraction`s are built when read.  Odd total rank doubles
-the coordinates with principal coefficients, recording the walls crossed.
+Dense vectors and `Fraction`s are built when read or printed, so a command
+that only counts or sums lines never loads `fractions`.  The markings are
+enumerated here from the path's arrows: this module shares no witness code
+with the formulas.  Odd total rank doubles the coordinates with principal
+coefficients, recording the walls crossed.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
@@ -30,7 +32,6 @@ from .errors import (
     OddRankWithoutPrincipal,
     PositivityViolation,
 )
-from .formulas import _variable_gcs
 from .laurent import LaurentPoly, canonical_string
 from .quiver import Quiver, _derived, require_path
 
@@ -254,6 +255,7 @@ class _Scaled:
 
 
 def _scaled(ep: Endpoint) -> _Scaled:
+    from fractions import Fraction
     coords = [Fraction(c) for c in ep.coords]
     scale = lcm(*(c.denominator for c in coords))
     eps = Fraction(ep.eps)
@@ -299,6 +301,7 @@ def _default_request(n: int, nprime: int, principal: bool) -> _Scaled:
 def default_endpoint(n: int, nprime: int, principal: bool = False) -> Endpoint:
     """Scale-separated endpoint: eps = 1/(2n), path coordinate k at eps^(n-k),
     all remaining coordinates at eps^(n+1)."""
+    from fractions import Fraction
     sc = _default_request(n, nprime, principal)
     return Endpoint(tuple(Fraction(c, sc.scale) for c in sc.ints), Fraction(1, 2 * n),
                     n, nprime)
@@ -342,16 +345,19 @@ class BrokenLine:
 
     @_derived
     def bends(self) -> tuple[tuple[Fraction, ...], ...]:     # Q_1..Q_ell
+        from fractions import Fraction
         return tuple(tuple(Fraction(c, self.scale) for c in pt) for pt in self.points[:-1])
 
     @_derived
     def endpoint(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction
         return tuple(Fraction(c, self.scale) for c in self.base)
 
     @_derived
     def travels(self) -> tuple[Fraction, ...]:
         """The positive travel parameter per bend: the wall coordinate of the
         point before it."""
+        from fractions import Fraction
         return tuple(Fraction(lam, self.scale) for lam in self.lams)
 
     def monomials(self) -> list[LaurentPoly]:
@@ -402,6 +408,7 @@ def _build(rel: PathRelabeling, s, sc: _Scaled, principal: bool) -> BrokenLine:
         w, (plus, minus) = node.wall, node.signs
         lam = point[w - 1]
         if lam <= 0:
+            from fractions import Fraction
             raise PositivityViolation(
                 f"travel parameter at wall {w} is {Fraction(lam, sc.scale)}")
         zeros = 0
@@ -469,7 +476,27 @@ def _lines(rel: PathRelabeling, endpoint: Endpoint | None = None,
     if principal is None:
         principal = rel.ambient.n % 2 == 1
     sc = _request(rel, endpoint, principal)
-    return [_build(rel, s, sc, principal) for s in _variable_gcs(rel.ambient, rel.order)]
+    return [_build(rel, s, sc, principal) for s in _markings(rel)]
+
+
+def _markings(rel: PathRelabeling):
+    """The witness markings of the path: 0-1 tuples in path order with no
+    arrow from a marked to an unmarked path vertex, in lexicographic order
+    with 0 before 1.  A bit is bound only by the one before it (equal to it
+    past an arrow from a marked vertex forward or to an unmarked one back),
+    so every prefix extends: depth first on one list, with no dead end."""
+    arrows, order, s = rel.ambient._arrow_set, rel.order, [0] * rel.n
+    forward = [(u, w) in arrows for u, w in zip(order, order[1:])]
+    todo = [(0, 1), (0, 0)]
+    while todo:
+        k, x = todo.pop()
+        s[k] = x
+        if k + 1 == len(s):
+            yield tuple(s)
+        elif x == forward[k]:
+            todo.append((k + 1, x))
+        else:
+            todo += ((k + 1, 1), (k + 1, 0))
 
 
 def ambient_monomial(line: BrokenLine) -> LaurentPoly:
@@ -482,6 +509,7 @@ def ambient_monomial(line: BrokenLine) -> LaurentPoly:
 def line_json(line: BrokenLine) -> dict:
     """JSON-ready summary of one broken line; each distinct coordinate of
     its bend points is written over the line's scale once."""
+    from fractions import Fraction
     points = line.points[:-1]
     text = {c: str(Fraction(c, line.scale)) for c in set().union(*points)}
     return {"s": list(line.s), "walls": list(line.walls),

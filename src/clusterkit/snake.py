@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from collections import Counter
 
+from .completion import CompletelyExtendedLinearQuiver, CompletionResult, triangulation_of
 from .errors import InvalidInput, NotInitialTriangulation
-from .geometry import Triangulation, triangulation_of
+from .geometry import Triangulation
 from .laurent import LaurentPoly, field_width, unpack
-from .quiver import CompletelyExtendedLinearQuiver, CompletionResult
 
 Label = object  # int (boundary/extension id) or ("d", diagonal, group)
 

@@ -22,17 +22,25 @@ import json
 from math import lcm
 
 from clusterkit import scattering
+from clusterkit.completion import CompletionResult
 from clusterkit.engine import (Seed, _mutation_sequence, _walk, cluster_variable, mutate_seed,
                                principal_quiver)
-from clusterkit.errors import (CoordinateOutOfRange, CrossingDiagonals, EndpointRejected,
+from clusterkit.errors import (ClusterKitError, CoordinateOutOfRange, EndpointRejected,
                                FrozenVertex, InexactDivision, NotAClusterVariableDVector,
-                               NotHomogeneous, PositivityViolation)
+                               PositivityViolation)
 from clusterkit.formulas import _variable_gcs
 from clusterkit.geometry import PipelineSet, Triangulation, support_of
 from clusterkit.laurent import (LaurentPoly, Monomial, mono, mono_degree, mono_mul, poly_product,
                                 to_json_dict)
-from clusterkit.quiver import (CompletionResult, Quiver, _mutate_rows, _signed_rows, mutate,
-                               require_path)
+from clusterkit.quiver import Quiver, _mutate_rows, _signed_rows, mutate, require_path
+
+
+class NotHomogeneous(ClusterKitError):
+    """A polynomial's terms have different multidegrees (`g_vector_by_multidegree`)."""
+
+
+class CrossingDiagonals(ClusterKitError):
+    """Two arcs of a multiset cross (`d_vector_of`)."""
 
 
 def poly_sum(ps) -> LaurentPoly:

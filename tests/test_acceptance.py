@@ -7,13 +7,11 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
-from clusterkit import bijections, engine, formulas, geometry, harness, scattering, snake
+from clusterkit import (bijections, completion, engine, formulas, geometry, harness, scattering,
+                        snake)
 from clusterkit.laurent import LaurentPoly, canonical_string, poly_product
-from clusterkit.quiver import (
-    Quiver,
-    complete_extension,
-    linear_full_subquivers,
-)
+from clusterkit.completion import complete_extension
+from clusterkit.quiver import Quiver, linear_full_subquivers
 from conftest import path_quiver
 from reference import (certify_travel_bounds, d_vector_of, g_vector_by_formula,
                        substitution_then_rename)
@@ -185,7 +183,7 @@ def test_criterion_5_differential_suite():
 
 def test_criterion_6_bijection_suites():
     with criterion(6, "matching/witness/path bijections round-trip exactly"):
-        from clusterkit.quiver import CompletelyExtendedLinearQuiver, LinearQuiver
+        from clusterkit.completion import CompletelyExtendedLinearQuiver, LinearQuiver
 
         for n in range(1, 7):
             for delta in product((0, 1), repeat=n - 1):
@@ -203,7 +201,7 @@ def test_criterion_6_bijection_suites():
                     assert formulas.linear_gcc_weight(celq, w) == snake.matching_weight(gamma)
                 if n > 5:
                     continue
-                t = geometry.triangulation_of(celq)
+                t = completion.triangulation_of(celq)
                 for gamma in matchings:
                     theta = bijections.fold(d, gamma)
                     assert bijections.unfold(d, theta) == gamma

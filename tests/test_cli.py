@@ -12,7 +12,7 @@ import time
 import pytest
 
 import clusterkit
-from clusterkit import MODELS, scattering
+from clusterkit import MODELS, cli, scattering
 from clusterkit.cli import main
 from clusterkit.harness import random_type_a_quiver
 from clusterkit.quiver import Quiver, to_text, to_json_dict
@@ -526,6 +526,106 @@ def test_the_zig_zag_60_counts_its_fibonacci_witnesses(tmp_path, capsys, model):
     assert out == "4052739537881\n"  # F(62)
 
 
+def _in_full(n: int) -> str:
+    """str(n) past CPython's int-to-str digit limit, which is put back."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_exact_counts_print_past_the_int_string_limit(tmp_path, capsys, model):
+    """2^15000 has 4,516 digits, past CPython's default limit of 4,300 for
+    converting an int to a string: every model's count prints in full, and
+    the limit is back in place after the command."""
+    path = tmp_path / "a1.txt"
+    path.write_text("n 1 frozen none\n")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert timed(capsys, "count", "--quiver", str(path), "--model", model,
+                 "--dvector", "15000") == _in_full(2 ** 15000) + "\n"
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_an_exact_value_prints_past_the_int_string_limit(tmp_path, capsys):
+    path = tmp_path / "a1.txt"
+    path.write_text("n 1 frozen none\n")
+    value = timed(capsys, "expand", "--quiver", str(path), "--dvector", "15000", "--format", "json")
+    assert value == '{"terms": [{"coef": ' + _in_full(2 ** 15000) + ', "exp": {"1": -15000}}]}\n'
+
+
+def test_input_keeps_the_int_string_limit(tmp_path, capsys):
+    """A d-vector entry of 5,000 digits is still a bad d-vector."""
+    path = tmp_path / "a1.txt"
+    path.write_text("n 1 frozen none\n")
+    code, out, err = run(capsys, "count", "--quiver", str(path), "--dvector", "9" * 5000)
+    assert (code, out) == (2, "")
+    envelope = json.loads(err)
+    assert envelope["code"] == "InvalidInput" and envelope["message"].startswith("bad d-vector")
+
+
+def test_an_entry_too_large_to_index_is_refused_before_any_model(tmp_path, capsys):
+    """An entry above sys.maxsize is refused by the request check, before a
+    model sizes a list or a range by it: one envelope, nothing on stdout."""
+    path = tmp_path / "a2.txt"
+    path.write_text("n 2 frozen none\n1 2\n")
+    common = ("--quiver", str(path), "--dvector", "99999999999999999999,0")
+    commands = [("decompose", *common), ("pipelines", *common)]
+    for model in MODELS:
+        commands += [("count", *common, "--model", model), ("expand", *common, "--model", model)]
+        if model != "mutation":  # which has no listing
+            commands.append(("count", *common, "--model", model, "--list-witnesses"))
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        envelope = json.loads(err)
+        assert envelope["code"] == "InvalidInput", argv
+        assert envelope["message"] == f"d-vector entry at vertex 1 exceeds sys.maxsize ({sys.maxsize})"
+
+
+def test_enumerate_variables_reads_the_twelve_vertex_path_off_its_arcs(tmp_path, capsys):
+    n = 12
+    path = tmp_path / "path.txt"
+    path.write_text(to_text(Quiver(n, tuple((i, i + 1) for i in range(1, n)))))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "enumerate-variables", "--quiver", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "") and len(json.loads(out)) == n * (n + 3) // 2
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_one_commands_parser_prints_as_the_full_parser(capsys, command):
+    """`main` builds only the parser of the command named first; its help
+    and its usage errors, the tool's usage included, are the full parser's."""
+    for argv in ([command, "--help"], [command, "--bogus"], [command, "--quiver", "q", "extra"]):
+        outs = []
+        for parser in (cli.build_parser(), cli.build_parser(command)):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            outs.append((exc.value.code, capsys.readouterr()))
+        assert outs[0] == outs[1], argv
+
+
+def test_a_broken_line_request_loads_no_fractions(tmp_path):
+    """A Fraction is built only where one is printed: broken-line counts and
+    values load no `fractions`, and `broken-lines` loads it for its bends."""
+    path = tmp_path / "q.txt"
+    path.write_text(to_text(Quiver(4, ((1, 2), (2, 3), (3, 4)))))
+    probe = "import sys\nfrom clusterkit import cli\ncli.main(sys.argv[1:])\nprint('fractions' in sys.modules)"
+    src = str(Path(clusterkit.__file__).resolve().parents[1])
+    for argv, loaded in ((["count", "--model", "broken-line", "--dvector", "1,1,0,0"], "False"),
+                         (["expand", "--model", "broken-line", "--dvector", "2,1,0,0"], "False"),
+                         (["broken-lines", "--subquiver", "2,3"], "True")):
+        proc = subprocess.run([sys.executable, "-c", probe, argv[0], "--quiver", str(path),
+                               *argv[1:]], capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.stdout.splitlines()[-1] == loaded, argv
+
+
 def test_closed_stdout_exits_quietly():
     """Writing to a pipe nobody reads ends with 141 and no traceback."""
     src = str(Path(clusterkit.__file__).resolve().parents[1])
@@ -563,30 +663,57 @@ finally:
 """
 
 
+# the modules each kind of model request loads past `BASE`
+REQUEST = {"harness", "geometry"}
+FORMULAS, PATHS = REQUEST | {"formulas"}, REQUEST | {"completion", "snake"}
+THETA, WALK = REQUEST | {"scattering"}, REQUEST | {"engine"}
+# what a crosscheck runs: every model and the rows
+EVERY_MODEL = FORMULAS | PATHS | THETA | WALK | {"differential"}
+
+
 @pytest.mark.parametrize("argv, extra", [
-    (["count", "--quiver", "{q}", "--dvector", "1,1,0,0", "--model", "gcs"],
-     {"formulas", "geometry", "harness"}),
-    (["count", "--quiver", "{q}", "--dvector", "0,1,1,0", "--model", "matching"],
-     {"geometry", "harness", "snake"}),
+    (["count", "--quiver", "{q}", "--dvector", "1,1,0,0", "--model", "gcs"], FORMULAS),
+    (["count", "--quiver", "{q}", "--dvector", "0,1,1,0", "--model", "matching"], PATHS),
     (["decompose", "--quiver", "{q}", "--dvector", "2,1,0,-1"], {"geometry"}),
     (["expand", "--quiver", "{q}", "--dvector", "1,1", "--model", "broken-line"], set()),
     (["--help"], set()),
     (["expand", "--help"], set()),
-    (["snake", "--quiver", "{q}", "--dvector", "1,1,1,0"], {"geometry", "snake"}),
+    (["snake", "--quiver", "{q}", "--dvector", "1,1,1,0"], {"completion", "geometry", "snake"}),
     # the bijections load for no command, and the drawings only under --svg
     (["count", "--quiver", "{q}", "--dvector", "0,1,1,0", "--model", "matching",
-      "--list-witnesses"], {"geometry", "harness", "snake"}),
-    (["broken-lines", "--quiver", "{q}", "--subquiver", "2,3"],
-     {"geometry", "formulas", "scattering"}),
+      "--list-witnesses"], PATHS),
+    # broken lines enumerate their own markings and need no triangulation
+    (["broken-lines", "--quiver", "{q}", "--subquiver", "2,3"], {"scattering"}),
     (["pipelines", "--quiver", "{q}", "--dvector", "1,1,0,0", "--svg", "{svg}"],
      {"geometry", "svg"}),
     (["snake", "--quiver", "{q}", "--dvector", "1,1,1,0", "--svg", "{svg}"],
-     {"geometry", "snake", "svg"}),
+     {"completion", "geometry", "snake", "svg"}),
+    # expand and count of every model family; only the path models complete
+    # a neighbourhood, and linear-gcc is the one formula that reads it
+    (["expand", "--quiver", "{q}", "--dvector", "1,1,0,0", "--model", "gcs", "--format", "json"],
+     FORMULAS),
+    (["expand", "--quiver", "{q}", "--dvector", "1,1,0,0", "--model", "gcc"], FORMULAS),
+    (["count", "--quiver", "{q}", "--dvector", "1,1,0,0", "--model", "gcs-variable"], FORMULAS),
+    (["count", "--quiver", "{q}", "--dvector", "2,1,0,0", "--model", "gcs",
+      "--list-witnesses"], FORMULAS),
+    (["expand", "--quiver", "{q}", "--dvector", "1,1,0,0", "--model", "linear-gcc"],
+     FORMULAS | {"completion"}),
+    (["expand", "--quiver", "{q}", "--dvector", "0,1,1,0", "--model", "tpath"], PATHS),
+    (["expand", "--quiver", "{q}", "--dvector", "1,1,0,0", "--model", "mutation"], WALK),
+    (["count", "--quiver", "{q}", "--dvector", "2,1,0,0", "--model", "mutation"], WALK),
+    (["expand", "--quiver", "{q}", "--dvector", "1,1,0,0", "--model", "broken-line"], THETA),
+    (["count", "--quiver", "{q}", "--dvector", "0,1,1,0", "--model", "broken-line",
+      "--list-witnesses"], THETA),
+    (["expand", "--quiver", "{q}", "--dvector", "1,1,0,0,1"], set()),
+    (["crosscheck", "--quiver", "{q}", "--format", "json"], EVERY_MODEL),
+    (["report-table", "--quiver", "{q}"], WALK | {"differential"}),
+    (["enumerate-variables", "--quiver", "{q}"], {"engine", "geometry"}),
 ])
 def test_a_fresh_command_loads_only_the_modules_it_runs(tmp_path, argv, extra):
     """Each command imports only what it runs, in a new interpreter: a count
-    loads no model module but its own, and a d-vector of the wrong length
-    fails before any model module loads."""
+    loads no model module but its own, a d-vector of the wrong length fails
+    before any model module loads, and only crosscheck and report-table load
+    the rows."""
     path = tmp_path / "q.txt"
     path.write_text(to_text(Quiver(4, ((1, 2), (2, 3), (3, 4)))))
     src = str(Path(clusterkit.__file__).resolve().parents[1])

@@ -22,7 +22,6 @@ from clusterkit.errors import (
     InexactDivision,
     InvalidInput,
     NotAClusterVariableDVector,
-    NotHomogeneous,
     NotInW,
     NotLinearSubquiver,
     NotTypeA,
@@ -31,8 +30,8 @@ from clusterkit.harness import MODELS, crosscheck, expand_model, random_type_a_q
 from clusterkit.laurent import LaurentPoly, mono
 from clusterkit.quiver import Quiver, linear_full_subquivers
 from conftest import path_quiver
-from reference import (exchange_matrix, g_vector_by_formula, g_vector_by_multidegree,
-                       mutate_seed_sequence, principal_lift)
+from reference import (NotHomogeneous, exchange_matrix, g_vector_by_formula,
+                       g_vector_by_multidegree, mutate_seed_sequence, principal_lift)
 
 x = LaurentPoly.variable
 
@@ -135,7 +134,7 @@ def test_cluster_variable_matches_bfs():
     rng = random.Random(4)
     for _ in range(6):
         q = random_type_a_quiver(rng.randint(2, 5), rng)
-        table = enumerate_cluster_variables(q)
+        table = engine._seed_table(q)
         for sup in linear_full_subquivers(q):
             b = tuple(1 if v + 1 in set(sup) else 0 for v in range(q.n))
             assert cluster_variable(q, b) == table[b]
@@ -143,6 +142,32 @@ def test_cluster_variable_matches_bfs():
         for j in range(q.n):
             unit = tuple(-1 if i == j else 0 for i in range(q.n))
             assert cluster_variable(q, unit) == x(j + 1)
+
+
+def test_arc_table_equals_the_seed_walk_on_type_a():
+    """On type A the variables are read off the arcs; the walk over every
+    seed is the oracle, keys and values, with about a third of the vertices
+    frozen and without."""
+    rng = random.Random(30)
+    for k in range(40):
+        n = rng.randint(1, 7 if k % 4 == 0 else 5)
+        arrows = random_type_a_quiver(n, rng).arrows
+        frozen = frozenset(v for v in range(1, n + 1) if k % 2 and rng.random() < 0.3)
+        q = Quiver(n, arrows, frozen)
+        table = enumerate_cluster_variables(q)
+        assert table == engine._seed_table(q), q
+        assert len(table) == len(set(table))
+
+
+def test_arc_table_walks_no_seed(monkeypatch):
+    """The linear path n = 12 gives its n(n+3)/2 = 90 variables without
+    visiting a seed; input that is not type A still walks them."""
+    def refuse(*args):
+        raise RuntimeError("walked the seeds")
+    monkeypatch.setattr(engine, "enumerate_seeds", refuse)
+    assert len(enumerate_cluster_variables(path_quiver(12))) == 90
+    with pytest.raises(RuntimeError, match="walked the seeds"):
+        enumerate_cluster_variables(Quiver(4, ((1, 2), (3, 2), (4, 2))))
 
 
 def test_principal_lift_a2(a2):

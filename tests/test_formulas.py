@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from clusterkit.bijections import gcc_to_gcs, gcs_to_gcc
+from clusterkit.completion import CompletelyExtendedLinearQuiver, LinearQuiver, complete_extension
 from clusterkit.engine import cluster_variable
 from clusterkit.errors import AssumptionViolated, NotInW, Unreachable
 from clusterkit.formulas import (
@@ -26,10 +27,7 @@ from clusterkit.geometry import decompose, satisfies_property_a, sigma
 from clusterkit.harness import expand_model, random_type_a_quiver
 from clusterkit.laurent import LaurentPoly, poly_product
 from clusterkit.quiver import (
-    CompletelyExtendedLinearQuiver,
-    LinearQuiver,
     Quiver,
-    complete_extension,
     linear_full_subquivers,
     oriented_three_cycles,
     three_cycle_completion,

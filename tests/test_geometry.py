@@ -4,7 +4,8 @@ from itertools import product
 
 import pytest
 
-from clusterkit.errors import CrossingDiagonals, NegativeInput, NotInW, NotTypeA
+from clusterkit.completion import CompletelyExtendedLinearQuiver, LinearQuiver, triangulation_of
+from clusterkit.errors import NegativeInput, NotInW, NotTypeA
 from clusterkit.geometry import (
     Triangulation,
     build_pipelines,
@@ -17,17 +18,12 @@ from clusterkit.geometry import (
     sigma_int,
     support_of,
     triangulation_for,
-    triangulation_of,
 )
 from clusterkit.harness import random_type_a_quiver
-from clusterkit.quiver import (
-    CompletelyExtendedLinearQuiver,
-    LinearQuiver,
-    Quiver,
-)
+from clusterkit.quiver import Quiver
 from clusterkit.svg import pipelines_svg
 from conftest import path_quiver
-from reference import b_vectors, d_vector_of
+from reference import CrossingDiagonals, b_vectors, d_vector_of
 
 
 def test_sigma_values():

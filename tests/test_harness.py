@@ -6,7 +6,9 @@ import tracemalloc
 
 import pytest
 
-from clusterkit import cli, engine, formulas, geometry, harness, quiver, scattering, snake
+import clusterkit
+from clusterkit import (cli, completion, differential, engine, formulas, geometry, harness, quiver,
+                        scattering, snake)
 from clusterkit.errors import FrozenVertex, InvalidInput, NotInW, PositivePartNotInW
 from clusterkit.harness import (
     MODELS,
@@ -19,8 +21,8 @@ from clusterkit.harness import (
     witness_count,
 )
 from clusterkit.laurent import LaurentPoly, canonical_string
+from clusterkit.completion import LinearQuiver
 from clusterkit.quiver import (
-    LinearQuiver,
     Quiver,
     is_type_a,
     linear_full_subquivers,
@@ -104,6 +106,18 @@ def test_the_table_runs_every_model_and_imports_each_module_once(monkeypatch, th
     for _ in range(3):
         assert harness._model(three_cycle, "broken-line") is harness._TABLE["broken-line"]
     assert imported == ["clusterkit.scattering"] and harness.scattering is scattering
+
+
+def test_the_rows_and_the_completed_paths_load_on_first_access():
+    """harness reads the names of `differential`, and the package those of
+    `completion`, from their modules; other names are missing as usual."""
+    for name in harness._DIFFERENTIAL:
+        assert getattr(harness, name) is getattr(differential, name)
+    for name in clusterkit._COMPLETION:
+        assert getattr(clusterkit, name) is getattr(completion, name)
+    for module in (harness, clusterkit):
+        with pytest.raises(AttributeError, match="has no attribute 'missing'"):
+            module.missing
 
 
 def test_expand_negative_only(three_cycle):
@@ -213,7 +227,7 @@ def test_crosscheck_enumerates_each_model_once_per_row(monkeypatch):
 
 def test_passing_row_renders_its_value_once(monkeypatch, seven_table):
     calls = []
-    monkeypatch.setattr(harness, "canonical_string",
+    monkeypatch.setattr(differential, "canonical_string",
                         lambda p: calls.append(p) or canonical_string(p))
     models = ("mutation", "gcs", "gcc", "matching", "tpath")
     row = harness._check_row(seven_table, (1, 1, 1, 0, 0, 0, 0), models, False)
@@ -569,7 +583,7 @@ def test_crosscheck_completes_each_neighbourhood_once_per_row(monkeypatch):
     """linear-gcc, matching and tpath share one completed neighbourhood per
     row and factor, and nothing is kept across rows."""
     q = random_type_a_quiver(6, random.Random(4242))
-    calls = _count_calls(monkeypatch, ((harness, "_complete"),))
+    calls = _count_calls(monkeypatch, ((completion, "_complete"),))
     report = crosscheck(q, models=("linear-gcc", "matching", "tpath"))
     assert report.passed and calls == {"_complete": len(report.rows)}
     calls["_complete"] = 0

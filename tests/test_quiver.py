@@ -3,6 +3,12 @@ import random
 
 import pytest
 
+from clusterkit.completion import (
+    CompletelyExtendedLinearQuiver,
+    LinearQuiver,
+    complete_extension,
+    delta_of_path,
+)
 from clusterkit.errors import (
     DisconnectedQuiver,
     FrozenVertex,
@@ -14,11 +20,7 @@ from clusterkit.errors import (
 from clusterkit.harness import random_type_a_quiver
 from clusterkit import geometry, harness, quiver
 from clusterkit.quiver import (
-    CompletelyExtendedLinearQuiver,
-    LinearQuiver,
     Quiver,
-    complete_extension,
-    delta_of_path,
     from_json,
     from_text,
     is_type_a,

@@ -18,17 +18,11 @@ import sys
 import pytest
 
 import clusterkit
-from clusterkit import bijections, engine, formulas, geometry, harness, quiver, scattering, snake
+from clusterkit import bijections, completion, engine, formulas, geometry, harness, scattering, snake
 from clusterkit.errors import InvalidInput, VertexOutOfRange
 from clusterkit.laurent import LaurentPoly
-from clusterkit.quiver import (
-    CompletelyExtendedLinearQuiver,
-    CompletionResult,
-    LinearQuiver,
-    Quiver,
-    to_json_dict,
-    to_text,
-)
+from clusterkit.completion import CompletelyExtendedLinearQuiver, CompletionResult, LinearQuiver
+from clusterkit.quiver import Quiver, to_json_dict, to_text
 
 
 def values(cls, k):
@@ -39,9 +33,9 @@ def values(cls, k):
 
 # (class, its fields in order, the defaults of its trailing fields)
 RECORDS = [
-    (quiver.LinearQuiver, ("n", "delta"), {}),
-    (quiver.CompletelyExtendedLinearQuiver, ("base",), {}),
-    (quiver.CompletionResult, ("celq", "base_order", "to_ambient", "invented"), {}),
+    (completion.LinearQuiver, ("n", "delta"), {}),
+    (completion.CompletelyExtendedLinearQuiver, ("base",), {}),
+    (completion.CompletionResult, ("celq", "base_order", "to_ambient", "invented"), {}),
     (geometry.Triangulation, ("size", "n", "edges", "vpoint", "wpoint"),
      {"vpoint": None, "wpoint": None}),
     (geometry.Pipeline, ("endpoints", "crossings", "b_vector"), {}),
@@ -165,8 +159,8 @@ def test_path_records_compare_by_their_fields():
     assert celq == CompletelyExtendedLinearQuiver(LinearQuiver(3, (0, 1)))
     assert celq != CompletelyExtendedLinearQuiver(LinearQuiver(3, (1, 1)))
     assert lq != (3, (0, 1)) and celq != lq
-    comp = quiver.complete_extension(Quiver(3, ((1, 2), (2, 3))), [1, 2])
-    again = quiver.complete_extension(Quiver(3, ((1, 2), (2, 3))), [2, 1])
+    comp = completion.complete_extension(Quiver(3, ((1, 2), (2, 3))), [1, 2])
+    again = completion.complete_extension(Quiver(3, ((1, 2), (2, 3))), [2, 1])
     assert comp == again
     assert comp != CompletionResult(comp.celq, comp.base_order[::-1], comp.to_ambient,
                                     comp.invented)

@@ -27,6 +27,7 @@ from clusterkit.quiver import (
     Quiver,
     linear_full_subquivers,
     oriented_three_cycles,
+    path_order,
 )
 from clusterkit.scattering import (
     Endpoint,
@@ -73,6 +74,30 @@ def test_adjustable_nonempty_random():
             for s in enumerate_variable_gcs(q, list(sup)):
                 if any(b == 0 for b in s):
                     assert adjustable_positions(rel, s)
+
+
+def test_markings_are_the_solvers_in_its_order():
+    """The lines enumerate their own markings; on every path of random
+    quivers, type A or not, they are the formulas' markings (the solver's),
+    in its order, which fixes the order of the lines."""
+    rng = random.Random(2930)
+    checked = 0
+    for k in range(200):
+        n = rng.randint(1, 9)
+        if k % 3:
+            q = random_type_a_quiver(n, rng)
+        else:
+            q = Quiver(n, tuple((i, j) if rng.random() < 0.5 else (j, i) for i in range(1, n + 1)
+                                for j in range(i + 1, n + 1) if rng.random() < 0.4))
+        for size in range(1, n + 1):
+            vertices = rng.sample(range(1, n + 1), size)
+            order = path_order(q, vertices)
+            if order is None:
+                continue
+            rel = scattering._relabel(q, order)
+            assert list(scattering._markings(rel)) == list(enumerate_variable_gcs(q, vertices))
+            checked += 1
+    assert checked > 300
 
 
 def test_w_sequence_example(four_with_triangle):

@@ -11,18 +11,18 @@ from clusterkit.bijections import (
     reduce_path,
     unfold,
 )
-from clusterkit.engine import enumerate_cluster_variables
-from clusterkit.errors import InvalidInput
-from clusterkit.formulas import enumerate_linear_gcc, linear_gcc_weight
-from clusterkit.geometry import triangulation_of
-from clusterkit.harness import random_type_a_quiver
-from clusterkit.laurent import LaurentPoly
-from clusterkit.quiver import (
+from clusterkit.completion import (
     CompletelyExtendedLinearQuiver,
     LinearQuiver,
     complete_extension,
-    linear_full_subquivers,
+    triangulation_of,
 )
+from clusterkit.engine import enumerate_cluster_variables
+from clusterkit.errors import InvalidInput
+from clusterkit.formulas import enumerate_linear_gcc, linear_gcc_weight
+from clusterkit.harness import random_type_a_quiver
+from clusterkit.laurent import LaurentPoly
+from clusterkit.quiver import linear_full_subquivers
 from clusterkit.snake import (
     TPath,
     build_snake,

@@ -16,10 +16,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from clusterkit import MODELS, formulas, geometry, harness, scattering, snake
+from clusterkit import MODELS, completion, formulas, geometry, harness, scattering, snake
+from clusterkit.completion import complete_extension
 from clusterkit.errors import ClusterKitError
 from clusterkit.laurent import LaurentPoly, field_width, poly_product, unpack
-from clusterkit.quiver import Quiver, complete_extension, three_cycle_completion
+from clusterkit.quiver import Quiver, three_cycle_completion
 from reference import poly_sum, substitution_then_rename
 
 
@@ -105,7 +106,7 @@ def per_witness(q, x, model):
         ws = snake.enumerate_matchings(snake.build_snake(celq))
         terms = map(snake.matching_weight, ws)
     else:
-        ws = snake.triangulation_tpaths(geometry.triangulation_of(celq), celq)
+        ws = snake.triangulation_tpaths(completion.triangulation_of(celq), celq)
         terms = [p.value() for p in ws]
     value = poly_sum(terms)
     if model != "tpath":

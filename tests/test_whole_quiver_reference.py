@@ -26,6 +26,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from clusterkit import formulas, geometry, harness, scattering
+from clusterkit.completion import (
+    CompletelyExtendedLinearQuiver,
+    CompletionResult,
+    LinearQuiver,
+    complete_extension,
+    delta_of_path,
+)
 from clusterkit.engine import (
     cluster_variable,
     exact_divide,
@@ -63,12 +70,7 @@ from clusterkit.formulas import (
 from clusterkit.geometry import sigma_int
 from clusterkit.laurent import LaurentPoly, poly_product
 from clusterkit.quiver import (
-    CompletelyExtendedLinearQuiver,
-    CompletionResult,
-    LinearQuiver,
     Quiver,
-    complete_extension,
-    delta_of_path,
     is_type_a,
     linear_full_subquivers,
     mutate,
