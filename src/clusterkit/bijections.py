@@ -12,8 +12,9 @@ from bisect import bisect_left
 
 from .completion import CompletelyExtendedLinearQuiver
 from .errors import InvalidInput
-from .formulas import GCCollection, LinearGCC, _gateways, three_cycle_cover
+from .formulas import GCCollection, _gateways, three_cycle_cover
 from .laurent import LaurentPoly
+from .linear_gcc import LinearGCC
 from .quiver import Quiver
 from .scattering import BrokenLine, Endpoint, _build, _request, relabel_for_path
 from .snake import SnakeDiagram, TPath, label_variable

@@ -128,9 +128,9 @@ def cmd_decompose(args) -> int:
 def cmd_pipelines(args) -> int:
     q = _load_quiver(args.quiver)
     a = _parse_dvector(args.dvector, q.n)
-    from . import geometry
+    from . import geometry, pipelines
     plus, _ = geometry.positive_split(q, a)
-    ps = geometry.build_pipelines(q, plus)
+    ps = pipelines.build_pipelines(q, plus)
     if args.svg:
         from . import svg
         _write_svg(args.svg, svg.pipelines_svg(ps))

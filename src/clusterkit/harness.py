@@ -20,7 +20,7 @@ from .quiver import Quiver, three_cycle_completion
 
 TYPE_CHECKING = False  # as typing's; importing typing costs a cold command
 if TYPE_CHECKING:  # the model modules load on first use, see `_model`
-    from . import engine, formulas, scattering, snake
+    from . import engine, formulas, linear_gcc, scattering, snake, variable_gcs
 
 # the names of `differential` that are read here as well
 _DIFFERENTIAL = frozenset((
@@ -99,16 +99,16 @@ _TABLE = {
         dump=lambda ctx, g: [{"arrow": list(arrow), "S1": sorted(s1), "S2": sorted(s2)}
                              for (arrow, s1, s2) in g.chosen]),
     "linear-gcc": _Model(
-        "formulas", True, _neighbourhood,
-        witnesses=lambda comp: formulas.enumerate_linear_gcc(comp.celq),
-        count=lambda comp: formulas._linear_gcc_count(comp.celq),
-        value=lambda comp: affine_sum(*formulas._linear_gcc_terms(comp)),
+        "linear_gcc", True, _neighbourhood,
+        witnesses=lambda comp: linear_gcc.enumerate_linear_gcc(comp.celq),
+        count=lambda comp: linear_gcc._linear_gcc_count(comp.celq),
+        value=lambda comp: affine_sum(*linear_gcc._linear_gcc_terms(comp)),
         dump=lambda comp, w: {"pairs": [list(p) for p in w.pairs], "end_bit": w.end_bit}),
     "gcs-variable": _Model(
-        "formulas", True, lambda q, b, order: (q, order),
-        witnesses=lambda ctx: formulas._variable_gcs(*ctx),
-        count=lambda ctx: formulas._count(*formulas._variable_gcs_system(*ctx)),
-        value=lambda ctx: affine_sum(*formulas._variable_gcs_terms(*ctx)),
+        "variable_gcs", True, lambda q, b, order: (q, order),
+        witnesses=lambda ctx: variable_gcs._variable_gcs(*ctx),
+        count=lambda ctx: variable_gcs._count(*variable_gcs._variable_gcs_system(*ctx)),
+        value=lambda ctx: affine_sum(*variable_gcs._variable_gcs_terms(*ctx)),
         dump=lambda ctx, s: list(s)),
     "matching": _Model(
         "snake", True, _neighbourhood,

@@ -26,7 +26,7 @@ def _polygon_xy(size: int, corner: int, radius: float = 200.0):
 
 
 def pipelines_svg(ps) -> str:
-    """A `geometry.PipelineSet` on a regular polygon layout."""
+    """A `pipelines.PipelineSet` on a regular polygon layout."""
     t = ps.triangulation
     count = {lbl: (ps.a[lbl - 1] if lbl <= t.n else 0) for lbl in t.edges}
 

@@ -28,11 +28,12 @@ from clusterkit.engine import (Seed, _mutation_sequence, _walk, cluster_variable
 from clusterkit.errors import (ClusterKitError, CoordinateOutOfRange, EndpointRejected,
                                FrozenVertex, InexactDivision, NotAClusterVariableDVector,
                                PositivityViolation)
-from clusterkit.formulas import _variable_gcs
-from clusterkit.geometry import PipelineSet, Triangulation, support_of
+from clusterkit.geometry import Triangulation, support_of
 from clusterkit.laurent import (LaurentPoly, Monomial, mono, mono_degree, mono_mul, poly_product,
                                 to_json_dict)
+from clusterkit.pipelines import PipelineSet
 from clusterkit.quiver import Quiver, _mutate_rows, _signed_rows, mutate, require_path
+from clusterkit.variable_gcs import _variable_gcs
 
 
 class NotHomogeneous(ClusterKitError):

@@ -7,8 +7,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
-from clusterkit import (bijections, completion, engine, formulas, geometry, harness, scattering,
-                        snake)
+from clusterkit import (bijections, completion, engine, formulas, geometry, harness, linear_gcc,
+                        pipelines, scattering, snake)
 from clusterkit.laurent import LaurentPoly, canonical_string, poly_product
 from clusterkit.completion import complete_extension
 from clusterkit.quiver import Quiver, linear_full_subquivers
@@ -190,7 +190,7 @@ def test_criterion_6_bijection_suites():
                 celq = CompletelyExtendedLinearQuiver(LinearQuiver(n, tuple(delta)))
                 d = snake.build_snake(celq)
                 matchings = snake.enumerate_matchings(d)
-                witnesses = list(formulas.enumerate_linear_gcc(celq))
+                witnesses = list(linear_gcc.enumerate_linear_gcc(celq))
                 assert len(matchings) == len(witnesses)
                 for gamma in matchings:
                     w = bijections.psi_matching_to_gcc(d, gamma)
@@ -198,7 +198,7 @@ def test_criterion_6_bijection_suites():
                 for w in witnesses:
                     gamma = bijections.psi_gcc_to_matching(d, w)
                     assert bijections.psi_matching_to_gcc(d, gamma) == w
-                    assert formulas.linear_gcc_weight(celq, w) == snake.matching_weight(gamma)
+                    assert linear_gcc.linear_gcc_weight(celq, w) == snake.matching_weight(gamma)
                 if n > 5:
                     continue
                 t = completion.triangulation_of(celq)
@@ -235,7 +235,7 @@ def test_criterion_7_dvector_parametrization():
                 if not geometry.satisfies_property_a(q, a):
                     continue
                 plus, neg = geometry.positive_split(q, a)
-                ps = geometry.build_pipelines(q, plus)
+                ps = pipelines.build_pipelines(q, plus)
                 diagonals = ps.as_diagonal_multiset()
                 diagonals += [t.edges[i + 1] for i, e in enumerate(neg)
                               for _ in range(e)]

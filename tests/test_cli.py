@@ -665,10 +665,11 @@ finally:
 
 # the modules each kind of model request loads past `BASE`
 REQUEST = {"harness", "geometry"}
-FORMULAS, PATHS = REQUEST | {"formulas"}, REQUEST | {"completion", "snake"}
+FORMULAS, PATHS = REQUEST | {"formulas", "solver"}, REQUEST | {"completion", "snake"}
 THETA, WALK = REQUEST | {"scattering"}, REQUEST | {"engine"}
+VARIABLE_GCS, LINEAR_GCC = REQUEST | {"variable_gcs", "solver"}, REQUEST | {"linear_gcc", "completion"}
 # what a crosscheck runs: every model and the rows
-EVERY_MODEL = FORMULAS | PATHS | THETA | WALK | {"differential"}
+EVERY_MODEL = FORMULAS | PATHS | THETA | WALK | VARIABLE_GCS | LINEAR_GCC | {"differential"}
 
 
 @pytest.mark.parametrize("argv, extra", [
@@ -685,19 +686,18 @@ EVERY_MODEL = FORMULAS | PATHS | THETA | WALK | {"differential"}
     # broken lines enumerate their own markings and need no triangulation
     (["broken-lines", "--quiver", "{q}", "--subquiver", "2,3"], {"scattering"}),
     (["pipelines", "--quiver", "{q}", "--dvector", "1,1,0,0", "--svg", "{svg}"],
-     {"geometry", "svg"}),
+     {"geometry", "pipelines", "svg"}),
     (["snake", "--quiver", "{q}", "--dvector", "1,1,1,0", "--svg", "{svg}"],
      {"completion", "geometry", "snake", "svg"}),
     # expand and count of every model family; only the path models complete
-    # a neighbourhood, and linear-gcc is the one formula that reads it
+    # a neighbourhood, and the formulas share only the solver
     (["expand", "--quiver", "{q}", "--dvector", "1,1,0,0", "--model", "gcs", "--format", "json"],
      FORMULAS),
     (["expand", "--quiver", "{q}", "--dvector", "1,1,0,0", "--model", "gcc"], FORMULAS),
-    (["count", "--quiver", "{q}", "--dvector", "1,1,0,0", "--model", "gcs-variable"], FORMULAS),
+    (["count", "--quiver", "{q}", "--dvector", "1,1,0,0", "--model", "gcs-variable"], VARIABLE_GCS),
     (["count", "--quiver", "{q}", "--dvector", "2,1,0,0", "--model", "gcs",
       "--list-witnesses"], FORMULAS),
-    (["expand", "--quiver", "{q}", "--dvector", "1,1,0,0", "--model", "linear-gcc"],
-     FORMULAS | {"completion"}),
+    (["expand", "--quiver", "{q}", "--dvector", "1,1,0,0", "--model", "linear-gcc"], LINEAR_GCC),
     (["expand", "--quiver", "{q}", "--dvector", "0,1,1,0", "--model", "tpath"], PATHS),
     (["expand", "--quiver", "{q}", "--dvector", "1,1,0,0", "--model", "mutation"], WALK),
     (["count", "--quiver", "{q}", "--dvector", "2,1,0,0", "--model", "mutation"], WALK),

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from clusterkit import engine, geometry, harness
+from clusterkit import engine, geometry, harness, pipelines
 from clusterkit.engine import (
     Seed,
     cluster_variable,
@@ -290,7 +290,7 @@ def test_mutation_builds_no_pipelines(monkeypatch):
         raise AssertionError("the mutation oracle built pipelines or a triangulation")
     rng = random.Random(31)
     quivers = [random_type_a_quiver(n, rng) for n in range(1, 11) for _ in range(2)]
-    monkeypatch.setattr(geometry, "build_pipelines", refuse)
+    monkeypatch.setattr(pipelines, "build_pipelines", refuse)
     monkeypatch.setattr(geometry, "triangulation_for", refuse)
     for q in quivers:
         for sup in linear_full_subquivers(q):
@@ -308,11 +308,11 @@ def test_decompose_builds_no_pipeline_records(monkeypatch):
         raise AssertionError("_decompose built a pipeline record")
     q, a = Quiver(4, ((1, 2), (3, 2), (3, 4))), (0, 3, 3, 0)
     with monkeypatch.context() as m:
-        m.setattr(geometry, "Pipeline", refuse)
-        m.setattr(geometry, "PipelineSet", refuse)
+        m.setattr(pipelines, "Pipeline", refuse)
+        m.setattr(pipelines, "PipelineSet", refuse)
         assert geometry._decompose(q, a, [2, 3]) == (((0, 1, 1, 0), [2, 3]),) * 3
         assert geometry.decompose(q, (2, 2, 2, 0)) == ((1, 1, 1, 0),) * 2
-    nodes = {node for pipe in geometry.build_pipelines(q, a).pipes for node in pipe}
+    nodes = {node for pipe in pipelines.build_pipelines(q, a).pipes for node in pipe}
     assert {(node[0], len(node)) for node in nodes} == {("pt", 3), ("vx", 2)}
     assert {node[1:] for node in nodes if node[0] == "pt"} == {(s, r) for s in (2, 3)
                                                                for r in (1, 2, 3)}

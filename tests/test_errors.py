@@ -16,7 +16,7 @@ import json
 from pathlib import Path
 import random
 
-from clusterkit import engine, formulas, geometry, harness
+from clusterkit import engine, formulas, geometry, harness, pipelines
 from clusterkit.quiver import Quiver, oriented_three_cycles
 import reference
 
@@ -37,7 +37,7 @@ ENTRIES = {
        for fn in (harness.expand_model, harness.witness_count, harness.list_witnesses)
        for m in harness.MODELS},
     "decompose": geometry.decompose,
-    "build_pipelines": geometry.build_pipelines,
+    "build_pipelines": pipelines.build_pipelines,
     "positive_split": geometry.positive_split,
     "satisfies_property_a": geometry.satisfies_property_a,
     "enumerate_gcs": lambda q, a: list(formulas.enumerate_gcs(q, a)),

@@ -12,25 +12,26 @@ from clusterkit.formulas import (
     choose_base_vertex,
     enumerate_gcc,
     enumerate_gcs,
-    enumerate_linear_gcc,
-    enumerate_variable_gcs,
     formula_gcs,
     gcc_weight,
     gcs_weight,
-    linear_gcc_weight,
     term_base,
-    variable_gcs_k_set,
-    variable_gcs_monomial,
 )
 from clusterkit import harness
 from clusterkit.geometry import decompose, satisfies_property_a, sigma
 from clusterkit.harness import expand_model, random_type_a_quiver
 from clusterkit.laurent import LaurentPoly, poly_product
+from clusterkit.linear_gcc import enumerate_linear_gcc, linear_gcc_weight
 from clusterkit.quiver import (
     Quiver,
     linear_full_subquivers,
     oriented_three_cycles,
     three_cycle_completion,
+)
+from clusterkit.variable_gcs import (
+    enumerate_variable_gcs,
+    variable_gcs_k_set,
+    variable_gcs_monomial,
 )
 from conftest import whole_path_value
 from reference import poly_sum, substitution_then_rename

@@ -8,7 +8,6 @@ from clusterkit.completion import CompletelyExtendedLinearQuiver, LinearQuiver, 
 from clusterkit.errors import NegativeInput, NotInW, NotTypeA
 from clusterkit.geometry import (
     Triangulation,
-    build_pipelines,
     decompose,
     positive_split,
     quiver_of,
@@ -20,6 +19,7 @@ from clusterkit.geometry import (
     triangulation_for,
 )
 from clusterkit.harness import random_type_a_quiver
+from clusterkit.pipelines import build_pipelines
 from clusterkit.quiver import Quiver
 from clusterkit.svg import pipelines_svg
 from conftest import path_quiver

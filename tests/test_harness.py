@@ -7,8 +7,8 @@ import tracemalloc
 import pytest
 
 import clusterkit
-from clusterkit import (cli, completion, differential, engine, formulas, geometry, harness, quiver,
-                        scattering, snake)
+from clusterkit import (cli, completion, differential, engine, formulas, geometry, harness,
+                        linear_gcc, quiver, scattering, snake, variable_gcs)
 from clusterkit.errors import FrozenVertex, InvalidInput, NotInW, PositivePartNotInW
 from clusterkit.harness import (
     MODELS,
@@ -198,10 +198,10 @@ def test_parity_error_classes_per_entry_point(three_cycle):
 # and every count of an enumerating model but broken-line, which builds its
 # lines, one count core that builds no witness.
 TALLIES = ((formulas, "_gcs_terms"), (formulas, "_gcc_terms"),
-           (formulas, "_linear_gcc_terms"), (formulas, "_variable_gcs_terms"),
+           (linear_gcc, "_linear_gcc_terms"), (variable_gcs, "_variable_gcs_terms"),
            (snake, "_matching_terms"), (snake, "_tpath_terms"),
            (scattering, "_theta"), (engine, "_cluster_variable"))
-COUNTS = ((formulas, "_count"), (formulas, "_linear_gcc_count"),
+COUNTS = ((formulas, "_count"), (variable_gcs, "_count"), (linear_gcc, "_linear_gcc_count"),
           (snake, "_matching_count"), (snake, "_tpath_count"))
 
 
@@ -239,7 +239,7 @@ def test_witness_count_computes_no_weight(monkeypatch, seven_mixed):
     def refuse(*args, **kwargs):
         raise AssertionError("a count computed a weight")
     for module, name in ((formulas, "gcs_weight"), (formulas, "gcc_weight"),
-                         (formulas, "linear_gcc_weight"), (formulas, "variable_gcs_monomial"),
+                         (linear_gcc, "linear_gcc_weight"), (variable_gcs, "variable_gcs_monomial"),
                          (snake, "matching_weight"), (scattering, "ambient_monomial")):
         monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(snake.TPath, "value", refuse)

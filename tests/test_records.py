@@ -18,7 +18,8 @@ import sys
 import pytest
 
 import clusterkit
-from clusterkit import bijections, completion, engine, formulas, geometry, harness, scattering, snake
+from clusterkit import (bijections, completion, engine, formulas, geometry, harness, linear_gcc,
+                        pipelines, scattering, snake)
 from clusterkit.errors import InvalidInput, VertexOutOfRange
 from clusterkit.laurent import LaurentPoly
 from clusterkit.completion import CompletelyExtendedLinearQuiver, CompletionResult, LinearQuiver
@@ -38,8 +39,8 @@ RECORDS = [
     (completion.CompletionResult, ("celq", "base_order", "to_ambient", "invented"), {}),
     (geometry.Triangulation, ("size", "n", "edges", "vpoint", "wpoint"),
      {"vpoint": None, "wpoint": None}),
-    (geometry.Pipeline, ("endpoints", "crossings", "b_vector"), {}),
-    (geometry.PipelineSet, ("quiver", "triangulation", "a", "pipelines", "pipes"),
+    (pipelines.Pipeline, ("endpoints", "crossings", "b_vector"), {}),
+    (pipelines.PipelineSet, ("quiver", "triangulation", "a", "pipelines", "pipes"),
      {"pipes": ()}),
     (harness._Model, ("module", "per_variable", "prepare", "value", "count",
                       "witnesses", "dump"), {"witnesses": None, "dump": None}),
@@ -48,7 +49,7 @@ RECORDS = [
     (harness.CrossCheckReport, ("quiver", "models", "rows"), {}),
     (engine.Seed, ("quiver", "cluster"), {}),
     (formulas.GCCollection, ("chosen",), {}),
-    (formulas.LinearGCC, ("n", "pairs", "end_bit"), {"end_bit": None}),
+    (linear_gcc.LinearGCC, ("n", "pairs", "end_bit"), {"end_bit": None}),
     (scattering.PathRelabeling, ("ambient", "order", "to_new", "to_old"), {}),
     (scattering.WSequence, ("s", "ell", "walls", "chain"), {}),
     (scattering.Endpoint, ("coords", "eps", "n", "nprime"), {}),
@@ -83,9 +84,9 @@ def test_a_record_fills_in_its_defaults(cls, fields, defaults):
 
 def test_a_record_needs_its_fields():
     with pytest.raises(TypeError):
-        formulas.LinearGCC(1)
+        linear_gcc.LinearGCC(1)
     with pytest.raises(TypeError):
-        formulas.LinearGCC(1, (), 0, 1)
+        linear_gcc.LinearGCC(1, (), 0, 1)
     with pytest.raises(TypeError):
         snake.TPath(labels=(1,), other=2)
 
@@ -171,14 +172,14 @@ def test_geometry_records_compare_by_their_fields():
     t = geometry.triangulation_for(q)
     assert t == geometry.Triangulation(t.size, t.n, dict(t.edges))
     assert t != geometry.Triangulation(t.size, t.n, dict(t.edges), vpoint=0)
-    ps = geometry.build_pipelines(q, (1, 1, 0, 0))
-    again = geometry.build_pipelines(Quiver(4, ((1, 2), (2, 3), (3, 4))), (1, 1, 0, 0))
+    ps = pipelines.build_pipelines(q, (1, 1, 0, 0))
+    again = pipelines.build_pipelines(Quiver(4, ((1, 2), (2, 3), (3, 4))), (1, 1, 0, 0))
     assert ps == again and ps.pipelines[0] == again.pipelines[0]
     # the pipes are no part of a pipeline set's value
-    assert ps == geometry.PipelineSet(ps.quiver, ps.triangulation, ps.a, ps.pipelines)
-    assert ps != geometry.build_pipelines(q, (0, 1, 1, 0))
+    assert ps == pipelines.PipelineSet(ps.quiver, ps.triangulation, ps.a, ps.pipelines)
+    assert ps != pipelines.build_pipelines(q, (0, 1, 1, 0))
     p = ps.pipelines[0]
-    assert p != geometry.Pipeline(p.endpoints, p.crossings, p.b_vector + (0,))
+    assert p != pipelines.Pipeline(p.endpoints, p.crossings, p.b_vector + (0,))
 
 
 def test_witness_records_compare_by_their_fields():
@@ -186,8 +187,8 @@ def test_witness_records_compare_by_their_fields():
     twin = formulas.GCCollection((((1, 2), frozenset({1}), frozenset()),))
     assert g == twin and hash(g) == hash(twin) and len({g, twin}) == 1
     assert g != formulas.GCCollection((((1, 2), frozenset(), frozenset({1})),))
-    assert formulas.LinearGCC(2, ((0, 1),)) == formulas.LinearGCC(2, ((0, 1),), None)
-    assert formulas.LinearGCC(1, (), 0) != formulas.LinearGCC(1, (), 1)
+    assert linear_gcc.LinearGCC(2, ((0, 1),)) == linear_gcc.LinearGCC(2, ((0, 1),), None)
+    assert linear_gcc.LinearGCC(1, (), 0) != linear_gcc.LinearGCC(1, (), 1)
     assert bijections.CompleteTPath((1, 2, 3)) == bijections.CompleteTPath((1, 2, 3))
     assert bijections.CompleteTPath((1, 2, 3)) != bijections.CompleteTPath((3, 2, 1))
 

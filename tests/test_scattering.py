@@ -16,11 +16,6 @@ from clusterkit.errors import (
     OddRankWithoutPrincipal,
     PositivityViolation,
 )
-from clusterkit.formulas import (
-    enumerate_variable_gcs,
-    variable_gcs_k_set,
-    variable_gcs_monomial,
-)
 from clusterkit.harness import random_type_a_quiver, witness_count
 from clusterkit.laurent import LaurentPoly
 from clusterkit.quiver import (
@@ -40,6 +35,11 @@ from clusterkit.scattering import (
     w_sequence,
 )
 from clusterkit.svg import broken_line_svg
+from clusterkit.variable_gcs import (
+    enumerate_variable_gcs,
+    variable_gcs_k_set,
+    variable_gcs_monomial,
+)
 from conftest import path_quiver
 import reference
 from reference import (certify_travel_bounds, exchange_matrix, g_direction, g_vector_by_formula,

@@ -19,9 +19,9 @@ from clusterkit.completion import (
 )
 from clusterkit.engine import enumerate_cluster_variables
 from clusterkit.errors import InvalidInput
-from clusterkit.formulas import enumerate_linear_gcc, linear_gcc_weight
 from clusterkit.harness import random_type_a_quiver
 from clusterkit.laurent import LaurentPoly
+from clusterkit.linear_gcc import enumerate_linear_gcc, linear_gcc_weight
 from clusterkit.quiver import linear_full_subquivers
 from clusterkit.snake import (
     TPath,

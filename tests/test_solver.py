@@ -16,8 +16,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from clusterkit import formulas, harness
-from clusterkit.formulas import _count, _enumerate_closed_assignments, _fences, _tally
+from clusterkit import formulas, harness, solver, variable_gcs
+from clusterkit.solver import _count, _enumerate_closed_assignments, _fences, _tally
 from clusterkit.quiver import Quiver
 
 
@@ -150,11 +150,12 @@ def requests(count):
 def test_the_models_systems_are_fences():
     systems = []
 
-    def spy(name):
-        real = getattr(formulas, name)
-        return mock.patch.object(formulas, name,
+    def spy(module, name):
+        real = getattr(module, name)
+        return mock.patch.object(module, name,
                                  lambda *args: systems.append((name, real(*args))) or systems[-1][1])
-    with spy("_gcs_system"), spy("_gcc_system"), spy("_variable_gcs_system"):
+    with spy(formulas, "_gcs_system"), spy(formulas, "_gcc_system"), \
+            spy(variable_gcs, "_variable_gcs_system"):
         for q, a in requests(60):
             for model in ("gcs", "gcc", "gcs-variable"):
                 harness.expand_model(q, a, model)
@@ -167,8 +168,10 @@ def test_counts_and_values_do_not_walk_the_witnesses():
     """gcs and gcc values, and the gcs, gcc and gcs-variable counts, take
     the transfer; gcs-variable's value keeps its one-field-per-bit walk."""
     walked = []
-    real = formulas._closed_masks
-    with mock.patch.object(formulas, "_closed_masks", lambda *args: walked.append(args) or real(*args)):
+    real = solver._closed_masks
+    spy = lambda *args: walked.append(args) or real(*args)
+    with mock.patch.object(solver, "_closed_masks", spy), \
+            mock.patch.object(variable_gcs, "_closed_masks", spy):
         for q, a in requests(60):
             for model in ("gcs", "gcc"):
                 harness.expand_model(q, a, model)

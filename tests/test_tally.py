@@ -16,7 +16,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from clusterkit import MODELS, completion, formulas, geometry, harness, scattering, snake
+from clusterkit import (MODELS, completion, formulas, geometry, harness, linear_gcc, scattering, snake,
+                        variable_gcs)
 from clusterkit.completion import complete_extension
 from clusterkit.errors import ClusterKitError
 from clusterkit.laurent import LaurentPoly, field_width, poly_product, unpack
@@ -91,8 +92,8 @@ def per_witness(q, x, model):
     and the length of the listing."""
     support = [v for v in q.vertices if x[v - 1]]
     if model == "gcs-variable":
-        ws = list(formulas.enumerate_variable_gcs(q, support))
-        return poly_sum(formulas.variable_gcs_monomial(q, support, s) for s in ws), len(ws)
+        ws = list(variable_gcs.enumerate_variable_gcs(q, support))
+        return poly_sum(variable_gcs.variable_gcs_monomial(q, support, s) for s in ws), len(ws)
     if model == "broken-line":
         rel = scattering.relabel_for_path(q, support)
         ws = scattering.broken_lines(q, support)
@@ -100,8 +101,8 @@ def per_witness(q, x, model):
     comp = complete_extension(q, support)
     celq = comp.celq
     if model == "linear-gcc":
-        ws = list(formulas.enumerate_linear_gcc(celq))
-        terms = [formulas.linear_gcc_weight(celq, w) for w in ws]
+        ws = list(linear_gcc.enumerate_linear_gcc(celq))
+        terms = [linear_gcc.linear_gcc_weight(celq, w) for w in ws]
     elif model == "matching":
         ws = snake.enumerate_matchings(snake.build_snake(celq))
         terms = map(snake.matching_weight, ws)
@@ -149,7 +150,7 @@ def test_tallies_on_the_zig_zag_path():
     check_tallies(q, a)
     assert harness.witness_count(q, a, "mutation") == 377
     comp = complete_extension(q, list(q.vertices))
-    for terms in (snake._matching_terms(comp), formulas._linear_gcc_terms(comp)):
+    for terms in (snake._matching_terms(comp), linear_gcc._linear_gcc_terms(comp)):
         assert max(max(key) for key in terms[2]) == 2
 
 
@@ -172,7 +173,7 @@ def test_values_and_counts_build_no_witness(monkeypatch, seven_mixed):
 
     def refuse(*args, **kwargs):
         raise AssertionError("a value or count built a witness")
-    for module, name in ((formulas, "linear_gcc_weight"), (formulas, "variable_gcs_monomial"),
+    for module, name in ((linear_gcc, "linear_gcc_weight"), (variable_gcs, "variable_gcs_monomial"),
                          (snake, "matching_weight"), (scattering, "ambient_monomial"),
                          (snake, "enumerate_matchings"), (snake, "triangulation_tpaths")):
         monkeypatch.setattr(module, name, refuse)

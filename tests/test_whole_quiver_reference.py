@@ -58,17 +58,16 @@ from clusterkit.errors import (
 )
 from clusterkit.formulas import (
     GCCollection,
-    _enumerate_closed_assignments,
     _gateway_labels,
     base_vertex_distance,
     choose_base_vertex,
     enumerate_gcc,
     enumerate_gcs,
-    enumerate_variable_gcs,
     gateway_rotations,
 )
 from clusterkit.geometry import sigma_int
 from clusterkit.laurent import LaurentPoly, poly_product
+from clusterkit.pipelines import Pipeline, PipelineSet, _pipelines
 from clusterkit.quiver import (
     Quiver,
     is_type_a,
@@ -80,6 +79,8 @@ from clusterkit.quiver import (
     require_type_a,
     three_cycle_completion,
 )
+from clusterkit.solver import _enumerate_closed_assignments
+from clusterkit.variable_gcs import enumerate_variable_gcs
 from clusterkit.snake import SnakeDiagram, build_snake
 from reference import poly_sum, principal_lift
 
@@ -1019,7 +1020,7 @@ def ref_pipelines(q, a, support):
         b = [0] * q.n
         for i in diagonals:
             b[i - 1] = 1
-        pipelines.append(geometry.Pipeline(
+        pipelines.append(Pipeline(
             endpoints=(min(left[1], right[1]), max(left[1], right[1])),
             crossings=tuple((c[1], c[2]) for c in inner),
             b_vector=tuple(b),
@@ -1031,7 +1032,7 @@ def ref_pipelines(q, a, support):
     if tuple(total) != a:
         raise NotInW(f"pipeline supports sum to {tuple(total)}, expected {a}")
     pipelines.sort(key=lambda p: (p.b_vector, p.endpoints, p.crossings))
-    return geometry.PipelineSet(q, t, a, tuple(pipelines), tuple(pipes))
+    return PipelineSet(q, t, a, tuple(pipelines), tuple(pipes))
 
 
 def geometry_outcome(build, q):
@@ -1098,7 +1099,7 @@ def test_pipes_without_a_corner_map_match_the_reference():
         if not geometry.satisfies_property_a(q, a):
             continue
         support = [v for v in q.vertices if a[v - 1]]
-        got, want = geometry._pipelines(q, a, support), ref_pipelines(q, a, support)
+        got, want = _pipelines(q, a, support), ref_pipelines(q, a, support)
         assert got == want and got.pipes == want.pipes, (q, a)
         checked += 1
     assert checked > 500
@@ -1157,7 +1158,7 @@ def test_strands_match_the_tuple_keyed_pipelines():
         support = geometry.support_of(a)
         want = ref_decompose(q, a, support)
         assert geometry._decompose(q, a, support) == want, (q, a)
-        got, ref = geometry._pipelines(q, a, support), ref_pipelines(q, a, support)
+        got, ref = _pipelines(q, a, support), ref_pipelines(q, a, support)
         assert got == ref and got.pipes == ref.pipes, (q, a)
         grouped = [(x, list(order), len(list(run)))
                    for (x, order), run in groupby(want, key=lambda f: (f[0], tuple(f[1])))]
