@@ -36,6 +36,7 @@ def __getattr__(name: str):
     from . import differential
     return getattr(differential, name)
 
+
 # -- the model table -------------------------------------------------------------
 
 

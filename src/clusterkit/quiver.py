@@ -1,4 +1,4 @@
-"""Quivers, mutation, type-A recognition, and the linear hierarchy.
+"""Quivers, mutation, type-A recognition, and linear full subquivers.
 
 A quiver is a finite directed graph without loops or 2-cycles.  Vertices are
 dense 1-based integers.  Arrows are stored as a sorted tuple of (tail, head)
@@ -20,7 +20,9 @@ realizing triangulation, and the base-vertex labelling that the gcs/gcc
 formulas start from) is computed lazily, at most once per instance, and
 kept as immutable values; the public accessors hand out fresh lists and
 sets built from them.  The completion is derived from the quiver's checked
-arrows and 3-cycles, not checked or scanned again.
+arrows and 3-cycles, not checked or scanned again.  The completed path of a
+linear full subquiver is built in `completion`, which only the models and
+commands that read it load.
 """
 
 from __future__ import annotations
