@@ -107,9 +107,10 @@ def _positive_part(q: Quiver, a, in_w: bool = False):
         plus, support = tuple(plus), [v for v in support if v not in neg]
     if not in_w and not satisfies_property_a(q, plus):
         raise PositivePartNotInW(f"positive part {plus} violates the parity condition")
-    if max(plus, default=0) > sys.maxsize:
-        v = next(v for v in support if plus[v - 1] > sys.maxsize)
-        raise InvalidInput(f"d-vector entry at vertex {v} exceeds sys.maxsize ({sys.maxsize})")
+    huge = [v for v in support if plus[v - 1] > sys.maxsize]
+    if huge:
+        raise InvalidInput(f"d-vector entry at vertex {huge[0]} exceeds sys.maxsize "
+                           f"({sys.maxsize})")
     return plus, support, neg
 
 

@@ -386,8 +386,8 @@ def from_text(text: str) -> Quiver:
     m = re.fullmatch(r"n\s+(\d+)\s+frozen\s+(\S+)", lines[0])
     if not m:
         raise InvalidInput(f"bad header line: {lines[0]!r}")
-    n = int(m.group(1))
-    try:
+    try:  # a count past CPython's int-to-string digit limit fails as well
+        n = int(m.group(1))
         frozen = frozenset() if m.group(2) == "none" else frozenset(
             int(v) for v in m.group(2).split(","))
     except ValueError:
@@ -422,5 +422,5 @@ def from_json_dict(d: dict) -> Quiver:
 def from_json(text: str) -> Quiver:
     try:
         return from_json_dict(json.loads(text))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise InvalidInput(f"bad quiver JSON: {exc}") from exc

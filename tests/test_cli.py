@@ -323,10 +323,15 @@ _A3_TEXT = b"n 3 frozen none\n1 2\n2 3\n"
     (b"n3 frozen none\n1 2\n", ("expand", "--dvector", "1,0,0"),
      "bad header line: 'n3 frozen none'"),
     (b"1 2\n2 3\n", ("decompose", "--dvector", "1,0,0"), "bad header line: '1 2'"),
+    # integers past CPython's int-to-string digit limit, which input keeps
+    (b"n " + b"9" * 5000 + b" frozen none\n", ("expand", "--dvector", "1"), "bad header line"),
+    (b'{"n": ' + b"9" * 5000 + b', "arrows": []}', ("expand", "--dvector", "1"),
+     "bad quiver JSON"),
 ], ids=["frozen-token", "empty-frozen-entry", "arrow-token", "not-utf8",
         "pipelines-svg", "snake-svg", "broken-lines-svg", "json-float-n",
         "json-float-arrow-end", "json-bool-frozen", "json-string-arrow",
-        "empty-file", "blank-file", "header-without-space", "header-missing"])
+        "empty-file", "blank-file", "header-without-space", "header-missing",
+        "header-past-the-digit-limit", "json-past-the-digit-limit"])
 def test_file_errors_are_invalid_input(tmp_path, capsys, quiver, argv, message):
     """Malformed or undecodable quiver files and unwritable SVG paths end in
     the error envelope with exit 2, never in a traceback."""
@@ -584,7 +589,8 @@ def test_an_entry_too_large_to_index_is_refused_before_any_model(tmp_path, capsy
         assert (code, out) == (2, ""), argv
         envelope = json.loads(err)
         assert envelope["code"] == "InvalidInput", argv
-        assert envelope["message"] == f"d-vector entry at vertex 1 exceeds sys.maxsize ({sys.maxsize})"
+        assert envelope["message"] == (f"d-vector entry at vertex 1 exceeds sys.maxsize "
+                                       f"({sys.maxsize})")
 
 
 def test_enumerate_variables_reads_the_twelve_vertex_path_off_its_arcs(tmp_path, capsys):
@@ -615,7 +621,8 @@ def test_a_broken_line_request_loads_no_fractions(tmp_path):
     values load no `fractions`, and `broken-lines` loads it for its bends."""
     path = tmp_path / "q.txt"
     path.write_text(to_text(Quiver(4, ((1, 2), (2, 3), (3, 4)))))
-    probe = "import sys\nfrom clusterkit import cli\ncli.main(sys.argv[1:])\nprint('fractions' in sys.modules)"
+    probe = ("import sys\nfrom clusterkit import cli\ncli.main(sys.argv[1:])\n"
+             "print('fractions' in sys.modules)")
     src = str(Path(clusterkit.__file__).resolve().parents[1])
     for argv, loaded in ((["count", "--model", "broken-line", "--dvector", "1,1,0,0"], "False"),
                          (["expand", "--model", "broken-line", "--dvector", "2,1,0,0"], "False"),
@@ -667,7 +674,8 @@ finally:
 REQUEST = {"harness", "geometry"}
 FORMULAS, PATHS = REQUEST | {"formulas", "solver"}, REQUEST | {"completion", "snake"}
 THETA, WALK = REQUEST | {"scattering"}, REQUEST | {"engine"}
-VARIABLE_GCS, LINEAR_GCC = REQUEST | {"variable_gcs", "solver"}, REQUEST | {"linear_gcc", "completion"}
+VARIABLE_GCS = REQUEST | {"variable_gcs", "solver"}
+LINEAR_GCC = REQUEST | {"linear_gcc", "completion"}
 # what a crosscheck runs: every model and the rows
 EVERY_MODEL = FORMULAS | PATHS | THETA | WALK | VARIABLE_GCS | LINEAR_GCC | {"differential"}
 

@@ -16,8 +16,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from clusterkit import (MODELS, completion, formulas, geometry, harness, linear_gcc, scattering, snake,
-                        variable_gcs)
+from clusterkit import (MODELS, completion, formulas, geometry, harness, linear_gcc, scattering,
+                        snake, variable_gcs)
 from clusterkit.completion import complete_extension
 from clusterkit.errors import ClusterKitError
 from clusterkit.laurent import LaurentPoly, field_width, poly_product, unpack
