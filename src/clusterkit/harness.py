@@ -20,7 +20,7 @@ from .quiver import Quiver, three_cycle_completion
 
 TYPE_CHECKING = False  # as typing's; importing typing costs a cold command
 if TYPE_CHECKING:  # the model modules load on first use, see `_model`
-    from . import engine, formulas, linear_gcc, scattering, snake, variable_gcs
+    from . import completion, engine, formulas, linear_gcc, scattering, snake, variable_gcs
 
 # the names of `differential` that are read here as well
 _DIFFERENTIAL = frozenset((
@@ -54,13 +54,13 @@ class _Model:
     broken-line sums its value from a tally of per-witness counts over fixed
     deltas, and only listings build witnesses; broken-line builds its lines
     and tallies their final monomials.  All call unchecked cores: a request is
-    checked once, in `_request`.  They find their code in `module`, which
+    checked once, in `_request`.  They find their code in `modules`, which
     `_model` imports on first use."""
 
-    def __init__(self, module: str, per_variable: bool, prepare: Callable, value: Callable,
-                 count: Callable, witnesses: Callable | None = None,
+    def __init__(self, modules: tuple[str, ...], per_variable: bool, prepare: Callable,
+                 value: Callable, count: Callable, witnesses: Callable | None = None,
                  dump: Callable | None = None):
-        self.module, self.per_variable, self.prepare = module, per_variable, prepare
+        self.modules, self.per_variable, self.prepare = modules, per_variable, prepare
         self.value, self.count, self.witnesses, self.dump = value, count, witnesses, dump
 
 
@@ -76,49 +76,46 @@ def _completed(q: Quiver, plus, support):
     return q2, a, support, ov, base, [v for v in base if v > q.n]
 
 
-def _neighbourhood(q: Quiver, b, order):
-    """linear-gcc, matching and tpath: one prepare, so a crosscheck row
-    builds it once.  The completed paths load with the first of them."""
-    from .completion import _complete
-    return _complete(q, order)
+# linear-gcc, matching and tpath: one prepare, so a crosscheck row builds it once
+_neighbourhood = lambda q, b, order: completion._complete(q, order)
 
 
 _TABLE = {
-    "mutation": _Model("engine", True, lambda q, b, order: (q, b, order),
+    "mutation": _Model(("engine",), True, lambda q, b, order: (q, b, order),
                        value=lambda ctx: engine._cluster_variable(*ctx),
                        count=lambda ctx: engine._cluster_variable(*ctx).coefficient_sum()),
     # gcs and gcc sum their terms from the solver's bits; witnesses are listings
     "gcs": _Model(
-        "formulas", False, _completed, witnesses=lambda ctx: formulas._gcs(*ctx[:4]),
+        ("formulas",), False, _completed, witnesses=lambda ctx: formulas._gcs(*ctx[:4]),
         count=lambda ctx: formulas._count(*formulas._gcs_system(*ctx[:4])),
         value=lambda ctx: affine_sum(*formulas._gcs_terms(*ctx[:5]), drop=ctx[5]),
         dump=lambda ctx, s: [list(bits) for bits in s]),
     "gcc": _Model(
-        "formulas", False, _completed, witnesses=lambda ctx: formulas._gcc(*ctx[:4]),
+        ("formulas",), False, _completed, witnesses=lambda ctx: formulas._gcc(*ctx[:4]),
         count=lambda ctx: formulas._count(*formulas._gcc_system(*ctx[:4])),
         value=lambda ctx: affine_sum(*formulas._gcc_terms(*ctx[:5]), drop=ctx[5]),
         dump=lambda ctx, g: [{"arrow": list(arrow), "S1": sorted(s1), "S2": sorted(s2)}
                              for (arrow, s1, s2) in g.chosen]),
     "linear-gcc": _Model(
-        "linear_gcc", True, _neighbourhood,
+        ("linear_gcc", "completion"), True, _neighbourhood,
         witnesses=lambda comp: linear_gcc.enumerate_linear_gcc(comp.celq),
         count=lambda comp: linear_gcc._linear_gcc_count(comp.celq),
         value=lambda comp: affine_sum(*linear_gcc._linear_gcc_terms(comp)),
         dump=lambda comp, w: {"pairs": [list(p) for p in w.pairs], "end_bit": w.end_bit}),
     "gcs-variable": _Model(
-        "variable_gcs", True, lambda q, b, order: (q, order),
+        ("variable_gcs",), True, lambda q, b, order: (q, order),
         witnesses=lambda ctx: variable_gcs._variable_gcs(*ctx),
         count=lambda ctx: variable_gcs._count(*variable_gcs._variable_gcs_system(*ctx)),
         value=lambda ctx: affine_sum(*variable_gcs._variable_gcs_terms(*ctx)),
         dump=lambda ctx, s: list(s)),
     "matching": _Model(
-        "snake", True, _neighbourhood,
+        ("snake", "completion"), True, _neighbourhood,
         witnesses=lambda comp: snake.enumerate_matchings(snake.build_snake(comp.celq)),
         count=lambda comp: snake._matching_count(comp),
         value=lambda comp: affine_sum(*snake._matching_terms(comp)),
         dump=lambda comp, gamma: [list(l) if isinstance(l, tuple) else l for l in gamma]),
     "tpath": _Model(
-        "snake", True, _neighbourhood,
+        ("snake", "completion"), True, _neighbourhood,
         witnesses=lambda comp: snake.triangulation_tpaths(
             snake.triangulation_of(comp.celq), comp.celq),
         count=lambda comp: snake._tpath_count(comp),
@@ -128,7 +125,7 @@ _TABLE = {
     # order, to 1..n: the lines are drawn in the relabelled coordinates and
     # their sum renamed back
     "broken-line": _Model(
-        "scattering", True, lambda q, b, order: scattering._relabel(q, order),
+        ("scattering",), True, lambda q, b, order: scattering._relabel(q, order),
         witnesses=lambda rel: scattering._lines(rel),
         count=lambda rel: len(scattering._lines(rel)),
         value=lambda rel: scattering._theta(rel, scattering._lines(rel)),
@@ -139,13 +136,14 @@ _TABLE = {
 def _model(q: Quiver, name: str) -> _Model:
     """The table entry that runs `name` on q; gcc on a one-vertex quiver runs
     as linear-gcc, because collections need two vertices.  The first use of
-    an entry binds its module here, where the entry's functions look it up at
-    each call; later uses find it bound."""
+    an entry binds its modules here, where the entry's functions look them
+    up at each call; later uses find them bound."""
     if name not in _TABLE:
         raise InvalidInput(f"unknown model {name!r}; choose from {MODELS}")
     spec = _TABLE["linear-gcc" if name == "gcc" and q.n == 1 else name]
-    if spec.module not in globals():
-        globals()[spec.module] = import_module(f"{__package__}.{spec.module}")
+    for module in spec.modules:
+        if module not in globals():
+            globals()[module] = import_module(f"{__package__}.{module}")
     return spec
 
 

@@ -154,9 +154,7 @@ def test_arc_table_equals_the_seed_walk_on_type_a():
         arrows = random_type_a_quiver(n, rng).arrows
         frozen = frozenset(v for v in range(1, n + 1) if k % 2 and rng.random() < 0.3)
         q = Quiver(n, arrows, frozen)
-        table = enumerate_cluster_variables(q)
-        assert table == engine._seed_table(q), q
-        assert len(table) == len(set(table))
+        assert enumerate_cluster_variables(q) == engine._seed_table(q), q
 
 
 def test_arc_table_walks_no_seed(monkeypatch):

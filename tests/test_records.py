@@ -42,7 +42,7 @@ RECORDS = [
     (pipelines.Pipeline, ("endpoints", "crossings", "b_vector"), {}),
     (pipelines.PipelineSet, ("quiver", "triangulation", "a", "pipelines", "pipes"),
      {"pipes": ()}),
-    (harness._Model, ("module", "per_variable", "prepare", "value", "count",
+    (harness._Model, ("modules", "per_variable", "prepare", "value", "count",
                       "witnesses", "dump"), {"witnesses": None, "dump": None}),
     (harness.RowResult, ("dvector", "counts", "value", "verdict", "timings", "dissent"),
      {"timings": {}, "dissent": []}),
